@@ -80,20 +80,6 @@ class LevelAlgebra:
                       mult) % self.ring.orders
         return T
 
-    # -- element arithmetic ----------------------------------------------
-
-    def elem_zero(self) -> np.ndarray:
-        return np.zeros((self.k, self.ring.m), dtype=np.int64)
-
-    def elem_reduce(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=np.int64) % self.ring.orders
-
-    def elem_mul(self, x, y) -> np.ndarray:
-        return np.einsum("iu,jv,iujvlw->lw", x, y, self._T) % self.ring.orders
-
-    def elem_from_scalar(self, c: int) -> np.ndarray:
-        return (int(c) * self.unit) % self.ring.orders
-
     # -- matrices ----------------------------------------------------------
 
     def mat(self, data: np.ndarray) -> "AlgMatrix":
@@ -291,30 +277,6 @@ class DeformedAlgebra:
     def kernel_dim(self, rows: int, cols: int) -> int:
         return self.tower.dimJ * rows * cols * self.k
 
-    def base_coords(self, mat: AlgMatrix) -> np.ndarray:
-        """F_p coordinates of a base-level matrix (row, col, basis order)."""
-        if mat.alg != self.base:
-            raise LevelMismatch("expected a base-level matrix")
-        return mat.data.reshape(-1).copy()
-
-    def base_matrix(self, coords: np.ndarray, rows: int, cols: int) -> AlgMatrix:
-        coords = np.asarray(coords, dtype=np.int64) % self.p
-        return AlgMatrix(self.base,
-                         coords.reshape(rows, cols, self.k, 1))
-
-    def act_on_kernel(self, left: AlgMatrix | None, mid: AlgMatrix,
-                      right: AlgMatrix | None) -> AlgMatrix:
-        """left @ mid @ right where mid has J coefficients.
-
-        Since I*J = 0, the result only depends on the base reductions of
-        left/right; the inputs here are bar-level matrices.
-        """
-        out = mid
-        if left is not None:
-            out = left @ out
-        if right is not None:
-            out = out @ right
-        return out
 
 
 def mk_algebra(tower: Tower, kind: str = "trivial", **params) -> DeformedAlgebra:

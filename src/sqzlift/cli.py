@@ -13,18 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__, defun
-from .algebra import (
-    AlgMatrix,
-    DeformedAlgebra,
-    LevelAlgebra,
-    dual_numbers_algebra,
-    mk_algebra,
-)
-from .complexes import Complex, GradedMap, GradedObject, PreComplex, map_reduce
+from .algebra import AlgMatrix, DeformedAlgebra, dual_numbers_algebra, mk_algebra
+from .complexes import Complex, GradedMap, GradedObject, PreComplex
 from .crude import (
     HomotopyEquivData,
     classify_homotopy_lifts,
@@ -44,6 +39,8 @@ from .obstruction import (
     lift_homotopy,
     lift_map,
     obstruct_differential,
+    obstruct_homotopy,
+    obstruct_map,
 )
 from .oracle import (
     DEFAULT_CAP,
@@ -82,6 +79,8 @@ def unwrap(doc: dict, schema: str) -> dict:
         raise SchemaMismatch(f"expected schema {schema!r}, got {doc['schema']!r}")
     if doc.get("version") != DOC_VERSION:
         raise SchemaMismatch("unsupported document version")
+    if "payload" not in doc:
+        raise SchemaMismatch("document is missing the payload field")
     return doc["payload"]
 
 
@@ -244,37 +243,44 @@ def problem_to_doc(kind: str, defalg: DeformedAlgebra, tower_desc, prob,
     return wrap("problem", pay)
 
 
+@contextmanager
+def _field(name: str):
+    """Report a missing or malformed field as a ParseError that names it."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as e:
+        raise ParseError(f"malformed field {name!r}: {type(e).__name__}: {e}") from e
+
+
 def problem_from_doc(doc: dict):
     """Parse a problem bundle; returns (kind, defalg, problem object, payload)."""
     pay = unwrap(doc, "problem")
-    tower = tower_from_payload(pay["tower"])
-    defalg = algebra_from_payload(tower, pay["algebra"])
-    kind = pay["kind"]
+
+    def part(key, parse=gmap_from_payload):
+        with _field(key):
+            return parse(defalg, pay[key])
+
+    with _field("tower"):
+        tower = tower_from_payload(pay["tower"])
+    with _field("algebra"):
+        defalg = algebra_from_payload(tower, pay["algebra"])
+    with _field("kind"):
+        kind = pay["kind"]
     if kind == "differential":
-        X = complex_from_payload(defalg, pay["complex"], strict=False)
+        with _field("complex"):
+            X = complex_from_payload(defalg, pay["complex"], strict=False)
         prob = DifferentialProblem(defalg, X.ob, X.d)
-    elif kind == "map":
-        C = complex_from_payload(defalg, pay["C"])
-        D = complex_from_payload(defalg, pay["D"])
-        f = gmap_from_payload(defalg, pay["f"])
-        prob = MapProblem(defalg, C, D, f)
-    elif kind == "homotopy":
-        C = complex_from_payload(defalg, pay["C"])
-        D = complex_from_payload(defalg, pay["D"])
-        prob = HomotopyProblem(defalg, C, D,
-                               gmap_from_payload(defalg, pay["f"]),
-                               gmap_from_payload(defalg, pay["g"]),
-                               gmap_from_payload(defalg, pay["H"]))
-    elif kind == "crude":
-        C = complex_from_payload(defalg, pay["C"])
-        D = complex_from_payload(defalg, pay["D"])
-        E = HomotopyEquivData(defalg, C, D,
-                              gmap_from_payload(defalg, pay["f"]),
-                              gmap_from_payload(defalg, pay["g"]),
-                              gmap_from_payload(defalg, pay["H"]),
-                              gmap_from_payload(defalg, pay["K"]))
-        dbar_D = gmap_from_payload(defalg, pay["d_bar_D"])
-        prob = (E, dbar_D)
+    elif kind in ("map", "homotopy", "crude"):
+        C = part("C", complex_from_payload)
+        D = part("D", complex_from_payload)
+        if kind == "map":
+            prob = MapProblem(defalg, C, D, part("f"))
+        elif kind == "homotopy":
+            prob = HomotopyProblem(defalg, C, D, part("f"), part("g"), part("H"))
+        else:
+            E = HomotopyEquivData(defalg, C, D, part("f"), part("g"), part("H"),
+                                  part("K"))
+            prob = (E, part("d_bar_D"))
     else:
         raise SchemaMismatch(f"unknown problem kind {kind!r}")
     return kind, defalg, prob, pay
@@ -287,18 +293,21 @@ def _load_problem(args, expect: str | None = None):
     if path is None:
         raise ParseError("a problem or complex document is required")
     doc = load_doc(path)
-    if doc.get("schema") == "problem":
+    if isinstance(doc, dict) and doc.get("schema") == "problem":
         kind, defalg, prob, pay = problem_from_doc(doc)
     else:
         if not args.tower:
             raise ParseError("--tower is required with a bare complex document")
-        tower = tower_from_payload(unwrap(load_doc(args.tower), "tower"))
-        if args.algebra:
-            defalg = algebra_from_payload(
-                tower, unwrap(load_doc(args.algebra), "algebra"))
-        else:
-            defalg = mk_algebra(tower, "trivial")
-        X = complex_from_payload(defalg, unwrap(doc, "complex"), strict=True)
+        with _field("tower"):
+            tower = tower_from_payload(unwrap(load_doc(args.tower), "tower"))
+        with _field("algebra"):
+            if args.algebra:
+                defalg = algebra_from_payload(
+                    tower, unwrap(load_doc(args.algebra), "algebra"))
+            else:
+                defalg = mk_algebra(tower, "trivial")
+        with _field("complex"):
+            X = complex_from_payload(defalg, unwrap(doc, "complex"), strict=True)
         if X.d.alg != defalg.mid:
             raise SchemaMismatch("the complex must be given at the mid level")
         prob = DifferentialProblem(defalg, X.ob, X.d)
@@ -506,11 +515,9 @@ def cmd_oracle(args) -> int:
         res = oracle_differential(prob, cap=args.cap, workers=args.workers)
         cls, _ = obstruct_differential(prob)
     elif kind == "map":
-        from .obstruction import obstruct_map
         res = oracle_map(prob, cap=args.cap, workers=args.workers)
         cls, _ = obstruct_map(prob)
     elif kind == "homotopy":
-        from .obstruction import obstruct_homotopy
         res = oracle_homotopy(prob, cap=args.cap, workers=args.workers)
         cls, _ = obstruct_homotopy(prob)
     else:
@@ -603,13 +610,9 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](args)
     except SqzliftError as e:
-        body = {"schema": "report", "version": DOC_VERSION,
-                "tool": f"sqzlift {__version__}", "timings": None,
-                "command": args.command, "verdict": "failed",
-                "error": {"type": type(e).__name__, "message": str(e)}}
-        sys.stdout.write(canonical_json(body))
         print(f"sqzlift {args.command}: error: {e}", file=sys.stderr)
-        return 1
+        return emit(args, {"command": args.command, "verdict": "failed",
+                           "error": {"type": type(e).__name__, "message": str(e)}}, 1)
 
 
 if __name__ == "__main__":

@@ -49,14 +49,6 @@ class GradedObject:
     def support(self) -> list[int]:
         return [d for d, _ in self.ranks]
 
-    @property
-    def min_deg(self) -> int:
-        return self.ranks[0][0] if self.ranks else 0
-
-    @property
-    def max_deg(self) -> int:
-        return self.ranks[-1][0] if self.ranks else 0
-
     def shift(self, s: int) -> "GradedObject":
         return GradedObject(tuple((d + s, r) for d, r in self.ranks))
 
@@ -186,9 +178,6 @@ class PreComplex:
     def d_square(self) -> GradedMap:
         return compose(self.d, self.d)
 
-    def is_complex(self) -> bool:
-        return self.d_square().is_zero()
-
 
 class Complex(PreComplex):
     """PreComplex with d^2 = 0 enforced."""
@@ -282,13 +271,6 @@ class HomComplex:
     def dim(self, n: int) -> int:
         return sum(self.obD.rank(i + n) * self.obC.rank(i) * self.alg.k
                    for i in self.support(n))
-
-    def degree_range(self) -> range:
-        """Degrees n with possibly nonzero Hom^n."""
-        if not self.obC.ranks or not self.obD.ranks:
-            return range(0)
-        return range(self.obD.min_deg - self.obC.max_deg,
-                     self.obD.max_deg - self.obC.min_deg + 1)
 
     def flatten(self, f: GradedMap) -> np.ndarray:
         parts = [f.comp(i).data.reshape(-1) for i in self.support(f.degree)]

@@ -13,6 +13,11 @@ Every correction is either an explicit exact witness or an echelon-minimal
 solve in the kernel complex; solvability is guaranteed, so a failed solve is
 reported as InternalObstruction (always a bug, never a property of the
 input).
+
+The homotopy-category layer adds no lifting code of its own: lifts of a
+complex up to homotopy are the strict lifts, and a map lift is realigned to
+a lift of a homotopic map by obstructing and lifting a HomotopyProblem, all
+through the affine-lift core in obstruction.py.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DeformedAlgebra
-from .cohomology import CohClass, KernelComplex, kernel_complex
+from .cohomology import CohClass, kernel_complex
 from .complexes import (
     Complex,
     GradedMap,
@@ -32,26 +37,26 @@ from .complexes import (
     identity_map,
     map_lift,
     map_reduce,
-    zero_map,
 )
 from .errors import (
     CapExceeded,
-    GuardUndecidable,
     InternalObstruction,
     LevelMismatch,
-    NotAHomotopy,
-    NotCochainMap,
     NotHomotopyEquivalence,
     ValidationError,
 )
 from .obstruction import (
     Classification,
     DifferentialProblem,
+    HomotopyProblem,
     LiftReport,
     MapProblem,
     classify_lifts,
+    classify_map_lifts,
     lift_differential,
+    lift_homotopy,
     lift_map,
+    obstruct_homotopy,
 )
 
 
@@ -222,18 +227,6 @@ def crude_lift(E: HomotopyEquivData, dbar_D: GradedMap,
     return CrudeResult(dC, f, g, H, Kb, K_mid, trace)
 
 
-def strictify_homotopy_lift(E: HomotopyEquivData,
-                            dbar_D: GradedMap) -> CrudeResult:
-    """Move a homotopy-category lift onto the canonical graded lift of C.
-
-    A lift of C up to homotopy is a homotopy equivalence f: C -> D together
-    with a top-level complex over D; the pipeline transports it to an honest
-    square-zero differential on the graded lift of C, with a top-level
-    homotopy equivalence connecting the two.
-    """
-    return crude_lift(E, dbar_D)
-
-
 # ---------------------------------------------------------------------------
 # homotopy-category classification
 # ---------------------------------------------------------------------------
@@ -247,8 +240,6 @@ def classify_homotopy_lifts(prob: DifferentialProblem) -> tuple[LiftReport, Clas
     classification: obstruction in H^2, classes affine over H^1.
     """
     rep = lift_differential(prob)
-    rep = LiftReport("homotopy-category differential", rep.obstruction,
-                     rep.obstructed, rep.sigma_lift, rep.lifted)
     if rep.obstructed:
         return rep, None
     return rep, classify_lifts(prob, rep.lifted)
@@ -305,43 +296,32 @@ def classify_homotopy_map_lifts(prob: MapProblem,
 
     The obstruction lives in H^1 of the kernel complex.  If instead of f a
     lift g_bar of a homotopic map g (with homotopy H_mid: f -> g) is
-    supplied, the lift of f is realigned to it: correct a strict lift of f by
-    a canonical representative of the homotopy obstruction, then solve for a
-    connecting homotopy.  The classes are affine over H^0 only when
+    supplied, the lift of f is realigned to it: the homotopy problem from the
+    strict lift of f to g_bar is obstructed by a class in H^n, so shifting
+    the lift of f by the canonical representative of that class makes the
+    homotopy lift.  The classes are affine over H^0 only when
     H^{-1}Hom(C, D) = 0 at the mid level, which is decided by bounded
     enumeration; otherwise the torsor structure is reported as not
     guaranteed.
     """
-    K = prob.kernel
-    n = prob.f_mid.degree
     rep = lift_map(prob)
+    guard = h_minus1_guard(prob.defalg, prob.C, prob.D, cap)
     if rep.obstructed:
-        guard = h_minus1_guard(prob.defalg, prob.C, prob.D, cap)
         return HomotopyMapReport(rep.obstruction, True, None, None, False,
                                  guard, guard == "zero", None)
     fbar = rep.lifted
     homotopy = None
-    realigned = False
     if g_bar is not None:
         if H_mid is None:
             raise ValidationError("realignment needs the mid-level homotopy")
-        Hbar0 = map_lift(prob.defalg, H_mid, "mid", "bar")
-        xi = g_bar - fbar - delta(Hbar0, prob.C.d, prob.D.d)
-        vec = K.into_kernel(xi)
-        cls = K.coh_class(vec, n)
-        rho = K.out_of_kernel(cls.vec(), n)
-        fbar = fbar + rho
-        resid = (vec - cls.vec()) % K.p
-        corr = K.solve_coboundary(resid, n)
-        if corr is None:
-            raise InternalObstruction("homotopy realignment solve failed")
-        homotopy = Hbar0 + K.out_of_kernel(corr, n - 1)
-        if delta(homotopy, prob.C.d, prob.D.d) != g_bar - fbar:
-            raise InternalObstruction("realigned homotopy check failed")
-        realigned = True
-    guard = h_minus1_guard(prob.defalg, prob.C, prob.D, cap)
-    classes = K.all_classes(n)
-    reps = [fbar + K.out_of_kernel(c.vec(), n) for c in classes]
-    cls_data = Classification(n, K.h_dim(n), len(classes), fbar, classes, reps)
-    return HomotopyMapReport(rep.obstruction, False, fbar, homotopy, realigned,
-                             guard, guard == "zero", cls_data)
+        cls, _ = obstruct_homotopy(HomotopyProblem(prob.defalg, prob.C, prob.D,
+                                                   fbar, g_bar, H_mid))
+        fbar = fbar + prob.kernel.out_of_kernel(cls.vec(), prob.degree)
+        hrep = lift_homotopy(HomotopyProblem(prob.defalg, prob.C, prob.D,
+                                             fbar, g_bar, H_mid))
+        if hrep.obstructed:
+            raise InternalObstruction("homotopy realignment left a nonzero class")
+        homotopy = hrep.lifted
+    return HomotopyMapReport(rep.obstruction, False, fbar, homotopy,
+                             homotopy is not None, guard, guard == "zero",
+                             classify_map_lifts(prob, fbar))

@@ -44,7 +44,6 @@ from .finring import (
     RingSurjection,
     minimal_section,
     mk_tower,
-    trunc_poly_ring,
     vec_key,
     zmod_ring,
 )
@@ -110,16 +109,6 @@ def _lift_map_to(algR: LevelAlgebra, A: ArtinLocalRing, f0: GradedMap) -> Graded
         data = (mat.data[..., 0:1] * A.ring.one_vec()) % A.ring.orders
         comps[i] = AlgMatrix(algR, data)
     return GradedMap(algR, f0.src, f0.tgt, f0.degree, comps)
-
-
-def _reduce_map(alg0: LevelAlgebra, A: ArtinLocalRing, fR: GradedMap) -> GradedMap:
-    """Residue of an R-level graded map over F_p."""
-    comps = {}
-    for i, mat in fR.comps.items():
-        flat = mat.data.reshape(-1, A.ring.m)
-        out = np.array([A.residue(v) for v in flat], dtype=np.int64)
-        comps[i] = AlgMatrix(alg0, out.reshape(mat.data.shape[:3] + (1,)))
-    return GradedMap(alg0, fR.src, fR.tgt, fR.degree, comps)
 
 
 def map_coords(f: GradedMap) -> tuple[int, ...]:
@@ -573,10 +562,6 @@ def extend_order(p: int, alg0: LevelAlgebra, ob: GradedObject,
                       {i: defalg.mid.mat(m.data) for i, m in d_current.comps.items()})
     prob = DifferentialProblem(defalg, ob, d_mid)
     return lift_differential(prob)
-
-
-def trunc_poly_algebra(p: int, n: int, alg0: LevelAlgebra) -> LevelAlgebra:
-    return tensor_algebra(trunc_poly_ring(p, n), alg0)
 
 
 def trivial_base_algebra(p: int) -> LevelAlgebra:

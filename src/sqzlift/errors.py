@@ -77,10 +77,6 @@ class NotAHomotopy(SqzliftError):
     pass
 
 
-class IncompatibleGradedLifts(SqzliftError):
-    pass
-
-
 class NotInverse(SqzliftError):
     pass
 
@@ -97,10 +93,6 @@ class NotHomotopyEquivalence(SqzliftError):
 
 class InternalObstruction(SqzliftError):
     """Fatal: a solve the theory guarantees solvable failed. Always a bug."""
-
-
-class GuardUndecidable(SqzliftError):
-    pass
 
 
 # -- deformation functors ------------------------------------------------

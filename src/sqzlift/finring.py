@@ -139,9 +139,6 @@ class FiniteRing:
     def add_vec(self, a, b) -> np.ndarray:
         return (np.asarray(a) + np.asarray(b)) % self.orders
 
-    def neg_vec(self, a) -> np.ndarray:
-        return (-np.asarray(a)) % self.orders
-
     def mul_vec(self, a, b) -> np.ndarray:
         return np.einsum("i,j,ijk->k", np.asarray(a, dtype=np.int64),
                          np.asarray(b, dtype=np.int64), self.mult) % self.orders
@@ -151,28 +148,9 @@ class FiniteRing:
         return np.einsum("ni,j,ijk->nk", elems, np.asarray(b, dtype=np.int64),
                          self.mult) % self.orders
 
-    def pow_vec(self, a, n: int) -> np.ndarray:
-        r = self.one_vec()
-        b = self.reduce_vec(a)
-        while n > 0:
-            if n & 1:
-                r = self.mul_vec(r, b)
-            b = self.mul_vec(b, b)
-            n >>= 1
-        return r
-
     def elements(self) -> np.ndarray:
         """(cardinality, m) array of all elements, lexicographic order."""
         return all_vectors(self.orders)
-
-    def el(self, coeffs) -> "RingElement":
-        return RingElement(self, tuple(int(c) for c in self.reduce_vec(np.asarray(coeffs))))
-
-    def zero(self) -> "RingElement":
-        return self.el(self.zero_vec())
-
-    def one(self) -> "RingElement":
-        return self.el(self.one_vec())
 
     # -- locality ------------------------------------------------------------
 
@@ -188,13 +166,10 @@ class FiniteRing:
         mask = ~powers.any(axis=1)
         return elems[mask]
 
-    def is_local(self) -> bool:
-        """True iff the ring is local with residue field F_p."""
-        nil = self.nilpotent_vectors
-        nil_keys = {vec_key(v) for v in nil}
-        # subgroup generated by the nilpotents, built by coset expansion
+    def additive_span(self, gens) -> set[bytes]:
+        """Keys of the additive subgroup generated by gens, by coset expansion."""
         span = {vec_key(self.zero_vec()): self.zero_vec()}
-        for v in nil:
+        for v in gens:
             if vec_key(v) in span:
                 continue
             current = list(span.values())
@@ -207,14 +182,16 @@ class FiniteRing:
                 for base in current:
                     w = self.add_vec(base, s)
                     span[vec_key(w)] = w
-        if len(span) != len(nil_keys) or not nil_keys.issubset(span):
+        return set(span)
+
+    def is_local(self) -> bool:
+        """True iff the ring is local with residue field F_p."""
+        nil = self.nilpotent_vectors
+        nil_keys = {vec_key(v) for v in nil}
+        # the nilpotents must form an additive subgroup of index p
+        if self.additive_span(nil) != nil_keys:
             return False
         return self.cardinality == self.p * len(nil_keys)
-
-    def max_ideal_vectors(self) -> np.ndarray:
-        if not self.is_local():
-            raise NotLocal("ring is not local with residue field F_p")
-        return self.nilpotent_vectors
 
     def is_unit_vec(self, v) -> bool:
         # in a finite commutative ring, x is a unit iff x^|R|... cheaper:
@@ -229,42 +206,6 @@ class FiniteRing:
             if not acc.any():
                 return False
         return False
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """Canonically reduced element of a FiniteRing."""
-
-    ring: FiniteRing
-    coeffs: tuple[int, ...]
-
-    def _vec(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=np.int64)
-
-    def _wrap(self, v) -> "RingElement":
-        return RingElement(self.ring, tuple(int(c) for c in v))
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        return self._wrap(self.ring.add_vec(self._vec(), other._vec()))
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
-
-    def __neg__(self) -> "RingElement":
-        return self._wrap(self.ring.neg_vec(self._vec()))
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        return self._wrap(self.ring.mul_vec(self._vec(), other._vec()))
-
-    def __pow__(self, n: int) -> "RingElement":
-        return self._wrap(self.ring.pow_vec(self._vec(), n))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __repr__(self) -> str:
-        terms = [f"{c}*{n}" for c, n in zip(self.coeffs, self.ring.names) if c]
-        return " + ".join(terms) if terms else "0"
 
 
 @dataclass(eq=False)
@@ -293,35 +234,14 @@ class RingSurjection:
                 rhs = self.target.mul_vec(self.images[i], self.images[j])
                 if not np.array_equal(lhs, rhs):
                     raise ValidationError(f"map not multiplicative on (b{i}, b{j})")
-        if self._image_size() != self.target.cardinality:
+        if len(self.target.additive_span(self.images)) != self.target.cardinality:
             raise NotSurjective("image does not cover the target")
-
-    def _image_size(self) -> int:
-        span = {vec_key(self.target.zero_vec()): self.target.zero_vec()}
-        for i in range(self.source.m):
-            v = self.images[i]
-            if vec_key(v) in span:
-                continue
-            current = list(span.values())
-            acc = v.copy()
-            shells = []
-            while vec_key(acc) not in span:
-                shells.append(acc.copy())
-                acc = self.target.add_vec(acc, v)
-            for s in shells:
-                for base in current:
-                    w = self.target.add_vec(base, s)
-                    span[vec_key(w)] = w
-        return len(span)
 
     def apply_vec(self, v) -> np.ndarray:
         return (np.asarray(v, dtype=np.int64) @ self.images) % self.target.orders
 
     def apply_many(self, rows: np.ndarray) -> np.ndarray:
         return (rows @ self.images) % self.target.orders[None, :]
-
-    def apply(self, x: RingElement) -> RingElement:
-        return self.target.el(self.apply_vec(x._vec()))
 
     def compose(self, inner: "RingSurjection") -> "RingSurjection":
         """self o inner (inner first)."""
@@ -467,11 +387,6 @@ class Tower:
         """Minimal lift R0 -> Rbar."""
         return self.sigma0[vec_key(np.asarray(v, dtype=np.int64))]
 
-    def sigma_mid_vec(self, v) -> np.ndarray:
-        """Minimal lift R0 -> R."""
-        return self.sigma_mid[vec_key(np.asarray(v, dtype=np.int64))]
-
-
 # ---------------------------------------------------------------------------
 # built-in tower constructors
 # ---------------------------------------------------------------------------
@@ -559,15 +474,6 @@ class FiberProduct:
     ring: FiniteRing
     proj1: RingSurjection
     proj2: RingSurjection
-    # coordinates of an arbitrary compatible pair in the new basis
-    _coords: dict = field(repr=False, default=None)
-
-    def coords_of_pair(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        key = vec_key(np.concatenate([np.asarray(a, dtype=np.int64),
-                                      np.asarray(b, dtype=np.int64)]))
-        if key not in self._coords:
-            raise ValidationError("pair is not compatible over the common target")
-        return self._coords[key]
 
 
 def _group_basis(elems: list[np.ndarray], add, orders_fn) -> list[np.ndarray]:
@@ -707,39 +613,4 @@ def ring_fiber_product(f1: RingSurjection, f2: RingSurjection) -> FiberProduct:
     img2 = np.stack([b[m1:] for b in basis])
     proj1 = RingSurjection(ring, R1, img1)
     proj2 = RingSurjection(ring, R2, img2)
-    return FiberProduct(ring, proj1, proj2, coords)
-
-
-def factor_through_fiber_product(fp: FiberProduct, g1: RingSurjection,
-                                 g2: RingSurjection) -> np.ndarray:
-    """The map Q -> P induced by compatible g1: Q -> R', g2: Q -> R''.
-
-    Returns the image table of the factoring map and verifies, exhaustively,
-    that it is a unital ring map commuting with the projections.
-    """
-    if g1.source != g2.source:
-        raise TargetMismatch("factoring maps need a common source")
-    Q = g1.source
-    images = np.stack([
-        fp.coords_of_pair(g1.images[i], g2.images[i]) for i in range(Q.m)
-    ])
-    # verifying via RingSurjection machinery minus surjectivity
-    P = fp.ring
-
-    def h(v):
-        return (np.asarray(v, dtype=np.int64) @ images) % P.orders
-
-    if not np.array_equal(h(Q.one_vec()), P.one_vec()):
-        raise ValidationError("factoring map is not unital")
-    for x in Q.elements():
-        if not np.array_equal(fp.proj1.apply_vec(h(x)), g1.apply_vec(x)):
-            raise ValidationError("factoring map does not commute with proj1")
-        if not np.array_equal(fp.proj2.apply_vec(h(x)), g2.apply_vec(x)):
-            raise ValidationError("factoring map does not commute with proj2")
-    for i in range(Q.m):
-        for j in range(Q.m):
-            lhs = h(Q.mult[i, j])
-            rhs = P.mul_vec(images[i], images[j])
-            if not np.array_equal(lhs, rhs):
-                raise ValidationError("factoring map is not multiplicative")
-    return images
+    return FiberProduct(ring, proj1, proj2)

@@ -1,20 +1,34 @@
-"""Obstruction classes and torsor classifications for the three lifting
-problems: differentials, maps commuting with differentials, and homotopies.
+"""Obstruction classes, lifts and torsor classifications, written once for
+the three lifting problems: differentials, maps commuting with the
+differentials, and homotopies.
 
-All three follow the same pattern.  Take the coefficientwise minimal lift of
-the given mid-level datum; the defect of the lifted datum (d-bar squared, or
-delta of the lifted map, etc.) has coefficients in J, hence defines a cocycle
-in the kernel complex.  Its class is the obstruction: the datum lifts iff the
-class vanishes, and then the set of lifts, modulo the evident equivalences,
-is a torsor over the neighbouring cohomology group.
+Each problem asks to lift a mid-level graded map of some degree m (the
+unknown) to the top level.  The coefficientwise minimal lift X0 = sigma(X)
+is a graded lift, and every other one is X0 + gamma with gamma J-valued.
+The defining equation of a lift has a residual that is J-valued on graded
+lifts and affine in the correction:
+
+    residual(X0 + gamma) = residual(X0) + sign * delta(gamma).
+
+So residual(X0) is a cocycle of degree m+1 in the kernel complex
+J (x) Hom(C0, D0); its class is the obstruction, a lift exists iff the class
+vanishes, and then the lifts modulo delta of degree m-1 form a torsor over
+H^m.  The problems state only what differs:
+
+    problem              unknown, m       residual(X)         sign  moves against
+    DifferentialProblem  d-bar, 1         d-bar o d-bar        +1    (X0, X0)
+    MapProblem           f-bar, deg f     delta(f-bar)         +1    (d_C, d_D)
+    HomotopyProblem      H-bar, deg f-1   g - f - delta(H-bar) -1    (d_C, d_D)
+
+and `obstruct`, `lift` and `classify` do the rest.  The per-kind functions
+below them are one-line entry points kept under their public names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import ClassVar
 
 from . import gf
 from .algebra import DeformedAlgebra
@@ -28,9 +42,9 @@ from .complexes import (
     identity_map,
     map_lift,
     map_reduce,
-    zero_map,
 )
 from .errors import (
+    InternalObstruction,
     LevelMismatch,
     NotAHomotopy,
     NotCochainMap,
@@ -46,18 +60,41 @@ from .errors import (
 # problem statements
 # ---------------------------------------------------------------------------
 
+class AffineLift:
+    """A lifting problem whose residual is affine in a J-valued correction.
+
+    A subclass provides `defalg`, `kernel`, the mid-level datum `mid_datum`
+    of degree `degree`, `residual`, `sign` and `move_ends` (the differentials
+    that the orbit moves delta(kappa) are taken against); see the module
+    docstring.
+    """
+
+    sign: ClassVar[int] = 1
+
+    @cached_property
+    def sigma_lift(self) -> GradedMap:
+        """The coefficientwise minimal lift X0 of the mid-level datum."""
+        return map_lift(self.defalg, self.mid_datum, "mid", "bar")
+
+
 @dataclass(eq=False)
-class DifferentialProblem:
+class DifferentialProblem(AffineLift):
     """Lift a square-zero differential from the mid level to the top level."""
 
     defalg: DeformedAlgebra
     ob: GradedObject
     d_mid: GradedMap
 
+    degree: ClassVar[int] = 1
+
     def __post_init__(self):
         if self.d_mid.alg != self.defalg.mid:
             raise LevelMismatch("d_mid must live at the mid level")
         Complex(self.defalg.mid, self.ob, self.d_mid)   # validates d^2 = 0
+
+    @property
+    def mid_datum(self) -> GradedMap:
+        return self.d_mid
 
     @cached_property
     def d_base(self) -> GradedMap:
@@ -68,15 +105,38 @@ class DifferentialProblem:
         return kernel_complex(self.defalg, self.ob, self.ob,
                               self.d_base, self.d_base)
 
+    def residual(self, d: GradedMap) -> GradedMap:
+        return compose(d, d)
+
+    @property
+    def move_ends(self) -> tuple[GradedMap, GradedMap]:
+        return self.sigma_lift, self.sigma_lift
+
 
 @dataclass(eq=False)
-class MapProblem:
-    """Lift a degree-n map commuting with the differentials, given top-level
-    square-zero lifts of the differentials on both sides."""
+class _BetweenComplexes(AffineLift):
+    """A problem about graded maps C -> D between two top-level complexes."""
 
     defalg: DeformedAlgebra
     C: Complex                 # bar level
     D: Complex                 # bar level
+
+    @cached_property
+    def kernel(self) -> KernelComplex:
+        dC0 = map_reduce(self.defalg, self.C.d, "bar", "base")
+        dD0 = map_reduce(self.defalg, self.D.d, "bar", "base")
+        return kernel_complex(self.defalg, self.C.ob, self.D.ob, dC0, dD0)
+
+    @property
+    def move_ends(self) -> tuple[GradedMap, GradedMap]:
+        return self.C.d, self.D.d
+
+
+@dataclass(eq=False)
+class MapProblem(_BetweenComplexes):
+    """Lift a degree-n map commuting with the differentials, given top-level
+    square-zero lifts of the differentials on both sides."""
+
     f_mid: GradedMap
 
     def __post_init__(self):
@@ -92,23 +152,27 @@ class MapProblem:
         if not delta(self.f_mid, dCm, dDm).is_zero():
             raise NotCochainMap("f_mid does not commute with the differentials")
 
-    @cached_property
-    def kernel(self) -> KernelComplex:
-        dC0 = map_reduce(self.defalg, self.C.d, "bar", "base")
-        dD0 = map_reduce(self.defalg, self.D.d, "bar", "base")
-        return kernel_complex(self.defalg, self.C.ob, self.D.ob, dC0, dD0)
+    @property
+    def mid_datum(self) -> GradedMap:
+        return self.f_mid
+
+    @property
+    def degree(self) -> int:
+        return self.f_mid.degree
+
+    def residual(self, f: GradedMap) -> GradedMap:
+        return delta(f, self.C.d, self.D.d)
 
 
 @dataclass(eq=False)
-class HomotopyProblem:
+class HomotopyProblem(_BetweenComplexes):
     """Lift a homotopy between two given top-level lifted maps."""
 
-    defalg: DeformedAlgebra
-    C: Complex                 # bar level
-    D: Complex                 # bar level
     f_bar: GradedMap
     g_bar: GradedMap
     H_mid: GradedMap
+
+    sign: ClassVar[int] = -1
 
     def __post_init__(self):
         for m, name in ((self.f_bar, "f_bar"), (self.g_bar, "g_bar")):
@@ -129,11 +193,16 @@ class HomotopyProblem:
         if delta(self.H_mid, dCm, dDm) != gm - fm:
             raise NotAHomotopy("H_mid is not a homotopy between the reductions")
 
-    @cached_property
-    def kernel(self) -> KernelComplex:
-        dC0 = map_reduce(self.defalg, self.C.d, "bar", "base")
-        dD0 = map_reduce(self.defalg, self.D.d, "bar", "base")
-        return kernel_complex(self.defalg, self.C.ob, self.D.ob, dC0, dD0)
+    @property
+    def mid_datum(self) -> GradedMap:
+        return self.H_mid
+
+    @property
+    def degree(self) -> int:
+        return self.H_mid.degree
+
+    def residual(self, H: GradedMap) -> GradedMap:
+        return self.g_bar - self.f_bar - delta(H, self.C.d, self.D.d)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +211,6 @@ class HomotopyProblem:
 
 @dataclass
 class LiftReport:
-    kind: str
     obstruction: CohClass
     obstructed: bool
     sigma_lift: GradedMap
@@ -162,34 +230,98 @@ class Classification:
 
 
 # ---------------------------------------------------------------------------
-# differentials
+# the core: obstruction, lift, classification
 # ---------------------------------------------------------------------------
 
+def _defect(prob: AffineLift):
+    """Kernel coordinates of residual(X0), and their class in H^{m+1}."""
+    K = prob.kernel
+    vec = K.into_kernel(prob.residual(prob.sigma_lift))
+    return vec, K.coh_class(vec, prob.degree + 1)
+
+
+def obstruct(prob: AffineLift) -> tuple[CohClass, GradedMap]:
+    """The obstruction class, and the minimal lift X0 whose residual
+    represents it."""
+    return _defect(prob)[1], prob.sigma_lift
+
+
+def lift(prob: AffineLift) -> LiftReport:
+    """A lift X0 + gamma with gamma echelon-minimal, or the obstruction."""
+    K, m, X0 = prob.kernel, prob.degree, prob.sigma_lift
+    vec, obstruction = _defect(prob)
+    if not obstruction.is_zero:
+        return LiftReport(obstruction, True, X0, None)
+    corr = K.solve_coboundary(-prob.sign * vec, m + 1)
+    if corr is None:
+        raise InternalObstruction("the defect of a zero class is not a coboundary")
+    X = X0 + K.out_of_kernel(corr, m)
+    if not prob.residual(X).is_zero():
+        raise InternalObstruction("the corrected lift has a nonzero residual")
+    if map_reduce(prob.defalg, X, "bar", "mid") != prob.mid_datum:
+        raise InternalObstruction("the corrected lift does not reduce to the datum")
+    return LiftReport(obstruction, False, X0, X)
+
+
+def classify(prob: AffineLift, base: GradedMap | None = None) -> Classification:
+    """All lifts modulo delta of degree m-1 J-valued maps: a torsor over
+    H^m, with representatives base + (canonical H^m class representatives)."""
+    K, m = prob.kernel, prob.degree
+    if base is None:
+        rep = lift(prob)
+        if rep.obstructed:
+            raise Obstructed(f"no lift exists; obstruction {rep.obstruction}")
+        base = rep.lifted
+    classes = K.all_classes(m)
+    reps = [base + K.out_of_kernel(c.vec(), m) for c in classes]
+    return Classification(m, K.h_dim(m), len(classes), base, classes, reps)
+
+
+# One entry point per problem kind, under the public names that callers (and
+# the tracer in liftbench/tracing.py) use.
+
 def obstruct_differential(prob: DifferentialProblem) -> tuple[CohClass, GradedMap]:
-    """Obstruction class in H^2 of the kernel complex, and the minimal lift
-    of d_mid whose square represents it."""
-    dbar0 = map_lift(prob.defalg, prob.d_mid, "mid", "bar")
-    sq = compose(dbar0, dbar0)
-    vec = prob.kernel.into_kernel(sq)
-    return prob.kernel.coh_class(vec, 2), dbar0
+    return obstruct(prob)
+
+
+def obstruct_map(prob: MapProblem) -> tuple[CohClass, GradedMap]:
+    return obstruct(prob)
+
+
+def obstruct_homotopy(prob: HomotopyProblem) -> tuple[CohClass, GradedMap]:
+    return obstruct(prob)
 
 
 def lift_differential(prob: DifferentialProblem) -> LiftReport:
-    K = prob.kernel
-    dbar0 = map_lift(prob.defalg, prob.d_mid, "mid", "bar")
-    sq = compose(dbar0, dbar0)
-    vec = K.into_kernel(sq)
-    obstruction = K.coh_class(vec, 2)
-    if not obstruction.is_zero:
-        return LiftReport("differential", obstruction, True, dbar0, None)
-    corr = K.solve_coboundary((-vec) % K.p, 2)
-    dbar = dbar0 + K.out_of_kernel(corr, 1)
-    if not compose(dbar, dbar).is_zero():
-        raise Obstructed("corrected lift fails d^2 = 0; internal inconsistency")
-    if map_reduce(prob.defalg, dbar, "bar", "mid") != prob.d_mid:
-        raise Obstructed("corrected lift does not reduce to d_mid")
-    return LiftReport("differential", obstruction, False, dbar0, dbar)
+    return lift(prob)
 
+
+def lift_map(prob: MapProblem) -> LiftReport:
+    return lift(prob)
+
+
+def lift_homotopy(prob: HomotopyProblem) -> LiftReport:
+    return lift(prob)
+
+
+def classify_lifts(prob: DifferentialProblem,
+                   base: GradedMap | None = None) -> Classification:
+    return classify(prob, base)
+
+
+def classify_map_lifts(prob: MapProblem,
+                       base: GradedMap | None = None) -> Classification:
+    return classify(prob, base)
+
+
+def classify_homotopy_lifts_of(prob: HomotopyProblem,
+                               base: GradedMap | None = None) -> Classification:
+    return classify(prob, base)
+
+
+# ---------------------------------------------------------------------------
+# differentials: difference classes and connecting isomorphisms
+# ---------------------------------------------------------------------------
 
 def v_class(prob: DifferentialProblem, d1: GradedMap, d2: GradedMap) -> CohClass:
     """Difference class of two lifted differentials; zero iff they are
@@ -201,24 +333,6 @@ def v_class(prob: DifferentialProblem, d1: GradedMap, d2: GradedMap) -> CohClass
         if not compose(d, d).is_zero():
             raise NotADifferential("d^2 != 0 at the top level")
     return K.coh_class(K.into_kernel(d2 - d1), 1)
-
-
-def classify_lifts(prob: DifferentialProblem,
-                   base: GradedMap | None = None) -> Classification:
-    """All equivalence classes of square-zero lifts of d_mid.
-
-    The classes form a torsor over H^1 of the kernel complex; representatives
-    are base + (canonical H^1 class representatives).
-    """
-    K = prob.kernel
-    if base is None:
-        rep = lift_differential(prob)
-        if rep.obstructed:
-            raise Obstructed(f"no lift exists; obstruction {rep.obstruction}")
-        base = rep.lifted
-    classes = K.all_classes(1)
-    reps = [base + K.out_of_kernel(c.vec(), 1) for c in classes]
-    return Classification(1, K.h_dim(1), len(classes), base, classes, reps)
 
 
 def classify_connecting_isos(prob: DifferentialProblem, d1: GradedMap,
@@ -252,93 +366,6 @@ def apply_connecting_iso(prob: DifferentialProblem, d: GradedMap,
     u = one + kappa
     uinv = one - kappa
     return compose(compose(u, d), uinv)
-
-
-# ---------------------------------------------------------------------------
-# maps
-# ---------------------------------------------------------------------------
-
-def obstruct_map(prob: MapProblem) -> tuple[CohClass, GradedMap]:
-    fbar0 = map_lift(prob.defalg, prob.f_mid, "mid", "bar")
-    xi = delta(fbar0, prob.C.d, prob.D.d)
-    n = prob.f_mid.degree
-    vec = prob.kernel.into_kernel(xi)
-    return prob.kernel.coh_class(vec, n + 1), fbar0
-
-
-def lift_map(prob: MapProblem) -> LiftReport:
-    K = prob.kernel
-    n = prob.f_mid.degree
-    fbar0 = map_lift(prob.defalg, prob.f_mid, "mid", "bar")
-    xi = delta(fbar0, prob.C.d, prob.D.d)
-    vec = K.into_kernel(xi)
-    obstruction = K.coh_class(vec, n + 1)
-    if not obstruction.is_zero:
-        return LiftReport("map", obstruction, True, fbar0, None)
-    corr = K.solve_coboundary((-vec) % K.p, n + 1)
-    fbar = fbar0 + K.out_of_kernel(corr, n)
-    if not delta(fbar, prob.C.d, prob.D.d).is_zero():
-        raise Obstructed("corrected map lift does not commute; internal inconsistency")
-    return LiftReport("map", obstruction, False, fbar0, fbar)
-
-
-def classify_map_lifts(prob: MapProblem,
-                       base: GradedMap | None = None) -> Classification:
-    """Lifts of f_mid commuting with the differentials, modulo adding
-    delta of a degree n-1 kernel element: a torsor over H^n."""
-    K = prob.kernel
-    n = prob.f_mid.degree
-    if base is None:
-        rep = lift_map(prob)
-        if rep.obstructed:
-            raise Obstructed(f"no map lift exists; obstruction {rep.obstruction}")
-        base = rep.lifted
-    classes = K.all_classes(n)
-    reps = [base + K.out_of_kernel(c.vec(), n) for c in classes]
-    return Classification(n, K.h_dim(n), len(classes), base, classes, reps)
-
-
-# ---------------------------------------------------------------------------
-# homotopies
-# ---------------------------------------------------------------------------
-
-def obstruct_homotopy(prob: HomotopyProblem) -> tuple[CohClass, GradedMap]:
-    Hbar0 = map_lift(prob.defalg, prob.H_mid, "mid", "bar")
-    n = prob.f_bar.degree
-    xi = prob.g_bar - prob.f_bar - delta(Hbar0, prob.C.d, prob.D.d)
-    vec = prob.kernel.into_kernel(xi)
-    return prob.kernel.coh_class(vec, n), Hbar0
-
-
-def lift_homotopy(prob: HomotopyProblem) -> LiftReport:
-    K = prob.kernel
-    n = prob.f_bar.degree
-    Hbar0 = map_lift(prob.defalg, prob.H_mid, "mid", "bar")
-    xi = prob.g_bar - prob.f_bar - delta(Hbar0, prob.C.d, prob.D.d)
-    vec = K.into_kernel(xi)
-    obstruction = K.coh_class(vec, n)
-    if not obstruction.is_zero:
-        return LiftReport("homotopy", obstruction, True, Hbar0, None)
-    corr = K.solve_coboundary(vec, n)
-    Hbar = Hbar0 + K.out_of_kernel(corr, n - 1)
-    if delta(Hbar, prob.C.d, prob.D.d) != prob.g_bar - prob.f_bar:
-        raise Obstructed("corrected homotopy lift fails; internal inconsistency")
-    return LiftReport("homotopy", obstruction, False, Hbar0, Hbar)
-
-
-def classify_homotopy_lifts_of(prob: HomotopyProblem,
-                               base: GradedMap | None = None) -> Classification:
-    """Homotopy lifts modulo two-cells: a torsor over H^{n-1}."""
-    K = prob.kernel
-    n = prob.f_bar.degree
-    if base is None:
-        rep = lift_homotopy(prob)
-        if rep.obstructed:
-            raise Obstructed(f"no homotopy lift exists; obstruction {rep.obstruction}")
-        base = rep.lifted
-    classes = K.all_classes(n - 1)
-    reps = [base + K.out_of_kernel(c.vec(), n - 1) for c in classes]
-    return Classification(n - 1, K.h_dim(n - 1), len(classes), base, classes, reps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,47 @@
 """Brute-force oracle: enumerate every candidate lift and test it directly.
 
-A candidate lift differs from the coefficientwise minimal lift by a matrix
-with coefficients in J, so the candidate space is F_p^kdim.  For each
-candidate the full defining equation is evaluated over the top ring and
+A candidate lift differs from the coefficientwise minimal lift X0 by a
+matrix with coefficients in J, so the candidate space is F_p^kdim.  For each
+candidate the problem's defining equation is evaluated over the top ring and
 compared to zero coefficientwise; nothing here relies on the cohomological
 machinery except the coordinate codec for J-matrices.  The evaluation is
 batched: the residual of candidate gamma = sum_s c_s kappa_s equals
-base + sum_s c_s gens_s over the ring (gamma * gamma vanishes because
-J * J = 0), which the scan kernel checks digit tuple by digit tuple.
+base + sum_s c_s gens_s over the ring, with base = residual(X0) and
+gens_s = residual(X0 + kappa_s) - residual(X0) (the residual is affine in a
+J-valued correction because J * J = 0), which the scan kernel checks digit
+tuple by digit tuple.
 
 Equivalence orbits are enumerated the same way: conjugating by 1 + kappa,
 or absorbing a delta of a lower-degree J-matrix, moves a witness by an
-F_p-linear image, so each orbit is scanned exhaustively.
+F_p-linear image, so each orbit is scanned exhaustively.  `oracle` and
+`witness` are written once for every problem kind (see obstruction.py for
+what each kind states).
 """
 
 from __future__ import annotations
 
+import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf
+from .algebra import AlgMatrix, mk_algebra
 from .cohomology import KernelComplex
-from .complexes import GradedMap, compose, delta, map_lift
+from .complexes import Complex, GradedMap, GradedObject, compose, delta, map_reduce
 from .errors import CapExceeded, CheckFailed
-from .obstruction import DifferentialProblem, HomotopyProblem, MapProblem
+from .finring import mk_tower
+from .obstruction import (
+    AffineLift,
+    DifferentialProblem,
+    HomotopyProblem,
+    MapProblem,
+    lift_differential,
+)
 
 DEFAULT_CAP = 1 << 20
+VERIFY_WITNESSES = 16      # scan hits re-checked by evaluating the residual
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +75,12 @@ def _digits_of(idx: int, nvars: int, p: int) -> np.ndarray:
     return out
 
 
+def _one_hot(n: int, s: int) -> np.ndarray:
+    v = np.zeros(n, dtype=np.int64)
+    v[s] = 1
+    return v
+
+
 def _scan_parallel(base, gens, moduli, p, total, workers):
     if workers <= 1 or total < (1 << 12):
         return gf.scan_affine_zero(base, gens, moduli, p, 0, total)
@@ -80,7 +100,6 @@ def _scan_parallel(base, gens, moduli, p, total, workers):
 
 @dataclass
 class OracleResult:
-    kind: str
     candidates: int
     witness_indices: np.ndarray        # sorted candidate indices that lift
     orbits: list[tuple[int, ...]]      # partition of witness_indices
@@ -93,10 +112,6 @@ class OracleResult:
     @property
     def num_classes(self) -> int:
         return len(self.orbits)
-
-    @property
-    def lift_exists(self) -> bool:
-        return self.num_witnesses > 0
 
 
 def _partition(witness_indices: np.ndarray, kdim: int, p: int,
@@ -135,144 +150,78 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
 
 
 # ---------------------------------------------------------------------------
-# the three oracles
+# the oracle, written once
 # ---------------------------------------------------------------------------
 
-def oracle_differential(prob: DifferentialProblem, cap: int = DEFAULT_CAP,
-                        workers: int = 1,
-                        verify_witnesses: int = 16) -> OracleResult:
-    """Exhaustively test every graded lift of d_mid for squaring to zero."""
-    K = prob.kernel
-    p = K.p
-    kdim = K.dim(1)
+def oracle(prob: AffineLift, cap: int = DEFAULT_CAP,
+           workers: int = 1) -> OracleResult:
+    """Exhaustively test every graded lift X0 + gamma of the mid-level datum
+    against the problem's defining equation residual(X) = 0."""
+    K, p, m = prob.kernel, prob.kernel.p, prob.degree
+    kdim = K.dim(m)
     total = p ** kdim
     if total > cap:
         raise CapExceeded(f"{total} candidates exceed the cap {cap}")
-    dbar0 = map_lift(prob.defalg, prob.d_mid, "mid", "bar")
-    kappas = [K.out_of_kernel(_one_hot(kdim, s), 1) for s in range(kdim)]
-    base = _flat_bar(K, compose(dbar0, dbar0))
-    moduli = _flat_moduli(K, 2)
-    gens = np.stack([_flat_bar(K, compose(dbar0, k) + compose(k, dbar0))
-                     for k in kappas]) if kdim else np.zeros((0, len(base)), dtype=np.int64)
+    X0 = prob.sigma_lift
+    r0 = prob.residual(X0)
+    base = _flat_bar(K, r0)
+    moduli = _flat_moduli(K, m + 1)
+    gens = [_flat_bar(K, prob.residual(X0 + K.out_of_kernel(_one_hot(kdim, s), m)) - r0)
+            for s in range(kdim)]
+    gens = np.stack(gens) if gens else np.zeros((0, len(base)), dtype=np.int64)
     hits = _scan_parallel(base, gens, moduli, p, total, workers)
 
     # independent re-verification of a deterministic sample of witnesses
-    for idx in hits[:verify_witnesses]:
-        d = witness_differential(prob, int(idx))
-        if not compose(d, d).is_zero():
+    for idx in hits[:VERIFY_WITNESSES]:
+        if not prob.residual(witness(prob, int(idx))).is_zero():
             raise CheckFailed("scan produced a false witness")
 
-    # orbit moves: conjugation by 1 + kappa_s (degree-0 kernel basis)
-    kdim0 = K.dim(0)
+    # orbit moves: delta of the degree m-1 kernel basis
     moves = []
     if len(hits):
-        dref = witness_differential(prob, int(hits[0]))
-        for s in range(kdim0):
-            k0 = K.out_of_kernel(_one_hot(kdim0, s), 0)
-            mv = compose(k0, dref) - compose(dref, k0)   # d - delta(k) move
-            moves.append(K.into_kernel(mv))
+        kdim_lo = K.dim(m - 1)
+        for s in range(kdim_lo):
+            kap = K.out_of_kernel(_one_hot(kdim_lo, s), m - 1)
+            moves.append(K.into_kernel(delta(kap, *prob.move_ends)))
     orbits = _partition(hits, kdim, p, moves)
-    return OracleResult("differential", total, hits, orbits, kdim)
+    return OracleResult(total, hits, orbits, kdim)
 
 
-def witness_differential(prob: DifferentialProblem, idx: int) -> GradedMap:
-    K = prob.kernel
-    dbar0 = map_lift(prob.defalg, prob.d_mid, "mid", "bar")
-    gamma = K.out_of_kernel(_digits_of(idx, K.dim(1), K.p), 1)
-    return dbar0 + gamma
+def witness(prob: AffineLift, idx: int) -> GradedMap:
+    """The candidate lift X0 + gamma whose digits in base p are idx."""
+    K, m = prob.kernel, prob.degree
+    return prob.sigma_lift + K.out_of_kernel(_digits_of(idx, K.dim(m), K.p), m)
+
+
+# One entry point per problem kind, under the public names that callers (and
+# the tracer in liftbench/tracing.py) use.
+
+def oracle_differential(prob: DifferentialProblem, cap: int = DEFAULT_CAP,
+                        workers: int = 1) -> OracleResult:
+    return oracle(prob, cap, workers)
 
 
 def oracle_map(prob: MapProblem, cap: int = DEFAULT_CAP,
-               workers: int = 1, verify_witnesses: int = 16) -> OracleResult:
-    """Exhaustively test every graded lift of f_mid for commuting with d."""
-    K = prob.kernel
-    p = K.p
-    n = prob.f_mid.degree
-    kdim = K.dim(n)
-    total = p ** kdim
-    if total > cap:
-        raise CapExceeded(f"{total} candidates exceed the cap {cap}")
-    fbar0 = map_lift(prob.defalg, prob.f_mid, "mid", "bar")
-    base = _flat_bar(K, delta(fbar0, prob.C.d, prob.D.d))
-    moduli = _flat_moduli(K, n + 1)
-    gens_list = []
-    for s in range(kdim):
-        kap = K.out_of_kernel(_one_hot(kdim, s), n)
-        gens_list.append(_flat_bar(K, delta(kap, prob.C.d, prob.D.d)))
-    gens = (np.stack(gens_list) if gens_list
-            else np.zeros((0, len(base)), dtype=np.int64))
-    hits = _scan_parallel(base, gens, moduli, p, total, workers)
-
-    for idx in hits[:verify_witnesses]:
-        f = witness_map(prob, int(idx))
-        if not delta(f, prob.C.d, prob.D.d).is_zero():
-            raise CheckFailed("scan produced a false witness")
-
-    kdim_lo = K.dim(n - 1)
-    moves = []
-    if len(hits):
-        for s in range(kdim_lo):
-            k = K.out_of_kernel(_one_hot(kdim_lo, s), n - 1)
-            moves.append(K.into_kernel(delta(k, prob.C.d, prob.D.d)))
-    orbits = _partition(hits, kdim, p, moves)
-    return OracleResult("map", total, hits, orbits, kdim)
-
-
-def witness_map(prob: MapProblem, idx: int) -> GradedMap:
-    K = prob.kernel
-    n = prob.f_mid.degree
-    fbar0 = map_lift(prob.defalg, prob.f_mid, "mid", "bar")
-    return fbar0 + K.out_of_kernel(_digits_of(idx, K.dim(n), K.p), n)
+               workers: int = 1) -> OracleResult:
+    return oracle(prob, cap, workers)
 
 
 def oracle_homotopy(prob: HomotopyProblem, cap: int = DEFAULT_CAP,
-                    workers: int = 1, verify_witnesses: int = 16) -> OracleResult:
-    """Exhaustively test every graded lift of H_mid against delta(H) = g - f."""
-    K = prob.kernel
-    p = K.p
-    n = prob.f_bar.degree
-    kdim = K.dim(n - 1)
-    total = p ** kdim
-    if total > cap:
-        raise CapExceeded(f"{total} candidates exceed the cap {cap}")
-    Hbar0 = map_lift(prob.defalg, prob.H_mid, "mid", "bar")
-    target = prob.g_bar - prob.f_bar
-    base = _flat_bar(K, delta(Hbar0, prob.C.d, prob.D.d) - target)
-    moduli = _flat_moduli(K, n)
-    gens_list = []
-    for s in range(kdim):
-        kap = K.out_of_kernel(_one_hot(kdim, s), n - 1)
-        gens_list.append(_flat_bar(K, delta(kap, prob.C.d, prob.D.d)))
-    gens = (np.stack(gens_list) if gens_list
-            else np.zeros((0, len(base)), dtype=np.int64))
-    hits = _scan_parallel(base, gens, moduli, p, total, workers)
+                    workers: int = 1) -> OracleResult:
+    return oracle(prob, cap, workers)
 
-    for idx in hits[:verify_witnesses]:
-        H = witness_homotopy(prob, int(idx))
-        if delta(H, prob.C.d, prob.D.d) != target:
-            raise CheckFailed("scan produced a false witness")
 
-    kdim_lo = K.dim(n - 2)
-    moves = []
-    if len(hits):
-        for s in range(kdim_lo):
-            k = K.out_of_kernel(_one_hot(kdim_lo, s), n - 2)
-            moves.append(K.into_kernel(delta(k, prob.C.d, prob.D.d)))
-    orbits = _partition(hits, kdim, p, moves)
-    return OracleResult("homotopy", total, hits, orbits, kdim)
+def witness_differential(prob: DifferentialProblem, idx: int) -> GradedMap:
+    return witness(prob, idx)
+
+
+def witness_map(prob: MapProblem, idx: int) -> GradedMap:
+    return witness(prob, idx)
 
 
 def witness_homotopy(prob: HomotopyProblem, idx: int) -> GradedMap:
-    K = prob.kernel
-    n = prob.f_bar.degree
-    Hbar0 = map_lift(prob.defalg, prob.H_mid, "mid", "bar")
-    return Hbar0 + K.out_of_kernel(_digits_of(idx, K.dim(n - 1), K.p), n - 1)
+    return witness(prob, idx)
 
-
-def _one_hot(n: int, s: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.int64)
-    v[s] = 1
-    return v
 
 # ---------------------------------------------------------------------------
 # seeded instance generation
@@ -299,7 +248,6 @@ _TOWER_MENU = [
 
 
 def _rand_object(rng, max_len=4, max_rank=2):
-    from .complexes import GradedObject
     start = rng.randint(-2, 0)
     length = rng.randint(2, max_len)
     ranks = {}
@@ -311,14 +259,21 @@ def _rand_object(rng, max_len=4, max_rank=2):
     return GradedObject.of(ranks)
 
 
-def _rand_mid_matrix(rng, defalg, r, c):
-    from .algebra import AlgMatrix
-    ring = defalg.mid.ring
-    data = np.zeros((r, c, defalg.k, ring.m), dtype=np.int64)
+def _rand_matrix(rng, alg, r, c):
+    ring = alg.ring
+    data = np.zeros((r, c, alg.k, ring.m), dtype=np.int64)
     flat = data.reshape(-1, ring.m)
     for e in range(flat.shape[0]):
         flat[e] = [rng.randrange(int(o)) for o in ring.orders]
-    return AlgMatrix(defalg.mid, data)
+    return AlgMatrix(alg, data)
+
+
+def _rand_map(rng, alg, src, tgt, n):
+    comps = {}
+    for i in src.support:
+        if tgt.rank(i + n) > 0:
+            comps[i] = _rand_matrix(rng, alg, tgt.rank(i + n), src.rank(i))
+    return GradedMap(alg, src, tgt, n, comps)
 
 
 def _square_zero_scalars(ring):
@@ -332,22 +287,20 @@ def _square_zero_scalars(ring):
 
 def _rand_mid_differential(rng, defalg, ob):
     """A random square-zero mid-level differential on ob, by family."""
-    from .algebra import AlgMatrix
-    from .complexes import GradedMap
     family = rng.choice(["zero", "parity", "nilscalar"])
     comps = {}
     if family == "parity":
         par = rng.randint(0, 1)
         for i in ob.support:
             if i % 2 == par % 2 and ob.rank(i + 1) > 0:
-                comps[i] = _rand_mid_matrix(rng, defalg, ob.rank(i + 1), ob.rank(i))
+                comps[i] = _rand_matrix(rng, defalg.mid, ob.rank(i + 1), ob.rank(i))
     elif family == "nilscalar":
         sq = _square_zero_scalars(defalg.mid.ring)
         if sq:
             a = sq[rng.randrange(len(sq))]
             for i in ob.support:
                 if ob.rank(i + 1) > 0 and rng.random() < 0.8:
-                    m = _rand_mid_matrix(rng, defalg, ob.rank(i + 1), ob.rank(i))
+                    m = _rand_matrix(rng, defalg.mid, ob.rank(i + 1), ob.rank(i))
                     data = np.zeros_like(m.data)
                     ring = defalg.mid.ring
                     for idx in np.ndindex(m.data.shape[:3]):
@@ -361,15 +314,6 @@ def _rand_mid_differential(rng, defalg, ob):
     return d, family
 
 
-def _rand_mid_map(rng, defalg, src, tgt, n):
-    from .complexes import GradedMap
-    comps = {}
-    for i in src.support:
-        if tgt.rank(i + n) > 0:
-            comps[i] = _rand_mid_matrix(rng, defalg, tgt.rank(i + n), src.rank(i))
-    return GradedMap(defalg.mid, src, tgt, n, comps)
-
-
 def gen_instance(kind: str, seed: int, cap: int = DEFAULT_CAP,
                  max_kdim: int = 16) -> GenInstance:
     """Deterministic seeded lifting instance of the given kind.
@@ -378,18 +322,12 @@ def gen_instance(kind: str, seed: int, cap: int = DEFAULT_CAP,
     length at most 4 and ranks at most 2; the candidate space of the
     associated brute-force scan is kept at or below p^max_kdim.
     """
-    import random as _random
-
-    from .algebra import mk_algebra
-    from .complexes import Complex, GradedMap
-    from .finring import mk_tower
-    from .obstruction import lift_differential
-
-    rng = _random.Random(f"{kind}:{seed}")
+    rng = random.Random(f"{kind}:{seed}")
     for attempt in range(200):
         t_kind, p, params = _TOWER_MENU[rng.randrange(len(_TOWER_MENU))]
         tower = mk_tower(t_kind, p, **params)
         defalg = mk_algebra(tower, "trivial")
+        desc = (t_kind, p, tuple(sorted(params.items())))
 
         if kind == "differential":
             ob = _rand_object(rng)
@@ -397,80 +335,36 @@ def gen_instance(kind: str, seed: int, cap: int = DEFAULT_CAP,
             prob = DifferentialProblem(defalg, ob, d_mid)
             if prob.kernel.dim(1) > max_kdim:
                 continue
-            return GenInstance(kind, seed, (t_kind, p, tuple(sorted(params.items()))),
-                               defalg, prob, {"family": family})
+            return GenInstance(kind, seed, desc, defalg, prob, {"family": family})
 
+        if kind not in ("map", "homotopy"):
+            raise CheckFailed(f"unknown instance kind {kind!r}")
+        obC = _rand_object(rng, max_len=3)
+        obD = _rand_object(rng, max_len=3)
+        dC_mid, famC = _rand_mid_differential(rng, defalg, obC)
+        dD_mid, famD = _rand_mid_differential(rng, defalg, obD)
+        rC = lift_differential(DifferentialProblem(defalg, obC, dC_mid))
+        rD = lift_differential(DifferentialProblem(defalg, obD, dD_mid))
+        if rC.obstructed or rD.obstructed:
+            continue
+        C = Complex(defalg.bar, obC, rC.lifted)
+        D = Complex(defalg.bar, obD, rD.lifted)
         if kind == "map":
-            obC = _rand_object(rng, max_len=3)
-            obD = _rand_object(rng, max_len=3)
-            dC_mid, famC = _rand_mid_differential(rng, defalg, obC)
-            dD_mid, famD = _rand_mid_differential(rng, defalg, obD)
-            rC = lift_differential(DifferentialProblem(defalg, obC, dC_mid))
-            rD = lift_differential(DifferentialProblem(defalg, obD, dD_mid))
-            if rC.obstructed or rD.obstructed:
-                continue
-            C = Complex(defalg.bar, obC, rC.lifted)
-            D = Complex(defalg.bar, obD, rD.lifted)
             n = rng.choice([-1, 0, 1])
-            h0 = _rand_mid_map(rng, defalg, obC, obD, n - 1)
-            dCm = d_of(defalg, C)
-            dDm = d_of(defalg, D)
-            f_mid = delta(h0, dCm, dDm)
-            prob = MapProblem(defalg, C, D, f_mid)
-            if prob.kernel.dim(n) > max_kdim:
-                continue
-            return GenInstance(kind, seed, (t_kind, p, tuple(sorted(params.items()))),
-                               defalg, prob, {"families": (famC, famD), "degree": n})
-
-        if kind == "homotopy":
-            obC = _rand_object(rng, max_len=3)
-            obD = _rand_object(rng, max_len=3)
-            dC_mid, famC = _rand_mid_differential(rng, defalg, obC)
-            dD_mid, famD = _rand_mid_differential(rng, defalg, obD)
-            rC = lift_differential(DifferentialProblem(defalg, obC, dC_mid))
-            rD = lift_differential(DifferentialProblem(defalg, obD, dD_mid))
-            if rC.obstructed or rD.obstructed:
-                continue
-            C = Complex(defalg.bar, obC, rC.lifted)
-            D = Complex(defalg.bar, obD, rD.lifted)
+            h0 = _rand_map(rng, defalg.mid, obC, obD, n - 1)
+            dCm = map_reduce(defalg, C.d, "bar", "mid")
+            dDm = map_reduce(defalg, D.d, "bar", "mid")
+            prob = MapProblem(defalg, C, D, delta(h0, dCm, dDm))
+        else:
             n = rng.choice([0, 1])
-            hbar = _bar_rand_map(rng, defalg, obC, obD, n - 1)
-            kbar = _bar_rand_map(rng, defalg, obC, obD, n - 1)
+            hbar = _rand_map(rng, defalg.bar, obC, obD, n - 1)
+            kbar = _rand_map(rng, defalg.bar, obC, obD, n - 1)
             f_bar = delta(hbar, C.d, D.d)
             g_bar = f_bar + delta(kbar, C.d, D.d)
-            H_mid = map_reduce_local(defalg, kbar)
+            H_mid = map_reduce(defalg, kbar, "bar", "mid")
             prob = HomotopyProblem(defalg, C, D, f_bar, g_bar, H_mid)
-            if prob.kernel.dim(n - 1) > max_kdim:
-                continue
-            return GenInstance(kind, seed, (t_kind, p, tuple(sorted(params.items()))),
-                               defalg, prob, {"families": (famC, famD), "degree": n})
-
-        raise CheckFailed(f"unknown instance kind {kind!r}")
-    raise CheckFailed(f"could not generate a {kind} instance for seed {seed}")
-
-
-def d_of(defalg, X):
-    from .complexes import map_reduce
-    return map_reduce(defalg, X.d, "bar", "mid")
-
-
-def map_reduce_local(defalg, f):
-    from .complexes import map_reduce
-    return map_reduce(defalg, f, "bar", "mid")
-
-
-def _bar_rand_map(rng, defalg, src, tgt, n):
-    from .algebra import AlgMatrix
-    from .complexes import GradedMap
-    ring = defalg.bar.ring
-    comps = {}
-    for i in src.support:
-        r, c = tgt.rank(i + n), src.rank(i)
-        if r == 0:
+        if prob.kernel.dim(prob.degree) > max_kdim:
             continue
-        data = np.zeros((r, c, defalg.k, ring.m), dtype=np.int64)
-        flat = data.reshape(-1, ring.m)
-        for e in range(flat.shape[0]):
-            flat[e] = [rng.randrange(int(o)) for o in ring.orders]
-        comps[i] = AlgMatrix(defalg.bar, data)
-    return GradedMap(defalg.bar, src, tgt, n, comps)
+        return GenInstance(kind, seed, desc, defalg, prob,
+                           {"families": (famC, famD), "degree": n})
+    raise CheckFailed(f"could not generate a {kind} instance for seed {seed}")

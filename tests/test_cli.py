@@ -232,3 +232,47 @@ def test_functor_eval_on_truncated_polynomial_tower(tmp_path, capsys):
     assert rep["tangent_dim"] == 1
     assert rep["F"]["size"] == 2 ** rep["tangent_dim"]
     assert rep["F1"]["size"] == rep["F"]["size"]
+
+
+# -- failures at the document boundary ---------------------------------------
+
+def _gen_doc(tmp_path, kind="differential", seed=0):
+    path = str(tmp_path / f"gen-{kind}-{seed}.json")
+    assert main(["gen", "--kind", kind, "--seed", str(seed), "--out", path]) == 0
+    return load_doc(path)
+
+
+def _failed_report_in_out(tmp_path, capsys, argv):
+    out = tmp_path / "o.json"
+    code = main(argv + ["--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+    rep = json.loads(out.read_text())
+    assert rep["verdict"] == "failed" and rep["schema"] == "report"
+    return rep
+
+
+def test_error_report_honours_out(tmp_path, capsys):
+    rep = _failed_report_in_out(tmp_path, capsys,
+                                ["lift-diff", "--complex", str(tmp_path / "missing.json")])
+    assert rep["error"]["type"] == "ParseError"
+    assert rep["command"] == "lift-diff" and rep["timings"] is None
+
+
+def test_missing_field_is_a_parse_error(tmp_path, capsys):
+    doc = _gen_doc(tmp_path)
+    del doc["payload"]["complex"]["ranks"]
+    path = _write(tmp_path, "bad.json", doc)
+    rep = _failed_report_in_out(tmp_path, capsys, ["obstruct-diff", "--complex", path])
+    assert rep["error"]["type"] == "ParseError"
+    assert "'complex'" in rep["error"]["message"] and "ranks" in rep["error"]["message"]
+
+
+def test_non_integer_entry_is_a_parse_error(tmp_path, capsys):
+    doc = _gen_doc(tmp_path)
+    ranks = doc["payload"]["complex"]["ranks"]
+    ranks[next(iter(ranks))] = "two"
+    path = _write(tmp_path, "bad.json", doc)
+    rep = _failed_report_in_out(tmp_path, capsys, ["lift-diff", "--complex", path])
+    assert rep["error"]["type"] == "ParseError"
+    assert "'complex'" in rep["error"]["message"]

@@ -19,7 +19,6 @@ from sqzlift.crude import (
     classify_homotopy_map_lifts,
     crude_lift,
     h_minus1_guard,
-    strictify_homotopy_lift,
 )
 from sqzlift.obstruction import DifferentialProblem, MapProblem, classify_lifts, lift_differential
 from sqzlift.oracle import oracle_differential, witness_differential
@@ -82,7 +81,7 @@ def test_pipeline_odd_characteristic(t3):
 def test_strictified_differential_is_an_oracle_witness(z4):
     obC = GradedObject.of({0: 1, 1: 1})
     E, dbar_D = build_equiv(z4, obC, zero_map(z4.mid, obC, obC, 1), 0)
-    res = strictify_homotopy_lift(E, dbar_D)
+    res = crude_lift(E, dbar_D)
     prob = DifferentialProblem(z4, obC, E.C.d)
     ora = oracle_differential(prob)
     witnesses = [witness_differential(prob, int(i)).comps

@@ -113,11 +113,22 @@ def test_scan_chunking_is_seamless():
 
 
 def test_numba_and_numpy_scans_agree():
+    # the numba kernel's body runs compiled when numba is present and as
+    # plain Python otherwise, so the two scan implementations are compared
+    # either way
     p = 3
     rng = np.random.default_rng(11)
     base = rng.integers(0, p, size=4).astype(np.int64)
     gens = rng.integers(0, p, size=(6, 4)).astype(np.int64)
     moduli = np.full(4, p, dtype=np.int64)
     ref = gf._scan_numpy(base, gens, moduli, p, 0, p ** 6)
-    out = gf.scan_affine_zero(base, gens, moduli, p, 0, p ** 6)
-    assert np.array_equal(ref, out)
+    out = np.empty(p ** 6, dtype=np.int64)
+    cnt = gf._scan_impl(base, gens, moduli, p, 0, p ** 6, out)
+    assert np.array_equal(out[:cnt], ref)
+    assert np.array_equal(gf.scan_affine_zero(base, gens, moduli, p, 0, p ** 6), ref)
+
+
+def test_numba_backend_runs_compiled_kernels():
+    if not gf.USING_NUMBA:
+        pytest.skip("numba is not installed: only the uncompiled kernels are exercised")
+    assert hasattr(gf._scan_impl, "py_func") and hasattr(gf._rref_impl, "py_func")

@@ -15,7 +15,8 @@ from sqzlift.complexes import (
     map_reduce,
     zero_map,
 )
-from sqzlift.errors import Obstructed
+from sqzlift.cohomology import KernelComplex
+from sqzlift.errors import InternalObstruction, Obstructed
 from sqzlift.finring import mk_tower
 from sqzlift.obstruction import (
     DifferentialProblem,
@@ -152,6 +153,24 @@ def test_map_lift_and_classification(z4_prob):
     for w in mc.reps:
         assert delta(w, C.d, C.d).is_zero()
         assert map_reduce(prob.defalg, w, "bar", "mid") == one_mid
+
+
+def test_broken_correction_is_an_internal_error_not_an_obstruction(z4, monkeypatch):
+    """A solve that returns a wrong correction trips the post-check."""
+    ob = GradedObject.of({0: 1, 1: 1})
+    one = AlgMatrix(z4.bar, np.ones((1, 1, 1, 1), dtype=np.int64))
+    C = Complex(z4.bar, ob, GradedMap(z4.bar, ob, ob, 1, {0: one}))
+    prob = MapProblem(z4, C, C, identity_map(z4.mid, ob))
+    solve = KernelComplex.solve_coboundary
+
+    def wrong(self, vec, n):
+        x = solve(self, vec, n)
+        x[0] += 1              # gamma_0 = 1 on C^0: delta(gamma) != 0
+        return x
+
+    monkeypatch.setattr(KernelComplex, "solve_coboundary", wrong)
+    with pytest.raises(InternalObstruction):
+        lift_map(prob)
 
 
 def test_homotopic_maps_have_equal_obstruction(t3):
