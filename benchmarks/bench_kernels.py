@@ -1,8 +1,12 @@
-"""Benchmark the hot linear-algebra kernels: numba versus the numpy fallback.
+"""Benchmark the hot kernels: numba versus the numpy fallback.
 
-Runs each backend in its own subprocess (the backend is chosen once at import
-time from SQZLIFT_NUMBA), times identical workloads, and checks that both
-backends return bit-identical results.  Columns are headed by the backend
+The cases are row reduction and the affine candidate scan in `gf`, and the
+unipotent orbit partition `defun.iso_orbits` on the shape of
+`sqzlift gen --kind differential --seed 7` (F_3[x]/x^2, ranks 2 and 2, zero
+base differential: 81 strict lifts, 6561 conjugators).  Runs each backend in
+its own subprocess (the backend is chosen once at import time from
+SQZLIFT_NUMBA), times identical workloads, and checks that both backends
+return bit-identical results.  Columns are headed by the backend
 each run actually used; without numba both runs use numpy, so the comparison
 is skipped and only the numpy times are printed.
 
@@ -31,7 +35,23 @@ def _workloads():
         base = rng.integers(0, p, size=neq).astype(np.int64)
         gens = rng.integers(0, p, size=(k, neq)).astype(np.int64)
         loads.append(("scan", p, (base, gens)))
+    loads.append(("orbits", 3, None))
     return loads
+
+
+def _orbits_job():
+    from sqzlift import defun
+    from sqzlift.complexes import GradedMap, GradedObject
+    from sqzlift.finring import square_zero_ring
+
+    A = defun.ArtinLocalRing(square_zero_ring(3, 1))
+    alg0 = defun.trivial_base_algebra(3)
+    ob = GradedObject.of({0: 2, 1: 2})
+    lifts = defun.strict_lifts(A, alg0, ob, GradedMap(alg0, ob, ob, 1, {}))
+
+    def job():
+        return repr(defun.iso_orbits(A, alg0, ob, lifts)).encode()
+    return job
 
 
 def run_worker() -> None:
@@ -47,6 +67,8 @@ def run_worker() -> None:
             def job():
                 r, piv, rk = gf.rref(mat.copy(), p)
                 return r.tobytes() + bytes([rk % 251])
+        elif name == "orbits":
+            job = _orbits_job()
         else:
             base, gens = payload
             moduli = np.full(base.shape[0], p, dtype=np.int64)

@@ -65,6 +65,8 @@ class LevelAlgebra:
         return self.struct.shape[0]
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (isinstance(other, LevelAlgebra)
                 and self.ring == other.ring
                 and np.array_equal(self.struct, other.struct)

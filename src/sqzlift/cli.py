@@ -11,6 +11,7 @@ exit status 2 (a mathematical outcome), errors are exit status 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -467,9 +468,8 @@ def cmd_functor_eval(args) -> int:
             "ring_size": int(A.ring.cardinality),
             "tangent_dim": int(defun.tangent_dim(defalg.base, prob.ob,
                                                  prob.d_base))}
-    for tag in ("F0", "F", "F1"):
-        val = defun.functor_eval(tag, A, defalg.base, prob.ob, prob.d_base,
-                                 cap=args.cap)
+    values = defun.functor_eval(A, defalg.base, prob.ob, prob.d_base, cap=args.cap)
+    for tag, val in values.items():
         body[tag] = {"size": len(val.classes),
                      "classes": [list(c) for c in val.classes],
                      "elements": [list(e) for e in val.elements]}
@@ -580,6 +580,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sqzlift",

@@ -178,66 +178,167 @@ def unipotent_inverse(algR: LevelAlgebra, u: GradedMap) -> GradedMap:
     raise ValidationError("map is not unipotently invertible")
 
 
-def _m_endos(A: ArtinLocalRing, algR: LevelAlgebra, ob: GradedObject,
-             cap: int):
-    """Yield all degree-0 endomorphisms with coefficients in m."""
-    shapes = [(i, ob.rank(i), ob.rank(i)) for i in ob.support]
-    ncoef = sum(r * c for _, r, c in shapes) * algR.k
+# The degree-0 maps base + nu, nu with coefficients in m, are enumerated in
+# blocks of stacked component arrays {degree: (N, r, r, k, m)}, N <= _BLOCK,
+# so that memory stays bounded however many there are.  Row n of a block is
+# candidate start + n; its digits in base |m|, least significant first, pick
+# the coefficients of nu in degree, row, column, algebra-basis order.
+_BLOCK = 4096
+
+
+def _left_op(alg: LevelAlgebra, a: np.ndarray) -> np.ndarray:
+    """Left multiplication by stacked matrices a (..., r, c, k, m), as
+    F_p-matrices (..., r*k*m, c*k*m) acting on columns of coefficients."""
+    r, c = a.shape[-4:-2]
+    km = alg.k * alg.ring.m
+    op = np.einsum("...acis,isjtlw->...alwcjt", a, alg._T)
+    return op.reshape(a.shape[:-4] + (r * km, c * km))
+
+
+def _apply(alg: LevelAlgebra, op: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over alg for op = _left_op(alg, a); a and b stack by broadcasting."""
+    c, s, k, m = b.shape[-4:]
+    cols = np.moveaxis(b, -3, -1).reshape(b.shape[:-4] + (c * k * m, s))
+    prod = op @ cols
+    prod = prod.reshape(prod.shape[:-2] + (-1, k, m, s))
+    return np.moveaxis(prod, -1, -3) % alg.ring.orders
+
+
+def _m_blocks(A: ArtinLocalRing, alg: LevelAlgebra, ob: GradedObject,
+              base: GradedMap, cap: int):
+    """base + nu for every degree-0 nu with coefficients in m, as blocks
+    (N, {degree: (N, r, r, k, m)}) in enumeration order.  The cap is checked
+    at the call, before any block is built."""
+    ncoef = sum(r * r for _, r in ob.ranks) * alg.k
     total = A.msize ** ncoef
     if total > cap:
         raise CapExceeded(f"{total} automorphism candidates exceed the cap {cap}")
-    for idx in range(total):
-        rem = idx
-        comps = {}
-        for i, r, c in shapes:
-            data = np.zeros((r, c, algR.k, A.ring.m), dtype=np.int64)
-            flat = data.reshape(-1, A.ring.m)
-            for e in range(r * c * algR.k):
-                flat[e] = A.mvecs[rem % A.msize]
-                rem //= A.msize
-            comps[i] = AlgMatrix(algR, data)
-        yield GradedMap(algR, ob, ob, 0, comps)
+
+    def block(start: int):
+        rem = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
+        digits = np.empty((len(rem), ncoef), dtype=np.int64)
+        for e in range(ncoef):
+            digits[:, e] = rem % A.msize
+            rem //= A.msize
+        nu = A.mvecs[digits]
+        comps, pos = {}, 0
+        for i, r in ob.ranks:
+            size = r * r * alg.k
+            comp = nu[:, pos:pos + size].reshape(-1, r, r, alg.k, alg.ring.m)
+            comps[i] = (comp + base.comp(i).data) % alg.ring.orders
+            pos += size
+        return len(digits), comps
+
+    return (block(start) for start in range(0, total, _BLOCK))
+
+
+def _unipotent_inverse_many(alg: LevelAlgebra, u: dict[int, np.ndarray],
+                            u_ops: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """unipotent_inverse of every automorphism of a block at once; u_ops
+    holds the _left_op of u."""
+    one = {i: alg.eye(c.shape[1]).data for i, c in u.items()}
+    v = {i: np.broadcast_to(one[i], c.shape) for i, c in u.items()}
+    for _ in range(64):
+        uv = {i: _apply(alg, u_ops[i], v[i]) for i in u}
+        if all((uv[i] == one[i]).all() for i in u):
+            return v
+        v = {i: _apply(alg, _left_op(alg, v[i]), 2 * one[i] - uv[i]) for i in u}
+    raise ValidationError("map is not unipotently invertible")
+
+
+class _LiftIndex:
+    """Vectorised lookup of coordinate rows among the strict lifts."""
+
+    def __init__(self, lifts: list[GradedMap]):
+        self.rows = self._pad([np.array([map_coords(d) for d in lifts], dtype=np.int64)],
+                              len(lifts))
+        keys = self._keys(self.rows)
+        self.order = np.argsort(keys)
+        self.sorted = keys[self.order]
+
+    @staticmethod
+    def _pad(parts: list[np.ndarray], size: int) -> np.ndarray:
+        # one zero column, because rows of width 0 have no void view
+        return np.concatenate([p.reshape(size, -1) for p in parts]
+                              + [np.zeros((size, 1), np.int64)], axis=1)
+
+    @staticmethod
+    def _keys(rows: np.ndarray) -> np.ndarray:
+        return rows.view(np.dtype((np.void, rows.shape[1] * 8))).reshape(-1)
+
+    def find(self, parts: list[np.ndarray], size: int) -> np.ndarray:
+        """Lift index of each of `size` rows, given as column blocks that
+        concatenate to map_coords order; CheckFailed if some row is no lift."""
+        rows = self._pad(parts, size)
+        pos = np.searchsorted(self.sorted, self._keys(rows))
+        hits = self.order[np.minimum(pos, len(self.order) - 1)]
+        if not np.array_equal(self.rows[hits], rows):
+            raise CheckFailed("conjugate left the strict-lift set")
+        return hits
+
+
+def _diff_degrees(ob: GradedObject) -> list[int]:
+    """Degrees where a degree-1 endomorphism of ob has a component, in the
+    order of map_coords."""
+    return [i for i in ob.support if ob.rank(i + 1) > 0]
 
 
 def iso_orbits(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
                lifts: list[GradedMap], cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
-    """Partition of the strict lifts under d -> u d u^{-1}, u = 1 + nu."""
+    """Partition of the strict lifts under d -> u d u^{-1}, u = 1 + nu.
+
+    Classes are merged block by block of conjugators.  Each block conjugates
+    only the current class roots (least members), so the least member of
+    every orbit meets every conjugator and its whole orbit is merged.
+    """
     if not lifts:
         return []
     algR = lifts[0].alg
-    index = {map_coords(d): i for i, d in enumerate(lifts)}
-    one = identity_map(algR, ob)
-    seen: set[int] = set()
-    orbits = []
-    conjugators = []
-    for nu in _m_endos(A, algR, ob, cap):
-        u = one + nu
-        conjugators.append((u, unipotent_inverse(algR, u)))
-    for i, d in enumerate(lifts):
-        if i in seen:
-            continue
-        orbit = set()
-        for u, uinv in conjugators:
-            d2 = compose(compose(u, d), uinv)
-            j = index.get(map_coords(d2))
-            if j is None:
-                raise CheckFailed("conjugate left the strict-lift set")
-            orbit.add(j)
-        seen.update(orbit)
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
+    blocks = _m_blocks(A, algR, ob, identity_map(algR, ob), cap)
+    index = _LiftIndex(lifts)
+    degs = _diff_degrees(ob)
+    d_ops = {}
+    root = np.arange(len(lifts))
+    for size, u in blocks:
+        u_ops = {i: _left_op(algR, c) for i, c in u.items()}
+        uinv = _unipotent_inverse_many(algR, u, u_ops)
+        for n, d in enumerate(lifts):
+            if root[n] != n:
+                continue
+            if n not in d_ops:
+                d_ops[n] = {i: _left_op(algR, d.comp(i).data) for i in degs}
+            conj = [_apply(algR, u_ops[i + 1], _apply(algR, d_ops[n][i], uinv[i]))
+                    for i in degs]
+            hits = index.find(conj, size)
+            merged = np.union1d(root[hits], root[n])
+            root[np.isin(root, merged)] = merged[0]
+    return [tuple(np.flatnonzero(root == r).tolist()) for r in np.unique(root)]
+
+
+def _intertwiners(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,
+                  d2: GradedMap, base: GradedMap, cap: int):
+    """Yield, in enumeration order, every u = base + nu (nu with coefficients
+    in m) with u d1 = d2 u."""
+    algR = d1.alg
+    degs = _diff_degrees(ob)
+    d2_ops = {i: _left_op(algR, d2.comp(i).data) for i in degs}
+    d1_data = {i: d1.comp(i).data for i in degs}
+    for size, u in _m_blocks(A, algR, ob, base, cap):
+        ok = np.ones(size, dtype=bool)
+        for i in degs:
+            lhs = _apply(algR, _left_op(algR, u[i + 1]), d1_data[i])
+            rhs = _apply(algR, d2_ops[i], u[i])
+            ok &= (lhs == rhs).all(axis=(1, 2, 3, 4))
+        for n in np.flatnonzero(ok).tolist():
+            yield GradedMap(algR, ob, ob, 0,
+                            {i: AlgMatrix(algR, c[n]) for i, c in u.items()})
 
 
 def find_intertwiner(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,
                      d2: GradedMap, cap: int = DEFAULT_CAP) -> GradedMap | None:
-    """A unipotent u with u d1 = d2 u, or None."""
-    algR = d1.alg
-    one = identity_map(algR, ob)
-    for nu in _m_endos(A, algR, ob, cap):
-        u = one + nu
-        if compose(u, d1) == compose(d2, u):
-            return u
-    return None
+    """The first unipotent u, in enumeration order, with u d1 = d2 u, or None."""
+    one = identity_map(d1.alg, ob)
+    return next(_intertwiners(A, ob, d1, d2, one, cap), None)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +366,8 @@ def _homotopy_equivalent(A: ArtinLocalRing, alg0: LevelAlgebra,
 
     def candidates(da, db):
         """Cochain maps (da) -> (db) over R whose residue is homotopic to 1."""
-        out = []
-        for g in res_cands:
-            base = _lift_map_to(algR, A, g)
-            for nu in _m_endos(A, algR, ob, cap):
-                u = base + nu
-                if compose(u, da) == compose(db, u):
-                    out.append(u)
-        return out
+        return [u for g in res_cands
+                for u in _intertwiners(A, ob, da, db, _lift_map_to(algR, A, g), cap)]
 
     def null_homotopic(m, da, db):
         """Is the degree-0 map m of the form delta(P) for P over R?"""
@@ -332,29 +427,31 @@ class FunctorValue:
     reps: list[int]                       # index of the minimal element per class
 
 
-def functor_eval(tag: str, A: ArtinLocalRing, alg0: LevelAlgebra,
-                 ob: GradedObject, d0: GradedMap,
-                 cap: int = DEFAULT_CAP,
-                 cross_check: bool = False) -> FunctorValue:
+def functor_eval(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
+                 d0: GradedMap, cap: int = DEFAULT_CAP,
+                 cross_check: bool = False) -> dict[str, FunctorValue]:
+    """The values of F0, F and F1 at A, keyed by tag.
+
+    The strict lifts are enumerated once, and F and F1 share one orbit
+    partition; cross_check compares it with the exhaustive homotopy classes.
+    """
     lifts = strict_lifts(A, alg0, ob, d0, cap)
     coords = [map_coords(d) for d in lifts]
-    if tag == "F0":
-        classes = [(i,) for i in range(len(lifts))]
-    elif tag in ("F", "F1"):
-        classes = iso_orbits(A, alg0, ob, lifts, cap)
-        if tag == "F1" and cross_check:
-            hcls = homotopy_classes(A, alg0, ob, d0, lifts, cap)
-            if hcls != sorted(classes):
-                raise CheckFailed(
-                    "homotopy classes disagree with conjugation orbits: "
-                    f"{hcls} vs {sorted(classes)}")
-    else:
-        raise ValidationError(f"unknown functor tag {tag!r}")
-    classes = sorted(classes)
-    reps = [min(cl, key=lambda i: coords[i]) for cl in classes]
-    if A.is_field() and len(classes) != 1:
-        raise CheckFailed("value over the residue field is not a singleton")
-    return FunctorValue(tag, A.ring, coords, classes, reps)
+    orbits = sorted(iso_orbits(A, alg0, ob, lifts, cap))
+    if cross_check:
+        hcls = homotopy_classes(A, alg0, ob, d0, lifts, cap)
+        if hcls != orbits:
+            raise CheckFailed(
+                "homotopy classes disagree with conjugation orbits: "
+                f"{hcls} vs {orbits}")
+    values = {}
+    for tag, classes in (("F0", [(i,) for i in range(len(lifts))]),
+                         ("F", orbits), ("F1", orbits)):
+        if A.is_field() and len(classes) != 1:
+            raise CheckFailed("value over the residue field is not a singleton")
+        reps = [min(cl, key=lambda i: coords[i]) for cl in classes]
+        values[tag] = FunctorValue(tag, A.ring, coords, classes, reps)
+    return values
 
 
 def tangent_dim(alg0: LevelAlgebra, ob: GradedObject, d0: GradedMap) -> int:

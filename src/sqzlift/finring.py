@@ -9,6 +9,7 @@ table of the basis.  Elements are canonical coefficient vectors
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -99,6 +100,8 @@ class FiniteRing:
     # -- structural equality ------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (isinstance(other, FiniteRing)
                 and self.p == other.p
                 and np.array_equal(self.orders, other.orders)
@@ -114,7 +117,7 @@ class FiniteRing:
 
     @cached_property
     def cardinality(self) -> int:
-        return int(np.prod([int(o) for o in self.orders]))
+        return math.prod(int(o) for o in self.orders)
 
     @property
     def is_prime_field(self) -> bool:
@@ -391,11 +394,19 @@ class Tower:
 # built-in tower constructors
 # ---------------------------------------------------------------------------
 
+def _check_order(p: int, e: int) -> None:
+    """Reject a ring of order p^e above the cap before building its tables."""
+    if e > MAX_RING_SIZE.bit_length() or p ** e > MAX_RING_SIZE:
+        raise ValidationError(f"ring of order {p}^{e} exceeds cap {MAX_RING_SIZE}")
+
+
 def zmod_ring(p: int, a: int) -> FiniteRing:
+    _check_order(p, a)
     return FiniteRing(p, np.array([p ** a]), np.array([[[1 % p ** a]]]), ("1",))
 
 
 def trunc_poly_ring(p: int, a: int) -> FiniteRing:
+    _check_order(p, a)
     mult = np.zeros((a, a, a), dtype=np.int64)
     for i in range(a):
         for j in range(a):
@@ -406,6 +417,7 @@ def trunc_poly_ring(p: int, a: int) -> FiniteRing:
 
 
 def square_zero_ring(p: int, r: int) -> FiniteRing:
+    _check_order(p, r + 1)
     m = r + 1
     mult = np.zeros((m, m, m), dtype=np.int64)
     for j in range(m):

@@ -1,25 +1,31 @@
 """Deformation functors over artinian local F_p-algebras."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from sqzlift.algebra import AlgMatrix
-from sqzlift.complexes import GradedMap, GradedObject
+from sqzlift import defun
+from sqzlift.algebra import AlgMatrix, LevelAlgebra
+from sqzlift.complexes import GradedMap, GradedObject, compose, identity_map
 from sqzlift.defun import (
     ArtinLocalRing,
     check_smoothness,
     check_triple,
     extend_order,
+    find_intertwiner,
     functor_eval,
     is_small,
     iso_orbits,
+    map_coords,
     schlessinger_check,
     strict_lifts,
     tangent_dim,
     tensor_algebra,
     trivial_base_algebra,
+    unipotent_inverse,
 )
-from sqzlift.errors import NotLocal, ValidationError
+from sqzlift.errors import CapExceeded, NotLocal, ValidationError
 from sqzlift.finring import FiniteRing, mk_tower, trunc_poly_ring, zmod_ring
 
 OB2 = GradedObject.of({0: 1, 1: 1})
@@ -60,31 +66,30 @@ def test_residue_and_section():
 
 def test_value_on_the_field_is_a_singleton(alg0, d0_zero):
     A = ArtinLocalRing(zmod_ring(2, 1))
+    values = functor_eval(A, alg0, OB2, d0_zero)
     for tag in ("F0", "F", "F1"):
-        val = functor_eval(tag, A, alg0, OB2, d0_zero)
-        assert len(val.classes) == 1
+        assert len(values[tag].classes) == 1
 
 
 def test_tangent_dimension_counts_first_order_lifts(alg0, d0_zero):
     A = ArtinLocalRing(trunc_poly_ring(2, 2))
     t = tangent_dim(alg0, OB2, d0_zero)
     assert t == 1
-    val = functor_eval("F", A, alg0, OB2, d0_zero)
+    val = functor_eval(A, alg0, OB2, d0_zero)["F"]
     assert len(val.classes) == 2 ** t
 
 
 def test_f1_cross_check_agrees(alg0, d0_zero):
     A = ArtinLocalRing(trunc_poly_ring(2, 2))
-    val = functor_eval("F1", A, alg0, OB2, d0_zero, cross_check=True)
-    ref = functor_eval("F", A, alg0, OB2, d0_zero)
-    assert val.classes == ref.classes
+    values = functor_eval(A, alg0, OB2, d0_zero, cross_check=True)
+    assert values["F1"].classes == values["F"].classes
 
 
 def test_f1_cross_check_nonzero_differential(alg0):
     one = AlgMatrix(alg0, np.ones((1, 1, 1, 1), dtype=np.int64))
     d = GradedMap(alg0, OB3, OB3, 1, {0: one})
     A = ArtinLocalRing(trunc_poly_ring(2, 2))
-    val = functor_eval("F1", A, alg0, OB3, d, cross_check=True)
+    val = functor_eval(A, alg0, OB3, d, cross_check=True)["F1"]
     assert len(val.classes) == 1   # tangent dimension is 0 here
     assert tangent_dim(alg0, OB3, d) == 0
 
@@ -166,3 +171,123 @@ def test_orbits_cover_all_lifts(alg0, d0_zero):
     orbits = iso_orbits(A, alg0, OB2, lifts)
     covered = sorted(i for orb in orbits for i in orb)
     assert covered == list(range(len(lifts)))
+
+
+# -- the batched unipotent group against per-conjugator GradedMap arithmetic --
+
+def _base_algebra(p, kind):
+    """Base algebras over F_p: trivial, dual numbers F_p[e]/e^2, or the
+    upper-triangular T_2(F_p) with basis e11, e12, e22."""
+    if kind == "trivial":
+        return trivial_base_algebra(p)
+    if kind == "dual":
+        struct = np.zeros((2, 2, 2, 1), dtype=np.int64)
+        struct[0, 0, 0] = struct[0, 1, 1] = struct[1, 0, 1] = 1
+        return LevelAlgebra(zmod_ring(p, 1), struct, np.array([[1], [0]]))
+    struct = np.zeros((3, 3, 3, 1), dtype=np.int64)
+    struct[0, 0, 0] = struct[0, 1, 1] = struct[1, 2, 1] = struct[2, 2, 2] = 1
+    return LevelAlgebra(zmod_ring(p, 1), struct, np.array([[1], [0], [1]]))
+
+
+def _unipotents(A, algR, ob):
+    """Every u = 1 + nu, nu with coefficients in m, in enumeration order:
+    the digits of the index, least significant first, pick the coefficients
+    in degree, row, column, algebra-basis order."""
+    one = identity_map(algR, ob)
+    ncoef = sum(r * r for _, r in ob.ranks) * algR.k
+    for digits in itertools.product(range(A.msize), repeat=ncoef):
+        vecs = A.mvecs[list(digits[::-1])]
+        comps, pos = {}, 0
+        for i, r in ob.ranks:
+            size = r * r * algR.k
+            comps[i] = AlgMatrix(algR, vecs[pos:pos + size].reshape(r, r, algR.k, -1))
+            pos += size
+        yield one + GradedMap(algR, ob, ob, 0, comps)
+
+
+def _reference_orbits(A, ob, lifts):
+    """Orbits by compose and unipotent_inverse, one conjugator at a time.
+    An orbit that already holds every lift outside the earlier orbits is
+    complete, so its scan stops there."""
+    algR = lifts[0].alg
+    index = {map_coords(d): i for i, d in enumerate(lifts)}
+    conjugators = []
+    orbits, seen = [], set()
+    for i, d in enumerate(lifts):
+        if i in seen:
+            continue
+        unseen = set(range(len(lifts))) - seen
+        orbit = set()
+        for n, u in enumerate(_unipotents(A, algR, ob)):
+            if n == len(conjugators):
+                conjugators.append(unipotent_inverse(algR, u))
+            orbit.add(index[map_coords(compose(compose(u, d), conjugators[n]))])
+            if orbit == unseen:
+                break
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+def _scalar_diff(alg0, ob, entries):
+    """Base differential C^0 -> C^1 with the given scalar column."""
+    data = np.zeros((ob.rank(1), ob.rank(0), alg0.k, 1), dtype=np.int64)
+    data[:, 0, 0, 0] = entries
+    return GradedMap(alg0, ob, ob, 1, {0: AlgMatrix(alg0, data)})
+
+
+SMALL_BLOCK = 1   # one conjugator per block: orbits grow across blocks
+
+
+@pytest.mark.parametrize("p, a, kind, ranks, entries, block", [
+    (3, 3, "trivial", (1, 2), (1, 0), None),  # one orbit of 81 lifts, 9^5 conjugators
+    (2, 3, "trivial", (1, 2), (1, 0), SMALL_BLOCK),  # one orbit of 16, 4^5 conjugators
+    (3, 3, "trivial", (1, 1), (0,), None),    # orbits {0}, (t), (t^2) up to units
+    (3, 3, "trivial", (1, 1), (0,), SMALL_BLOCK),
+    (3, 2, "dual", (1, 1), (0,), None),       # k = 2
+    (3, 2, "dual", (1, 1), (0,), SMALL_BLOCK),
+    (2, 2, "upper", (1, 1), (0,), None),      # k = 3, noncommutative
+    (2, 2, "upper", (1, 1), (0,), SMALL_BLOCK),
+])
+def test_batched_orbits_match_per_conjugator_reference(monkeypatch, p, a, kind, ranks,
+                                                       entries, block):
+    if block:
+        monkeypatch.setattr(defun, "_BLOCK", block)
+    alg0 = _base_algebra(p, kind)
+    ob = GradedObject.of(dict(enumerate(ranks)))
+    A = ArtinLocalRing(trunc_poly_ring(p, a))
+    lifts = strict_lifts(A, alg0, ob, _scalar_diff(alg0, ob, entries))
+    orbits = iso_orbits(A, alg0, ob, lifts)
+    assert orbits == _reference_orbits(A, ob, lifts)
+    assert len(orbits) > 1 or len(lifts) > 1
+
+
+def test_oversized_group_raises_cap_exceeded(alg0):
+    ob = GradedObject.of({0: 2, 1: 2, 2: 2})
+    A = ArtinLocalRing(trunc_poly_ring(2, 3))
+    zero = GradedMap(tensor_algebra(A.ring, alg0), ob, ob, 1, {})
+    with pytest.raises(CapExceeded, match="16777216 automorphism candidates"):
+        iso_orbits(A, alg0, ob, [zero])
+    lifts = strict_lifts(A, alg0, OB2, GradedMap(alg0, OB2, OB2, 1, {}))
+    assert len(iso_orbits(A, alg0, OB2, lifts, cap=16)) == 3
+    with pytest.raises(CapExceeded, match="16 automorphism candidates exceed the cap 15"):
+        iso_orbits(A, alg0, OB2, lifts, cap=15)
+
+
+@pytest.mark.parametrize("block", [None, SMALL_BLOCK])
+def test_find_intertwiner_returns_the_first_enumerated(monkeypatch, alg0, block):
+    if block:
+        monkeypatch.setattr(defun, "_BLOCK", block)
+    ob = GradedObject.of({0: 1, 1: 2})
+    A = ArtinLocalRing(trunc_poly_ring(2, 3))
+    lifts = strict_lifts(A, alg0, ob, _scalar_diff(alg0, ob, (1, 0)))
+    zero_lifts = strict_lifts(A, alg0, ob, GradedMap(alg0, ob, ob, 1, {}))
+    for d1, d2 in [(lifts[0], lifts[5]), (lifts[3], lifts[3]),
+                   (zero_lifts[0], zero_lifts[1])]:
+        first = next((u for u in _unipotents(A, d1.alg, ob)
+                      if compose(u, d1) == compose(d2, u)), None)
+        found = find_intertwiner(A, ob, d1, d2)
+        assert (found is None) == (first is None)
+        if first is not None:
+            assert found == first
+    assert find_intertwiner(A, ob, zero_lifts[0], zero_lifts[1]) is None

@@ -75,6 +75,26 @@ def test_locality_detection():
     assert not f4.is_local()
 
 
+def test_ring_order_above_the_cap_is_rejected():
+    m = 64   # 2^64 elements: an int64 product of the orders wraps to 0
+    mult = np.zeros((m, m, m), dtype=np.int64)
+    for j in range(m):
+        mult[0, j, j] = mult[j, 0, j] = 1
+    with pytest.raises(ValidationError, match="exceeds cap"):
+        FiniteRing(2, np.full(m, 2), mult)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("trunc_poly", {"a": 100, "b": 1}),
+    ("zmod", {"a": 100, "b": 1}),
+    ("square_zero", {"r": 99}),
+    ("trunc_poly", {"a": 10 ** 12, "b": 1}),
+])
+def test_builtin_tower_above_the_cap_is_rejected_before_building(kind, params):
+    with pytest.raises(ValidationError, match="exceeds cap"):
+        mk_tower(kind, 2, **params)
+
+
 def test_nonprime_rejected():
     with pytest.raises(NonPrime):
         mk_tower("zmod", 4, a=2, b=1)
