@@ -1,12 +1,15 @@
 """Benchmark the hot kernels: numba versus the numpy fallback.
 
-The cases are row reduction and the affine candidate scan in `gf`, and the
-unipotent orbit partition `defun.iso_orbits` on the shape of
-`sqzlift gen --kind differential --seed 7` (F_3[x]/x^2, ranks 2 and 2, zero
-base differential: 81 strict lifts, 6561 conjugators).  Runs each backend in
-its own subprocess (the backend is chosen once at import time from
-SQZLIFT_NUMBA), times identical workloads, and checks that both backends
-return bit-identical results.  Columns are headed by the backend
+The cases are row reduction and the affine candidate scan in `gf`, the
+oracle's orbit partition `oracle._partition` on the shape of
+`sqzlift gen --kind differential --seed 74` (p = 3, kdim 10: all 59 049
+candidates are witnesses and its 13 moves are zero, so every orbit is a
+singleton), and the unipotent orbit partition `defun.iso_orbits` on the
+shape of `sqzlift gen --kind differential --seed 7` (F_3[x]/x^2, ranks 2 and
+2, zero base differential: 81 strict lifts, 6561 conjugators).  Runs each
+backend in its own subprocess (the backend is chosen once at import time
+from SQZLIFT_NUMBA), times identical workloads, and checks that both
+backends return bit-identical results.  Columns are headed by the backend
 each run actually used; without numba both runs use numpy, so the comparison
 is skipped and only the numpy times are printed.
 
@@ -35,8 +38,22 @@ def _workloads():
         base = rng.integers(0, p, size=neq).astype(np.int64)
         gens = rng.integers(0, p, size=(k, neq)).astype(np.int64)
         loads.append(("scan", p, (base, gens)))
+    loads.append(("partition", 3, (10, 13)))
     loads.append(("orbits", 3, None))
     return loads
+
+
+def _partition_job(p, kdim, nmoves):
+    import numpy as np
+
+    from sqzlift import oracle
+
+    witnesses = np.arange(p ** kdim, dtype=np.int64)
+    moves = [np.zeros(kdim, dtype=np.int64)] * nmoves
+
+    def job():
+        return oracle._partition(witnesses, kdim, p, moves)
+    return job
 
 
 def _orbits_job():
@@ -67,6 +84,8 @@ def run_worker() -> None:
             def job():
                 r, piv, rk = gf.rref(mat.copy(), p)
                 return r.tobytes() + bytes([rk % 251])
+        elif name == "partition":
+            job = _partition_job(p, *payload)
         elif name == "orbits":
             job = _orbits_job()
         else:
@@ -85,6 +104,8 @@ def run_worker() -> None:
             t0 = perf_counter()
             out = job()
             best = min(best, perf_counter() - t0)
+            if not isinstance(out, bytes):
+                out = repr(out).encode()
             digest = hashlib.sha256(out).hexdigest()[:16]
         results["cases"].append({"case": f"{name} p={p}", "seconds": best,
                                  "digest": digest})

@@ -528,7 +528,7 @@ def cmd_oracle(args) -> int:
             "kdim": int(res.kdim),
             "num_witnesses": int(res.num_witnesses),
             "num_classes": int(res.num_classes),
-            "witness_indices": [int(i) for i in res.witness_indices],
+            "witness_indices": res.witness_indices.tolist(),
             "orbits": [list(o) for o in res.orbits],
             "obstruction": _coh_payload(cls),
             "agrees_with_obstruction": bool(agree)}

@@ -122,6 +122,21 @@ def map_coords(f: GradedMap) -> tuple[int, ...]:
 # F0: exact enumeration of strict lifts
 # ---------------------------------------------------------------------------
 
+def _strict_candidates(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
+                       d0: GradedMap, cap: int):
+    """Validate d0 and count the strict-lift candidates against the cap:
+    (component shapes, coefficients, candidates)."""
+    if not compose(d0, d0).is_zero():
+        raise ValidationError("d0 is not a differential")
+    shapes = [(i, ob.rank(i + 1), ob.rank(i)) for i in ob.support
+              if ob.rank(i + 1) > 0]
+    ncoef = sum(r * c for _, r, c in shapes) * alg0.k
+    total = A.msize ** ncoef
+    if total > cap:
+        raise CapExceeded(f"{total} strict-lift candidates exceed the cap {cap}")
+    return shapes, ncoef, total
+
+
 def strict_lifts(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
                  d0: GradedMap, cap: int = DEFAULT_CAP) -> list[GradedMap]:
     """All differentials on R (x) C0 lifting d0, in enumeration order.
@@ -129,15 +144,8 @@ def strict_lifts(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
     The square-zero condition is quadratic over R, so every candidate is
     tested directly.
     """
-    if not compose(d0, d0).is_zero():
-        raise ValidationError("d0 is not a differential")
+    shapes, ncoef, total = _strict_candidates(A, alg0, ob, d0, cap)
     algR = tensor_algebra(A.ring, alg0)
-    shapes = [(i, ob.rank(i + 1), ob.rank(i)) for i in ob.support
-              if ob.rank(i + 1) > 0]
-    ncoef = sum(r * c for _, r, c in shapes) * alg0.k
-    total = A.msize ** ncoef
-    if total > cap:
-        raise CapExceeded(f"{total} strict-lift candidates exceed the cap {cap}")
     base = _lift_map_to(algR, A, d0)
     out = []
     for idx in range(total):
@@ -204,15 +212,22 @@ def _apply(alg: LevelAlgebra, op: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.moveaxis(prod, -1, -3) % alg.ring.orders
 
 
+def _m_candidates(A: ArtinLocalRing, k: int, ob: GradedObject, cap: int):
+    """Count the degree-0 nu with coefficients in m, over an algebra of rank
+    k, against the cap: (coefficients, candidates)."""
+    ncoef = sum(r * r for _, r in ob.ranks) * k
+    total = A.msize ** ncoef
+    if total > cap:
+        raise CapExceeded(f"{total} automorphism candidates exceed the cap {cap}")
+    return ncoef, total
+
+
 def _m_blocks(A: ArtinLocalRing, alg: LevelAlgebra, ob: GradedObject,
               base: GradedMap, cap: int):
     """base + nu for every degree-0 nu with coefficients in m, as blocks
     (N, {degree: (N, r, r, k, m)}) in enumeration order.  The cap is checked
     at the call, before any block is built."""
-    ncoef = sum(r * r for _, r in ob.ranks) * alg.k
-    total = A.msize ** ncoef
-    if total > cap:
-        raise CapExceeded(f"{total} automorphism candidates exceed the cap {cap}")
+    ncoef, total = _m_candidates(A, alg.k, ob, cap)
 
     def block(start: int):
         rem = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
@@ -434,7 +449,10 @@ def functor_eval(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
 
     The strict lifts are enumerated once, and F and F1 share one orbit
     partition; cross_check compares it with the exhaustive homotopy classes.
+    Both caps are checked before any lift is enumerated.
     """
+    _strict_candidates(A, alg0, ob, d0, cap)
+    _m_candidates(A, alg0.k, ob, cap)
     lifts = strict_lifts(A, alg0, ob, d0, cap)
     coords = [map_coords(d) for d in lifts]
     orbits = sorted(iso_orbits(A, alg0, ob, lifts, cap))

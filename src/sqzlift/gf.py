@@ -5,6 +5,14 @@ pure-numpy fallback.  Selection is done once at import time via the
 SQZLIFT_NUMBA environment variable ("0"/"off"/"false"/"no" disables numba).
 Everything is int64 and exact; no pivoting heuristics, so results are
 bit-for-bit deterministic across both paths.
+
+The numpy scan uses two tables.  A candidate index splits as
+idx = hi * p^a + lo, with a about half the k digits and p^a at most `chunk`,
+so its residual is Lo[lo] + B[hi] mod the moduli, where
+Lo = digits(lo) @ gens[:a] and B = base + digits(hi) @ gens[a:] are built
+once per call.  Each candidate then costs one comparison of its Lo row with
+-B[hi] (O(L)) in place of k multiply-adds (O(kL)); every candidate is still
+tested, and the tables cost about sqrt(p^k) rows each.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ __all__ = [
     "reduce_mod_rowspace",
     "scan_affine_zero",
     "affine_combinations",
+    "digits",
     "digit_matrix",
 ]
 
@@ -205,11 +214,16 @@ def reduce_mod_rowspace(v: np.ndarray, red: np.ndarray, pivots: list[int], p: in
     return out
 
 
-def digit_matrix(start: int, stop: int, nvars: int, p: int) -> np.ndarray:
-    """Base-p digits of [start, stop), least significant digit first."""
-    idx = np.arange(start, stop, dtype=np.int64)
+def digits(idx: np.ndarray, nvars: int, p: int) -> np.ndarray:
+    """(N, nvars) base-p digits of the indices, least significant first."""
+    idx = np.asarray(idx, dtype=np.int64)
     powers = p ** np.arange(nvars, dtype=np.int64)
     return (idx[:, None] // powers[None, :]) % p
+
+
+def digit_matrix(start: int, stop: int, nvars: int, p: int) -> np.ndarray:
+    """Base-p digits of [start, stop), least significant digit first."""
+    return digits(np.arange(start, stop, dtype=np.int64), nvars, p)
 
 
 def affine_combinations(base: np.ndarray, gens: np.ndarray, moduli: np.ndarray,
@@ -223,32 +237,45 @@ def affine_combinations(base: np.ndarray, gens: np.ndarray, moduli: np.ndarray,
     return vals % moduli[None, :]
 
 
-def _scan_numpy(base, gens, moduli, p, start, stop):
-    vals = affine_combinations(base, gens, moduli, p, start, stop)
-    hit = ~vals.any(axis=1)
-    return np.flatnonzero(hit).astype(np.int64) + start
+def _scan_numpy(base, gens, moduli, p, start, stop, chunk=1 << 15):
+    """The two-table scan of [start, stop) (see the module docstring)."""
+    if stop <= start:
+        return np.empty(0, dtype=np.int64)
+    a, width = 0, 1
+    while 2 * a < gens.shape[0] and width * p <= chunk:
+        a, width = a + 1, width * p
+    lo_tab = affine_combinations(np.zeros_like(base), gens[:a], moduli, p, 0, width)
+    first, last = start // width, -(-stop // width)
+    # idx = hi * width + lo is a hit iff Lo[lo] == -B[hi] mod moduli
+    need = -affine_combinations(base, gens[a:], moduli, p, first, last) % moduli
+    rows = max(1, chunk // width)     # values of hi compared per numpy pass
+    found = [np.empty(0, dtype=np.int64)]
+    for h in range(0, last - first, rows):
+        hit = (lo_tab[None] == need[h:h + rows, None]).all(axis=2)
+        found.append(np.flatnonzero(hit) + (first + h) * width)
+    hits = np.concatenate(found)
+    return hits[(hits >= start) & (hits < stop)]
 
 
 def scan_affine_zero(base: np.ndarray, gens: np.ndarray, moduli: np.ndarray,
                      p: int, start: int, stop: int,
                      chunk: int = 1 << 15) -> np.ndarray:
     """Indices idx in [start, stop) whose base-p digits gamma satisfy
-    (base + sum_s gamma_s * gens[s]) % moduli == 0 componentwise."""
+    (base + sum_s gamma_s * gens[s]) % moduli == 0 componentwise, ascending."""
     base = np.ascontiguousarray(base, dtype=np.int64)
     if base.shape[0] == 0:
         # zero-length equation: everything is a solution
         return np.arange(start, stop, dtype=np.int64)
     gens = np.ascontiguousarray(gens, dtype=np.int64).reshape(-1, base.shape[0])
     moduli = np.ascontiguousarray(moduli, dtype=np.int64)
+    if not USING_NUMBA:
+        return _scan_numpy(base, gens, moduli, p, start, stop, chunk)
     found: list[np.ndarray] = []
     for lo in range(start, stop, chunk):
         hi = min(lo + chunk, stop)
-        if USING_NUMBA:
-            out = np.empty(hi - lo, dtype=np.int64)
-            cnt = _scan_impl(base, gens, moduli, p, lo, hi, out)
-            found.append(out[:cnt].copy())
-        else:
-            found.append(_scan_numpy(base, gens, moduli, p, lo, hi))
+        out = np.empty(hi - lo, dtype=np.int64)
+        cnt = _scan_impl(base, gens, moduli, p, lo, hi, out)
+        found.append(out[:cnt].copy())
     if not found:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(found)

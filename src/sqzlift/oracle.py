@@ -11,9 +11,12 @@ gens_s = residual(X0 + kappa_s) - residual(X0) (the residual is affine in a
 J-valued correction because J * J = 0), which the scan kernel checks digit
 tuple by digit tuple.
 
-Equivalence orbits are enumerated the same way: conjugating by 1 + kappa,
-or absorbing a delta of a lower-degree J-matrix, moves a witness by an
-F_p-linear image, so each orbit is scanned exhaustively.  `oracle` and
+Equivalence orbits come from the moves: conjugating by 1 + kappa, or
+absorbing a delta of a lower-degree J-matrix, moves a witness by an element
+of an F_p-linear image, so an orbit is a coset of the row space of the moves.
+All witnesses are reduced modulo that space in one vectorised pass and keyed
+by their representative; witnesses with one key form one orbit, and the
+orbit is checked to lie wholly inside the witness set.  `oracle` and
 `witness` are written once for every problem kind (see obstruction.py for
 what each kind states).
 """
@@ -42,6 +45,7 @@ from .obstruction import (
 
 DEFAULT_CAP = 1 << 20
 VERIFY_WITNESSES = 16      # scan hits re-checked by evaluating the residual
+_PARTITION_ROWS = 1 << 15  # witnesses per digit array, to bound its memory
 
 
 # ---------------------------------------------------------------------------
@@ -64,15 +68,6 @@ def _flat_moduli(K: KernelComplex, n: int) -> np.ndarray:
     if not parts:
         return np.zeros(0, dtype=np.int64)
     return np.concatenate(parts)
-
-
-def _digits_of(idx: int, nvars: int, p: int) -> np.ndarray:
-    out = np.zeros(nvars, dtype=np.int64)
-    rem = idx
-    for s in range(nvars):
-        out[s] = rem % p
-        rem //= p
-    return out
 
 
 def _one_hot(n: int, s: int) -> np.ndarray:
@@ -116,37 +111,41 @@ class OracleResult:
 
 def _partition(witness_indices: np.ndarray, kdim: int, p: int,
                move_gens: list[np.ndarray]) -> list[tuple[int, ...]]:
-    """Partition witnesses into orbits of w -> w + sum c_s move_gens[s]."""
-    if len(witness_indices) == 0:
+    """Partition the witnesses (ascending, distinct) into orbits of
+    w -> w + sum c_s move_gens[s], each orbit ascending, orbits ordered by
+    least member.
+
+    An orbit is a coset of the row space of the moves, so every witness is
+    keyed by its canonical representative modulo that space.  A key's group
+    lies in its coset, which has p^rank elements; the coset is inside the
+    witness set exactly when the group has that many members.
+    """
+    w = np.asarray(witness_indices, dtype=np.int64)
+    if len(w) == 0:
         return []
-    powers = p ** np.arange(kdim, dtype=np.int64)
-
-    def to_digits(idx):
-        return _digits_of(int(idx), kdim, p)
-
-    witness_set = set(int(i) for i in witness_indices)
-    seen: set[int] = set()
-    orbits: list[tuple[int, ...]] = []
     G = (np.stack(move_gens) if move_gens
          else np.zeros((0, kdim), dtype=np.int64))
-    # the moves span a linear subspace; a basis gives each orbit exactly once
-    G, _ = gf.row_space(G, p)
-    nmoves = p ** G.shape[0]
-    for w in witness_indices:
-        w = int(w)
-        if w in seen:
-            continue
-        wd = to_digits(w)
-        moved = gf.affine_combinations(wd, G, np.full(kdim, p, dtype=np.int64),
-                                       p, 0, nmoves)
-        idxs = (moved @ powers).astype(np.int64)
-        orbit = sorted(set(int(i) for i in idxs))
-        for i in orbit:
-            if i not in witness_set:
-                raise CheckFailed("orbit left the witness set; internal inconsistency")
-        seen.update(orbit)
-        orbits.append(tuple(orbit))
-    return orbits
+    G, pivots = gf.row_space(G, p)
+    # G is in rref, so w reduces to w - w[pivots] @ G, which is zero on the
+    # pivot columns; its free columns are the key
+    free = [j for j in range(kdim) if j not in pivots]
+    powers = p ** np.arange(len(free), dtype=np.int64)
+    keys = np.empty(len(w), dtype=np.int64)
+    for lo in range(0, len(w), _PARTITION_ROWS):
+        W = gf.digits(w[lo:lo + _PARTITION_ROWS], kdim, p)
+        reduced = W[:, free]
+        if pivots:
+            reduced = (reduced - W[:, pivots] @ G[:, free]) % p
+        keys[lo:lo + len(W)] = reduced @ powers
+    _, first, group, counts = np.unique(keys, return_index=True,
+                                        return_inverse=True, return_counts=True)
+    size = p ** len(pivots)
+    if np.any(counts != size):
+        raise CheckFailed("orbit left the witness set; internal inconsistency")
+    # first[group] is the position of each witness's least orbit member; a
+    # stable sort by it lists the orbits in order, each ascending
+    members = iter(w[np.argsort(first[group], kind="stable")].tolist())
+    return list(zip(*[members] * size))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +189,7 @@ def oracle(prob: AffineLift, cap: int = DEFAULT_CAP,
 def witness(prob: AffineLift, idx: int) -> GradedMap:
     """The candidate lift X0 + gamma whose digits in base p are idx."""
     K, m = prob.kernel, prob.degree
-    return prob.sigma_lift + K.out_of_kernel(_digits_of(idx, K.dim(m), K.p), m)
+    return prob.sigma_lift + K.out_of_kernel(gf.digits([idx], K.dim(m), K.p)[0], m)
 
 
 # One entry point per problem kind, under the public names that callers (and

@@ -274,6 +274,35 @@ def test_oversized_group_raises_cap_exceeded(alg0):
         iso_orbits(A, alg0, OB2, lifts, cap=15)
 
 
+def test_functor_eval_fails_on_the_conjugator_cap_before_enumerating(monkeypatch):
+    # over F_3[t]/t^2 with ranks (2, 2): 3^4 = 81 strict-lift candidates fit
+    # the cap of 100, 3^8 = 6561 conjugators do not
+    alg0 = trivial_base_algebra(3)
+    A = ArtinLocalRing(trunc_poly_ring(3, 2))
+    ob = GradedObject.of({0: 2, 1: 2})
+    d0 = GradedMap(alg0, ob, ob, 1, {})
+    assert len(strict_lifts(A, alg0, ob, d0, cap=100)) == 81
+    calls = {"strict_lifts": 0, "compose over R": 0}
+
+    def counting_strict_lifts(*args, **kwargs):
+        calls["strict_lifts"] += 1
+        return strict_lifts(*args, **kwargs)
+
+    def counting_compose(f, g):
+        if f.alg.ring.m > 1:
+            calls["compose over R"] += 1
+        return compose(f, g)
+
+    monkeypatch.setattr(defun, "strict_lifts", counting_strict_lifts)
+    monkeypatch.setattr(defun, "compose", counting_compose)
+    with pytest.raises(CapExceeded, match="6561 automorphism candidates exceed the cap 100"):
+        functor_eval(A, alg0, ob, d0, cap=100)
+    assert calls == {"strict_lifts": 0, "compose over R": 0}
+    # the strict-lift cap is still checked first
+    with pytest.raises(CapExceeded, match="81 strict-lift candidates exceed the cap 80"):
+        functor_eval(A, alg0, ob, d0, cap=80)
+
+
 @pytest.mark.parametrize("block", [None, SMALL_BLOCK])
 def test_find_intertwiner_returns_the_first_enumerated(monkeypatch, alg0, block):
     if block:

@@ -112,6 +112,35 @@ def test_scan_chunking_is_seamless():
     assert np.array_equal(whole, small)
 
 
+def _python_scan(base, gens, moduli, p, start, stop):
+    out = np.empty(max(stop - start, 0), dtype=np.int64)
+    cnt = gf._scan_body(base, gens, moduli, p, start, stop, out)
+    return out[:cnt]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("trial", range(6))
+def test_two_table_scan_matches_the_python_kernel(p, trial):
+    # random ranges whose ends are not multiples of the table width, few
+    # digits (one value of hi), chunk 1, and all-zero generators
+    rng = np.random.default_rng(50 * p + trial)
+    nvars = (0, 1, 2, 4, 6, 7)[trial]
+    L = int(rng.integers(1, 4))
+    total = p ** nvars
+    base = rng.integers(0, p, size=L).astype(np.int64) * int(rng.random() < 0.6)
+    gens = rng.integers(0, p, size=(nvars, L)).astype(np.int64)
+    moduli = np.full(L, p, dtype=np.int64)
+    start = int(rng.integers(0, total))
+    stop = int(rng.integers(start, total + 1))
+    for g in (gens, np.zeros_like(gens)):
+        for lo, hi in ((0, total), (start, stop), (stop, start)):
+            ref = _python_scan(base, g, moduli, p, lo, hi)
+            for chunk in (1, p, 7, 1 << 15):
+                got = gf._scan_numpy(base, g, moduli, p, lo, hi, chunk)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, ref), (lo, hi, chunk)
+
+
 def test_numba_and_numpy_scans_agree():
     # the numba kernel's body runs compiled when numba is present and as
     # plain Python otherwise, so the two scan implementations are compared

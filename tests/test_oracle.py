@@ -1,9 +1,12 @@
 """Brute-force enumeration oracle versus the cohomological classifier."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from sqzlift.complexes import Complex, GradedObject, compose, delta, map_reduce, zero_map
+from sqzlift.errors import CheckFailed
 from sqzlift.obstruction import (
     DifferentialProblem,
     classify_lifts,
@@ -14,6 +17,8 @@ from sqzlift.obstruction import (
     v_class,
 )
 from sqzlift.oracle import (
+    _partition,
+    _scan_parallel,
     gen_instance,
     oracle_differential,
     oracle_homotopy,
@@ -117,3 +122,93 @@ def test_gen_covers_towers_and_primes():
         seen_p.add(inst.tower_desc[1])
     assert seen_p == {2, 3}
     assert len(seen_kind) >= 2
+
+
+# ---------------------------------------------------------------------------
+# the orbit partition against a per-witness reference
+# ---------------------------------------------------------------------------
+
+def _orbit_of(w, kdim, p, moves):
+    """Every w + sum c_s moves[s], over all coefficient tuples, as indices."""
+    powers = p ** np.arange(kdim, dtype=np.int64)
+    wd = (w // powers) % p
+    return {int(((wd + np.asarray(c, dtype=np.int64) @ moves) % p) @ powers)
+            for c in itertools.product(range(p), repeat=len(moves))}
+
+
+def _reference_partition(witnesses, kdim, p, moves):
+    """One orbit per unseen witness, in witness order, each sorted."""
+    moves = np.asarray(moves, dtype=np.int64).reshape(-1, kdim)
+    present = set(witnesses)
+    seen, orbits = set(), []
+    for w in witnesses:
+        if w in seen:
+            continue
+        orbit = sorted(_orbit_of(w, kdim, p, moves))
+        if not present.issuperset(orbit):
+            raise CheckFailed("orbit left the witness set")
+        seen.update(orbit)
+        orbits.append(tuple(orbit))
+    return orbits
+
+
+def _random_moves(rng, kdim, p, shape):
+    """A move list of the given shape: "none", "zero" (zero rows only) or
+    "mixed" (independent rows, a zero row and a dependent row)."""
+    if shape == "none":
+        return []
+    if shape == "zero":
+        return [np.zeros(kdim, dtype=np.int64)] * 2
+    rows = [rng.integers(0, p, size=kdim) for _ in range(rng.integers(1, 3))]
+    rows.append(np.zeros(kdim, dtype=np.int64))
+    rows.append((rows[0] + (p - 1) * rows[-2]) % p)
+    return [r.astype(np.int64) for r in rows]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("shape", ["none", "zero", "mixed"])
+@pytest.mark.parametrize("trial", range(4))
+def test_partition_matches_per_witness_reference(p, shape, trial):
+    rng = np.random.default_rng(100 * p + 10 * trial + len(shape))
+    kdim = int(rng.integers(1, 6))
+    moves = _random_moves(rng, kdim, p, shape)
+    move_rows = np.asarray(moves, dtype=np.int64).reshape(-1, kdim)
+    # the witnesses are a random union of whole orbits
+    orbits = {min(o): o for o in (_orbit_of(w, kdim, p, move_rows)
+                                  for w in range(p ** kdim))}
+    chosen = [o for o in orbits.values() if rng.random() < 0.5]
+    witnesses = sorted(set().union(*chosen))
+    got = _partition(np.asarray(witnesses, dtype=np.int64), kdim, p, moves)
+    assert got == _reference_partition(witnesses, kdim, p, moves)
+    assert all(type(i) is int for o in got for i in o)
+
+
+def test_partition_of_no_witnesses_is_empty():
+    assert _partition(np.zeros(0, dtype=np.int64), 3, 2, [np.ones(3, dtype=np.int64)]) == []
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_partition_rejects_an_orbit_that_leaves_the_witness_set(p):
+    kdim = 4
+    moves = [np.array([1, 0, 1, 0], dtype=np.int64), np.array([0, 1, 0, 1], dtype=np.int64)]
+    coset = sorted(_orbit_of(1, kdim, p, np.asarray(moves)))
+    other = sorted(_orbit_of(2, kdim, p, np.asarray(moves)))
+    full = sorted(coset + other)
+    assert _partition(np.asarray(full), kdim, p, moves) == _reference_partition(full, kdim, p, moves)
+    for dropped in (coset[0], coset[-1]):
+        partial = [w for w in full if w != dropped]
+        with pytest.raises(CheckFailed, match="orbit left the witness set"):
+            _partition(np.asarray(partial), kdim, p, moves)
+
+
+def test_parallel_scan_matches_serial():
+    p = 3
+    rng = np.random.default_rng(21)
+    base = rng.integers(0, p, size=3).astype(np.int64)
+    gens = rng.integers(0, p, size=(9, 3)).astype(np.int64)
+    moduli = np.full(3, p, dtype=np.int64)
+    total = p ** 9
+    serial = _scan_parallel(base, gens, moduli, p, total, 1)
+    parallel = _scan_parallel(base, gens, moduli, p, total, 2)
+    assert len(serial) > 0
+    assert np.array_equal(serial, parallel)
