@@ -1,4 +1,4 @@
-"""Benchmark the hot kernels: numba versus the numpy fallback.
+"""Benchmark the hot kernels.
 
 The cases are row reduction and the affine candidate scan in `gf`, the
 oracle's orbit partition `oracle._partition` on the shape of
@@ -6,30 +6,27 @@ oracle's orbit partition `oracle._partition` on the shape of
 candidates are witnesses and its 13 moves are zero, so every orbit is a
 singleton), and the unipotent orbit partition `defun.iso_orbits` on the
 shape of `sqzlift gen --kind differential --seed 7` (F_3[x]/x^2, ranks 2 and
-2, zero base differential: 81 strict lifts, 6561 conjugators).  Runs each
-backend in its own subprocess (the backend is chosen once at import time
-from SQZLIFT_NUMBA), times identical workloads, and checks that both
-backends return bit-identical results.  Columns are headed by the backend
-each run actually used; without numba both runs use numpy, so the comparison
-is skipped and only the numpy times are printed.
+2, zero base differential: 81 strict lifts, 6561 conjugators).  Each case
+prints its best time of several runs and a digest of its result, so that a
+change of result shows up next to a change of speed.
 
 Usage:  python benchmarks/bench_kernels.py
 """
 
-import argparse
 import hashlib
-import json
-import os
-import subprocess
 import sys
 from time import perf_counter
+
+import numpy as np
+
+from sqzlift import defun, gf, oracle
+from sqzlift.complexes import GradedMap, GradedObject
+from sqzlift.finring import square_zero_ring
 
 REPEATS = 5
 
 
 def _workloads():
-    import numpy as np
-
     rng = np.random.default_rng(0)
     loads = []
     for p, n in ((2, 300), (3, 250)):
@@ -44,10 +41,6 @@ def _workloads():
 
 
 def _partition_job(p, kdim, nmoves):
-    import numpy as np
-
-    from sqzlift import oracle
-
     witnesses = np.arange(p ** kdim, dtype=np.int64)
     moves = [np.zeros(kdim, dtype=np.int64)] * nmoves
 
@@ -57,10 +50,6 @@ def _partition_job(p, kdim, nmoves):
 
 
 def _orbits_job():
-    from sqzlift import defun
-    from sqzlift.complexes import GradedMap, GradedObject
-    from sqzlift.finring import square_zero_ring
-
     A = defun.ArtinLocalRing(square_zero_ring(3, 1))
     alg0 = defun.trivial_base_algebra(3)
     ob = GradedObject.of({0: 2, 1: 2})
@@ -71,18 +60,14 @@ def _orbits_job():
     return job
 
 
-def run_worker() -> None:
-    import numpy as np
-
-    from sqzlift import gf
-
-    results = {"backend": "numba" if gf.USING_NUMBA else "numpy", "cases": []}
+def main() -> int:
+    print(f"{'case':<14} {'seconds':>10} {'digest':>18}")
     for name, p, payload in _workloads():
         if name == "rref":
             mat = payload
 
             def job():
-                r, piv, rk = gf.rref(mat.copy(), p)
+                r, piv, rk = gf.rref(mat, p)
                 return r.tobytes() + bytes([rk % 251])
         elif name == "partition":
             job = _partition_job(p, *payload)
@@ -97,58 +82,18 @@ def run_worker() -> None:
                                            0, p ** gens.shape[0])
                 return np.asarray(hits, dtype=np.int64).tobytes()
 
-        job()   # warm up (includes JIT compilation on the numba path)
+        job()   # warm up
         best = float("inf")
-        digest = None
         for _ in range(REPEATS):
             t0 = perf_counter()
             out = job()
             best = min(best, perf_counter() - t0)
-            if not isinstance(out, bytes):
-                out = repr(out).encode()
-            digest = hashlib.sha256(out).hexdigest()[:16]
-        results["cases"].append({"case": f"{name} p={p}", "seconds": best,
-                                 "digest": digest})
-    json.dump(results, sys.stdout)
-
-
-def main() -> int:
-    here = os.path.abspath(__file__)
-    runs = {}
-    for flag in ("1", "0"):
-        env = dict(os.environ, SQZLIFT_NUMBA=flag)
-        out = subprocess.run([sys.executable, here, "--worker"], env=env,
-                             capture_output=True, text=True, check=True)
-        runs[flag] = json.loads(out.stdout)
-
-    first, second = runs["1"], runs["0"]
-    if first["backend"] == second["backend"]:
-        print(f"backend comparison skipped: numba is not available, "
-              f"both runs used {first['backend']}")
-        print(f"{'case':<14} {first['backend'] + ' (s)':>12}")
-        for c in first["cases"]:
-            print(f"{c['case']:<14} {c['seconds']:>12.4f}")
-        return 0
-    print(f"{'case':<14} {first['backend'] + ' (s)':>12} "
-          f"{second['backend'] + ' (s)':>12} {'speedup':>8}")
-    ok = True
-    for a, b in zip(first["cases"], second["cases"]):
-        assert a["case"] == b["case"]
-        match = a["digest"] == b["digest"]
-        ok &= match
-        speed = b["seconds"] / a["seconds"] if a["seconds"] else float("inf")
-        note = "" if match else "  RESULTS DIFFER"
-        print(f"{a['case']:<14} {a['seconds']:>12.4f} {b['seconds']:>12.4f} "
-              f"{speed:>7.1f}x{note}")
-    print("results bit-identical across backends" if ok
-          else "ERROR: backend results differ")
-    return 0 if ok else 1
+        if not isinstance(out, bytes):
+            out = repr(out).encode()
+        digest = hashlib.sha256(out).hexdigest()[:16]
+        print(f"{name + ' p=' + str(p):<14} {best:>10.4f} {digest:>18}")
+    return 0
 
 
 if __name__ == "__main__":
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--worker", action="store_true")
-    if ap.parse_args().worker:
-        run_worker()
-        sys.exit(0)
     sys.exit(main())

@@ -125,42 +125,25 @@ class KernelComplex:
         cobound = gf.rank(self.delta_matrix(n - 1), self.p)
         return cocycles - cobound
 
-    def h_basis(self, n: int) -> list[np.ndarray]:
-        """Canonical representatives of a basis of H^n."""
-        Z = gf.nullspace(self.delta_matrix(n), self.p)
+    def h_basis(self, n: int) -> np.ndarray:
+        """Canonical representatives of a basis of H^n, one per row."""
         red, pivots = self.coboundary_space(n)
-        out: list[np.ndarray] = []
-        current = red
-        r = gf.rank(current, self.p)
-        for z in Z:
-            rep = gf.reduce_mod_rowspace(z, red, pivots, self.p)
-            if not rep.any():
-                continue
-            cand = np.vstack([current, rep[None, :]])
-            if gf.rank(cand, self.p) > r:
-                out.append(rep)
-                current = cand
-                r += 1
-        return out
+        reps = gf.reduce_mod_rowspace(gf.nullspace(self.delta_matrix(n), self.p),
+                                      red, pivots, self.p)
+        # the reps are zero on the coboundaries' pivot columns, so a rep is
+        # independent of the coboundaries and the earlier reps iff it is
+        # independent of the earlier reps: a pivot column of reps^T
+        _, keep, _ = gf.rref(reps.T, self.p)
+        return reps[keep]
 
     def all_classes(self, n: int) -> list[CohClass]:
         """All of H^n, canonical representatives, lexicographic digit order."""
         basis = self.h_basis(n)
-        h = len(basis)
         red, pivots = self.coboundary_space(n)
-        classes = []
-        for idx in range(self.p ** h):
-            digits = np.zeros(h, dtype=np.int64)
-            rem = idx
-            for s in range(h):
-                digits[s] = rem % self.p
-                rem //= self.p
-            vec = np.zeros(self.dim(n), dtype=np.int64)
-            for c, b in zip(digits, basis):
-                vec = (vec + c * b) % self.p
-            rep = gf.reduce_mod_rowspace(vec, red, pivots, self.p)
-            classes.append(CohClass(n, tuple(int(x) for x in rep)))
-        return classes
+        h = len(basis)
+        vecs = gf.digit_matrix(0, self.p ** h, h, self.p) @ basis
+        reps = gf.reduce_mod_rowspace(vecs, red, pivots, self.p)
+        return [CohClass(n, tuple(rep)) for rep in reps.tolist()]
 
     # -- consistency helper ----------------------------------------------
 

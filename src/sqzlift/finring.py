@@ -345,21 +345,10 @@ class Tower:
         return (v // self._phi_scale) % self.p
 
     def _greedy_fp_basis(self, vecs: np.ndarray) -> np.ndarray:
-        basis: list[np.ndarray] = []
-        if len(vecs) == 0:
-            return np.zeros((0, self.Rbar.m), dtype=np.int64)
-        current = np.zeros((0, self.Rbar.m), dtype=np.int64)
-        r = 0
-        for v in vecs:
-            if not v.any():
-                continue
-            cand = np.vstack([current, self._phi(v)[None, :]])
-            if gf.rank(cand, self.p) > r:
-                basis.append(v.copy())
-                current = cand
-                r += 1
-        return (np.stack(basis) if basis
-                else np.zeros((0, self.Rbar.m), dtype=np.int64))
+        """The vectors, in order, that are independent of the ones before
+        them: the pivot columns of the rref of their images under phi."""
+        _, keep, _ = gf.rref(self._phi(vecs).T, self.p)
+        return vecs[keep]
 
     def _index_j(self) -> dict[bytes, np.ndarray]:
         coords: dict[bytes, np.ndarray] = {}

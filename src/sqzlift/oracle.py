@@ -116,9 +116,9 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
     least member.
 
     An orbit is a coset of the row space of the moves, so every witness is
-    keyed by its canonical representative modulo that space.  A key's group
-    lies in its coset, which has p^rank elements; the coset is inside the
-    witness set exactly when the group has that many members.
+    keyed by the index of its canonical representative modulo that space.  A
+    key's group lies in its coset, which has p^rank elements; the coset is
+    inside the witness set exactly when the group has that many members.
     """
     w = np.asarray(witness_indices, dtype=np.int64)
     if len(w) == 0:
@@ -126,17 +126,11 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
     G = (np.stack(move_gens) if move_gens
          else np.zeros((0, kdim), dtype=np.int64))
     G, pivots = gf.row_space(G, p)
-    # G is in rref, so w reduces to w - w[pivots] @ G, which is zero on the
-    # pivot columns; its free columns are the key
-    free = [j for j in range(kdim) if j not in pivots]
-    powers = p ** np.arange(len(free), dtype=np.int64)
+    powers = p ** np.arange(kdim, dtype=np.int64)
     keys = np.empty(len(w), dtype=np.int64)
     for lo in range(0, len(w), _PARTITION_ROWS):
         W = gf.digits(w[lo:lo + _PARTITION_ROWS], kdim, p)
-        reduced = W[:, free]
-        if pivots:
-            reduced = (reduced - W[:, pivots] @ G[:, free]) % p
-        keys[lo:lo + len(W)] = reduced @ powers
+        keys[lo:lo + len(W)] = gf.reduce_mod_rowspace(W, G, pivots, p) @ powers
     _, first, group, counts = np.unique(keys, return_index=True,
                                         return_inverse=True, return_counts=True)
     size = p ** len(pivots)

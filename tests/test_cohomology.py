@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from sqzlift import gf
 from sqzlift.algebra import AlgMatrix, mk_algebra
-from sqzlift.cohomology import kernel_complex
+from sqzlift.cohomology import CohClass, kernel_complex
 from sqzlift.complexes import GradedMap, GradedObject, map_lift, zero_map
 from sqzlift.errors import NotACocycle
 from sqzlift.finring import mk_tower
+from sqzlift.oracle import gen_instance
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +45,6 @@ def test_dimensions_and_zero_differential(K_z4):
 
 
 def test_h_dim_rank_nullity(K_t3):
-    from sqzlift import gf
     _, _, _, K = K_t3
     for n in (-1, 0, 1, 2):
         expected = (K.dim(n) - gf.rank(K.delta_matrix(n), 3)
@@ -128,3 +129,53 @@ def test_solve_coboundary_consistency(K_t3):
     y = K.solve_coboundary(v, 1)
     assert y is not None
     assert np.array_equal((Z @ y) % 3, v)
+
+
+def _greedy_h_basis(K, n):
+    """Reduced cocycles kept one at a time when they raise the rank of the
+    coboundaries and the cocycles kept so far."""
+    Z = gf.nullspace(K.delta_matrix(n), K.p)
+    red, pivots = K.coboundary_space(n)
+    out, current = [], red
+    r = gf.rank(current, K.p)
+    for z in Z:
+        rep = gf.reduce_mod_rowspace(z, red, pivots, K.p)
+        if not rep.any():
+            continue
+        cand = np.vstack([current, rep[None, :]])
+        if gf.rank(cand, K.p) > r:
+            out.append(rep)
+            current = cand
+            r += 1
+    return out
+
+
+def _classes_digit_by_digit(K, n, basis):
+    red, pivots = K.coboundary_space(n)
+    classes = []
+    for idx in range(K.p ** len(basis)):
+        vec = np.zeros(K.dim(n), dtype=np.int64)
+        rem = idx
+        for b in basis:
+            vec = (vec + (rem % K.p) * b) % K.p
+            rem //= K.p
+        rep = gf.reduce_mod_rowspace(vec, red, pivots, K.p)
+        classes.append(CohClass(n, tuple(int(x) for x in rep)))
+    return classes
+
+
+def test_h_basis_and_all_classes_match_the_greedy_loops(K_z4, K_t3):
+    complexes = [K_z4[-1], K_t3[-1]]
+    complexes += [gen_instance(kind, seed).problem.kernel
+                  for kind in ("differential", "map", "homotopy") for seed in range(10)]
+    compared = 0
+    for K in complexes:
+        for n in (-1, 0, 1, 2):
+            basis = K.h_basis(n)
+            ref = _greedy_h_basis(K, n)
+            assert basis.dtype == np.int64 and basis.shape == (len(ref), K.dim(n))
+            assert [row.tolist() for row in basis] == [row.tolist() for row in ref]
+            compared += len(ref)
+            if K.p ** len(ref) <= 729:
+                assert K.all_classes(n) == _classes_digit_by_digit(K, n, ref)
+    assert compared > 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sqzlift import gf
 from sqzlift.errors import (
     CharMismatch,
     IJNonzero,
@@ -144,6 +145,29 @@ def test_tower_invariants(kind, p, params):
         assert np.array_equal(tower.j_reconstruct(lam), j % tower.Rbar.orders)
         seen.add(tuple(int(x) for x in lam))
     assert len(seen) == p ** tower.dimJ == len(Jv)
+
+
+@pytest.mark.parametrize("kind,p,params", [
+    ("zmod", 3, {"a": 2, "b": 1}),
+    ("trunc_poly", 2, {"a": 4, "b": 3}),
+    ("square_zero", 2, {"r": 3}),
+    ("square_zero", 3, {"r": 2}),
+    ("square_zero", 5, {"r": 2}),
+])
+def test_j_basis_matches_the_greedy_rank_loop(kind, p, params):
+    tower = mk_tower(kind, p, **params)
+    vecs = tower.pibar.kernel_vectors()
+    scale = tower.Rbar.orders // p
+    keep, current = [], np.zeros((0, tower.Rbar.m), dtype=np.int64)
+    for v in vecs:
+        if not v.any():
+            continue
+        cand = np.vstack([current, ((v // scale) % p)[None, :]])
+        if gf.rank(cand, p) > len(keep):
+            keep.append(v)
+            current = cand
+    assert tower.jbasis.tolist() == [v.tolist() for v in keep]
+    assert tower.dimJ == len(keep) >= 1
 
 
 def test_tower_rejects_ij_nonzero():

@@ -1,9 +1,221 @@
 """Exact linear algebra over F_p: reduction, solving, and the affine scan."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqzlift import gf
+
+# ---------------------------------------------------------------------------
+# reference kernels: plain loops, compared against the numpy routines
+# ---------------------------------------------------------------------------
+
+
+def _rref_body(a, p):
+    """In-place reduced row echelon form mod p of a matrix reduced mod p.
+
+    Returns (pivot_of_col, rank) where pivot_of_col[j] is the pivot row of
+    column j or -1.  Leftmost-column, topmost-row pivot choice only.
+    """
+    m, n = a.shape
+    piv = np.full(n, -1, dtype=np.int64)
+    r = 0
+    for j in range(n):
+        if r == m:
+            break
+        k = -1
+        for i in range(r, m):
+            if a[i, j] % p != 0:
+                k = i
+                break
+        if k < 0:
+            continue
+        if k != r:
+            for t in range(n):
+                tmp = a[r, t]
+                a[r, t] = a[k, t]
+                a[k, t] = tmp
+        inv = pow(int(a[r, j]), -1, p)
+        for t in range(n):
+            a[r, t] = (a[r, t] * inv) % p
+        for i in range(m):
+            if i != r and a[i, j] % p != 0:
+                c = a[i, j] % p
+                for t in range(n):
+                    a[i, t] = (a[i, t] - c * a[r, t]) % p
+        piv[j] = r
+        r += 1
+    return piv, r
+
+
+def _scan_body(base, gens, moduli, p, start, stop, out):
+    """Collect indices in [start, stop) whose base-p digit combination gives
+    (base + sum_s digit_s * gens[s]) == 0 mod moduli.  Returns the count."""
+    nvars = gens.shape[0]
+    length = base.shape[0]
+    cnt = 0
+    digits = np.zeros(nvars, dtype=np.int64)
+    for idx in range(start, stop):
+        rem = idx
+        for s in range(nvars):
+            digits[s] = rem % p
+            rem //= p
+        ok = True
+        for t in range(length):
+            acc = base[t]
+            for s in range(nvars):
+                d = digits[s]
+                if d != 0:
+                    acc += d * gens[s, t]
+            if acc % moduli[t] != 0:
+                ok = False
+                break
+        if ok:
+            out[cnt] = idx
+            cnt += 1
+    return cnt
+
+
+def _reference_rref(a, p):
+    a = np.asarray(a, dtype=np.int64) % p
+    piv, r = _rref_body(a, p)
+    return a, [j for j in range(a.shape[1]) if piv[j] >= 0], r
+
+
+def _nullspace_per_pivot(a, p):
+    red, pivots, _ = _reference_rref(a, p)
+    n = red.shape[1]
+    free = [j for j in range(n) if j not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for bi, j in enumerate(free):
+        basis[bi, j] = 1
+        for pj in pivots:
+            row = np.flatnonzero(red[:, pj])[0]
+            basis[bi, pj] = (-red[row, j]) % p
+    return basis
+
+
+def _reduce_per_pivot(v, red, pivots, p):
+    out = np.asarray(v, dtype=np.int64) % p
+    for i, j in enumerate(pivots):
+        c = out[j] % p
+        if c:
+            out = (out - c * red[i]) % p
+    return out
+
+
+def _greedy_rank_basis(rows, p):
+    """Indices of the rows that raise the rank of the rows kept before them."""
+    keep, current = [], np.zeros((0, rows.shape[1]), dtype=np.int64)
+    for i, v in enumerate(rows):
+        if not (v % p).any():
+            continue
+        cand = np.vstack([current, v[None, :]])
+        if gf.rank(cand, p) > len(keep):
+            keep.append(i)
+            current = cand
+    return keep
+
+
+PRIMES = st.sampled_from([2, 3, 5, 7])
+
+
+@st.composite
+def matrices(draw, max_rows=8, max_cols=8):
+    """(A, p): any shape up to the bounds, empty ones included, entries of
+    either sign, and about half of them of low rank."""
+    p = draw(PRIMES)
+    m = draw(st.integers(0, max_rows))
+    n = draw(st.integers(0, max_cols))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if m and n and draw(st.booleans()):
+        k = draw(st.integers(0, min(m, n)))
+        a = rng.integers(-p, p, size=(m, k)) @ rng.integers(-p, p, size=(k, n))
+    else:
+        a = rng.integers(-20, 20, size=(m, n))
+    return a.astype(np.int64), p
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@PROPERTY
+@given(matrices(), st.sampled_from(["any", "row", "col"]))
+def test_rref_matches_the_reference_kernel(case, shape):
+    a, p = case
+    if shape == "row":
+        a = a[:1]
+    elif shape == "col":
+        a = a[:, :1]
+    before = a.copy()
+    red, pivots, r = gf.rref(a, p)
+    ref, ref_pivots, ref_r = _reference_rref(a, p)
+    assert red.dtype == np.int64 and red.shape == a.shape
+    assert np.array_equal(red, ref)
+    assert pivots == ref_pivots and all(type(j) is int for j in pivots)
+    assert r == ref_r == len(pivots)
+    assert np.array_equal(a, before)   # the input is never written
+
+
+@PROPERTY
+@given(matrices(max_cols=4), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_solve_is_none_exactly_off_the_column_space(case, seed, consistent):
+    a, p = case
+    m, n = a.shape
+    rng = np.random.default_rng(seed)
+    b = (a @ rng.integers(0, p, size=n) if consistent
+         else rng.integers(-p, p, size=m)).astype(np.int64)
+    # every x in F_p^n, so membership is decided without row reduction
+    xs = np.array(list(itertools.product(range(p), repeat=n)),
+                  dtype=np.int64).reshape(p ** n, n)
+    reachable = (((xs @ a.T - b) % p) == 0).all(axis=1).any()
+    x = gf.solve(a, b, p)
+    if not reachable:
+        assert x is None
+        return
+    assert x is not None and x.dtype == np.int64 and x.shape == (n,)
+    assert not ((a @ x - b) % p).any()
+    _, pivots, _ = _reference_rref(a, p)
+    free = [j for j in range(n) if j not in pivots]
+    assert not x[free].any()
+    assert ((0 <= x) & (x < p)).all()
+
+
+@PROPERTY
+@given(matrices())
+def test_nullspace_matches_the_per_pivot_construction(case):
+    a, p = case
+    basis = gf.nullspace(a, p)
+    assert basis.dtype == np.int64
+    assert np.array_equal(basis, _nullspace_per_pivot(a, p))
+    assert not ((a @ basis.T) % p).any()
+
+
+@PROPERTY
+@given(matrices(), st.integers(0, 5), st.integers(0, 2 ** 32 - 1))
+def test_batched_reduction_matches_a_row_by_row_loop(case, k, seed):
+    a, p = case
+    red, pivots = gf.row_space(a, p)
+    rng = np.random.default_rng(seed)
+    vs = rng.integers(-3 * p, 3 * p, size=(k, a.shape[1])).astype(np.int64)
+    got = gf.reduce_mod_rowspace(vs, red, pivots, p)
+    rows = [_reduce_per_pivot(v, red, pivots, p) for v in vs]
+    assert got.dtype == np.int64 and got.shape == vs.shape
+    assert np.array_equal(got, np.array(rows, dtype=np.int64).reshape(vs.shape))
+    for v, row in zip(vs, got):
+        assert np.array_equal(gf.reduce_mod_rowspace(v, red, pivots, p), row)
+
+
+@PROPERTY
+@given(matrices())
+def test_pivot_columns_of_the_transpose_are_the_greedy_basis(case):
+    rows, p = case
+    _, keep, _ = gf.rref(rows.T, p)
+    assert keep == _greedy_rank_basis(rows, p)
 
 
 def _rand(rng, r, c, p):
@@ -114,7 +326,7 @@ def test_scan_chunking_is_seamless():
 
 def _python_scan(base, gens, moduli, p, start, stop):
     out = np.empty(max(stop - start, 0), dtype=np.int64)
-    cnt = gf._scan_body(base, gens, moduli, p, start, stop, out)
+    cnt = _scan_body(base, gens, moduli, p, start, stop, out)
     return out[:cnt]
 
 
@@ -136,28 +348,6 @@ def test_two_table_scan_matches_the_python_kernel(p, trial):
         for lo, hi in ((0, total), (start, stop), (stop, start)):
             ref = _python_scan(base, g, moduli, p, lo, hi)
             for chunk in (1, p, 7, 1 << 15):
-                got = gf._scan_numpy(base, g, moduli, p, lo, hi, chunk)
+                got = gf.scan_affine_zero(base, g, moduli, p, lo, hi, chunk)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, ref), (lo, hi, chunk)
-
-
-def test_numba_and_numpy_scans_agree():
-    # the numba kernel's body runs compiled when numba is present and as
-    # plain Python otherwise, so the two scan implementations are compared
-    # either way
-    p = 3
-    rng = np.random.default_rng(11)
-    base = rng.integers(0, p, size=4).astype(np.int64)
-    gens = rng.integers(0, p, size=(6, 4)).astype(np.int64)
-    moduli = np.full(4, p, dtype=np.int64)
-    ref = gf._scan_numpy(base, gens, moduli, p, 0, p ** 6)
-    out = np.empty(p ** 6, dtype=np.int64)
-    cnt = gf._scan_impl(base, gens, moduli, p, 0, p ** 6, out)
-    assert np.array_equal(out[:cnt], ref)
-    assert np.array_equal(gf.scan_affine_zero(base, gens, moduli, p, 0, p ** 6), ref)
-
-
-def test_numba_backend_runs_compiled_kernels():
-    if not gf.USING_NUMBA:
-        pytest.skip("numba is not installed: only the uncompiled kernels are exercised")
-    assert hasattr(gf._scan_impl, "py_func") and hasattr(gf._rref_impl, "py_func")
