@@ -6,7 +6,11 @@ oracle's orbit partition `oracle._partition` on the shape of
 candidates are witnesses and its 13 moves are zero, so every orbit is a
 singleton), and the unipotent orbit partition `defun.iso_orbits` on the
 shape of `sqzlift gen --kind differential --seed 7` (F_3[x]/x^2, ranks 2 and
-2, zero base differential: 81 strict lifts, 6561 conjugators).  Each case
+2, zero base differential: 81 strict lifts, 6561 conjugators).  The
+`strict` case is `defun.strict_lifts` on `gen --kind differential --seed 23`
+(F_3[t]/t^3 over F_3, ranks 1, 2, 2: 531 441 candidates, 111 537 lifts), and
+the `guard` case is `crude.h_minus1_guard` on `gen --kind map --seed 47`
+(mid ring F_3[t]/t^2: 3^10 degree -1 maps, 3^4 of degree -2).  Each case
 prints its best time of several runs and a digest of its result, so that a
 change of result shows up next to a change of speed.
 
@@ -19,7 +23,7 @@ from time import perf_counter
 
 import numpy as np
 
-from sqzlift import defun, gf, oracle
+from sqzlift import crude, defun, gf, oracle
 from sqzlift.complexes import GradedMap, GradedObject
 from sqzlift.finring import square_zero_ring
 
@@ -37,6 +41,8 @@ def _workloads():
         loads.append(("scan", p, (base, gens)))
     loads.append(("partition", 3, (10, 13)))
     loads.append(("orbits", 3, None))
+    loads.append(("strict", 3, None))
+    loads.append(("guard", 3, None))
     return loads
 
 
@@ -60,6 +66,25 @@ def _orbits_job():
     return job
 
 
+def _strict_job():
+    inst = oracle.gen_instance("differential", 23)
+    A = defun.ArtinLocalRing(inst.defalg.tower.Rbar)
+    prob = inst.problem
+
+    def job():
+        lifts = defun.strict_lifts(A, inst.defalg.base, prob.ob, prob.d_base)
+        return repr([defun.map_coords(d) for d in lifts]).encode()
+    return job
+
+
+def _guard_job():
+    prob = oracle.gen_instance("map", 47).problem
+
+    def job():
+        return crude.h_minus1_guard(prob.defalg, prob.C, prob.D).encode()
+    return job
+
+
 def main() -> int:
     print(f"{'case':<14} {'seconds':>10} {'digest':>18}")
     for name, p, payload in _workloads():
@@ -73,6 +98,10 @@ def main() -> int:
             job = _partition_job(p, *payload)
         elif name == "orbits":
             job = _orbits_job()
+        elif name == "strict":
+            job = _strict_job()
+        elif name == "guard":
+            job = _guard_job()
         else:
             base, gens = payload
             moduli = np.full(base.shape[0], p, dtype=np.int64)

@@ -512,13 +512,13 @@ def cmd_extend_order(args) -> int:
 def cmd_oracle(args) -> int:
     kind, defalg, prob = _load_problem(args)
     if kind == "differential":
-        res = oracle_differential(prob, cap=args.cap, workers=args.workers)
+        res = oracle_differential(prob, cap=args.cap)
         cls, _ = obstruct_differential(prob)
     elif kind == "map":
-        res = oracle_map(prob, cap=args.cap, workers=args.workers)
+        res = oracle_map(prob, cap=args.cap)
         cls, _ = obstruct_map(prob)
     elif kind == "homotopy":
-        res = oracle_homotopy(prob, cap=args.cap, workers=args.workers)
+        res = oracle_homotopy(prob, cap=args.cap)
         cls, _ = obstruct_homotopy(prob)
     else:
         raise SchemaMismatch("oracle needs a differential, map, or homotopy problem")
@@ -599,7 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
         sp.add_argument("--out", default=None, help="write the report here")
         sp.add_argument("--trace", action="store_true")
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=int, default=1,
+                        help="ignored; accepted so that old command lines still run")
         if name == "gen":
             sp.add_argument("--kind", default="differential",
                             choices=["differential", "map", "homotopy"])

@@ -9,13 +9,14 @@ g_{i+|f|} f_i and the differential on graded maps is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gf
 from .errors import (
     BadDimensions,
-    CapExceeded,
     LevelMismatch,
     NotADifferential,
     NotAHomotopy,
@@ -161,6 +162,80 @@ def delta(f: GradedMap, dC: GradedMap, dD: GradedMap) -> GradedMap:
     return compose(dD, f) + compose(f, dC).scale(sign)
 
 
+# ---------------------------------------------------------------------------
+# the coefficient layout of a graded map
+# ---------------------------------------------------------------------------
+#
+# A degree-n map src -> tgt is one flat int64 vector: graded degree i
+# ascending over its support, then row-major matrix entries, then algebra
+# basis index, then ring coordinate.
+
+def coefficients(f: GradedMap) -> np.ndarray:
+    """The coefficient vector of f."""
+    parts = [f.comp(i).data.reshape(-1) for i in f.support()]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def from_coefficients(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
+                      n: int, vec: np.ndarray) -> GradedMap:
+    """The degree-n map src -> tgt over alg with coefficient vector vec."""
+    comps, pos = {}, 0
+    for i in src.support:
+        shape = (tgt.rank(i + n), src.rank(i), alg.k, alg.ring.m)
+        size = math.prod(shape)
+        if size:
+            comps[i] = AlgMatrix(alg, vec[pos:pos + size].reshape(shape))
+            pos += size
+    return GradedMap(alg, src, tgt, n, comps)
+
+
+def coefficient_orders(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
+                       n: int) -> np.ndarray:
+    """The additive order of each coefficient of a degree-n map src -> tgt."""
+    entries = sum(tgt.rank(i + n) * r for i, r in src.ranks)
+    return np.tile(alg.ring.orders, entries * alg.k)
+
+
+def delta_generators(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap,
+                     n: int) -> np.ndarray:
+    """delta on Hom^n(C, D) over alg, one row of coefficients per generator.
+
+    A coefficient of order p^e contributes the e generators p^t e_q, t < e,
+    in coefficient order, so the base-p digits of [0, p^rows) run over every
+    degree-n map exactly once; over a field the generators are the unit
+    vectors and the rows are the columns of the matrix of delta.
+    """
+    src, tgt = dC.src, dD.src
+    orders = coefficient_orders(alg, src, tgt, n)
+    gens = []
+    for q, order in enumerate(orders.tolist()):
+        t = 1
+        while t < order:
+            gens.append((q, t))
+            t *= alg.ring.p
+    # filled by columns, so that the transpose, the matrix of delta, is C-ordered
+    mat = np.zeros((len(coefficient_orders(alg, src, tgt, n + 1)), len(gens)),
+                   dtype=np.int64)
+    for col, (q, t) in enumerate(gens):
+        e = np.zeros(len(orders), dtype=np.int64)
+        e[q] = t
+        mat[:, col] = coefficients(delta(from_coefficients(alg, src, tgt, n, e), dC, dD))
+    return mat.T
+
+
+def delta_solutions(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap, n: int,
+                    target: GradedMap, cap: int) -> np.ndarray:
+    """Every degree-n map P: C -> D over alg with delta(P) = target, found by
+    testing each one with gf.scan_affine_zero: the ascending indices whose
+    base-p digits are P's coordinates over delta_generators.  CapExceeded if
+    there are more than cap maps."""
+    gens = delta_generators(alg, dC, dD, n)
+    total = gf.count_candidates(alg.ring.p, len(gens), cap, "graded maps")
+    moduli = coefficient_orders(alg, dC.src, dD.src, n + 1)
+    return gf.scan_affine_zero(-coefficients(target) % moduli, gens, moduli,
+                               alg.ring.p, 0, total)
+
+
 @dataclass(eq=False)
 class PreComplex:
     """Graded object with a degree-1 endomorphism, d^2 = 0 not required."""
@@ -250,8 +325,8 @@ def map_lift(defalg: DeformedAlgebra, f: GradedMap, src: str, dst: str) -> Grade
 class HomComplex:
     """Hom(C, D) as a complex of F_p-vector spaces at the base level.
 
-    Degree-n flattening order: graded degree i (ascending over the support),
-    then row-major matrix entries, then algebra basis index.
+    The flattening of a degree-n map is its coefficient vector (the ring
+    has one coordinate here), reduced mod p.
     """
 
     alg: LevelAlgebra          # base level (ring = F_p)
@@ -273,69 +348,14 @@ class HomComplex:
                    for i in self.support(n))
 
     def flatten(self, f: GradedMap) -> np.ndarray:
-        parts = [f.comp(i).data.reshape(-1) for i in self.support(f.degree)]
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(parts) % self.p
+        return coefficients(f) % self.p
 
     def unflatten(self, vec: np.ndarray, n: int) -> GradedMap:
         vec = np.asarray(vec, dtype=np.int64) % self.p
         if vec.shape != (self.dim(n),):
             raise ShapeMismatch(f"expected a vector of length {self.dim(n)}")
-        comps = {}
-        pos = 0
-        for i in self.support(n):
-            r, c = self.obD.rank(i + n), self.obC.rank(i)
-            size = r * c * self.alg.k
-            block = vec[pos:pos + size].reshape(r, c, self.alg.k, 1)
-            comps[i] = AlgMatrix(self.alg, block)
-            pos += size
-        return GradedMap(self.alg, self.obC, self.obD, n, comps)
-
-    def delta_map(self, f: GradedMap) -> GradedMap:
-        return delta(f, self.dC, self.dD)
+        return from_coefficients(self.alg, self.obC, self.obD, n, vec)
 
     def delta_matrix(self, n: int) -> np.ndarray:
         """Matrix of delta: Hom^n -> Hom^{n+1} in the flattening bases."""
-        dn, dn1 = self.dim(n), self.dim(n + 1)
-        out = np.zeros((dn1, dn), dtype=np.int64)
-        for j in range(dn):
-            e = np.zeros(dn, dtype=np.int64)
-            e[j] = 1
-            out[:, j] = self.flatten(self.delta_map(self.unflatten(e, n)))
-        return out
-
-
-def count_graded_maps(ring_card: int, alg_k: int, obC: GradedObject,
-                      obD: GradedObject, n: int) -> int:
-    entries = sum(obD.rank(i + n) * obC.rank(i) for i in obC.support)
-    return ring_card ** (entries * alg_k)
-
-
-def enumerate_graded_maps(alg: LevelAlgebra, obC: GradedObject,
-                          obD: GradedObject, n: int, cap: int):
-    """Yield every degree-n graded map over `alg`, in lexicographic order.
-
-    Raises CapExceeded before yielding anything if the count exceeds cap.
-    """
-    total = count_graded_maps(alg.ring.cardinality, alg.k, obC, obD, n)
-    if total > cap:
-        raise CapExceeded(f"{total} graded maps exceed the cap {cap}")
-    support = sorted(i for i in obC.support if obD.rank(i + n) > 0)
-    shapes = [(i, obD.rank(i + n), obC.rank(i)) for i in support]
-    ncoef = sum(r * c for _, r, c in shapes) * alg.k
-    orders = np.tile(alg.ring.orders, ncoef)
-    for idx in range(total):
-        digits = np.zeros(len(orders), dtype=np.int64)
-        rem = idx
-        for t in range(len(orders) - 1, -1, -1):
-            digits[t] = rem % int(orders[t])
-            rem //= int(orders[t])
-        comps = {}
-        pos = 0
-        m = alg.ring.m
-        for i, r, c in shapes:
-            size = r * c * alg.k * m
-            comps[i] = AlgMatrix(alg, digits[pos:pos + size].reshape(r, c, alg.k, m))
-            pos += size
-        yield GradedMap(alg, obC, obD, n, comps)
+        return delta_generators(self.alg, self.dC, self.dD, n).T

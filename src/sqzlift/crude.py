@@ -17,11 +17,16 @@ input).
 The homotopy-category layer adds no lifting code of its own: lifts of a
 complex up to homotopy are the strict lifts, and a map lift is realigned to
 a lift of a homotopic map by obstructing and lifting a HomotopyProblem, all
-through the affine-lift core in obstruction.py.
+through the affine-lift core in obstruction.py.  Its guard, whether
+H^{-1}Hom(C, D) vanishes at the mid level, is decided by brute force with
+the affine scan of gf.py: it counts the degree -1 maps z with delta z = 0
+and the degree -2 maps w with delta w = 0, and compares |Z^{-1}| with
+|B^{-1}| = |Hom^{-2}| / |ker delta|.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +36,14 @@ from .cohomology import CohClass, kernel_complex
 from .complexes import (
     Complex,
     GradedMap,
+    coefficient_orders,
     compose,
     delta,
-    enumerate_graded_maps,
+    delta_solutions,
     identity_map,
     map_lift,
     map_reduce,
+    zero_map,
 )
 from .errors import (
     CapExceeded,
@@ -250,30 +257,20 @@ def h_minus1_guard(defalg: DeformedAlgebra, C: Complex, D: Complex,
     """Decide whether H^{-1}Hom(C, D) vanishes at the mid level.
 
     Returns "zero", "nonzero", or "undecided" (enumeration cap exceeded).
-    The mid ring need not be a field, so this is done by honest enumeration:
-    count degree -1 cocycles and compare with the image of degree -2.
+    The mid ring need not be a field, so every map is tested (see the module
+    docstring).  B^{-1} lies in Z^{-1} because C and D are complexes, so
+    H^{-1} vanishes iff the two counts agree.
     """
     mid = defalg.mid
     dC = C.d if C.alg == mid else map_reduce(defalg, C.d, "bar", "mid")
     dD = D.d if D.alg == mid else map_reduce(defalg, D.d, "bar", "mid")
     try:
-        cocycles = set()
-        for z in enumerate_graded_maps(mid, C.ob, D.ob, -1, cap):
-            if delta(z, dC, dD).is_zero():
-                cocycles.add(_map_key(z))
-        image = set()
-        for w in enumerate_graded_maps(mid, C.ob, D.ob, -2, cap):
-            image.add(_map_key(delta(w, dC, dD)))
+        cocycles = len(delta_solutions(mid, dC, dD, -1, zero_map(mid, C.ob, D.ob, 0), cap))
+        kernel = len(delta_solutions(mid, dC, dD, -2, zero_map(mid, C.ob, D.ob, -1), cap))
     except CapExceeded:
         return "undecided"
+    image = math.prod(coefficient_orders(mid, C.ob, D.ob, -2).tolist()) // kernel
     return "zero" if cocycles == image else "nonzero"
-
-
-def _map_key(m: GradedMap) -> bytes:
-    parts = []
-    for i in sorted(set(m.src.support)):
-        parts.append(m.comp(i).data.tobytes())
-    return b"".join(parts)
 
 
 @dataclass

@@ -8,10 +8,14 @@ F_p, the functors computed here are:
             with nu having coefficients in m,
     F1(R) = classes of lifts in the homotopy category.
 
-F0 is enumerated exactly (the equations are quadratic over R, so every
-candidate is tested by honest matrix arithmetic); F is the orbit partition;
-F1 coincides with F's classification and can be cross-checked by an
-exhaustive homotopy-equivalence search.  Schlessinger-style conditions are
+F0 is enumerated exactly: the equations are quadratic over R, so every
+candidate is tested by honest matrix arithmetic, on blocks of candidates
+stacked as arrays (the digits of the candidate index pick the coefficients),
+and a GradedMap is built only for a candidate that passes.  F is the orbit
+partition, over blocks of conjugators enumerated the same way.  F1
+coincides with F's classification and can be cross-checked by an exhaustive
+homotopy-equivalence search, whose affine questions (is a map a delta?) go
+through the scan kernel gf.scan_affine_zero.  Schlessinger-style conditions are
 verified on concrete fiber-product rings, and one-parameter deformations are
 extended order by order through the truncated-polynomial towers.
 """
@@ -28,17 +32,12 @@ from .complexes import (
     GradedMap,
     GradedObject,
     HomComplex,
+    coefficients,
     compose,
-    delta,
-    enumerate_graded_maps,
+    delta_solutions,
     identity_map,
 )
-from .errors import (
-    CapExceeded,
-    CheckFailed,
-    NotLocal,
-    ValidationError,
-)
+from .errors import CheckFailed, NotLocal, ValidationError
 from .finring import (
     FiniteRing,
     RingSurjection,
@@ -112,86 +111,60 @@ def _lift_map_to(algR: LevelAlgebra, A: ArtinLocalRing, f0: GradedMap) -> Graded
 
 
 def map_coords(f: GradedMap) -> tuple[int, ...]:
-    parts = []
-    for i in sorted(set(f.src.support)):
-        parts.extend(int(x) for x in f.comp(i).data.reshape(-1))
-    return tuple(parts)
+    return tuple(coefficients(f).tolist())
 
 
 # ---------------------------------------------------------------------------
-# F0: exact enumeration of strict lifts
+# the candidate blocks
 # ---------------------------------------------------------------------------
 
-def _strict_candidates(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
-                       d0: GradedMap, cap: int):
-    """Validate d0 and count the strict-lift candidates against the cap:
-    (component shapes, coefficients, candidates)."""
-    if not compose(d0, d0).is_zero():
-        raise ValidationError("d0 is not a differential")
-    shapes = [(i, ob.rank(i + 1), ob.rank(i)) for i in ob.support
-              if ob.rank(i + 1) > 0]
-    ncoef = sum(r * c for _, r, c in shapes) * alg0.k
-    total = A.msize ** ncoef
-    if total > cap:
-        raise CapExceeded(f"{total} strict-lift candidates exceed the cap {cap}")
-    return shapes, ncoef, total
-
-
-def strict_lifts(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
-                 d0: GradedMap, cap: int = DEFAULT_CAP) -> list[GradedMap]:
-    """All differentials on R (x) C0 lifting d0, in enumeration order.
-
-    The square-zero condition is quadratic over R, so every candidate is
-    tested directly.
-    """
-    shapes, ncoef, total = _strict_candidates(A, alg0, ob, d0, cap)
-    algR = tensor_algebra(A.ring, alg0)
-    base = _lift_map_to(algR, A, d0)
-    out = []
-    for idx in range(total):
-        rem = idx
-        digits = []
-        for _ in range(ncoef):
-            digits.append(rem % A.msize)
-            rem //= A.msize
-        comps = {}
-        pos = 0
-        for i, r, c in shapes:
-            data = base.comp(i).data.copy()
-            flat = data.reshape(-1, A.ring.m)
-            for e in range(r * c * alg0.k):
-                flat[e] = (flat[e] + A.mvecs[digits[pos]]) % A.ring.orders
-                pos += 1
-            comps[i] = AlgMatrix(algR, data)
-        d = GradedMap(algR, ob, ob, 1, comps)
-        if compose(d, d).is_zero():
-            out.append(d)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# F: orbits under unipotent conjugation
-# ---------------------------------------------------------------------------
-
-def unipotent_inverse(algR: LevelAlgebra, u: GradedMap) -> GradedMap:
-    """Inverse of a degree-0 automorphism congruent to 1 mod nilpotents,
-    by Newton iteration v <- v(2 - uv)."""
-    one = identity_map(algR, u.src)
-    v = one
-    for _ in range(64):
-        uv = compose(u, v)
-        if uv == one:
-            return v
-        v = compose(v, one + one - uv)
-    raise ValidationError("map is not unipotently invertible")
-
-
-# The degree-0 maps base + nu, nu with coefficients in m, are enumerated in
-# blocks of stacked component arrays {degree: (N, r, r, k, m)}, N <= _BLOCK,
-# so that memory stays bounded however many there are.  Row n of a block is
-# candidate start + n; its digits in base |m|, least significant first, pick
-# the coefficients of nu in degree, row, column, algebra-basis order.
+# Maps base + nu, nu with coefficients in m and components of the given
+# shapes [(degree, rows, cols)], are enumerated in blocks of stacked
+# component arrays {degree: (N, rows, cols, k, m)}, N <= _BLOCK, so that
+# memory stays bounded however many there are.  Row n of a block is candidate
+# start + n; its digits in base |m|, least significant first, pick the
+# coefficients of nu in degree, row, column, algebra-basis order.
 _BLOCK = 4096
+_STRICT = "strict-lift candidates"
+_AUTOS = "automorphism candidates"
+
+
+def _diff_shapes(ob: GradedObject) -> list[tuple[int, int, int]]:
+    """Component shapes of a degree-1 endomorphism of ob, in coefficient order."""
+    return [(i, ob.rank(i + 1), ob.rank(i)) for i in ob.support if ob.rank(i + 1) > 0]
+
+
+def _endo_shapes(ob: GradedObject) -> list[tuple[int, int, int]]:
+    """Component shapes of a degree-0 endomorphism of ob."""
+    return [(i, r, r) for i, r in ob.ranks]
+
+
+def _count(A: ArtinLocalRing, k: int, shapes: list, cap: int, what: str) -> tuple[int, int]:
+    """(coefficients, candidates) of the maps with these shapes over an
+    algebra of rank k; CapExceeded if the candidates exceed the cap."""
+    ncoef = sum(r * c for _, r, c in shapes) * k
+    return ncoef, gf.count_candidates(A.msize, ncoef, cap, what)
+
+
+def _blocks(A: ArtinLocalRing, alg: LevelAlgebra, shapes: list, base: GradedMap,
+            cap: int, what: str):
+    """base + nu for every nu as above, as blocks (N, {degree: array}) in
+    enumeration order.  The cap is checked at the call, before any block is
+    built."""
+    ncoef, total = _count(A, alg.k, shapes, cap, what)
+
+    def block(start: int):
+        idx = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
+        nu = A.mvecs[gf.digits(idx, ncoef, A.msize)]
+        comps, pos = {}, 0
+        for i, r, c in shapes:
+            size = r * c * alg.k
+            comp = nu[:, pos:pos + size].reshape(-1, r, c, alg.k, alg.ring.m)
+            comps[i] = (comp + base.comp(i).data) % alg.ring.orders
+            pos += size
+        return len(idx), comps
+
+    return (block(start) for start in range(0, total, _BLOCK))
 
 
 def _left_op(alg: LevelAlgebra, a: np.ndarray) -> np.ndarray:
@@ -212,39 +185,53 @@ def _apply(alg: LevelAlgebra, op: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.moveaxis(prod, -1, -3) % alg.ring.orders
 
 
-def _m_candidates(A: ArtinLocalRing, k: int, ob: GradedObject, cap: int):
-    """Count the degree-0 nu with coefficients in m, over an algebra of rank
-    k, against the cap: (coefficients, candidates)."""
-    ncoef = sum(r * r for _, r in ob.ranks) * k
-    total = A.msize ** ncoef
-    if total > cap:
-        raise CapExceeded(f"{total} automorphism candidates exceed the cap {cap}")
-    return ncoef, total
+# ---------------------------------------------------------------------------
+# F0: exact enumeration of strict lifts
+# ---------------------------------------------------------------------------
+
+def _check_base(d0: GradedMap) -> None:
+    if not compose(d0, d0).is_zero():
+        raise ValidationError("d0 is not a differential")
 
 
-def _m_blocks(A: ArtinLocalRing, alg: LevelAlgebra, ob: GradedObject,
-              base: GradedMap, cap: int):
-    """base + nu for every degree-0 nu with coefficients in m, as blocks
-    (N, {degree: (N, r, r, k, m)}) in enumeration order.  The cap is checked
-    at the call, before any block is built."""
-    ncoef, total = _m_candidates(A, alg.k, ob, cap)
+def strict_lifts(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
+                 d0: GradedMap, cap: int = DEFAULT_CAP) -> list[GradedMap]:
+    """All differentials on R (x) C0 lifting d0, in enumeration order.
 
-    def block(start: int):
-        rem = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
-        digits = np.empty((len(rem), ncoef), dtype=np.int64)
-        for e in range(ncoef):
-            digits[:, e] = rem % A.msize
-            rem //= A.msize
-        nu = A.mvecs[digits]
-        comps, pos = {}, 0
-        for i, r in ob.ranks:
-            size = r * r * alg.k
-            comp = nu[:, pos:pos + size].reshape(-1, r, r, alg.k, alg.ring.m)
-            comps[i] = (comp + base.comp(i).data) % alg.ring.orders
-            pos += size
-        return len(digits), comps
+    The square-zero condition is quadratic over R, so every candidate is
+    tested directly, a block of candidates at a time.
+    """
+    _check_base(d0)
+    algR = tensor_algebra(A.ring, alg0)
+    shapes = _diff_shapes(ob)
+    out = []
+    for size, d in _blocks(A, algR, shapes, _lift_map_to(algR, A, d0), cap, _STRICT):
+        ok = np.ones(size, dtype=bool)
+        for i, _, _ in shapes:
+            if i + 1 in d:
+                ok &= ~_apply(algR, _left_op(algR, d[i + 1]), d[i]).any(axis=(1, 2, 3, 4))
+        kept = {i: c[ok] for i, c in d.items()}
+        out.extend(GradedMap(algR, ob, ob, 1, {i: AlgMatrix(algR, c[n])
+                                               for i, c in kept.items()})
+                   for n in range(int(ok.sum())))
+    return out
 
-    return (block(start) for start in range(0, total, _BLOCK))
+
+# ---------------------------------------------------------------------------
+# F: orbits under unipotent conjugation
+# ---------------------------------------------------------------------------
+
+def unipotent_inverse(algR: LevelAlgebra, u: GradedMap) -> GradedMap:
+    """Inverse of a degree-0 automorphism congruent to 1 mod nilpotents,
+    by Newton iteration v <- v(2 - uv)."""
+    one = identity_map(algR, u.src)
+    v = one
+    for _ in range(64):
+        uv = compose(u, v)
+        if uv == one:
+            return v
+        v = compose(v, one + one - uv)
+    raise ValidationError("map is not unipotently invertible")
 
 
 def _unipotent_inverse_many(alg: LevelAlgebra, u: dict[int, np.ndarray],
@@ -292,12 +279,6 @@ class _LiftIndex:
         return hits
 
 
-def _diff_degrees(ob: GradedObject) -> list[int]:
-    """Degrees where a degree-1 endomorphism of ob has a component, in the
-    order of map_coords."""
-    return [i for i in ob.support if ob.rank(i + 1) > 0]
-
-
 def iso_orbits(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
                lifts: list[GradedMap], cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
     """Partition of the strict lifts under d -> u d u^{-1}, u = 1 + nu.
@@ -309,9 +290,9 @@ def iso_orbits(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
     if not lifts:
         return []
     algR = lifts[0].alg
-    blocks = _m_blocks(A, algR, ob, identity_map(algR, ob), cap)
+    blocks = _blocks(A, algR, _endo_shapes(ob), identity_map(algR, ob), cap, _AUTOS)
     index = _LiftIndex(lifts)
-    degs = _diff_degrees(ob)
+    degs = [i for i, _, _ in _diff_shapes(ob)]
     d_ops = {}
     root = np.arange(len(lifts))
     for size, u in blocks:
@@ -335,10 +316,10 @@ def _intertwiners(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,
     """Yield, in enumeration order, every u = base + nu (nu with coefficients
     in m) with u d1 = d2 u."""
     algR = d1.alg
-    degs = _diff_degrees(ob)
+    degs = [i for i, _, _ in _diff_shapes(ob)]
     d2_ops = {i: _left_op(algR, d2.comp(i).data) for i in degs}
     d1_data = {i: d1.comp(i).data for i in degs}
-    for size, u in _m_blocks(A, algR, ob, base, cap):
+    for size, u in _blocks(A, algR, _endo_shapes(ob), base, cap, _AUTOS):
         ok = np.ones(size, dtype=bool)
         for i in degs:
             lhs = _apply(algR, _left_op(algR, u[i + 1]), d1_data[i])
@@ -360,6 +341,19 @@ def find_intertwiner(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,
 # F1: homotopy classes, by exhaustive search
 # ---------------------------------------------------------------------------
 
+def _residues_homotopic_to_one(alg0: LevelAlgebra, ob: GradedObject,
+                               d0: GradedMap, cap: int) -> list[GradedMap]:
+    """Every map 1 + delta0(h), from every h over F_p in degree -1, each map
+    once."""
+    hc = HomComplex(alg0, ob, ob, d0, d0)
+    p, dim = alg0.ring.p, hc.dim(-1)
+    total = gf.count_candidates(p, dim, cap, "graded maps")
+    images = np.unique(gf.digit_matrix(0, total, dim, p) @ hc.delta_matrix(-1).T % p,
+                       axis=0)
+    one0 = hc.flatten(identity_map(alg0, ob))
+    return [hc.unflatten(one0 + v, 0) for v in images]
+
+
 def _homotopy_equivalent(A: ArtinLocalRing, alg0: LevelAlgebra,
                          ob: GradedObject, d0: GradedMap,
                          d1: GradedMap, d2: GradedMap,
@@ -367,17 +361,7 @@ def _homotopy_equivalent(A: ArtinLocalRing, alg0: LevelAlgebra,
     """Search for a homotopy equivalence (R (x) C0, d1) -> (R (x) C0, d2)
     lifting a map homotopic to the identity."""
     algR = d1.alg
-    p = A.p
-    # residues homotopic to 1: g = 1 + delta0(h), h over F_p in degree -1
-    res_cands = []
-    seen_res = set()
-    one0 = identity_map(alg0, ob)
-    for h in enumerate_graded_maps(alg0, ob, ob, -1, cap):
-        g = one0 + delta(h, d0, d0)
-        key = map_coords(g)
-        if key not in seen_res:
-            seen_res.add(key)
-            res_cands.append(g)
+    res_cands = _residues_homotopic_to_one(alg0, ob, d0, cap)
 
     def candidates(da, db):
         """Cochain maps (da) -> (db) over R whose residue is homotopic to 1."""
@@ -386,10 +370,7 @@ def _homotopy_equivalent(A: ArtinLocalRing, alg0: LevelAlgebra,
 
     def null_homotopic(m, da, db):
         """Is the degree-0 map m of the form delta(P) for P over R?"""
-        for P in enumerate_graded_maps(algR, ob, ob, -1, cap):
-            if delta(P, da, db) == m:
-                return True
-        return False
+        return len(delta_solutions(algR, da, db, -1, m, cap)) > 0
 
     oneR = identity_map(algR, ob)
     us = candidates(d1, d2)
@@ -451,8 +432,9 @@ def functor_eval(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
     partition; cross_check compares it with the exhaustive homotopy classes.
     Both caps are checked before any lift is enumerated.
     """
-    _strict_candidates(A, alg0, ob, d0, cap)
-    _m_candidates(A, alg0.k, ob, cap)
+    _check_base(d0)
+    _count(A, alg0.k, _diff_shapes(ob), cap, _STRICT)
+    _count(A, alg0.k, _endo_shapes(ob), cap, _AUTOS)
     lifts = strict_lifts(A, alg0, ob, d0, cap)
     coords = [map_coords(d) for d in lifts]
     orbits = sorted(iso_orbits(A, alg0, ob, lifts, cap))

@@ -15,11 +15,19 @@ Lo = digits(lo) @ gens[:a] and B = base + digits(hi) @ gens[a:] are built
 once per call.  Each candidate then costs one comparison of its Lo row with
 -B[hi] (O(L)) in place of k multiply-adds (O(kL)); every candidate is still
 tested, and the tables cost about sqrt(p^k) rows each.
+
+Every brute-force enumeration in the package runs over the digits of
+[0, radix^n) in one of two forms: blocks of `digits` (the deformation
+functors in defun.py), or `scan_affine_zero` when the tested equation is
+affine in the digits.  `count_candidates` checks the count against the cap
+before anything is enumerated.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import CapExceeded
 
 __all__ = [
     "USING_NUMBA",
@@ -31,6 +39,7 @@ __all__ = [
     "reduce_mod_rowspace",
     "scan_affine_zero",
     "affine_combinations",
+    "count_candidates",
     "digits",
     "digit_matrix",
 ]
@@ -115,6 +124,15 @@ def reduce_mod_rowspace(v: np.ndarray, red: np.ndarray, pivots: list[int], p: in
     """
     v = np.asarray(v, dtype=np.int64)
     return (v - v[..., pivots] @ red) % p
+
+
+def count_candidates(radix: int, ndigits: int, cap: int, what: str) -> int:
+    """radix ** ndigits, the number of digit tuples to enumerate; CapExceeded
+    if that exceeds the cap."""
+    total = radix ** ndigits
+    if total > cap:
+        raise CapExceeded(f"{total} {what} exceed the cap {cap}")
+    return total
 
 
 def digits(idx: np.ndarray, nvars: int, p: int) -> np.ndarray:

@@ -24,16 +24,23 @@ what each kind states).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf
 from .algebra import AlgMatrix, mk_algebra
-from .cohomology import KernelComplex
-from .complexes import Complex, GradedMap, GradedObject, compose, delta, map_reduce
-from .errors import CapExceeded, CheckFailed
+from .complexes import (
+    Complex,
+    GradedMap,
+    GradedObject,
+    coefficient_orders,
+    coefficients,
+    compose,
+    delta,
+    map_reduce,
+)
+from .errors import CheckFailed
 from .finring import mk_tower
 from .obstruction import (
     AffineLift,
@@ -48,45 +55,10 @@ VERIFY_WITNESSES = 16      # scan hits re-checked by evaluating the residual
 _PARTITION_ROWS = 1 << 15  # witnesses per digit array, to bound its memory
 
 
-# ---------------------------------------------------------------------------
-# flattening bar-level maps to residue vectors with moduli
-# ---------------------------------------------------------------------------
-
-def _flat_bar(K: KernelComplex, f: GradedMap) -> np.ndarray:
-    parts = [f.comp(i).data.reshape(-1) for i in K.hom.support(f.degree)]
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts)
-
-def _flat_moduli(K: KernelComplex, n: int) -> np.ndarray:
-    orders = K.defalg.bar.ring.orders
-    k = K.defalg.k
-    parts = []
-    for i in K.hom.support(n):
-        cnt = K.hom.obD.rank(i + n) * K.hom.obC.rank(i) * k
-        parts.append(np.tile(orders, cnt))
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts)
-
-
 def _one_hot(n: int, s: int) -> np.ndarray:
     v = np.zeros(n, dtype=np.int64)
     v[s] = 1
     return v
-
-
-def _scan_parallel(base, gens, moduli, p, total, workers):
-    if workers <= 1 or total < (1 << 12):
-        return gf.scan_affine_zero(base, gens, moduli, p, 0, total)
-    chunk = max(1 << 12, -(-total // (workers * 8)))
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(
-            lambda r: gf.scan_affine_zero(base, gens, moduli, p, r[0], r[1]),
-            ranges))
-    # chunk order is fixed, so the merged result is deterministic
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +118,20 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
 # the oracle, written once
 # ---------------------------------------------------------------------------
 
-def oracle(prob: AffineLift, cap: int = DEFAULT_CAP,
-           workers: int = 1) -> OracleResult:
+def oracle(prob: AffineLift, cap: int = DEFAULT_CAP) -> OracleResult:
     """Exhaustively test every graded lift X0 + gamma of the mid-level datum
     against the problem's defining equation residual(X) = 0."""
     K, p, m = prob.kernel, prob.kernel.p, prob.degree
     kdim = K.dim(m)
-    total = p ** kdim
-    if total > cap:
-        raise CapExceeded(f"{total} candidates exceed the cap {cap}")
+    total = gf.count_candidates(p, kdim, cap, "candidates")
     X0 = prob.sigma_lift
     r0 = prob.residual(X0)
-    base = _flat_bar(K, r0)
-    moduli = _flat_moduli(K, m + 1)
-    gens = [_flat_bar(K, prob.residual(X0 + K.out_of_kernel(_one_hot(kdim, s), m)) - r0)
+    base = coefficients(r0)
+    moduli = coefficient_orders(K.defalg.bar, K.hom.obC, K.hom.obD, m + 1)
+    gens = [coefficients(prob.residual(X0 + K.out_of_kernel(_one_hot(kdim, s), m)) - r0)
             for s in range(kdim)]
     gens = np.stack(gens) if gens else np.zeros((0, len(base)), dtype=np.int64)
-    hits = _scan_parallel(base, gens, moduli, p, total, workers)
+    hits = gf.scan_affine_zero(base, gens, moduli, p, 0, total)
 
     # independent re-verification of a deterministic sample of witnesses
     for idx in hits[:VERIFY_WITNESSES]:
@@ -189,19 +158,16 @@ def witness(prob: AffineLift, idx: int) -> GradedMap:
 # One entry point per problem kind, under the public names that callers (and
 # the tracer in liftbench/tracing.py) use.
 
-def oracle_differential(prob: DifferentialProblem, cap: int = DEFAULT_CAP,
-                        workers: int = 1) -> OracleResult:
-    return oracle(prob, cap, workers)
+def oracle_differential(prob: DifferentialProblem, cap: int = DEFAULT_CAP) -> OracleResult:
+    return oracle(prob, cap)
 
 
-def oracle_map(prob: MapProblem, cap: int = DEFAULT_CAP,
-               workers: int = 1) -> OracleResult:
-    return oracle(prob, cap, workers)
+def oracle_map(prob: MapProblem, cap: int = DEFAULT_CAP) -> OracleResult:
+    return oracle(prob, cap)
 
 
-def oracle_homotopy(prob: HomotopyProblem, cap: int = DEFAULT_CAP,
-                    workers: int = 1) -> OracleResult:
-    return oracle(prob, cap, workers)
+def oracle_homotopy(prob: HomotopyProblem, cap: int = DEFAULT_CAP) -> OracleResult:
+    return oracle(prob, cap)
 
 
 def witness_differential(prob: DifferentialProblem, idx: int) -> GradedMap:

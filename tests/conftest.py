@@ -5,6 +5,7 @@ import pytest
 
 from sqzlift.algebra import AlgMatrix, mk_algebra
 from sqzlift.complexes import Complex, GradedMap, GradedObject, compose, map_lift
+from sqzlift.errors import CapExceeded
 from sqzlift.finring import mk_tower
 
 
@@ -17,6 +18,35 @@ def scalar_mid(defalg, rows):
     """Rank-1 algebra convenience: matrix from a list of lists of ring vectors."""
     arr = np.asarray(rows, dtype=np.int64)
     return AlgMatrix(defalg.mid, arr[:, :, None, :])
+
+
+def enumerate_graded_maps(alg, obC, obD, n, cap):
+    """Reference enumeration: yield every degree-n graded map over `alg`, one
+    GradedMap per map, in lexicographic order of its coefficients.
+
+    Raises CapExceeded before yielding anything if the count exceeds cap.
+    """
+    entries = sum(obD.rank(i + n) * obC.rank(i) for i in obC.support)
+    total = alg.ring.cardinality ** (entries * alg.k)
+    if total > cap:
+        raise CapExceeded(f"{total} graded maps exceed the cap {cap}")
+    support = sorted(i for i in obC.support if obD.rank(i + n) > 0)
+    shapes = [(i, obD.rank(i + n), obC.rank(i)) for i in support]
+    orders = np.tile(alg.ring.orders, entries * alg.k)
+    for idx in range(total):
+        digits = np.zeros(len(orders), dtype=np.int64)
+        rem = idx
+        for t in range(len(orders) - 1, -1, -1):
+            digits[t] = rem % int(orders[t])
+            rem //= int(orders[t])
+        comps = {}
+        pos = 0
+        m = alg.ring.m
+        for i, r, c in shapes:
+            size = r * c * alg.k * m
+            comps[i] = AlgMatrix(alg, digits[pos:pos + size].reshape(r, c, alg.k, m))
+            pos += size
+        yield GradedMap(alg, obC, obD, n, comps)
 
 
 @pytest.fixture(scope="session")

@@ -401,4 +401,4 @@ def test_criterion_9_byte_deterministic_reports(tmp_path, capsys):
     assert outs[0] == outs[1] == outs[2]
     assert json.loads(outs[0])["timings"] is None
     print("criterion 9: PASS (generator and oracle reports byte-identical "
-          "across runs, including the parallel scan)")
+          "across runs)")

@@ -12,8 +12,10 @@ from sqzlift.complexes import (
     check_cochain_map,
     check_homotopy,
     compose,
+    coefficient_orders,
+    coefficients,
     delta,
-    enumerate_graded_maps,
+    delta_solutions,
     identity_map,
     map_lift,
     map_reduce,
@@ -22,6 +24,8 @@ from sqzlift.complexes import (
 from sqzlift.errors import CapExceeded, NotADifferential
 from sqzlift.algebra import AlgMatrix, mk_algebra
 from sqzlift.finring import mk_tower
+
+from conftest import enumerate_graded_maps
 
 
 @pytest.fixture(scope="module")
@@ -163,11 +167,47 @@ def test_hom_complex_delta_matrix_matches_delta(A3):
         assert np.array_equal(direct, via_matrix)
 
 
-def test_enumerate_graded_maps_cap_and_count(A3):
-    ob = GradedObject.of({0: 1, 1: 1})
-    maps = list(enumerate_graded_maps(A3.base, ob, ob, 0, 1 << 10))
-    assert len(maps) == 9    # two entries over F_3
-    assert len({tuple(m.comp(i).data.reshape(-1))
-                for m in maps for i in (0,)}) == 3
-    with pytest.raises(CapExceeded):
-        next(enumerate_graded_maps(A3.bar, ob, ob, 0, 2))
+def _generator_rows(alg, obC, obD, n):
+    """The generators p^t e_q (t < e) of Hom^n, in coefficient order."""
+    orders = coefficient_orders(alg, obC, obD, n)
+    rows = []
+    for q, order in enumerate(orders.tolist()):
+        t = 1
+        while t < order:
+            rows.append(np.eye(len(orders), dtype=np.int64)[q] * t)
+            t *= alg.ring.p
+    return np.array(rows, dtype=np.int64).reshape(-1, len(orders)), orders
+
+
+@pytest.mark.parametrize("level", ["Z/4", "F_3[t]/t^2"])
+def test_delta_solutions_match_the_enumeration_within_the_cap(level, z4, A3):
+    """delta_solutions against one GradedMap per map, for targets inside and
+    outside the image; the digits over the generators cover every map once,
+    and a cap one below the count of maps raises before anything is tested."""
+    ob = GradedObject.of({0: 1, 1: 1, 2: 1})
+    if level == "Z/4":
+        alg = z4.bar
+        two = AlgMatrix(alg, np.full((1, 1, 1, 1), 2, dtype=np.int64))
+        d = GradedMap(alg, ob, ob, 1, {0: two, 1: two})
+    else:
+        alg = A3.mid
+        t = AlgMatrix(alg, np.array([[[[0, 1]]]], dtype=np.int64))
+        d = GradedMap(alg, ob, ob, 1, {0: t, 1: t})
+    for n in (-1, 0):
+        maps = list(enumerate_graded_maps(alg, ob, ob, n, 1 << 12))
+        gens, orders = _generator_rows(alg, ob, ob, n)
+        assert len(maps) == alg.ring.p ** len(gens)
+        images = [delta(f, d, d) for f in (maps[0], maps[-1], maps[len(maps) // 3])]
+        outside = GradedMap(alg, ob, ob, n + 1, {0: alg.eye(1)})   # d is nilpotent
+        for target in images + [outside, zero_map(alg, ob, ob, n + 1)]:
+            want = {tuple(coefficients(f).tolist()) for f in maps
+                    if delta(f, d, d) == target}
+            hits = delta_solutions(alg, d, d, n, target, len(maps))
+            digits = np.array([[i // alg.ring.p ** s % alg.ring.p
+                                for s in range(len(gens))] for i in hits.tolist()],
+                              dtype=np.int64).reshape(-1, len(gens))
+            got = [tuple(v) for v in ((digits @ gens) % orders).tolist()]
+            assert len(got) == len(set(got)) and set(got) == want
+        with pytest.raises(CapExceeded, match=f"^{len(maps)} graded maps exceed "
+                                              f"the cap {len(maps) - 1}$"):
+            delta_solutions(alg, d, d, n, zero_map(alg, ob, ob, n + 1), len(maps) - 1)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from sqzlift.algebra import AlgMatrix
+from sqzlift.algebra import AlgMatrix, mk_algebra
 from sqzlift.complexes import (
     Complex,
     GradedMap,
     GradedObject,
+    coefficient_orders,
+    coefficients,
     compose,
     delta,
     identity_map,
@@ -20,10 +22,12 @@ from sqzlift.crude import (
     crude_lift,
     h_minus1_guard,
 )
+from sqzlift.errors import CapExceeded
+from sqzlift.finring import mk_tower
 from sqzlift.obstruction import DifferentialProblem, MapProblem, classify_lifts, lift_differential
 from sqzlift.oracle import oracle_differential, witness_differential
 
-from conftest import build_equiv
+from conftest import build_equiv, enumerate_graded_maps
 
 
 def _run_and_verify(E, dbar_D):
@@ -116,6 +120,59 @@ def test_h_minus1_guard_one_term_complex(z4):
     dbar = zero_map(z4.bar, ob, ob, 1)
     C = Complex(z4.bar, ob, dbar)
     assert h_minus1_guard(z4, C, C) == "zero"
+
+
+def _reference_guard(defalg, C, D, cap):
+    """H^{-1} by comparing the set of degree -1 cocycles with the set of
+    deltas of degree -2 maps, one GradedMap per map."""
+    mid = defalg.mid
+    dC = map_reduce(defalg, C.d, "bar", "mid")
+    dD = map_reduce(defalg, D.d, "bar", "mid")
+    try:
+        cocycles = {coefficients(z).tobytes()
+                    for z in enumerate_graded_maps(mid, C.ob, D.ob, -1, cap)
+                    if delta(z, dC, dD).is_zero()}
+        image = {coefficients(delta(w, dC, dD)).tobytes()
+                 for w in enumerate_graded_maps(mid, C.ob, D.ob, -2, cap)}
+    except CapExceeded:
+        return "undecided"
+    return "zero" if cocycles == image else "nonzero"
+
+
+@pytest.mark.parametrize("kind, p, params", [
+    ("zmod", 2, {"a": 3, "b": 2}),          # mid Z/4: coordinates of order 4
+    ("trunc_poly", 3, {"a": 3, "b": 2}),    # mid F_3[t]/t^2
+    ("square_zero", 3, {"r": 2}),           # mid F_3
+])
+def test_h_minus1_guard_matches_the_set_comparison(kind, p, params):
+    defalg = mk_algebra(mk_tower(kind, p, **params), "trivial")
+    bar = defalg.bar
+    one = bar.ring.one_vec()
+    nil = (p * one) % bar.ring.orders if bar.ring.m == 1 else np.eye(bar.ring.m)[1]
+
+    def complex_(ranks, comps):
+        ob = GradedObject.of(dict(enumerate(ranks)))
+        return Complex(bar, ob, GradedMap(bar, ob, ob, 1, {
+            i: AlgMatrix(bar, np.asarray(v, dtype=np.int64).reshape(
+                ob.rank(i + 1), ob.rank(i), 1, bar.ring.m)) for i, v in comps.items()}))
+
+    two = [complex_((1, 1), {0: c}) for c in (0 * one, one, nil)]
+    pairs = [(C, C) for C in two] + [
+        (two[2], complex_((1, 2), {0: [nil, one]})),
+        (complex_((1, 1, 1), {0: one}), complex_((1, 1, 1), {0: one})),
+        (complex_((1, 1, 1), {0: one}), two[0])]
+    verdicts = []
+    for C, D in pairs:
+        verdict = h_minus1_guard(defalg, C, D)
+        assert verdict == _reference_guard(defalg, C, D, 1 << 20)
+        verdicts.append(verdict)
+        count = max(int(np.prod(coefficient_orders(defalg.mid, C.ob, D.ob, n)))
+                    for n in (-1, -2))
+        assert h_minus1_guard(defalg, C, D, cap=count) == verdict
+        assert _reference_guard(defalg, C, D, count) == verdict
+        assert h_minus1_guard(defalg, C, D, cap=count - 1) == "undecided"
+        assert _reference_guard(defalg, C, D, count - 1) == "undecided"
+    assert set(verdicts) == {"zero", "nonzero"}
 
 
 def test_classify_homotopy_map_lifts_guard_and_torsor(z4):

@@ -7,7 +7,7 @@ import pytest
 
 from sqzlift import defun
 from sqzlift.algebra import AlgMatrix, LevelAlgebra
-from sqzlift.complexes import GradedMap, GradedObject, compose, identity_map
+from sqzlift.complexes import GradedMap, GradedObject, compose, delta, identity_map
 from sqzlift.defun import (
     ArtinLocalRing,
     check_smoothness,
@@ -27,6 +27,9 @@ from sqzlift.defun import (
 )
 from sqzlift.errors import CapExceeded, NotLocal, ValidationError
 from sqzlift.finring import FiniteRing, mk_tower, trunc_poly_ring, zmod_ring
+
+from conftest import enumerate_graded_maps
+from test_acceptance import _base_diffs
 
 OB2 = GradedObject.of({0: 1, 1: 1})
 OB3 = GradedObject.of({0: 1, 1: 1, 2: 1})
@@ -320,3 +323,115 @@ def test_find_intertwiner_returns_the_first_enumerated(monkeypatch, alg0, block)
         if first is not None:
             assert found == first
     assert find_intertwiner(A, ob, zero_lifts[0], zero_lifts[1]) is None
+
+
+# -- batched strict lifts against one GradedMap per candidate --
+
+def _reference_strict_lifts(A, alg0, ob, d0):
+    """Every candidate as a GradedMap, kept when compose(d, d) is zero; the
+    digits of the index in base |m|, least significant first, pick the
+    coefficients in degree, row, column, algebra-basis order."""
+    shapes = [(i, ob.rank(i + 1), ob.rank(i)) for i in ob.support if ob.rank(i + 1) > 0]
+    ncoef = sum(r * c for _, r, c in shapes) * alg0.k
+    algR = tensor_algebra(A.ring, alg0)
+    base = defun._lift_map_to(algR, A, d0)
+    out = []
+    for idx in range(A.msize ** ncoef):
+        rem = idx
+        digits = []
+        for _ in range(ncoef):
+            digits.append(rem % A.msize)
+            rem //= A.msize
+        comps = {}
+        pos = 0
+        for i, r, c in shapes:
+            data = base.comp(i).data.copy()
+            flat = data.reshape(-1, A.ring.m)
+            for e in range(r * c * alg0.k):
+                flat[e] = (flat[e] + A.mvecs[digits[pos]]) % A.ring.orders
+                pos += 1
+            comps[i] = AlgMatrix(algR, data)
+        d = GradedMap(algR, ob, ob, 1, comps)
+        if compose(d, d).is_zero():
+            out.append(d)
+    return out, A.msize ** ncoef
+
+
+@pytest.mark.parametrize("block", [None, SMALL_BLOCK])
+@pytest.mark.parametrize("p, a, kind, ranks, entries", [
+    (3, 3, "trivial", (1, 2), (0, 0)),       # two terms: every candidate passes
+    (2, 3, "trivial", (1, 2, 1), (1, 0)),    # nonzero base differential
+    (3, 3, "trivial", (1, 1, 1), (0,)),
+    (2, 3, "trivial", (1, 1, 1), (1,)),
+    (3, 2, "dual", (1, 1, 1), (1,)),         # k = 2
+    (2, 2, "upper", (1, 1, 1), (1,)),        # k = 3, noncommutative
+])
+def test_batched_strict_lifts_match_per_candidate_reference(monkeypatch, block, p, a,
+                                                            kind, ranks, entries):
+    if block:
+        monkeypatch.setattr(defun, "_BLOCK", block)
+    alg0 = _base_algebra(p, kind)
+    ob = GradedObject.of(dict(enumerate(ranks)))
+    A = ArtinLocalRing(trunc_poly_ring(p, a))
+    d0 = _scalar_diff(alg0, ob, entries)
+    want, total = _reference_strict_lifts(A, alg0, ob, d0)
+    got = strict_lifts(A, alg0, ob, d0)
+    assert got == want
+    assert [map_coords(d) for d in got] == [map_coords(d) for d in want]
+    assert want and (len(want) < total or len(ranks) == 2)
+
+
+# -- the homotopy-equivalence search against one GradedMap per homotopy --
+
+def _reference_residues(alg0, ob, d0, cap=1 << 20):
+    res_cands, seen = [], set()
+    one0 = identity_map(alg0, ob)
+    for h in enumerate_graded_maps(alg0, ob, ob, -1, cap):
+        g = one0 + delta(h, d0, d0)
+        if map_coords(g) not in seen:
+            seen.add(map_coords(g))
+            res_cands.append(g)
+    return res_cands
+
+
+def _reference_homotopy_equivalent(A, alg0, ob, d0, d1, d2, cap=1 << 20):
+    """Residues homotopic to 1 and null-homotopies by enumerating one
+    GradedMap per map; the intertwiners come from defun."""
+    algR = d1.alg
+    res_cands = _reference_residues(alg0, ob, d0, cap)
+
+    def candidates(da, db):
+        return [u for g in res_cands
+                for u in defun._intertwiners(A, ob, da, db,
+                                             defun._lift_map_to(algR, A, g), cap)]
+
+    def null_homotopic(m, da, db):
+        return any(delta(P, da, db) == m
+                   for P in enumerate_graded_maps(algR, ob, ob, -1, cap))
+
+    oneR = identity_map(algR, ob)
+    us, vs = candidates(d1, d2), candidates(d2, d1)
+    return any(null_homotopic(oneR - compose(v, u), d1, d1)
+               and null_homotopic(oneR - compose(u, v), d2, d2)
+               for u in us for v in vs)
+
+
+def test_homotopy_equivalence_search_matches_reference():
+    """On the criterion-8 shapes: the residues homotopic to 1, and the first
+    lift against every lift."""
+    verdicts, residue_counts = set(), set()
+    for p in (2, 3):
+        A = ArtinLocalRing(trunc_poly_ring(p, 2))
+        for ranks in ((1, 1), (1, 1, 1), (1, 2)):
+            ob = GradedObject.of(dict(enumerate(ranks)))
+            for a0, d0 in _base_diffs(p, ob):
+                residues = defun._residues_homotopic_to_one(a0, ob, d0, 1 << 20)
+                want = {map_coords(g) for g in _reference_residues(a0, ob, d0)}
+                assert sorted(map(map_coords, residues)) == sorted(want)
+                residue_counts.add(len(residues))
+                lifts = strict_lifts(A, a0, ob, d0)
+                for d2 in lifts:
+                    got = defun._homotopy_equivalent(A, a0, ob, d0, lifts[0], d2)
+                    assert got == _reference_homotopy_equivalent(A, a0, ob, d0, lifts[0], d2)
+                    verdicts.add(got)
+    assert verdicts == {True, False} and len(residue_counts) > 1

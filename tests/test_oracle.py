@@ -18,7 +18,6 @@ from sqzlift.obstruction import (
 )
 from sqzlift.oracle import (
     _partition,
-    _scan_parallel,
     gen_instance,
     oracle_differential,
     oracle_homotopy,
@@ -95,14 +94,6 @@ def test_sigma_lift_is_a_witness_for_trivial_deformation(z4):
     prob = DifferentialProblem(z4, OB3, zero_map(z4.mid, OB3, OB3, 1))
     res = oracle_differential(prob)
     assert 0 in set(int(i) for i in res.witness_indices)
-
-
-def test_parallel_scan_is_deterministic():
-    inst = gen_instance("differential", 2)
-    serial = oracle_differential(inst.problem, workers=1)
-    parallel = oracle_differential(inst.problem, workers=4)
-    assert np.array_equal(serial.witness_indices, parallel.witness_indices)
-    assert serial.orbits == parallel.orbits
 
 
 def test_gen_instance_is_deterministic():
@@ -199,16 +190,3 @@ def test_partition_rejects_an_orbit_that_leaves_the_witness_set(p):
         partial = [w for w in full if w != dropped]
         with pytest.raises(CheckFailed, match="orbit left the witness set"):
             _partition(np.asarray(partial), kdim, p, moves)
-
-
-def test_parallel_scan_matches_serial():
-    p = 3
-    rng = np.random.default_rng(21)
-    base = rng.integers(0, p, size=3).astype(np.int64)
-    gens = rng.integers(0, p, size=(9, 3)).astype(np.int64)
-    moduli = np.full(3, p, dtype=np.int64)
-    total = p ** 9
-    serial = _scan_parallel(base, gens, moduli, p, total, 1)
-    parallel = _scan_parallel(base, gens, moduli, p, total, 2)
-    assert len(serial) > 0
-    assert np.array_equal(serial, parallel)
