@@ -10,7 +10,11 @@ shape of `sqzlift gen --kind differential --seed 7` (F_3[x]/x^2, ranks 2 and
 `strict` case is `defun.strict_lifts` on `gen --kind differential --seed 23`
 (F_3[t]/t^3 over F_3, ranks 1, 2, 2: 531 441 candidates, 111 537 lifts), and
 the `guard` case is `crude.h_minus1_guard` on `gen --kind map --seed 47`
-(mid ring F_3[t]/t^2: 3^10 degree -1 maps, 3^4 of degree -2).  Each case
+(mid ring F_3[t]/t^2: 3^10 degree -1 maps, 3^4 of degree -2).  The
+`delta` cases build `HomComplex.delta_matrix` in degrees -1 and 0 for a
+seeded complex over F_3 with ranks 24, 26, 26 (the size of the liftbench
+ladder24 rung), and `delta4` is `complexes.delta_generators` in degree 0 at
+the Z/4 level of Z/8 -> Z/4 -> F_2 (two generators per coefficient).  Each case
 prints its best time of several runs and a digest of its result, so that a
 change of result shows up next to a change of speed.
 
@@ -24,8 +28,10 @@ from time import perf_counter
 import numpy as np
 
 from sqzlift import crude, defun, gf, oracle
-from sqzlift.complexes import GradedMap, GradedObject
-from sqzlift.finring import square_zero_ring
+from sqzlift.algebra import AlgMatrix, mk_algebra
+from sqzlift.complexes import (Complex, GradedMap, GradedObject, HomComplex,
+                               delta_generators)
+from sqzlift.finring import mk_tower, square_zero_ring
 
 REPEATS = 5
 
@@ -43,6 +49,9 @@ def _workloads():
     loads.append(("orbits", 3, None))
     loads.append(("strict", 3, None))
     loads.append(("guard", 3, None))
+    loads.append(("delta", 3, -1))
+    loads.append(("delta", 3, 0))
+    loads.append(("delta4", 2, None))
     return loads
 
 
@@ -85,6 +94,36 @@ def _guard_job():
     return job
 
 
+def _delta_job(n):
+    rng = np.random.default_rng(1)
+    alg = defun.trivial_base_algebra(3)
+    ob = GradedObject.of({0: 24, 1: 26, 2: 26})
+    d0 = rng.integers(0, 3, size=(26, 24)).astype(np.int64)
+    ker = gf.nullspace(d0.T, 3)   # rows y with y d0 = 0
+    d1 = rng.integers(0, 3, size=(26, len(ker))) @ ker % 3
+    d = GradedMap(alg, ob, ob, 1, {0: AlgMatrix(alg, d0[:, :, None, None]),
+                                   1: AlgMatrix(alg, d1[:, :, None, None])})
+    Complex(alg, ob, d)   # checks d^2 = 0
+    hc = HomComplex(alg, ob, ob, d, d)
+
+    def job():
+        return hc.delta_matrix(n).tobytes()
+    return job
+
+
+def _delta_z4_job():
+    rng = np.random.default_rng(2)
+    alg = mk_algebra(mk_tower("zmod", 2, a=3, b=2), "trivial").mid
+    ob = GradedObject.of({0: 6, 1: 8, 2: 6})
+    d = GradedMap(alg, ob, ob, 1, {
+        i: AlgMatrix(alg, rng.integers(0, 4, size=(ob.rank(i + 1), ob.rank(i), 1, 1)))
+        for i in (0, 1)})
+
+    def job():
+        return delta_generators(alg, d, d, 0).tobytes()
+    return job
+
+
 def main() -> int:
     print(f"{'case':<14} {'seconds':>10} {'digest':>18}")
     for name, p, payload in _workloads():
@@ -102,6 +141,11 @@ def main() -> int:
             job = _strict_job()
         elif name == "guard":
             job = _guard_job()
+        elif name == "delta":
+            job = _delta_job(payload)
+            name = f"delta n={payload}"
+        elif name == "delta4":
+            job = _delta_z4_job()
         else:
             base, gens = payload
             moduli = np.full(base.shape[0], p, dtype=np.int64)

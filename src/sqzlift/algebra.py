@@ -103,6 +103,20 @@ class LevelAlgebra:
         return np.einsum("acis,cbjt,isjtlw->ablw", a, b,
                          self._T) % self.ring.orders
 
+    def left_op(self, a: np.ndarray) -> np.ndarray:
+        """Left multiplication by stacked matrices a (..., r, c, k, m), as integer
+        matrices (..., r*k*m, c*k*m) acting on each column of coefficients."""
+        r, c, km = *a.shape[-4:-2], self.k * self.ring.m
+        op = np.einsum("...acis,isjtlw->...alwcjt", a, self._T)
+        return op.reshape(a.shape[:-4] + (r * km, c * km))
+
+    def right_op(self, b: np.ndarray) -> np.ndarray:
+        """Right multiplication by stacked matrices b (..., c, s, k, m), x -> x @ b,
+        as integer matrices (..., s*k*m, c*k*m) acting on each row of coefficients."""
+        c, s, km = *b.shape[-4:-2], self.k * self.ring.m
+        op = np.einsum("...cbjt,isjtlw->...blwcis", b, self._T)
+        return op.reshape(b.shape[:-4] + (s * km, c * km))
+
 
 @dataclass(eq=False)
 class AlgMatrix:

@@ -62,7 +62,8 @@ class KernelComplex:
     def delta_matrix(self, n: int) -> np.ndarray:
         if n not in self._dmat:
             eye = np.eye(self.dimJ, dtype=np.int64)
-            self._dmat[n] = np.kron(eye, self.hom.delta_matrix(n))
+            mat = self.hom.delta_matrix(n)
+            self._dmat[n] = mat if self.dimJ == 1 else np.kron(eye, mat)   # no copy of mat
         return self._dmat[n]
 
     # -- moving between graded maps and coordinate vectors -----------------

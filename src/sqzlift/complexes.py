@@ -5,12 +5,16 @@ families of matrices f_i : C_i -> D_{i+n}.  Composition is (g o f)_i =
 g_{i+|f|} f_i and the differential on graded maps is
 
     delta(f)_i = d_{D, i+n} f_i - (-1)^n f_{i+1} d_{C, i}.
+
+delta on Hom^n is built in closed form, from blocks of left multiplication by
+d_D and right multiplication by d_C.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -203,24 +207,44 @@ def delta_generators(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap,
     A coefficient of order p^e contributes the e generators p^t e_q, t < e,
     in coefficient order, so the base-p digits of [0, p^rows) run over every
     degree-n map exactly once; over a field the generators are the unit
-    vectors and the rows are the columns of the matrix of delta.
+    vectors and the rows are the columns of the matrix of delta.  delta is
+    Z-linear, so its integer matrix M is filled block by block in closed
+    form, and the row of p^t e_q is t * M[:, q], reduced.
     """
     src, tgt = dC.src, dD.src
-    orders = coefficient_orders(alg, src, tgt, n)
-    gens = []
-    for q, order in enumerate(orders.tolist()):
+    km = alg.k * alg.ring.m
+
+    def blocks(deg):
+        """Offset of each nonempty block of Hom^deg, and the total size."""
+        sizes = {i: tgt.rank(i + deg) * c * km for i, c in src.ranks if tgt.rank(i + deg)}
+        return dict(zip(sizes, accumulate(sizes.values(), initial=0))), sum(sizes.values())
+
+    cols, ncols = blocks(n)
+    rows, nrows = blocks(n + 1)
+    sign = 1 if n % 2 else -1
+    mat = np.zeros((nrows, ncols), dtype=np.int64)
+    for i, row in rows.items():
+        c0, r1 = src.rank(i), tgt.rank(i + n + 1)
+        out = slice(row, row + r1 * c0 * km)
+        if i in cols and i + n in dD.comps:   # dD_{i+n} f_i: the identity on columns
+            op = alg.left_op(dD.comps[i + n].data).reshape(r1, km, -1, km)
+            blk = np.einsum("alry,cd->aclrdy", op, np.eye(c0, dtype=np.int64))
+            blk = blk.reshape(r1 * c0 * km, -1)
+            mat[out, cols[i]:cols[i] + blk.shape[1]] = blk
+        if i + 1 in cols and i in dC.comps:   # f_{i+1} dC_i: the identity on rows
+            blk = np.kron(np.eye(r1, dtype=np.int64), alg.right_op(dC.comps[i].data))
+            mat[out, cols[i + 1]:cols[i + 1] + blk.shape[1]] = sign * blk
+    qs, ts = [], []
+    for q, order in enumerate(coefficient_orders(alg, src, tgt, n).tolist()):
         t = 1
         while t < order:
-            gens.append((q, t))
+            qs.append(q)
+            ts.append(t)
             t *= alg.ring.p
-    # filled by columns, so that the transpose, the matrix of delta, is C-ordered
-    mat = np.zeros((len(coefficient_orders(alg, src, tgt, n + 1)), len(gens)),
-                   dtype=np.int64)
-    for col, (q, t) in enumerate(gens):
-        e = np.zeros(len(orders), dtype=np.int64)
-        e[q] = t
-        mat[:, col] = coefficients(delta(from_coefficients(alg, src, tgt, n, e), dC, dD))
-    return mat.T
+    # one generator per coefficient (t = 1, as over a field): M itself, without a copy
+    gens = mat if len(qs) == ncols else mat[:, qs] * np.array(ts, dtype=np.int64)
+    gens %= coefficient_orders(alg, src, tgt, n + 1)[:, None]
+    return gens.T
 
 
 def delta_solutions(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap, n: int,

@@ -167,17 +167,8 @@ def _blocks(A: ArtinLocalRing, alg: LevelAlgebra, shapes: list, base: GradedMap,
     return (block(start) for start in range(0, total, _BLOCK))
 
 
-def _left_op(alg: LevelAlgebra, a: np.ndarray) -> np.ndarray:
-    """Left multiplication by stacked matrices a (..., r, c, k, m), as
-    F_p-matrices (..., r*k*m, c*k*m) acting on columns of coefficients."""
-    r, c = a.shape[-4:-2]
-    km = alg.k * alg.ring.m
-    op = np.einsum("...acis,isjtlw->...alwcjt", a, alg._T)
-    return op.reshape(a.shape[:-4] + (r * km, c * km))
-
-
 def _apply(alg: LevelAlgebra, op: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over alg for op = _left_op(alg, a); a and b stack by broadcasting."""
+    """a @ b over alg for op = alg.left_op(a); a and b stack by broadcasting."""
     c, s, k, m = b.shape[-4:]
     cols = np.moveaxis(b, -3, -1).reshape(b.shape[:-4] + (c * k * m, s))
     prod = op @ cols
@@ -209,7 +200,7 @@ def strict_lifts(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
         ok = np.ones(size, dtype=bool)
         for i, _, _ in shapes:
             if i + 1 in d:
-                ok &= ~_apply(algR, _left_op(algR, d[i + 1]), d[i]).any(axis=(1, 2, 3, 4))
+                ok &= ~_apply(algR, algR.left_op(d[i + 1]), d[i]).any(axis=(1, 2, 3, 4))
         kept = {i: c[ok] for i, c in d.items()}
         out.extend(GradedMap(algR, ob, ob, 1, {i: AlgMatrix(algR, c[n])
                                                for i, c in kept.items()})
@@ -237,14 +228,14 @@ def unipotent_inverse(algR: LevelAlgebra, u: GradedMap) -> GradedMap:
 def _unipotent_inverse_many(alg: LevelAlgebra, u: dict[int, np.ndarray],
                             u_ops: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """unipotent_inverse of every automorphism of a block at once; u_ops
-    holds the _left_op of u."""
+    holds the left_op of u."""
     one = {i: alg.eye(c.shape[1]).data for i, c in u.items()}
     v = {i: np.broadcast_to(one[i], c.shape) for i, c in u.items()}
     for _ in range(64):
         uv = {i: _apply(alg, u_ops[i], v[i]) for i in u}
         if all((uv[i] == one[i]).all() for i in u):
             return v
-        v = {i: _apply(alg, _left_op(alg, v[i]), 2 * one[i] - uv[i]) for i in u}
+        v = {i: _apply(alg, alg.left_op(v[i]), 2 * one[i] - uv[i]) for i in u}
     raise ValidationError("map is not unipotently invertible")
 
 
@@ -296,13 +287,13 @@ def iso_orbits(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
     d_ops = {}
     root = np.arange(len(lifts))
     for size, u in blocks:
-        u_ops = {i: _left_op(algR, c) for i, c in u.items()}
+        u_ops = {i: algR.left_op(c) for i, c in u.items()}
         uinv = _unipotent_inverse_many(algR, u, u_ops)
         for n, d in enumerate(lifts):
             if root[n] != n:
                 continue
             if n not in d_ops:
-                d_ops[n] = {i: _left_op(algR, d.comp(i).data) for i in degs}
+                d_ops[n] = {i: algR.left_op(d.comp(i).data) for i in degs}
             conj = [_apply(algR, u_ops[i + 1], _apply(algR, d_ops[n][i], uinv[i]))
                     for i in degs]
             hits = index.find(conj, size)
@@ -317,12 +308,12 @@ def _intertwiners(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,
     in m) with u d1 = d2 u."""
     algR = d1.alg
     degs = [i for i, _, _ in _diff_shapes(ob)]
-    d2_ops = {i: _left_op(algR, d2.comp(i).data) for i in degs}
+    d2_ops = {i: algR.left_op(d2.comp(i).data) for i in degs}
     d1_data = {i: d1.comp(i).data for i in degs}
     for size, u in _blocks(A, algR, _endo_shapes(ob), base, cap, _AUTOS):
         ok = np.ones(size, dtype=bool)
         for i in degs:
-            lhs = _apply(algR, _left_op(algR, u[i + 1]), d1_data[i])
+            lhs = _apply(algR, algR.left_op(u[i + 1]), d1_data[i])
             rhs = _apply(algR, d2_ops[i], u[i])
             ok &= (lhs == rhs).all(axis=(1, 2, 3, 4))
         for n in np.flatnonzero(ok).tolist():

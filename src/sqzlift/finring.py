@@ -416,15 +416,9 @@ def square_zero_ring(p: int, r: int) -> FiniteRing:
     return FiniteRing(p, np.full(m, p), mult, names)
 
 
-def _zmod_proj(p: int, a: int, b: int) -> RingSurjection:
-    return RingSurjection(zmod_ring(p, a), zmod_ring(p, b), np.array([[1]]))
-
-
-def _trunc_proj(p: int, a: int, b: int) -> RingSurjection:
-    images = np.zeros((a, b), dtype=np.int64)
-    for i in range(min(a, b)):
-        images[i, i] = 1
-    return RingSurjection(trunc_poly_ring(p, a), trunc_poly_ring(p, b), images)
+def _proj(src: FiniteRing, tgt: FiniteRing) -> RingSurjection:
+    """The surjection b_i -> b_i of the built-in zmod and trunc_poly towers."""
+    return RingSurjection(src, tgt, np.eye(src.m, tgt.m, dtype=np.int64))
 
 
 def mk_tower(kind: str, p: int, max_p: int = 7, **params) -> Tower:
@@ -439,18 +433,13 @@ def mk_tower(kind: str, p: int, max_p: int = 7, **params) -> Tower:
         raise NonPrime(f"{p} is not prime")
     if p > max_p:
         raise ValidationError(f"p={p} exceeds the performance cap {max_p}")
-    if kind == "zmod":
+    if kind in ("zmod", "trunc_poly"):
         a, b = int(params["a"]), int(params["b"])
         if not (a >= b >= 1):
-            raise ValidationError("zmod requires a >= b >= 1")
-        return Tower(zmod_ring(p, a), zmod_ring(p, b), zmod_ring(p, 1),
-                     _zmod_proj(p, a, b), _zmod_proj(p, b, 1))
-    if kind == "trunc_poly":
-        a, b = int(params["a"]), int(params["b"])
-        if not (a >= b >= 1):
-            raise ValidationError("trunc_poly requires a >= b >= 1")
-        return Tower(trunc_poly_ring(p, a), trunc_poly_ring(p, b), trunc_poly_ring(p, 1),
-                     _trunc_proj(p, a, b), _trunc_proj(p, b, 1))
+            raise ValidationError(f"{kind} requires a >= b >= 1")
+        ring = zmod_ring if kind == "zmod" else trunc_poly_ring
+        rings = ring(p, a), ring(p, b), ring(p, 1)
+        return Tower(*rings, _proj(*rings[:2]), _proj(*rings[1:]))
     if kind == "square_zero":
         r = int(params["r"])
         ring = square_zero_ring(p, r)

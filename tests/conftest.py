@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from sqzlift.algebra import AlgMatrix, mk_algebra
-from sqzlift.complexes import Complex, GradedMap, GradedObject, compose, map_lift
+from sqzlift.complexes import (
+    Complex,
+    GradedMap,
+    GradedObject,
+    coefficient_orders,
+    coefficients,
+    compose,
+    delta,
+    from_coefficients,
+    map_lift,
+)
 from sqzlift.errors import CapExceeded
 from sqzlift.finring import mk_tower
 
@@ -47,6 +57,26 @@ def enumerate_graded_maps(alg, obC, obD, n, cap):
             comps[i] = AlgMatrix(alg, digits[pos:pos + size].reshape(r, c, alg.k, m))
             pos += size
         yield GradedMap(alg, obC, obD, n, comps)
+
+
+def delta_generators_reference(alg, dC, dD, n):
+    """Reference for complexes.delta_generators: delta applied to one
+    GradedMap per generator p^t e_q, t < e, in coefficient order."""
+    src, tgt = dC.src, dD.src
+    orders = coefficient_orders(alg, src, tgt, n)
+    gens = []
+    for q, order in enumerate(orders.tolist()):
+        t = 1
+        while t < order:
+            gens.append((q, t))
+            t *= alg.ring.p
+    rows = np.zeros((len(gens), len(coefficient_orders(alg, src, tgt, n + 1))),
+                    dtype=np.int64)
+    for row, (q, t) in enumerate(gens):
+        e = np.zeros(len(orders), dtype=np.int64)
+        e[q] = t
+        rows[row] = coefficients(delta(from_coefficients(alg, src, tgt, n, e), dC, dD))
+    return rows
 
 
 @pytest.fixture(scope="session")

@@ -44,6 +44,27 @@ def test_dimensions_and_zero_differential(K_z4):
     assert K.dim(1) == 2   # dimJ = 1, two off-diagonal slots
 
 
+def test_kernel_delta_is_the_hom_delta_once_per_j_basis_vector(K_t3):
+    """dimJ = 1 keeps the Hom matrix itself; dimJ = 2 (square_zero r = 2)
+    is its Kronecker product with the identity."""
+    _, _, _, K = K_t3
+    assert K.dimJ == 1
+    for n in (-1, 0, 1):
+        assert np.array_equal(K.delta_matrix(n), K.hom.delta_matrix(n))
+    defalg = mk_algebra(mk_tower("square_zero", 3, r=2), "trivial")
+    base = defalg.base
+    ob = GradedObject.of({0: 1, 1: 2, 2: 1})
+    d0 = GradedMap(base, ob, ob, 1, {
+        0: AlgMatrix(base, np.array([[[[1]]], [[[2]]]], dtype=np.int64)),
+        1: AlgMatrix(base, np.array([[[[1]], [[1]]]], dtype=np.int64)),
+    })
+    K2 = kernel_complex(defalg, ob, ob, d0, d0)
+    assert K2.dimJ == 2
+    for n in (-1, 0, 1):
+        want = np.kron(np.eye(2, dtype=np.int64), K2.hom.delta_matrix(n))
+        assert want.any() and np.array_equal(K2.delta_matrix(n), want)
+
+
 def test_h_dim_rank_nullity(K_t3):
     _, _, _, K = K_t3
     for n in (-1, 0, 1, 2):

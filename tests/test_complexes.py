@@ -15,6 +15,7 @@ from sqzlift.complexes import (
     coefficient_orders,
     coefficients,
     delta,
+    delta_generators,
     delta_solutions,
     identity_map,
     map_lift,
@@ -22,10 +23,11 @@ from sqzlift.complexes import (
     zero_map,
 )
 from sqzlift.errors import CapExceeded, NotADifferential
-from sqzlift.algebra import AlgMatrix, mk_algebra
-from sqzlift.finring import mk_tower
+from sqzlift.algebra import AlgMatrix, LevelAlgebra, mk_algebra
+from sqzlift.finring import mk_tower, trunc_poly_ring, zmod_ring
 
-from conftest import enumerate_graded_maps
+from conftest import delta_generators_reference, enumerate_graded_maps
+from test_defun import _base_algebra
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +167,45 @@ def test_hom_complex_delta_matrix_matches_delta(A3):
         direct = hc.flatten(delta(f, dC, dC))
         via_matrix = (hc.delta_matrix(n) @ hc.flatten(f)) % 3
         assert np.array_equal(direct, via_matrix)
+
+
+def _t2(ring):
+    """Upper-triangular T_2(ring) with basis e11, e12, e22."""
+    one = ring.one_vec()
+    struct = np.zeros((3, 3, 3, ring.m), dtype=np.int64)
+    struct[0, 0, 0] = struct[0, 1, 1] = struct[1, 2, 1] = struct[2, 2, 2] = one
+    return LevelAlgebra(ring, struct, np.stack([one, 0 * one, one]))
+
+
+@pytest.mark.parametrize("level", [
+    "F_3", "T_2(F_2)", "T_2(F_3)", "F_3[e]/e^2", "Z/4", "Z/9 (x) T_2",
+    "F_3[t]/t^3 (x) T_2",
+])
+def test_closed_form_delta_matches_the_per_generator_reference(level, z4):
+    """delta_generators against delta applied to one GradedMap per generator:
+    noncommutative algebras, two generators per coefficient over Z/4 and Z/9,
+    m > 1, d that need not square to zero, and degrees where Hom^n or
+    Hom^{n+1} has empty blocks."""
+    alg = {"F_3": lambda: _base_algebra(3, "trivial"),
+           "T_2(F_2)": lambda: _base_algebra(2, "t2"),
+           "T_2(F_3)": lambda: _base_algebra(3, "t2"),
+           "F_3[e]/e^2": lambda: _base_algebra(3, "dual"),
+           "Z/4": lambda: z4.bar,
+           "Z/9 (x) T_2": lambda: _t2(zmod_ring(3, 2)),
+           "F_3[t]/t^3 (x) T_2": lambda: _t2(trunc_poly_ring(3, 3))}[level]()
+    rng = np.random.default_rng(8)
+    pairs = [(GradedObject.of({0: 1, 1: 2, 2: 1}), GradedObject.of({0: 1, 1: 2, 2: 1})),
+             (GradedObject.of({-1: 2, 0: 1, 2: 1}), GradedObject.of({0: 1, 1: 1, 3: 2})),
+             (GradedObject.of({0: 1, 1: 1}), GradedObject.of({1: 2, 2: 1}))]
+    empty = 0
+    for obC, obD in pairs:
+        dC, dD = _rand_precomplex(rng, alg, obC), _rand_precomplex(rng, alg, obD)
+        for n in range(-3, 3):
+            got = delta_generators(alg, dC, dD, n)
+            want = delta_generators_reference(alg, dC, dD, n)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            empty += 0 in got.shape
+    assert empty
 
 
 def _generator_rows(alg, obC, obD, n):

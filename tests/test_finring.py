@@ -170,6 +170,21 @@ def test_j_basis_matches_the_greedy_rank_loop(kind, p, params):
     assert tower.dimJ == len(keep) >= 1
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("zmod", {"a": 2, "b": 1}), ("zmod", {"a": 1, "b": 1}),
+    ("trunc_poly", {"a": 3, "b": 2}), ("trunc_poly", {"a": 2, "b": 2}),
+])
+def test_builtin_tower_builds_each_ring_once(kind, params, monkeypatch):
+    built = []
+    init = FiniteRing.__post_init__
+    monkeypatch.setattr(FiniteRing, "__post_init__",
+                        lambda self: (built.append(self), init(self))[1])
+    tower = mk_tower(kind, 3, **params)
+    assert tower.pibar.source is tower.Rbar and tower.pibar.target is tower.R
+    assert tower.pi.source is tower.R and tower.pi.target is tower.R0
+    assert built == [tower.Rbar, tower.R, tower.R0]
+
+
 def test_tower_rejects_ij_nonzero():
     # F_2[t]/t^3 -> F_2 -> F_2 has I = J = (t) and I*J = (t^2) != 0
     with pytest.raises(IJNonzero):
