@@ -14,20 +14,27 @@ the `guard` case is `crude.h_minus1_guard` on `gen --kind map --seed 47`
 `delta` cases build `HomComplex.delta_matrix` in degrees -1 and 0 for a
 seeded complex over F_3 with ranks 24, 26, 26 (the size of the liftbench
 ladder24 rung), and `delta4` is `complexes.delta_generators` in degree 0 at
-the Z/4 level of Z/8 -> Z/4 -> F_2 (two generators per coefficient).  Each case
-prints its best time of several runs and a digest of its result, so that a
-change of result shows up next to a change of speed.
+the Z/4 level of Z/8 -> Z/4 -> F_2 (two generators per coefficient).  The
+`emit` case is `cli.canonical_json` on the report that `sqzlift oracle` writes
+for `gen --kind differential --seed 74` (59 049 witnesses, 59 049 singleton
+orbits), taken as the command hands it to the writer.  Each case prints its
+best time of several runs and a digest of its result, so that a change of
+result shows up next to a change of speed.
 
 Usage:  python benchmarks/bench_kernels.py
 """
 
+import contextlib
 import hashlib
+import io
+import os
 import sys
+import tempfile
 from time import perf_counter
 
 import numpy as np
 
-from sqzlift import crude, defun, gf, oracle
+from sqzlift import cli, crude, defun, gf, oracle
 from sqzlift.algebra import AlgMatrix, mk_algebra
 from sqzlift.complexes import (Complex, GradedMap, GradedObject, HomComplex,
                                delta_generators)
@@ -52,6 +59,7 @@ def _workloads():
     loads.append(("delta", 3, -1))
     loads.append(("delta", 3, 0))
     loads.append(("delta4", 2, None))
+    loads.append(("emit", 3, None))
     return loads
 
 
@@ -60,7 +68,8 @@ def _partition_job(p, kdim, nmoves):
     moves = [np.zeros(kdim, dtype=np.int64)] * nmoves
 
     def job():
-        return oracle._partition(witnesses, kdim, p, moves)
+        return np.asarray(oracle._partition(witnesses, kdim, p, moves),
+                          dtype=np.int64).tobytes()
     return job
 
 
@@ -124,6 +133,26 @@ def _delta_z4_job():
     return job
 
 
+def _emit_job():
+    captured = []
+    write = cli.canonical_json
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()):
+        doc = os.path.join(tmp, "gen.json")
+        cli.main(["gen", "--kind", "differential", "--seed", "74", "--out", doc])
+        cli.canonical_json = lambda obj: captured.append(obj) or write(obj)
+        try:
+            cli.main(["oracle", "--complex", doc,
+                      "--out", os.path.join(tmp, "report.json")])
+        finally:
+            cli.canonical_json = write
+    report = captured[-1]
+
+    def job():
+        return cli.canonical_json(report).encode()
+    return job
+
+
 def main() -> int:
     print(f"{'case':<14} {'seconds':>10} {'digest':>18}")
     for name, p, payload in _workloads():
@@ -146,6 +175,8 @@ def main() -> int:
             name = f"delta n={payload}"
         elif name == "delta4":
             job = _delta_z4_job()
+        elif name == "emit":
+            job = _emit_job()
         else:
             base, gens = payload
             moduli = np.full(base.shape[0], p, dtype=np.int64)

@@ -3,7 +3,9 @@
 Documents are JSON objects {"schema": s, "version": 1, "payload": ...} with
 s in {tower, algebra, complex, map, problem}.  Serialization is canonical
 (sorted keys, plain decimal integers), so parse -> serialize round-trips
-byte-identically and repeated runs produce identical reports.  Reports carry
+byte-identically and repeated runs produce identical reports.
+`canonical_json` writes the bytes of `json.dumps(obj, sort_keys=True,
+indent=2)` itself, with lists of ints and integer ndarrays formatted in C.  Reports carry
 "verdict" in {lifts, obstructed, classified, verified, failed}; obstructed is
 exit status 2 (a mathematical outcome), errors are exit status 1.
 """
@@ -60,7 +62,79 @@ SCHEMAS = ("tower", "algebra", "complex", "map", "problem")
 # ---------------------------------------------------------------------------
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)` and a
+    newline, byte for byte, without the pure-Python encoder that `indent`
+    selects.  Integer ndarrays are written as their `tolist()` would be."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _write_json(o, nl: str, out: list[str]) -> None:
+    """Append the indented JSON of o to out; nl is a newline followed by the
+    indentation of the line that o starts on."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, o)) == {int}:   # exact ints: str is their JSON
+            out.append("[" + inner + ("," + inner).join(map(str, o)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            if not isinstance(k, str):
+                if not (k is None or isinstance(k, (int, float))):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {k.__class__.__name__}")
+                k = json.dumps(k)
+            out.append(sep + _escape(k) + ": ")
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, str):
+        out.append(_escape(o))
+    elif isinstance(o, np.ndarray):
+        if o.dtype.kind in "iu" and o.ndim and o.size:
+            out.append(_int_array(json.dumps(o.tolist()), o.ndim, nl))
+        else:
+            _write_json(o.tolist(), nl, out)
+    else:
+        out.append(json.dumps(o))
+
+
+def _int_array(text: str, ndim: int, nl: str) -> str:
+    """Indent the compact JSON of a nonempty ndim-deep integer array.
+
+    Integers hold no brackets and no ", ", so every ", " separates two
+    neighbours, and one that closes and reopens j lists reads
+    "]" * j + ", " + "[" * j; replacing the deepest of these first indents
+    them all."""
+    ind = [nl + "  " * k for k in range(ndim + 1)]   # indentation at depth k
+    body = text[ndim:-ndim]
+    for j in range(ndim - 1, -1, -1):
+        body = body.replace(
+            "]" * j + ", " + "[" * j,
+            "".join(ind[k] + "]" for k in range(ndim - 1, ndim - 1 - j, -1))
+            + "," + ind[ndim - j]
+            + "".join("[" + ind[k + 1] for k in range(ndim - j, ndim)))
+    return ("".join("[" + ind[k + 1] for k in range(ndim)) + body
+            + "".join(ind[k] + "]" for k in range(ndim - 1, -1, -1)))
 
 
 def _ilist(a) -> list:
@@ -335,21 +409,36 @@ def _classification_payload(cl: Classification) -> dict:
             "witnesses": [gmap_to_payload(r, "bar") for r in cl.reps]}
 
 
-def emit(args, report: dict, exit_code: int) -> int:
-    report = dict(report)
-    report.setdefault("schema", "report")
-    report.setdefault("version", DOC_VERSION)
-    report.setdefault("tool", f"sqzlift {__version__}")
-    report.setdefault("timings", None)
-    text = canonical_json(report)
-    if args.out:
+def _deliver(args, text: str) -> bool:
+    """Write text to --out, or to stdout without --out.  If --out cannot be
+    written, a failed report that names it goes to stdout and this is False."""
+    if not args.out:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        _fail(argparse.Namespace(**{**vars(args), "out": None}),
+              ParseError(f"cannot write {args.out}: {e}"))
+        return False
+    return True
+
+
+def emit(args, report: dict, exit_code: int) -> int:
+    report = {"schema": "report", "version": DOC_VERSION,
+              "tool": f"sqzlift {__version__}", "timings": None, **report}
+    if not _deliver(args, canonical_json(report)):
+        return 1
     print(f"sqzlift {report.get('command', '')}: verdict {report['verdict']}",
           file=sys.stderr)
     return exit_code
+
+
+def _fail(args, e: SqzliftError) -> int:
+    print(f"sqzlift {args.command}: error: {e}", file=sys.stderr)
+    return emit(args, {"command": args.command, "verdict": "failed",
+                       "error": {"type": type(e).__name__, "message": str(e)}}, 1)
 
 
 def _lift_report(cmd: str, rep: LiftReport, level: str = "bar") -> tuple[dict, int]:
@@ -528,8 +617,8 @@ def cmd_oracle(args) -> int:
             "kdim": int(res.kdim),
             "num_witnesses": int(res.num_witnesses),
             "num_classes": int(res.num_classes),
-            "witness_indices": res.witness_indices.tolist(),
-            "orbits": [list(o) for o in res.orbits],
+            "witness_indices": res.witness_indices,
+            "orbits": res.orbits,
             "obstruction": _coh_payload(cls),
             "agrees_with_obstruction": bool(agree)}
     if not agree:
@@ -549,12 +638,8 @@ def cmd_gen(args) -> int:
                          meta={"seed": int(args.seed),
                                **{k: list(v) if isinstance(v, tuple) else v
                                   for k, v in inst.meta.items()}})
-    text = canonical_json(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not _deliver(args, canonical_json(doc)):
+        return 1
     print(f"sqzlift gen: {args.kind} instance, seed {args.seed}", file=sys.stderr)
     return 0
 
@@ -612,9 +697,7 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](args)
     except SqzliftError as e:
-        print(f"sqzlift {args.command}: error: {e}", file=sys.stderr)
-        return emit(args, {"command": args.command, "verdict": "failed",
-                           "error": {"type": type(e).__name__, "message": str(e)}}, 1)
+        return _fail(args, e)
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ def _one_hot(n: int, s: int) -> np.ndarray:
 class OracleResult:
     candidates: int
     witness_indices: np.ndarray        # sorted candidate indices that lift
-    orbits: list[tuple[int, ...]]      # partition of witness_indices
+    orbits: np.ndarray                 # partition of witness_indices, an orbit per row
     kdim: int
 
     @property
@@ -82,19 +82,18 @@ class OracleResult:
 
 
 def _partition(witness_indices: np.ndarray, kdim: int, p: int,
-               move_gens: list[np.ndarray]) -> list[tuple[int, ...]]:
+               move_gens: list[np.ndarray]) -> np.ndarray:
     """Partition the witnesses (ascending, distinct) into orbits of
-    w -> w + sum c_s move_gens[s], each orbit ascending, orbits ordered by
-    least member.
+    w -> w + sum c_s move_gens[s]: an int64 array with one orbit per row,
+    each row ascending, rows ordered by least member.
 
     An orbit is a coset of the row space of the moves, so every witness is
     keyed by the index of its canonical representative modulo that space.  A
     key's group lies in its coset, which has p^rank elements; the coset is
-    inside the witness set exactly when the group has that many members.
+    inside the witness set exactly when the group has that many members, so
+    all rows have that length.
     """
     w = np.asarray(witness_indices, dtype=np.int64)
-    if len(w) == 0:
-        return []
     G = (np.stack(move_gens) if move_gens
          else np.zeros((0, kdim), dtype=np.int64))
     G, pivots = gf.row_space(G, p)
@@ -110,8 +109,7 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
         raise CheckFailed("orbit left the witness set; internal inconsistency")
     # first[group] is the position of each witness's least orbit member; a
     # stable sort by it lists the orbits in order, each ascending
-    members = iter(w[np.argsort(first[group], kind="stable")].tolist())
-    return list(zip(*[members] * size))
+    return w[np.argsort(first[group], kind="stable")].reshape(-1, size)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from sqzlift import cli
 from sqzlift.algebra import AlgMatrix, mk_algebra
 from sqzlift.cli import (
     canonical_json,
     complex_from_payload,
+    complex_to_payload,
+    gmap_to_payload,
     load_doc,
     main,
     problem_from_doc,
@@ -23,6 +29,8 @@ from sqzlift.complexes import GradedMap, GradedObject, zero_map
 from sqzlift.errors import NotADifferential
 from sqzlift.finring import mk_tower
 from sqzlift.obstruction import DifferentialProblem
+
+from conftest import build_equiv
 
 OB3 = GradedObject.of({0: 1, 1: 1, 2: 1})
 Z4_DESC = ("zmod", 2, (("a", 2), ("b", 1)))
@@ -276,3 +284,93 @@ def test_non_integer_entry_is_a_parse_error(tmp_path, capsys):
     rep = _failed_report_in_out(tmp_path, capsys, ["lift-diff", "--complex", path])
     assert rep["error"]["type"] == "ParseError"
     assert "'complex'" in rep["error"]["message"]
+
+
+# -- unwritable --out ---------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "differential", "--seed", "3"],
+    ["obstruct-diff", "--complex", None],
+])
+def test_unwritable_out_ends_in_a_failed_report_on_stdout(tmp_path, z4, capsys, argv):
+    argv = [_write(tmp_path, "p.json", _z4_doc(z4)) if a is None else a for a in argv]
+    out = str(tmp_path / "no" / "such" / "dir" / "x.json")
+    code = main(argv + ["--out", out])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert rep["verdict"] == "failed" and rep["command"] == argv[0]
+    assert rep["error"]["type"] == "ParseError"
+    assert out in rep["error"]["message"]
+    assert rep["schema"] == "report" and rep["timings"] is None
+
+
+# -- the canonical writer against the reference encoder -----------------------
+
+def _reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\r\b\f\x00\x1f\x7f é€ 😀'),
+                          st.characters()), max_size=8)
+_INTS = st.one_of(st.integers(-3, 3), st.integers(), st.integers(-2 ** 80, 2 ** 80))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, st.floats(), _TEXT)
+# int lists, some with True, False or None mixed in
+_INT_LISTS = st.one_of(st.lists(_INTS, max_size=6),
+                       st.lists(st.one_of(_INTS, st.booleans(), st.none()), max_size=6))
+_TREES = st.recursive(
+    st.one_of(_SCALARS, _INT_LISTS, _INT_LISTS.map(tuple)),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_TEXT, kids, max_size=4),
+                           st.dictionaries(_INTS, kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_TREES)
+def test_writer_equals_the_reference_encoder(obj):
+    assert canonical_json(obj) == _reference_json(obj)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([np.int64, np.int32, np.int8, np.uint16]).flatmap(
+           lambda dt: hnp.arrays(dt, hnp.array_shapes(min_dims=1, max_dims=4,
+                                                      min_side=0, max_side=4))),
+       st.integers(0, 2))
+def test_writer_formats_int_arrays_as_their_lists(arr, depth):
+    obj, ref = arr, arr.tolist()
+    for _ in range(depth):   # at deeper indentation, beside a scalar
+        obj, ref = {"a": [obj, 1]}, {"a": [ref, 1]}
+    assert canonical_json(obj) == _reference_json(ref)
+
+
+def _crude_doc(z4):
+    obC = GradedObject.of({0: 1, 1: 1})
+    E, dbar_D = build_equiv(z4, obC, zero_map(z4.mid, obC, obC, 1), 0)
+    pay = {"kind": "crude", "tower": tower_to_payload(z4.tower, Z4_DESC),
+           "algebra": {"kind": "trivial"},
+           "C": complex_to_payload(E.C, "mid"), "D": complex_to_payload(E.D, "mid"),
+           "d_bar_D": gmap_to_payload(dbar_D, "bar")}
+    for key in "fgHK":
+        pay[key] = gmap_to_payload(getattr(E, key), "mid")
+    return wrap("problem", pay)
+
+
+def test_every_problem_command_writes_the_reference_bytes(tmp_path, z4, capsys, monkeypatch):
+    docs = {"crude": _write(tmp_path, "crude.json", _crude_doc(z4))}
+    for kind, seed in (("differential", 15), ("map", 0), ("homotopy", 0)):
+        docs[kind] = _write(tmp_path, f"{kind}.json", _gen_doc(tmp_path, kind, seed))
+    runs = [(cmd, "differential") for cmd in (
+        "obstruct-diff", "lift-diff", "classify", "classify-homotopy", "tangent",
+        "functor-eval", "schlessinger", "extend-order", "oracle")]
+    runs += [("lift-map", "map"), ("lift-homotopy", "homotopy"), ("crude-lift", "crude")]
+    written = []
+    write = canonical_json
+    monkeypatch.setattr(cli, "canonical_json", lambda obj: written.append(obj) or write(obj))
+    for cmd, kind in runs:
+        code = main([cmd, "--complex", docs[kind]] + (["--trace"] if kind == "crude" else []))
+        out = capsys.readouterr().out
+        assert code == 0, (cmd, out)
+        report = written.pop()
+        assert out == _reference_json(json.loads(json.dumps(report, default=np.ndarray.tolist)))
+        assert json.loads(out)["verdict"] != "failed"

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sqzlift.cli import canonical_json
 from sqzlift.complexes import Complex, GradedObject, compose, delta, map_reduce, zero_map
 from sqzlift.errors import CheckFailed
 from sqzlift.obstruction import (
@@ -54,7 +55,7 @@ def test_oracle_partition_matches_v_classes(z4):
         else:
             by_v[len(by_v)] = (w, [int(w_idx)])
     v_partition = sorted(tuple(sorted(m)) for _, m in by_v.values())
-    o_partition = sorted(res.orbits)
+    o_partition = sorted(tuple(o) for o in res.orbits.tolist())
     assert v_partition == o_partition
     assert len(o_partition) == 2 ** prob.kernel.h_dim(1) == classify_lifts(prob).count
 
@@ -170,12 +171,14 @@ def test_partition_matches_per_witness_reference(p, shape, trial):
     chosen = [o for o in orbits.values() if rng.random() < 0.5]
     witnesses = sorted(set().union(*chosen))
     got = _partition(np.asarray(witnesses, dtype=np.int64), kdim, p, moves)
-    assert got == _reference_partition(witnesses, kdim, p, moves)
-    assert all(type(i) is int for o in got for i in o)
+    assert [tuple(o) for o in got.tolist()] == _reference_partition(witnesses, kdim, p, moves)
+    assert got.dtype == np.int64
 
 
 def test_partition_of_no_witnesses_is_empty():
-    assert _partition(np.zeros(0, dtype=np.int64), 3, 2, [np.ones(3, dtype=np.int64)]) == []
+    got = _partition(np.zeros(0, dtype=np.int64), 3, 2, [np.ones(3, dtype=np.int64)])
+    assert len(got) == 0
+    assert canonical_json(got) == "[]\n"
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -185,7 +188,8 @@ def test_partition_rejects_an_orbit_that_leaves_the_witness_set(p):
     coset = sorted(_orbit_of(1, kdim, p, np.asarray(moves)))
     other = sorted(_orbit_of(2, kdim, p, np.asarray(moves)))
     full = sorted(coset + other)
-    assert _partition(np.asarray(full), kdim, p, moves) == _reference_partition(full, kdim, p, moves)
+    got = _partition(np.asarray(full), kdim, p, moves)
+    assert [tuple(o) for o in got.tolist()] == _reference_partition(full, kdim, p, moves)
     for dropped in (coset[0], coset[-1]):
         partial = [w for w in full if w != dropped]
         with pytest.raises(CheckFailed, match="orbit left the witness set"):
