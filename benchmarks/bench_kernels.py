@@ -17,7 +17,11 @@ ladder24 rung), and `delta4` is `complexes.delta_generators` in degree 0 at
 the Z/4 level of Z/8 -> Z/4 -> F_2 (two generators per coefficient).  The
 `emit` case is `cli.canonical_json` on the report that `sqzlift oracle` writes
 for `gen --kind differential --seed 74` (59 049 witnesses, 59 049 singleton
-orbits), taken as the command hands it to the writer.  Each case prints its
+orbits), taken as the command hands it to the writer.  The `tower` case
+builds every tower of `oracle._TOWER_MENU` with `mk_tower` and round-trips
+the J elements of each through the kernel codec (`kernel_coords`, then
+`kernel_matrix`); its digest covers the three minimal sections, the
+J-coordinate table and the codec's coordinates.  Each case prints its
 best time of several runs and a digest of its result, so that a change of
 result shows up next to a change of speed.
 
@@ -60,6 +64,7 @@ def _workloads():
     loads.append(("delta", 3, 0))
     loads.append(("delta4", 2, None))
     loads.append(("emit", 3, None))
+    loads.append(("tower", None, None))
     return loads
 
 
@@ -153,6 +158,21 @@ def _emit_job():
     return job
 
 
+def _tower_job():
+    def job():
+        out = []
+        for kind, p, params in oracle._TOWER_MENU:
+            t = mk_tower(kind, p, **params)
+            defalg = mk_algebra(t, "trivial")
+            jvecs = t.pibar.kernel_vectors()
+            coords = defalg.kernel_coords(jvecs)
+            if not np.array_equal(defalg.kernel_matrix(coords, len(jvecs)), jvecs):
+                raise AssertionError(f"codec round trip failed on {kind} {p} {params}")
+            out += [t.sigma, t.sigma0, t.sigma_mid, t.jcoords, coords]
+        return b"".join(np.ascontiguousarray(a, dtype=np.int64).tobytes() for a in out)
+    return job
+
+
 def main() -> int:
     print(f"{'case':<14} {'seconds':>10} {'digest':>18}")
     for name, p, payload in _workloads():
@@ -177,6 +197,8 @@ def main() -> int:
             job = _delta_z4_job()
         elif name == "emit":
             job = _emit_job()
+        elif name == "tower":
+            job = _tower_job()
         else:
             base, gens = payload
             moduli = np.full(base.shape[0], p, dtype=np.int64)
@@ -195,7 +217,8 @@ def main() -> int:
         if not isinstance(out, bytes):
             out = repr(out).encode()
         digest = hashlib.sha256(out).hexdigest()[:16]
-        print(f"{name + ' p=' + str(p):<14} {best:>10.4f} {digest:>18}")
+        label = name if p is None else f"{name} p={p}"
+        print(f"{label:<14} {best:>10.4f} {digest:>18}")
     return 0
 
 

@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .finring import FiniteRing, RingSurjection, Tower, vec_key
+from .finring import FiniteRing, RingSurjection, Tower
 
 
 @dataclass(eq=False)
@@ -239,14 +239,9 @@ class DeformedAlgebra:
 
     # -- sections ------------------------------------------------------------
 
-    def _lift(self, mat: AlgMatrix, section: dict, target: LevelAlgebra) -> AlgMatrix:
-        shape = mat.data.shape[:3] + (target.ring.m,)
-        out = np.zeros(shape, dtype=np.int64)
-        flat_in = mat.data.reshape(-1, mat.alg.ring.m)
-        flat_out = out.reshape(-1, target.ring.m)
-        for i, v in enumerate(flat_in):
-            flat_out[i] = section[vec_key(v)]
-        return AlgMatrix(target, out)
+    def _lift(self, mat: AlgMatrix, section: np.ndarray,
+              target: LevelAlgebra) -> AlgMatrix:
+        return AlgMatrix(target, section[mat.alg.ring.code(mat.data)])
 
     def lift_mid_to_bar(self, mat: AlgMatrix) -> AlgMatrix:
         """Coefficientwise minimal section of Rbar -> R."""
@@ -264,31 +259,23 @@ class DeformedAlgebra:
         """True iff every coefficient of mat lies in J = Ker(Rbar -> R)."""
         return self.reduce_bar_to_mid(mat).is_zero()
 
-    def kernel_coords(self, mat: AlgMatrix) -> np.ndarray:
-        """F_p coordinates of a J-coefficient matrix.
+    def kernel_coords(self, coeffs: np.ndarray) -> np.ndarray:
+        """F_p coordinates of Rbar coefficients (the last axis) that lie in J.
 
-        Flat ordering: J-basis index (major), then row, column, algebra basis
-        index.  Inverse of kernel_matrix.
+        Flat ordering: J-basis index (major), then the order of the
+        coefficients.  Inverse of kernel_matrix.
         """
-        t = self.tower
-        flat_in = mat.data.reshape(-1, self.bar.ring.m)
-        out = np.zeros((t.dimJ, len(flat_in)), dtype=np.int64)
-        for i, v in enumerate(flat_in):
-            lam = t.j_coords(v)
-            if lam is None:
-                raise NotInKernel("matrix coefficient outside Ker(Rbar -> R)")
-            out[:, i] = lam
-        return out.reshape(-1)
+        lam = self.tower.jcoords[self.tower.Rbar.code(coeffs).reshape(-1)]
+        if (lam < 0).any():
+            raise NotInKernel("matrix coefficient outside Ker(Rbar -> R)")
+        return lam.T.reshape(-1)
 
-    def kernel_matrix(self, coords: np.ndarray, rows: int, cols: int) -> AlgMatrix:
-        """Rebuild the J-coefficient matrix from its F_p coordinates."""
+    def kernel_matrix(self, coords: np.ndarray, n: int) -> np.ndarray:
+        """The (n, m) Rbar coefficients in J whose F_p coordinates are coords,
+        in the kernel_coords ordering."""
         t = self.tower
-        n = rows * cols * self.k
-        coords = np.asarray(coords, dtype=np.int64).reshape(t.dimJ, n) % self.p
-        data = np.zeros((n, self.bar.ring.m), dtype=np.int64)
-        for i in range(n):
-            data[i] = t.j_reconstruct(coords[:, i])
-        return AlgMatrix(self.bar, data.reshape(rows, cols, self.k, self.bar.ring.m))
+        lam = np.asarray(coords, dtype=np.int64).reshape(t.dimJ, n).T % self.p
+        return lam @ t.jbasis % t.Rbar.orders
 
     def kernel_dim(self, rows: int, cols: int) -> int:
         return self.tower.dimJ * rows * cols * self.k

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gf
 from .algebra import DeformedAlgebra
-from .complexes import GradedMap, HomComplex
+from .complexes import GradedMap, HomComplex, coefficients, from_coefficients
 from .errors import NotACocycle, ShapeMismatch
 
 
@@ -70,31 +70,16 @@ class KernelComplex:
 
     def into_kernel(self, f: GradedMap) -> np.ndarray:
         """Coordinates of a bar-level graded map with J coefficients."""
-        n = f.degree
-        parts = []
-        for i in self.hom.support(n):
-            mat = f.comp(i)
-            coords = self.defalg.kernel_coords(mat).reshape(self.dimJ, -1)
-            parts.append(coords)
-        if not parts:
-            return np.zeros(self.dim(n), dtype=np.int64)
-        return np.concatenate(parts, axis=1).reshape(-1)
+        coeffs = coefficients(f).reshape(-1, self.defalg.bar.ring.m)
+        return self.defalg.kernel_coords(coeffs)
 
     def out_of_kernel(self, vec: np.ndarray, n: int) -> GradedMap:
         vec = np.asarray(vec, dtype=np.int64) % self.p
         if vec.shape != (self.dim(n),):
             raise ShapeMismatch(f"expected a vector of length {self.dim(n)}")
-        coords = vec.reshape(self.dimJ, self.hom.dim(n))
-        comps = {}
-        pos = 0
-        k = self.defalg.k
-        for i in self.hom.support(n):
-            r, c = self.hom.obD.rank(i + n), self.hom.obC.rank(i)
-            size = r * c * k
-            block = coords[:, pos:pos + size]
-            comps[i] = self.defalg.kernel_matrix(block.reshape(-1), r, c)
-            pos += size
-        return GradedMap(self.defalg.bar, self.hom.obC, self.hom.obD, n, comps)
+        coeffs = self.defalg.kernel_matrix(vec, self.hom.dim(n))
+        return from_coefficients(self.defalg.bar, self.hom.obC, self.hom.obD, n,
+                                 coeffs.reshape(-1))
 
     # -- cohomology ----------------------------------------------------------
 
@@ -122,9 +107,9 @@ class KernelComplex:
         return gf.solve(self.delta_matrix(n - 1), vec, self.p)
 
     def h_dim(self, n: int) -> int:
-        cocycles = self.dim(n) - gf.rank(self.delta_matrix(n), self.p)
-        cobound = gf.rank(self.delta_matrix(n - 1), self.p)
-        return cocycles - cobound
+        # rank delta_n = rank delta_n^T, the number of degree-(n+1) coboundary pivots
+        rank_n = len(self.coboundary_space(n + 1)[1])
+        return self.dim(n) - rank_n - len(self.coboundary_space(n)[1])
 
     def h_basis(self, n: int) -> np.ndarray:
         """Canonical representatives of a basis of H^n, one per row."""

@@ -43,7 +43,6 @@ from .finring import (
     RingSurjection,
     minimal_section,
     mk_tower,
-    vec_key,
     zmod_ring,
 )
 from .obstruction import DifferentialProblem, LiftReport, lift_differential
@@ -65,8 +64,7 @@ class ArtinLocalRing:
             raise ValidationError("not an F_p-algebra: p does not kill the ring")
         if not self.ring.is_local():
             raise NotLocal("ring is not local with residue field F_p")
-        self.mvecs = self.ring.nilpotent_vectors      # lex order
-        self._mkeys = {vec_key(v) for v in self.mvecs}
+        self.mvecs = self.ring.elements()[self.ring.nilpotent_mask]   # lex order
 
     @property
     def p(self) -> int:
@@ -78,11 +76,11 @@ class ArtinLocalRing:
 
     def residue(self, v: np.ndarray) -> int:
         """The residue in F_p = R/m of a ring element."""
-        one = self.ring.one_vec()
-        for c in range(self.p):
-            if vec_key((v - c * one) % self.ring.orders) in self._mkeys:
-                return c
-        raise ValidationError("element has no residue; ring is not local")
+        shifted = (v - np.arange(self.p)[:, None] * self.ring.one_vec()) % self.ring.orders
+        hit = np.flatnonzero(self.ring.nilpotent_mask[self.ring.code(shifted)])
+        if not len(hit):
+            raise ValidationError("element has no residue; ring is not local")
+        return int(hit[0])
 
     def section(self, c: int) -> np.ndarray:
         return (int(c) * self.ring.one_vec()) % self.ring.orders
@@ -594,13 +592,8 @@ def check_smoothness(pi: RingSurjection, alg0: LevelAlgebra, ob: GradedObject,
             if u is None:
                 continue
             pairs += 1
-            comps = {}
-            for i in u.support():
-                mat = u.comp(i)
-                flat = mat.data.reshape(-1, pi.target.m)
-                out = np.stack([section[vec_key(v)] for v in flat])
-                comps[i] = AlgMatrix(algR, out.reshape(
-                    mat.data.shape[:3] + (pi.source.m,)))
+            comps = {i: AlgMatrix(algR, section[pi.target.code(u.comp(i).data)])
+                     for i in u.support()}
             ubar = GradedMap(algR, ob, ob, 0, comps)
             uinv = unipotent_inverse(algR, ubar)
             dR2 = compose(compose(ubar, dR), uinv)

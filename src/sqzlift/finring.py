@@ -4,6 +4,13 @@ A ring is presented by an additive basis b_0 = 1, ..., b_{m-1} where b_i
 generates a cyclic group of order p^{e_i}, together with the multiplication
 table of the basis.  Elements are canonical coefficient vectors
 (c_0, ..., c_{m-1}) with 0 <= c_i < p^{e_i}.
+
+Each element also has an integer code, its index in the lexicographic list
+`elements()`: code(v) = v @ strides with strides[i] = prod(orders[i+1:]),
+so code(elements()) == arange(cardinality).  A map out of a ring is then
+an array indexed by code: the minimal sections of a surjection, the
+J-coordinates of a tower and the maximal ideal of a local ring are all
+lookup tables.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .errors import (
 )
 
 MAX_RING_SIZE = 1 << 16
+MAX_P = 7
 
 
 def is_prime(n: int) -> bool:
@@ -42,12 +50,6 @@ def is_prime(n: int) -> bool:
 
 def vec_key(v: np.ndarray) -> bytes:
     return np.ascontiguousarray(v, dtype=np.int64).tobytes()
-
-
-def all_vectors(orders: np.ndarray) -> np.ndarray:
-    """All coefficient vectors, rows in lexicographic order (leftmost major)."""
-    grids = np.meshgrid(*[np.arange(int(o)) for o in orders], indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, len(orders)).astype(np.int64)
 
 
 @dataclass(eq=False)
@@ -151,50 +153,65 @@ class FiniteRing:
         return np.einsum("ni,j,ijk->nk", elems, np.asarray(b, dtype=np.int64),
                          self.mult) % self.orders
 
+    # -- element codes -------------------------------------------------------
+
+    @cached_property
+    def strides(self) -> np.ndarray:
+        """code(v) = v @ strides, with strides[i] = prod(orders[i+1:])."""
+        return np.cumprod(np.append(1, self.orders[:0:-1]))[::-1].copy()
+
+    def code(self, v) -> np.ndarray:
+        """Index in elements() of each canonical vector on the last axis of v."""
+        return np.asarray(v, dtype=np.int64) @ self.strides
+
+    @cached_property
+    def _elements(self) -> np.ndarray:
+        codes = np.arange(self.cardinality, dtype=np.int64)[:, None]
+        elems = (codes // self.strides) % self.orders
+        elems.setflags(write=False)
+        return elems
+
     def elements(self) -> np.ndarray:
-        """(cardinality, m) array of all elements, lexicographic order."""
-        return all_vectors(self.orders)
+        """(cardinality, m) read-only array of all elements, lexicographic
+        order: row c is the element of code c."""
+        return self._elements
 
     # -- locality ------------------------------------------------------------
 
     @cached_property
-    def nilpotent_vectors(self) -> np.ndarray:
-        """All nilpotent elements, rows in lexicographic order."""
-        elems = self.elements()
-        powers = elems.copy()
+    def nilpotent_mask(self) -> np.ndarray:
+        """Bool array over codes: True at the nilpotent elements."""
+        powers = self.elements()
         # x nilpotent iff x^(2^t) = 0 for 2^t >= cardinality
         steps = max(1, int(np.ceil(np.log2(max(2, self.cardinality)))))
         for _ in range(steps):
             powers = np.einsum("ni,nj,ijk->nk", powers, powers, self.mult) % self.orders
-        mask = ~powers.any(axis=1)
-        return elems[mask]
+        return ~powers.any(axis=1)
 
-    def additive_span(self, gens) -> set[bytes]:
-        """Keys of the additive subgroup generated by gens, by coset expansion."""
-        span = {vec_key(self.zero_vec()): self.zero_vec()}
-        for v in gens:
-            if vec_key(v) in span:
+    def additive_span(self, gens) -> np.ndarray:
+        """Bool array over codes of the additive subgroup generated by gens,
+        by coset expansion."""
+        span = np.zeros(self.cardinality, dtype=bool)
+        span[0] = True
+        members = self.zero_vec()[None, :]
+        for v, c in zip(gens, self.code(gens).tolist()):
+            if span[c]:
                 continue
-            current = list(span.values())
-            acc = v.copy()
-            shells = []
-            while vec_key(acc) not in span:
-                shells.append(acc.copy())
-                acc = self.add_vec(acc, v)
-            for s in shells:
-                for base in current:
-                    w = self.add_vec(base, s)
-                    span[vec_key(w)] = w
-        return set(span)
+            shells = [v]
+            while not span[self.code(acc := self.add_vec(shells[-1], v))]:
+                shells.append(acc)
+            new = (members[None, :, :] + np.stack(shells)[:, None, :]) % self.orders
+            members = np.concatenate([members, new.reshape(-1, self.m)])
+            span[self.code(members)] = True
+        return span
 
     def is_local(self) -> bool:
         """True iff the ring is local with residue field F_p."""
-        nil = self.nilpotent_vectors
-        nil_keys = {vec_key(v) for v in nil}
+        nil = self.nilpotent_mask
         # the nilpotents must form an additive subgroup of index p
-        if self.additive_span(nil) != nil_keys:
+        if not np.array_equal(self.additive_span(self.elements()[nil]), nil):
             return False
-        return self.cardinality == self.p * len(nil_keys)
+        return self.cardinality == self.p * int(nil.sum())
 
     def is_unit_vec(self, v) -> bool:
         # in a finite commutative ring, x is a unit iff x^|R|... cheaper:
@@ -231,20 +248,22 @@ class RingSurjection:
             raise ValidationError("map does not respect additive orders")
         if not np.array_equal(self.apply_vec(self.source.one_vec()), self.target.one_vec()):
             raise ValidationError("map is not unital")
-        for i in range(self.source.m):
-            for j in range(self.source.m):
-                lhs = self.apply_vec(self.source.mult[i, j])
-                rhs = self.target.mul_vec(self.images[i], self.images[j])
-                if not np.array_equal(lhs, rhs):
-                    raise ValidationError(f"map not multiplicative on (b{i}, b{j})")
-        if len(self.target.additive_span(self.images)) != self.target.cardinality:
+        lhs = self.apply_many(self.source.mult)
+        rhs = np.einsum("iu,jv,uvw->ijw", self.images, self.images,
+                        self.target.mult) % self.target.orders
+        bad = np.argwhere((lhs != rhs).any(axis=2))
+        if len(bad):
+            i, j = bad[0]
+            raise ValidationError(f"map not multiplicative on (b{i}, b{j})")
+        hit = self.target.code(self.apply_many(self.source.elements()))
+        if not np.bincount(hit, minlength=self.target.cardinality).all():
             raise NotSurjective("image does not cover the target")
 
     def apply_vec(self, v) -> np.ndarray:
         return (np.asarray(v, dtype=np.int64) @ self.images) % self.target.orders
 
     def apply_many(self, rows: np.ndarray) -> np.ndarray:
-        return (rows @ self.images) % self.target.orders[None, :]
+        return (rows @ self.images) % self.target.orders
 
     def compose(self, inner: "RingSurjection") -> "RingSurjection":
         """self o inner (inner first)."""
@@ -258,24 +277,27 @@ class RingSurjection:
         return elems[~imgs.any(axis=1)]
 
 
-def minimal_section(surj: RingSurjection) -> dict[bytes, np.ndarray]:
-    """target element -> lexicographically minimal preimage."""
+def minimal_section(surj: RingSurjection) -> np.ndarray:
+    """(|target|, m_src) array: row c is the lexicographically minimal
+    preimage of the target element of code c."""
     elems = surj.source.elements()  # lexicographic order
-    imgs = surj.apply_many(elems)
-    sec: dict[bytes, np.ndarray] = {}
-    for row, img in zip(elems, imgs):
-        k = vec_key(img)
-        if k not in sec:
-            sec[k] = row
-    if len(sec) != surj.target.cardinality:
+    n = len(elems)
+    first = np.full(surj.target.cardinality, n)
+    np.minimum.at(first, surj.target.code(surj.apply_many(elems)), np.arange(n))
+    if (first == n).any():
         raise NotSurjective("section construction found a missed target element")
-    return sec
+    return elems[first]
 
 
 @dataclass(eq=False)
 class Tower:
     """Chain Rbar -> R -> R0 = F_p with I = Ker(Rbar->R0), J = Ker(Rbar->R),
-    I*J = 0, and a fixed minimal set-theoretic section sigma of Rbar -> R."""
+    I*J = 0, and a fixed minimal set-theoretic section sigma of Rbar -> R.
+
+    The sections are arrays indexed by the code of the element they lift;
+    jcoords[code(v)] holds the F_p-coordinates of v in the J basis, or -1
+    when v is not in J.
+    """
 
     Rbar: FiniteRing
     R: FiniteRing
@@ -284,9 +306,10 @@ class Tower:
     pi: RingSurjection           # R -> R0
     pibar0: RingSurjection = field(init=False)
     jbasis: np.ndarray = field(init=False)       # (dimJ, m_bar)
-    sigma: dict = field(init=False)              # R elem key -> Rbar vector
-    sigma0: dict = field(init=False)             # R0 elem key -> Rbar vector
-    sigma_mid: dict = field(init=False)          # R0 elem key -> R vector
+    jcoords: np.ndarray = field(init=False)      # (|Rbar|, dimJ)
+    sigma: np.ndarray = field(init=False)        # (|R|, m_bar)
+    sigma0: np.ndarray = field(init=False)       # (|R0|, m_bar)
+    sigma_mid: np.ndarray = field(init=False)    # (|R0|, m_mid)
 
     def __post_init__(self):
         if not (self.Rbar.p == self.R.p == self.R0.p):
@@ -322,16 +345,12 @@ class Tower:
                 raise IJNonzero(
                     f"I*J != 0: {list(map(int, i_bad))} * {list(map(int, j))} != 0")
 
-        self._jcoords = self._index_j()
         self.sigma = minimal_section(self.pibar)
         self.sigma0 = minimal_section(self.pibar0)
         self.sigma_mid = minimal_section(self.pi)
-        # precompute j_s * sigma0(c) for c in F_p (used to rebuild kernel elements)
-        self._jmul = np.zeros((len(self.jbasis), self.p, self.Rbar.m), dtype=np.int64)
-        for s, j in enumerate(self.jbasis):
-            for c in range(self.p):
-                lift = self.sigma0[vec_key(self.R0.from_int(c))]
-                self._jmul[s, c] = self.Rbar.mul_vec(j, lift)
+        lams = gf.digit_matrix(0, self.p ** self.dimJ, self.dimJ, self.p)
+        self.jcoords = np.full((self.Rbar.cardinality, self.dimJ), -1, dtype=np.int64)
+        self.jcoords[self.Rbar.code(lams @ self.jbasis % self.Rbar.orders)] = lams
 
     @property
     def p(self) -> int:
@@ -350,34 +369,6 @@ class Tower:
         _, keep, _ = gf.rref(self._phi(vecs).T, self.p)
         return vecs[keep]
 
-    def _index_j(self) -> dict[bytes, np.ndarray]:
-        coords: dict[bytes, np.ndarray] = {}
-        for lam in itertools.product(range(self.p), repeat=self.dimJ):
-            v = self.Rbar.zero_vec()
-            for c, j in zip(lam, self.jbasis):
-                v = self.Rbar.add_vec(v, (c * j) % self.Rbar.orders)
-            coords[vec_key(v)] = np.asarray(lam, dtype=np.int64)
-        return coords
-
-    # -- kernel coordinates at the ring level --------------------------------
-
-    def j_coords(self, v: np.ndarray) -> np.ndarray | None:
-        """F_p coordinates of v in the J basis, or None if v is not in J."""
-        return self._jcoords.get(vec_key(np.asarray(v, dtype=np.int64)))
-
-    def j_reconstruct(self, lam: np.ndarray) -> np.ndarray:
-        v = self.Rbar.zero_vec()
-        for s, c in enumerate(lam):
-            v = self.Rbar.add_vec(v, self._jmul[s, int(c) % self.p])
-        return v
-
-    def sigma_vec(self, v) -> np.ndarray:
-        """Minimal lift R -> Rbar."""
-        return self.sigma[vec_key(np.asarray(v, dtype=np.int64))]
-
-    def sigma0_vec(self, v) -> np.ndarray:
-        """Minimal lift R0 -> Rbar."""
-        return self.sigma0[vec_key(np.asarray(v, dtype=np.int64))]
 
 # ---------------------------------------------------------------------------
 # built-in tower constructors
@@ -421,7 +412,7 @@ def _proj(src: FiniteRing, tgt: FiniteRing) -> RingSurjection:
     return RingSurjection(src, tgt, np.eye(src.m, tgt.m, dtype=np.int64))
 
 
-def mk_tower(kind: str, p: int, max_p: int = 7, **params) -> Tower:
+def mk_tower(kind: str, p: int, **params) -> Tower:
     """Build one of the built-in towers, or wrap custom data.
 
     kinds: zmod(a, b): Z/p^a -> Z/p^b -> F_p;
@@ -431,8 +422,8 @@ def mk_tower(kind: str, p: int, max_p: int = 7, **params) -> Tower:
     """
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
-    if p > max_p:
-        raise ValidationError(f"p={p} exceeds the performance cap {max_p}")
+    if p > MAX_P:
+        raise ValidationError(f"p={p} exceeds the performance cap {MAX_P}")
     if kind in ("zmod", "trunc_poly"):
         a, b = int(params["a"]), int(params["b"])
         if not (a >= b >= 1):

@@ -93,9 +93,9 @@ def test_kernel_coords_bijection(z4):
     seen = set()
     for idx in range(2 ** n):
         coords = np.array([(idx >> s) & 1 for s in range(n)], dtype=np.int64)
-        M = z4.kernel_matrix(coords, 2, 2)
+        M = z4.bar.mat(z4.kernel_matrix(coords, 4).reshape(2, 2, 1, 1))
         assert z4.in_kernel(M)
-        back = z4.kernel_coords(M)
+        back = z4.kernel_coords(M.data)
         assert np.array_equal(back, coords)
         seen.add(M.data.tobytes())
     assert len(seen) == 2 ** n
@@ -113,7 +113,7 @@ def test_kernel_matrices_absorb_i(z4):
     """I * J = 0 makes J-coefficient matrices insensitive to mid corrections."""
     # 2 * 2 = 0 in Z/4: multiplying a kernel matrix by any lift of 0 kills it
     coords = np.array([1, 0, 0, 1], dtype=np.int64)
-    M = z4.kernel_matrix(coords, 2, 2)
+    M = z4.bar.mat(z4.kernel_matrix(coords, 4).reshape(2, 2, 1, 1))
     two = AlgMatrix(z4.bar, np.full((2, 2, 1, 1), 2, dtype=np.int64))
     assert not (M @ two).data.any()
     assert not (two @ M).data.any()

@@ -1,9 +1,12 @@
 """Finite rings, surjections, towers, and fiber products."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from sqzlift import gf
+from sqzlift.oracle import _TOWER_MENU
 from sqzlift.errors import (
     CharMismatch,
     IJNonzero,
@@ -19,9 +22,25 @@ from sqzlift.finring import (
     ring_fiber_product,
     square_zero_ring,
     trunc_poly_ring,
-    vec_key,
     zmod_ring,
 )
+
+
+def _brute_minimal_section(surj):
+    """target element (as a tuple) -> lexicographically least preimage,
+    by running over the source in tuple order."""
+    best = {}
+    for v in itertools.product(*[range(int(o)) for o in surj.source.orders]):
+        best.setdefault(tuple(surj.apply_vec(np.array(v)).tolist()), v)
+    return best
+
+
+def _assert_minimal_section(surj, section):
+    """section[code(t)] is the least preimage of t, for every target element t."""
+    best = _brute_minimal_section(surj)
+    assert len(best) == surj.target.cardinality == len(section)
+    for t, v in best.items():
+        assert section[surj.target.code(np.array(t))].tolist() == list(v)
 
 
 def test_zmod_ring_arithmetic():
@@ -50,15 +69,21 @@ def test_square_zero_ring_relations():
 
 
 def test_nonassociative_table_rejected():
-    mult = np.zeros((2, 2, 2), dtype=np.int64)
-    mult[0, 0, 0] = 1
-    mult[0, 1, 1] = 1
-    mult[1, 0, 1] = 1
-    mult[1, 1, 1] = 1   # b*b = b but b not idempotent-compatible with unit row
-    orders = np.array([2, 2])
-    # this table is commutative and associative; tweak to break associativity
-    mult[1, 1, 0] = 1   # b^2 = 1 + b while b*1 = b: (bb)b != b(bb) fails? keep valid
-    FiniteRing(2, orders, mult, ("1", "b"))   # F_4, should be accepted
+    def table(products):
+        """F_2 with basis 1, a, b and the given products of a and b."""
+        mult = np.zeros((3, 3, 3), dtype=np.int64)
+        for j in range(3):
+            mult[0, j, j] = mult[j, 0, j] = 1
+        for (i, j), k in products.items():
+            mult[i, j, k] = 1
+        return mult
+
+    # a^2 = b, b^2 = a, ab = ba = 0: (aa)b = a but a(ab) = 0
+    with pytest.raises(ValidationError, match="not associative"):
+        FiniteRing(2, np.full(3, 2), table({(1, 1): 2, (2, 2): 1}))
+    # ab = a, ba = 0
+    with pytest.raises(ValidationError, match="not commutative"):
+        FiniteRing(2, np.full(3, 2), table({(1, 2): 1}))
 
 
 def test_locality_detection():
@@ -101,6 +126,11 @@ def test_nonprime_rejected():
         mk_tower("zmod", 4, a=2, b=1)
 
 
+def test_prime_above_the_performance_cap_is_rejected():
+    with pytest.raises(ValidationError, match="performance cap"):
+        mk_tower("zmod", 11, a=2, b=1)
+
+
 def test_surjection_validation():
     R4, R2 = zmod_ring(2, 2), zmod_ring(2, 1)
     surj = RingSurjection(R4, R2, np.array([[1]]))
@@ -114,20 +144,39 @@ def test_surjection_validation():
         RingSurjection(R4, zmod_ring(3, 1), np.array([[1]]))
 
 
+def test_surjection_rejections():
+    Re = trunc_poly_ring(2, 2)   # F_2[t]/t^2
+    # t -> 1 + t: t^2 = 0 but (1 + t)^2 = 1
+    with pytest.raises(ValidationError, match=r"map not multiplicative on \(b1, b1\)"):
+        RingSurjection(Re, Re, np.array([[1, 0], [1, 1]]))
+    with pytest.raises(ValidationError, match="not unital"):
+        RingSurjection(Re, Re, np.array([[0, 1], [0, 1]]))
+    # 2 * 1 = 0 in Z/2 but not in Z/4
+    with pytest.raises(ValidationError, match="additive orders"):
+        RingSurjection(zmod_ring(2, 1), zmod_ring(2, 2), np.array([[1]]))
+
+
 def test_minimal_section_roundtrip():
     R4, R2 = zmod_ring(2, 2), zmod_ring(2, 1)
     surj = RingSurjection(R4, R2, np.array([[1]]))
-    sec = minimal_section(surj)
-    for v in R2.elements():
-        assert np.array_equal(surj.apply_vec(sec[vec_key(v)]), v)
+    _assert_minimal_section(surj, minimal_section(surj))
+    t = mk_tower("trunc_poly", 2, a=2, b=1)
+    fp = ring_fiber_product(t.pibar, t.pibar)
+    for proj in (fp.proj1, fp.proj2):
+        _assert_minimal_section(proj, minimal_section(proj))
 
 
-@pytest.mark.parametrize("kind,p,params", [
+_TOWERS = [
     ("zmod", 2, {"a": 2, "b": 1}),
     ("trunc_poly", 2, {"a": 2, "b": 1}),
     ("trunc_poly", 3, {"a": 3, "b": 2}),
     ("square_zero", 5, {"r": 2}),
-])
+]
+# every tower of the gen instances, and dim J = 2 over F_3
+_TOWERS += [t for t in _TOWER_MENU if t not in _TOWERS] + [("square_zero", 3, {"r": 2})]
+
+
+@pytest.mark.parametrize("kind,p,params", _TOWERS)
 def test_tower_invariants(kind, p, params):
     tower = mk_tower(kind, p, **params)
     # J = Ker(Rbar -> R) is killed by p and by I = Ker(Rbar -> R0)
@@ -137,14 +186,19 @@ def test_tower_invariants(kind, p, params):
         assert not ((p * j) % tower.Rbar.orders).any()
         for i in Iv:
             assert not tower.Rbar.mul_vec(i, j).any()
-    # J-coordinates are a bijection onto F_p^dimJ
-    seen = set()
-    for j in Jv:
-        lam = tower.j_coords(j)
-        assert lam is not None
-        assert np.array_equal(tower.j_reconstruct(lam), j % tower.Rbar.orders)
-        seen.add(tuple(int(x) for x in lam))
-    assert len(seen) == p ** tower.dimJ == len(Jv)
+    # J-coordinates are a bijection onto F_p^dimJ, and -1 off J
+    codes = tower.Rbar.code(Jv)
+    lams = tower.jcoords[codes]
+    assert (lams >= 0).all()
+    assert np.array_equal(lams @ tower.jbasis % tower.Rbar.orders, Jv)
+    assert len({tuple(lam) for lam in lams.tolist()}) == p ** tower.dimJ == len(Jv)
+    off = np.ones(tower.Rbar.cardinality, dtype=bool)
+    off[codes] = False
+    assert (tower.jcoords[off] == -1).all()
+    # the sections pick the lexicographically least preimage
+    _assert_minimal_section(tower.pibar, tower.sigma)
+    _assert_minimal_section(tower.pibar0, tower.sigma0)
+    _assert_minimal_section(tower.pi, tower.sigma_mid)
 
 
 @pytest.mark.parametrize("kind,p,params", [
@@ -199,11 +253,9 @@ def test_tower_rejects_kernel_not_killed_by_p():
 
 def test_sigma_sections_land_correctly():
     tower = mk_tower("trunc_poly", 3, a=3, b=2)
-    for v in tower.R.elements():
-        assert np.array_equal(tower.pibar.apply_vec(tower.sigma_vec(v)), v)
-    for v in tower.R0.elements():
-        assert np.array_equal(
-            tower.pibar0.apply_vec(tower.sigma0_vec(v)), v)
+    assert np.array_equal(tower.pibar.apply_many(tower.sigma), tower.R.elements())
+    assert np.array_equal(tower.pibar0.apply_many(tower.sigma0), tower.R0.elements())
+    assert np.array_equal(tower.pi.apply_many(tower.sigma_mid), tower.R0.elements())
 
 
 def test_fiber_product_of_dual_numbers():
