@@ -21,7 +21,9 @@ orbits), taken as the command hands it to the writer.  The `tower` case
 builds every tower of `oracle._TOWER_MENU` with `mk_tower` and round-trips
 the J elements of each through the kernel codec (`kernel_coords`, then
 `kernel_matrix`); its digest covers the three minimal sections, the
-J-coordinate table and the codec's coordinates.  Each case prints its
+J-coordinate table and the codec's coordinates.  The `nilpotent` case is
+`FiniteRing.nilpotent_mask` on F_2[t]/t^14 (16 384 elements), computed
+afresh on each run.  Each case prints its
 best time of several runs and a digest of its result, so that a change of
 result shows up next to a change of speed.
 
@@ -42,7 +44,8 @@ from sqzlift import cli, crude, defun, gf, oracle
 from sqzlift.algebra import AlgMatrix, mk_algebra
 from sqzlift.complexes import (Complex, GradedMap, GradedObject, HomComplex,
                                delta_generators)
-from sqzlift.finring import mk_tower, square_zero_ring
+from sqzlift.finring import (FiniteRing, mk_tower, square_zero_ring,
+                              trunc_poly_ring)
 
 REPEATS = 5
 
@@ -65,6 +68,7 @@ def _workloads():
     loads.append(("delta4", 2, None))
     loads.append(("emit", 3, None))
     loads.append(("tower", None, None))
+    loads.append(("nilpotent", 2, 14))
     return loads
 
 
@@ -173,6 +177,14 @@ def _tower_job():
     return job
 
 
+def _nilpotent_job(p, a):
+    ring = trunc_poly_ring(p, a)
+
+    def job():   # the cached property's function, so that nothing is cached
+        return FiniteRing.nilpotent_mask.func(ring).tobytes()
+    return job
+
+
 def main() -> int:
     print(f"{'case':<14} {'seconds':>10} {'digest':>18}")
     for name, p, payload in _workloads():
@@ -199,6 +211,8 @@ def main() -> int:
             job = _emit_job()
         elif name == "tower":
             job = _tower_job()
+        elif name == "nilpotent":
+            job = _nilpotent_job(p, payload)
         else:
             base, gens = payload
             moduli = np.full(base.shape[0], p, dtype=np.int64)

@@ -5,7 +5,8 @@ s in {tower, algebra, complex, map, problem}.  Serialization is canonical
 (sorted keys, plain decimal integers), so parse -> serialize round-trips
 byte-identically and repeated runs produce identical reports.
 `canonical_json` writes the bytes of `json.dumps(obj, sort_keys=True,
-indent=2)` itself, with lists of ints and integer ndarrays formatted in C.  Reports carry
+indent=2)` itself: a list of ints is joined with `str` in one call, and an
+integer ndarray is written as bytes in a few numpy passes.  Reports carry
 "verdict" in {lifts, obstructed, classified, verified, failed}; obstructed is
 exit status 2 (a mathematical outcome), errors are exit status 1.
 """
@@ -64,7 +65,8 @@ SCHEMAS = ("tower", "algebra", "complex", "map", "problem")
 def canonical_json(obj) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)` and a
     newline, byte for byte, without the pure-Python encoder that `indent`
-    selects.  Integer ndarrays are written as their `tolist()` would be."""
+    selects.  Integer ndarrays are written as their `tolist()` would be, by
+    `_int_array`, with no Python object per element."""
     out: list[str] = []
     _write_json(obj, "\n", out)
     out.append("\n")
@@ -110,31 +112,59 @@ def _write_json(o, nl: str, out: list[str]) -> None:
     elif isinstance(o, str):
         out.append(_escape(o))
     elif isinstance(o, np.ndarray):
-        if o.dtype.kind in "iu" and o.ndim and o.size:
-            out.append(_int_array(json.dumps(o.tolist()), o.ndim, nl))
+        if o.dtype.kind in "iu" and o.size:
+            out.append(_int_array(o, nl))
         else:
             _write_json(o.tolist(), nl, out)
     else:
         out.append(json.dumps(o))
 
 
-def _int_array(text: str, ndim: int, nl: str) -> str:
-    """Indent the compact JSON of a nonempty ndim-deep integer array.
+_DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
+                             dtype=np.uint16)          # "00" .. "99"
+_POWERS_OF_TEN = 10 ** np.arange(19, -1, -1, dtype=np.uint64)
 
-    Integers hold no brackets and no ", ", so every ", " separates two
-    neighbours, and one that closes and reopens j lists reads
-    "]" * j + ", " + "[" * j; replacing the deepest of these first indents
-    them all."""
-    ind = [nl + "  " * k for k in range(ndim + 1)]   # indentation at depth k
-    body = text[ndim:-ndim]
-    for j in range(ndim - 1, -1, -1):
-        body = body.replace(
-            "]" * j + ", " + "[" * j,
-            "".join(ind[k] + "]" for k in range(ndim - 1, ndim - 1 - j, -1))
-            + "," + ind[ndim - j]
-            + "".join("[" + ind[k + 1] for k in range(ndim - j, ndim)))
-    return ("".join("[" + ind[k + 1] for k in range(ndim)) + body
-            + "".join(ind[k] + "]" for k in range(ndim - 1, -1, -1)))
+
+def _int_array(a: np.ndarray, nl: str) -> str:
+    """The indented JSON of a nonempty integer array, as `tolist()` would be
+    written, built as one byte row per element and joined in a few passes.
+
+    A row is the text before the element, a sign byte and the element's
+    decimal digits, all padded with 0 bytes, which are dropped at the end.
+    The text before an element depends only on j, the number of trailing
+    index positions that are 0: it closes and reopens j lists (j = ndim for
+    the first element, which only opens them)."""
+    d = a.ndim
+    ind = [nl + "  " * k for k in range(d + 1)]   # indentation at depth k
+
+    def closes(j):
+        return "".join(ind[k] + "]" for k in range(d - 1, d - 1 - j, -1))
+
+    def opens(j):
+        return "".join("[" + ind[k + 1] for k in range(d - j, d))
+
+    before = [closes(j) + "," + ind[d - j] + opens(j) for j in range(d)] + [opens(d)]
+    table = np.zeros((d + 1, max(map(len, before))), dtype=np.uint8)
+    for j, text in enumerate(before):
+        table[j, :len(text)] = np.frombuffer(text.encode(), dtype=np.uint8)
+    trailing = np.zeros(a.shape, dtype=np.intp)
+    for j in range(1, d + 1):
+        trailing[(Ellipsis,) + (0,) * j] += 1
+
+    flat = a.reshape(-1)
+    neg = flat < 0
+    mag = flat.astype(np.uint64)   # negatives wrap modulo 2^64, so -mag is |x|
+    np.negative(mag, out=mag, where=neg)
+    npairs = (len(str(mag.max())) + 1) // 2
+    pairs = mag[:, None] // 100 ** np.arange(npairs - 1, -1, -1, dtype=np.uint64) % 100
+    digits = _DIGIT_PAIRS[pairs].view(np.uint8).reshape(len(flat), 2 * npairs)
+    keep = _POWERS_OF_TEN[20 - 2 * npairs:].copy()   # a digit shows iff |x| >= this
+    keep[-1] = 0                                     # 0 is written "0"
+    digits *= mag[:, None] >= keep
+    rows = np.concatenate([table[trailing.reshape(-1)],
+                           (neg * ord("-")).astype(np.uint8)[:, None], digits], axis=1)
+    text = rows.reshape(-1)
+    return text[text != 0].tobytes().decode("ascii") + closes(d)
 
 
 def _ilist(a) -> list:

@@ -181,12 +181,14 @@ class FiniteRing:
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
         """Bool array over codes: True at the nilpotent elements."""
-        powers = self.elements()
-        # x nilpotent iff x^(2^t) = 0 for 2^t >= cardinality
-        steps = max(1, int(np.ceil(np.log2(max(2, self.cardinality)))))
-        for _ in range(steps):
-            powers = np.einsum("ni,nj,ijk->nk", powers, powers, self.mult) % self.orders
-        return ~powers.any(axis=1)
+        elems = self.elements()
+        # sq[c] is the code of x^e for the element x of code c, and sq[sq]
+        # that of x^(e*e); a nilpotent x has x^e = 0 once e >= cardinality,
+        # since its nonzero powers are distinct
+        sq, e = self.code(np.einsum("ni,nj,ijk->nk", elems, elems, self.mult) % self.orders), 2
+        while e < self.cardinality:
+            sq, e = sq[sq], e * e
+        return sq == 0
 
     def additive_span(self, gens) -> np.ndarray:
         """Bool array over codes of the additive subgroup generated by gens,

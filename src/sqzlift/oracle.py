@@ -14,8 +14,9 @@ tuple by digit tuple.
 Equivalence orbits come from the moves: conjugating by 1 + kappa, or
 absorbing a delta of a lower-degree J-matrix, moves a witness by an element
 of an F_p-linear image, so an orbit is a coset of the row space of the moves.
-All witnesses are reduced modulo that space in one vectorised pass and keyed
-by their representative; witnesses with one key form one orbit, and the
+Each witness is keyed by the index of its representative modulo that space,
+found from only the digit columns that the row-reduced moves touch (none
+when every move is zero); witnesses with one key form one orbit, and the
 orbit is checked to lie wholly inside the witness set.  `oracle` and
 `witness` are written once for every problem kind (see obstruction.py for
 what each kind states).
@@ -88,20 +89,25 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
     each row ascending, rows ordered by least member.
 
     An orbit is a coset of the row space of the moves, so every witness is
-    keyed by the index of its canonical representative modulo that space.  A
-    key's group lies in its coset, which has p^rank elements; the coset is
-    inside the witness set exactly when the group has that many members, so
-    all rows have that length.
+    keyed by the index of its canonical representative modulo that space.
+    Reduction changes only the digits in the columns where the row-reduced
+    moves are nonzero (the pivots among them), so only those are decoded and
+    the key is w plus the change they make.  A key's group lies in its
+    coset, which has p^rank elements; the coset is inside the witness set
+    exactly when the group has that many members, so all rows have that
+    length.
     """
     w = np.asarray(witness_indices, dtype=np.int64)
     G = (np.stack(move_gens) if move_gens
          else np.zeros((0, kdim), dtype=np.int64))
     G, pivots = gf.row_space(G, p)
-    powers = p ** np.arange(kdim, dtype=np.int64)
-    keys = np.empty(len(w), dtype=np.int64)
+    cols = np.flatnonzero(G.any(axis=0))
+    G, pivots = G[:, cols], np.searchsorted(cols, pivots)
+    powers = p ** cols
+    keys = w.copy()
     for lo in range(0, len(w), _PARTITION_ROWS):
-        W = gf.digits(w[lo:lo + _PARTITION_ROWS], kdim, p)
-        keys[lo:lo + len(W)] = gf.reduce_mod_rowspace(W, G, pivots, p) @ powers
+        D = w[lo:lo + _PARTITION_ROWS, None] // powers % p
+        keys[lo:lo + len(D)] += (gf.reduce_mod_rowspace(D, G, pivots, p) - D) @ powers
     _, first, group, counts = np.unique(keys, return_index=True,
                                         return_inverse=True, return_counts=True)
     size = p ** len(pivots)

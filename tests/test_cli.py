@@ -338,10 +338,38 @@ def test_writer_equals_the_reference_encoder(obj):
                                                       min_side=0, max_side=4))),
        st.integers(0, 2))
 def test_writer_formats_int_arrays_as_their_lists(arr, depth):
+    _assert_writes_its_list(arr, depth)
+
+
+def _assert_writes_its_list(arr, depth):
     obj, ref = arr, arr.tolist()
     for _ in range(depth):   # at deeper indentation, beside a scalar
         obj, ref = {"a": [obj, 1]}, {"a": [ref, 1]}
     assert canonical_json(obj) == _reference_json(ref)
+
+
+_I64, _I32 = np.iinfo(np.int64), np.iinfo(np.int32)
+_WIDTHS = [10 ** (w - 1) for w in range(1, 20)] + [10 ** w - 1 for w in range(1, 19)]
+_EXACT_ARRAYS = {
+    "long": np.arange(59049),
+    "long column": np.arange(59049).reshape(-1, 1),
+    "long row": np.arange(6561).reshape(1, -1),
+    "block": np.arange(243).reshape(9, 27) - 121,
+    "widths 1-19": np.array(_WIDTHS + [-v for v in _WIDTHS], dtype=np.int64),
+    "width 20": np.array([10 ** 19, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1, 0, 7], dtype=np.uint64),
+    "int64 ends": np.array([[_I64.min, _I64.max], [-1, 0]], dtype=np.int64),
+    "int8": np.array([-128, 127, 0, -1], dtype=np.int8),
+    "uint16": np.array([[0, 65535], [9, 10]], dtype=np.uint16),
+    "int32": np.array([_I32.min, _I32.max, -10], dtype=np.int32),
+    "zeros": np.zeros((3, 4), dtype=np.int64),
+    "zeros 3d": np.zeros((2, 1, 3), dtype=np.uint8),
+}
+
+
+@pytest.mark.parametrize("name", _EXACT_ARRAYS)
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_writer_is_exact_on_long_and_wide_int_arrays(name, depth):
+    _assert_writes_its_list(_EXACT_ARRAYS[name], depth)
 
 
 def _crude_doc(z4):

@@ -101,6 +101,45 @@ def test_locality_detection():
     assert not f4.is_local()
 
 
+def _reference_nilpotent_mask(ring):
+    """x^(2^t) for 2^t >= |R|, by repeated squaring of coefficient vectors."""
+    powers = ring.elements()
+    for _ in range(max(1, int(np.ceil(np.log2(max(2, ring.cardinality)))))):
+        powers = np.einsum("ni,nj,ijk->nk", powers, powers, ring.mult) % ring.orders
+    return ~powers.any(axis=1)
+
+
+def _nonlocal_ring():
+    """F_2[t]/(t^3 - t^2), which is F_2[t]/t^2 x F_2: idempotents and
+    nilpotents, but not local."""
+    mult = np.zeros((3, 3, 3), dtype=np.int64)
+    for i in range(3):
+        for j in range(3):
+            mult[i, j, min(i + j, 2)] = 1
+    return FiniteRing(2, np.full(3, 2), mult)
+
+
+def _mask_rings():
+    yield from (zmod_ring(p, a) for p, a in ((2, 1), (2, 4), (3, 3), (5, 2), (7, 1)))
+    yield from (trunc_poly_ring(p, a) for p, a in ((2, 1), (2, 5), (3, 4), (5, 3)))
+    yield from (square_zero_ring(p, r) for p, r in ((2, 1), (2, 3), (3, 2), (5, 1)))
+    for kind, p, params in _TOWER_MENU:
+        t = mk_tower(kind, p, **params)
+        yield from (t.Rbar, t.R, t.R0)
+    yield ring_fiber_product(*[mk_tower("trunc_poly", 3, a=3, b=2).pibar] * 2).ring
+    yield _nonlocal_ring()
+
+
+def test_nilpotent_mask_matches_repeated_squaring():
+    for ring in _mask_rings():
+        mask = ring.nilpotent_mask
+        assert mask.dtype == bool and mask.shape == (ring.cardinality,)
+        assert np.array_equal(mask, _reference_nilpotent_mask(ring))
+    # codes c0 * 4 + c1 * 2 + c2: the nilpotents are 0 and t + t^2
+    assert np.flatnonzero(_nonlocal_ring().nilpotent_mask).tolist() == [0, 3]
+    assert not _nonlocal_ring().is_local()
+
+
 def test_ring_order_above_the_cap_is_rejected():
     m = 64   # 2^64 elements: an int64 product of the orders wraps to 0
     mult = np.zeros((m, m, m), dtype=np.int64)

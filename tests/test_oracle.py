@@ -18,6 +18,7 @@ from sqzlift.obstruction import (
     v_class,
 )
 from sqzlift.oracle import (
+    _PARTITION_ROWS,
     _partition,
     gen_instance,
     oracle_differential,
@@ -145,12 +146,17 @@ def _reference_partition(witnesses, kdim, p, moves):
 
 
 def _random_moves(rng, kdim, p, shape):
-    """A move list of the given shape: "none", "zero" (zero rows only) or
+    """A move list of the given shape: "none", "zero" (zero rows only),
+    "sparse" (rows zero outside a strict subset of the digit columns) or
     "mixed" (independent rows, a zero row and a dependent row)."""
     if shape == "none":
         return []
     if shape == "zero":
         return [np.zeros(kdim, dtype=np.int64)] * 2
+    if shape == "sparse":
+        support = np.zeros(kdim, dtype=np.int64)
+        support[rng.choice(kdim, size=rng.integers(1, kdim), replace=False)] = 1
+        return [rng.integers(0, p, size=kdim) * support for _ in range(rng.integers(1, 3))]
     rows = [rng.integers(0, p, size=kdim) for _ in range(rng.integers(1, 3))]
     rows.append(np.zeros(kdim, dtype=np.int64))
     rows.append((rows[0] + (p - 1) * rows[-2]) % p)
@@ -158,11 +164,11 @@ def _random_moves(rng, kdim, p, shape):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("shape", ["none", "zero", "mixed"])
+@pytest.mark.parametrize("shape", ["none", "zero", "sparse", "mixed"])
 @pytest.mark.parametrize("trial", range(4))
 def test_partition_matches_per_witness_reference(p, shape, trial):
     rng = np.random.default_rng(100 * p + 10 * trial + len(shape))
-    kdim = int(rng.integers(1, 6))
+    kdim = int(rng.integers(2 if shape == "sparse" else 1, 6))
     moves = _random_moves(rng, kdim, p, shape)
     move_rows = np.asarray(moves, dtype=np.int64).reshape(-1, kdim)
     # the witnesses are a random union of whole orbits
@@ -173,6 +179,21 @@ def test_partition_matches_per_witness_reference(p, shape, trial):
     got = _partition(np.asarray(witnesses, dtype=np.int64), kdim, p, moves)
     assert [tuple(o) for o in got.tolist()] == _reference_partition(witnesses, kdim, p, moves)
     assert got.dtype == np.int64
+
+
+def test_partition_matches_per_witness_reference_over_several_chunks():
+    # 2^16 candidates, all but two orbits of them witnesses: more witnesses
+    # than _PARTITION_ROWS, so the keys are computed in two chunks
+    p, kdim = 2, 16
+    moves = [np.zeros(kdim, dtype=np.int64) for _ in range(3)]
+    moves[0][[2, 7, 13]] = 1
+    moves[1][[7, 11]] = 1
+    move_rows = np.asarray(moves)
+    left_out = _orbit_of(5, kdim, p, move_rows) | _orbit_of(40000, kdim, p, move_rows)
+    witnesses = sorted(set(range(p ** kdim)) - left_out)
+    assert len(witnesses) > _PARTITION_ROWS
+    got = _partition(np.asarray(witnesses, dtype=np.int64), kdim, p, moves)
+    assert [tuple(o) for o in got.tolist()] == _reference_partition(witnesses, kdim, p, moves)
 
 
 def test_partition_of_no_witnesses_is_empty():
