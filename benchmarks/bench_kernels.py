@@ -23,7 +23,15 @@ the J elements of each through the kernel codec (`kernel_coords`, then
 `kernel_matrix`); its digest covers the three minimal sections, the
 J-coordinate table and the codec's coordinates.  The `nilpotent` case is
 `FiniteRing.nilpotent_mask` on F_2[t]/t^14 (16 384 elements), computed
-afresh on each run.  Each case prints its
+afresh on each run.  The `oracle_setup` cases are the oracle's three
+stacked evaluations of the defining equation on `gen --kind differential
+--seed 51` (3^12 candidates) and `gen --kind homotopy --seed 12` (3^10): the
+scan generators (the residual on X0 + kappa_s for every kernel basis vector),
+the re-check of the first 16 scan hits, and the orbit moves (delta of the
+degree m-1 kernel basis); the hits come from one scan made before timing.
+The `matmul` cases multiply seeded r x r matrices with `LevelAlgebra.matmul`
+over F_3[t]/t^3 (k = 1) and over the dual numbers on it (k = 2), for r = 2
+(the einsum path), 8 and 26 (the two-step path).  Each case prints its
 best time of several runs and a digest of its result, so that a change of
 result shows up next to a change of speed.
 
@@ -41,9 +49,9 @@ from time import perf_counter
 import numpy as np
 
 from sqzlift import cli, crude, defun, gf, oracle
-from sqzlift.algebra import AlgMatrix, mk_algebra
+from sqzlift.algebra import AlgMatrix, dual_numbers_algebra, mk_algebra
 from sqzlift.complexes import (Complex, GradedMap, GradedObject, HomComplex,
-                               delta_generators)
+                               coefficient_orders, coefficients, delta_generators)
 from sqzlift.finring import (FiniteRing, mk_tower, square_zero_ring,
                               trunc_poly_ring)
 
@@ -69,6 +77,11 @@ def _workloads():
     loads.append(("emit", 3, None))
     loads.append(("tower", None, None))
     loads.append(("nilpotent", 2, 14))
+    loads.append(("oracle_setup", 3, ("differential", 51)))
+    loads.append(("oracle_setup", 3, ("homotopy", 12)))
+    for k in (1, 2):
+        for r in (2, 8, 26):
+            loads.append(("matmul", 3, (k, r)))
     return loads
 
 
@@ -185,8 +198,46 @@ def _nilpotent_job(p, a):
     return job
 
 
+def _oracle_setup_job(kind, seed):
+    prob = oracle.gen_instance(kind, seed, max_kdim=20).problem
+    K, p, m = prob.kernel, prob.kernel.p, prob.degree
+    kdim = K.dim(m)
+    X0 = coefficients(prob.sigma_lift)
+    eye = np.eye(kdim, dtype=np.int64)
+    moduli = coefficient_orders(K.defalg.bar, K.hom.obC, K.hom.obD, m + 1)
+
+    def generators():
+        base = prob.residuals(X0[None])[0]
+        return base, (prob.residuals(X0 + K.out_of_kernel_stack(eye, m)) - base) % moduli
+
+    hits = gf.scan_affine_zero(*generators(), moduli, p, 0, p ** kdim)
+    sample = gf.digits(hits[:oracle.VERIFY_WITNESSES], kdim, p)
+
+    def job():
+        base, gens = generators()
+        rechecked = prob.residuals(X0 + K.out_of_kernel_stack(sample, m))
+        if rechecked.any():
+            raise AssertionError(f"a scan hit of {kind} {seed} is not a witness")
+        moves = K.delta_via_bar(np.eye(K.dim(m - 1), dtype=np.int64), m - 1,
+                                *prob.move_ends)
+        return b"".join(np.ascontiguousarray(a, dtype=np.int64).tobytes()
+                        for a in (base, gens, rechecked, moves))
+    return job
+
+
+def _matmul_job(k, r):
+    rng = np.random.default_rng(r)
+    tower = mk_tower("trunc_poly", 3, a=3, b=2)
+    alg = (mk_algebra(tower, "trivial") if k == 1 else dual_numbers_algebra(tower)).bar
+    a, b = (rng.integers(0, 3, size=(r, r, alg.k, alg.ring.m)) for _ in range(2))
+
+    def job():
+        return np.ascontiguousarray(alg.matmul(a, b)).tobytes()
+    return job
+
+
 def main() -> int:
-    print(f"{'case':<14} {'seconds':>10} {'digest':>18}")
+    print(f"{'case':<24} {'seconds':>10} {'digest':>18}")
     for name, p, payload in _workloads():
         if name == "rref":
             mat = payload
@@ -213,6 +264,12 @@ def main() -> int:
             job = _tower_job()
         elif name == "nilpotent":
             job = _nilpotent_job(p, payload)
+        elif name == "oracle_setup":
+            job = _oracle_setup_job(*payload)
+            name = f"oracle_setup {payload[0][:4]} {payload[1]}"
+        elif name == "matmul":
+            job = _matmul_job(*payload)
+            name = f"matmul k={payload[0]} r={payload[1]}"
         else:
             base, gens = payload
             moduli = np.full(base.shape[0], p, dtype=np.int64)
@@ -232,7 +289,7 @@ def main() -> int:
             out = repr(out).encode()
         digest = hashlib.sha256(out).hexdigest()[:16]
         label = name if p is None else f"{name} p={p}"
-        print(f"{label:<14} {best:>10.4f} {digest:>18}")
+        print(f"{label:<24} {best:>10.6f} {digest:>18}")
     return 0
 
 

@@ -26,6 +26,9 @@ from .errors import (
 )
 from .finring import FiniteRing, RingSurjection, Tower
 
+# matmul takes the two-step path above this many entry products r*c*s
+_EINSUM_MAX_RCS = 64
+
 
 @dataclass(eq=False)
 class LevelAlgebra:
@@ -98,10 +101,21 @@ class LevelAlgebra:
         return AlgMatrix(self, data)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.shape[1] != b.shape[0]:
+        """Products of stacked matrices a (..., r, c, k, m) and b (..., c, s, k, m),
+        the leading axes broadcast.
+
+        The one einsum over a, b and T is fastest for small matrices; for
+        r*c*s above _EINSUM_MAX_RCS, left_op(a) is formed once and applied to
+        b's columns as one integer matmul, which is the cheaper contraction
+        order there.
+        """
+        (r, c), s = a.shape[-4:-2], b.shape[-3]
+        if c != b.shape[-4]:
             raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-        return np.einsum("acis,cbjt,isjtlw->ablw", a, b,
-                         self._T) % self.ring.orders
+        if r * c * s <= _EINSUM_MAX_RCS:
+            return np.einsum("...acis,...cbjt,isjtlw->...ablw", a, b,
+                             self._T) % self.ring.orders
+        return self.apply_left(self.left_op(a), b)
 
     def left_op(self, a: np.ndarray) -> np.ndarray:
         """Left multiplication by stacked matrices a (..., r, c, k, m), as integer
@@ -109,6 +123,15 @@ class LevelAlgebra:
         r, c, km = *a.shape[-4:-2], self.k * self.ring.m
         op = np.einsum("...acis,isjtlw->...alwcjt", a, self._T)
         return op.reshape(a.shape[:-4] + (r * km, c * km))
+
+    def apply_left(self, op: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b for op = left_op(a), as one integer matmul on the columns of
+        b (..., c, s, k, m); op and b stack by broadcasting."""
+        c, s, k, m = b.shape[-4:]
+        cols = np.moveaxis(b, -3, -1).reshape(b.shape[:-4] + (c * k * m, s))
+        prod = op @ cols
+        prod = prod.reshape(prod.shape[:-2] + (-1, k, m, s))
+        return np.moveaxis(prod, -1, -3) % self.ring.orders
 
     def right_op(self, b: np.ndarray) -> np.ndarray:
         """Right multiplication by stacked matrices b (..., c, s, k, m), x -> x @ b,
@@ -160,9 +183,6 @@ class AlgMatrix:
     def __matmul__(self, other: "AlgMatrix") -> "AlgMatrix":
         self._check_level(other)
         return AlgMatrix(self.alg, self.alg.matmul(self.data, other.data))
-
-    def scale(self, c: int) -> "AlgMatrix":
-        return AlgMatrix(self.alg, int(c) * self.data)
 
     def is_zero(self) -> bool:
         return not self.data.any()
@@ -271,10 +291,11 @@ class DeformedAlgebra:
         return lam.T.reshape(-1)
 
     def kernel_matrix(self, coords: np.ndarray, n: int) -> np.ndarray:
-        """The (n, m) Rbar coefficients in J whose F_p coordinates are coords,
-        in the kernel_coords ordering."""
+        """The (..., n, m) Rbar coefficients in J whose F_p coordinates are
+        coords (..., dimJ * n), in the kernel_coords ordering."""
         t = self.tower
-        lam = np.asarray(coords, dtype=np.int64).reshape(t.dimJ, n).T % self.p
+        coords = np.asarray(coords, dtype=np.int64)
+        lam = coords.reshape(coords.shape[:-1] + (t.dimJ, n)).swapaxes(-1, -2) % self.p
         return lam @ t.jbasis % t.Rbar.orders
 
     def kernel_dim(self, rows: int, cols: int) -> int:

@@ -17,7 +17,16 @@ import numpy as np
 
 from . import gf
 from .algebra import DeformedAlgebra
-from .complexes import GradedMap, HomComplex, coefficients, from_coefficients
+from .complexes import (
+    GradedMap,
+    HomComplex,
+    block_view,
+    coefficients,
+    delta_blocks,
+    from_coefficients,
+    map_blocks,
+    stack_of,
+)
 from .errors import NotACocycle, ShapeMismatch
 
 
@@ -68,18 +77,35 @@ class KernelComplex:
 
     # -- moving between graded maps and coordinate vectors -----------------
 
+    def into_kernel_stack(self, stack: np.ndarray) -> np.ndarray:
+        """Coordinates (N, dim) of an (N, ncoef) stack of bar-level maps with J
+        coefficients; NotInKernel if any coefficient is outside J."""
+        stack = np.asarray(stack)
+        m = self.defalg.bar.ring.m
+        rows, entries = len(stack), stack.shape[1] // m
+        # kernel_coords orders J-basis index first over the whole stack
+        lam = self.defalg.kernel_coords(stack.reshape(-1, m))
+        return lam.reshape(self.dimJ, rows, entries).swapaxes(0, 1).reshape(
+            rows, self.dimJ * entries)
+
+    def out_of_kernel_stack(self, vecs: np.ndarray, n: int) -> np.ndarray:
+        """The (N, ncoef) stack of bar-level degree-n maps with coordinates vecs
+        (N, dim(n))."""
+        vecs = np.asarray(vecs, dtype=np.int64)
+        if vecs.ndim != 2 or vecs.shape[1] != self.dim(n):
+            raise ShapeMismatch(f"expected vectors of length {self.dim(n)}")
+        entries = self.hom.dim(n)
+        coeffs = self.defalg.kernel_matrix(vecs, entries)
+        return coeffs.reshape(len(vecs), entries * self.defalg.bar.ring.m)
+
     def into_kernel(self, f: GradedMap) -> np.ndarray:
         """Coordinates of a bar-level graded map with J coefficients."""
-        coeffs = coefficients(f).reshape(-1, self.defalg.bar.ring.m)
-        return self.defalg.kernel_coords(coeffs)
+        return self.into_kernel_stack(coefficients(f)[None])[0]
 
     def out_of_kernel(self, vec: np.ndarray, n: int) -> GradedMap:
-        vec = np.asarray(vec, dtype=np.int64) % self.p
-        if vec.shape != (self.dim(n),):
-            raise ShapeMismatch(f"expected a vector of length {self.dim(n)}")
-        coeffs = self.defalg.kernel_matrix(vec, self.hom.dim(n))
+        """The bar-level degree-n graded map with coordinates vec."""
         return from_coefficients(self.defalg.bar, self.hom.obC, self.hom.obD, n,
-                                 coeffs.reshape(-1))
+                                 self.out_of_kernel_stack(np.asarray(vec)[None], n)[0])
 
     # -- cohomology ----------------------------------------------------------
 
@@ -131,18 +157,25 @@ class KernelComplex:
         reps = gf.reduce_mod_rowspace(vecs, red, pivots, self.p)
         return [CohClass(n, tuple(rep)) for rep in reps.tolist()]
 
-    # -- consistency helper ----------------------------------------------
+    # -- delta through bar-level lifts -------------------------------------
 
-    def delta_via_bar(self, vec: np.ndarray, n: int, dbarC: GradedMap,
+    def delta_via_bar(self, vecs: np.ndarray, n: int, dbarC: GradedMap,
                       dbarD: GradedMap) -> np.ndarray:
-        """Apply delta using bar-level graded lifts of the differentials.
+        """Apply delta to a degree-n vector, or to each row of an (N, dim(n))
+        stack of them in one evaluation, using bar-level graded lifts of the
+        differentials.
 
         Must agree with delta_matrix(n) @ vec for any choice of graded lifts;
         exposed so that independence can be checked on concrete data.
+        NotInKernel if a result leaves J.
         """
-        from .complexes import delta as _delta
-        f = self.out_of_kernel(vec, n)
-        return self.into_kernel(_delta(f, dbarC, dbarD))
+        vecs = np.asarray(vecs, dtype=np.int64)
+        rows = np.atleast_2d(vecs)
+        bar, obC, obD = self.defalg.bar, self.hom.obC, self.hom.obD
+        f = block_view(bar, obC, obD, n, self.out_of_kernel_stack(rows, n))
+        d = delta_blocks(bar, f, n, map_blocks(dbarC), map_blocks(dbarD))
+        out = self.into_kernel_stack(stack_of(bar, obC, obD, n + 1, d, len(rows)))
+        return out if vecs.ndim > 1 else out[0]
 
 
 def kernel_complex(defalg: DeformedAlgebra, obC, obD, dC0: GradedMap,

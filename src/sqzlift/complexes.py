@@ -110,9 +110,6 @@ class GradedMap:
     def __neg__(self) -> "GradedMap":
         return self._like({i: -m for i, m in self.comps.items()})
 
-    def scale(self, c: int) -> "GradedMap":
-        return self._like({i: m.scale(c) for i, m in self.comps.items()})
-
     def _check_parallel(self, other: "GradedMap"):
         if (self.alg != other.alg or self.src != other.src
                 or self.tgt != other.tgt or self.degree != other.degree):
@@ -150,29 +147,99 @@ def compose(g: GradedMap, f: GradedMap) -> GradedMap:
     """g o f, degree |g| + |f|, components (g o f)_i = g_{i+|f|} f_i."""
     if f.alg != g.alg or f.tgt != g.src:
         raise ShapeMismatch("composition endpoints do not match")
-    n = f.degree + g.degree
-    comps = {}
-    for i in f.support():
-        if g.tgt.rank(i + n) > 0:
-            comps[i] = g.comp(i + f.degree) @ f.comp(i)
-    return GradedMap(f.alg, f.src, g.tgt, n, comps)
+    return _one_map(f.alg, f.src, g.tgt, f.degree + g.degree,
+                    compose_blocks(f.alg, map_blocks(g), map_blocks(f), f.degree))
 
 
 def delta(f: GradedMap, dC: GradedMap, dD: GradedMap) -> GradedMap:
     """delta(f) = dD o f - (-1)^|f| f o dC."""
-    if dC.src != f.src or dD.src != f.tgt:
+    if not (dC.src == dC.tgt == f.src and dD.src == dD.tgt == f.tgt
+            and dC.degree == dD.degree == 1 and dC.alg == f.alg == dD.alg):
         raise ShapeMismatch("differentials do not match the map endpoints")
-    sign = -1 if f.degree % 2 == 0 else 1
-    return compose(dD, f) + compose(f, dC).scale(sign)
+    return _one_map(f.alg, f.src, f.tgt, f.degree + 1,
+                    delta_blocks(f.alg, map_blocks(f), f.degree,
+                                 map_blocks(dC), map_blocks(dD)))
 
 
 # ---------------------------------------------------------------------------
-# the coefficient layout of a graded map
+# the coefficient layout of a graded map, and stacks of maps
 # ---------------------------------------------------------------------------
 #
 # A degree-n map src -> tgt is one flat int64 vector: graded degree i
 # ascending over its support, then row-major matrix entries, then algebra
-# basis index, then ring coordinate.
+# basis index, then ring coordinate.  A stack of N such maps is an
+# (N, ncoef) array, one map per row.  Its block view is a dict from graded
+# degree i to the (N, rows, cols, k, m) array of the components f_i, and
+# compose and delta work on block dicts: a missing degree is a zero block,
+# and a block with N = 1 (a fixed map such as a differential) broadcasts
+# against a stack.  compose and delta on GradedMaps are the one-row case.
+
+Blocks = dict[int, np.ndarray]
+
+
+def _block_shapes(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
+                  n: int) -> list[tuple[int, tuple[int, int, int, int]]]:
+    """(degree, component shape) of each nonempty block, in coefficient order."""
+    return [(i, (tgt.rank(i + n), r, alg.k, alg.ring.m))
+            for i, r in src.ranks if tgt.rank(i + n)]
+
+
+def block_view(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject, n: int,
+               stack: np.ndarray) -> Blocks:
+    """The blocks of an (N, ncoef) stack of degree-n maps src -> tgt, as
+    (N, rows, cols, k, m) views into it."""
+    out, pos = {}, 0
+    for i, shape in _block_shapes(alg, src, tgt, n):
+        size = math.prod(shape)
+        out[i] = stack[:, pos:pos + size].reshape((len(stack),) + shape)
+        pos += size
+    return out
+
+
+def stack_of(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject, n: int,
+             blocks: Blocks, rows: int) -> np.ndarray:
+    """The (rows, ncoef) stack of degree-n maps src -> tgt with these blocks,
+    reduced mod the coefficient orders."""
+    parts = []
+    for i, shape in _block_shapes(alg, src, tgt, n):
+        blk = blocks.get(i)
+        size = math.prod(shape)
+        parts.append(np.zeros((rows, size), dtype=np.int64) if blk is None
+                     else np.broadcast_to(blk, (rows,) + shape).reshape(rows, size))
+    if not parts:
+        return np.zeros((rows, 0), dtype=np.int64)
+    return np.concatenate(parts, axis=1) % coefficient_orders(alg, src, tgt, n)
+
+
+def map_blocks(f: GradedMap) -> Blocks:
+    """f as a stack of one map."""
+    return {i: mat.data[None] for i, mat in f.comps.items()}
+
+
+def _one_map(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject, n: int,
+             blocks: Blocks) -> GradedMap:
+    """The map of a stack of one map."""
+    return GradedMap(alg, src, tgt, n, {i: AlgMatrix(alg, blk[0]) for i, blk in blocks.items()})
+
+
+def add_blocks(a: Blocks, b: Blocks, sign: int) -> Blocks:
+    """a + sign * b, blockwise."""
+    out = dict(a)
+    for i, blk in b.items():
+        out[i] = out[i] + sign * blk if i in out else sign * blk
+    return out
+
+
+def compose_blocks(alg: LevelAlgebra, g: Blocks, f: Blocks, nf: int) -> Blocks:
+    """g o f on stacks, with f of degree nf: (g o f)_i = g_{i+nf} f_i."""
+    return {i: alg.matmul(g[i + nf], blk) for i, blk in f.items() if i + nf in g}
+
+
+def delta_blocks(alg: LevelAlgebra, f: Blocks, n: int, dC: Blocks, dD: Blocks) -> Blocks:
+    """delta(f) = dD o f - (-1)^n f o dC on a stack of degree-n maps."""
+    return add_blocks(compose_blocks(alg, dD, f, n), compose_blocks(alg, f, dC, 1),
+                      1 if n % 2 else -1)
+
 
 def coefficients(f: GradedMap) -> np.ndarray:
     """The coefficient vector of f."""
@@ -183,14 +250,7 @@ def coefficients(f: GradedMap) -> np.ndarray:
 def from_coefficients(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
                       n: int, vec: np.ndarray) -> GradedMap:
     """The degree-n map src -> tgt over alg with coefficient vector vec."""
-    comps, pos = {}, 0
-    for i in src.support:
-        shape = (tgt.rank(i + n), src.rank(i), alg.k, alg.ring.m)
-        size = math.prod(shape)
-        if size:
-            comps[i] = AlgMatrix(alg, vec[pos:pos + size].reshape(shape))
-            pos += size
-    return GradedMap(alg, src, tgt, n, comps)
+    return _one_map(alg, src, tgt, n, block_view(alg, src, tgt, n, np.asarray(vec)[None]))
 
 
 def coefficient_orders(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,

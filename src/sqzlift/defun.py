@@ -165,15 +165,6 @@ def _blocks(A: ArtinLocalRing, alg: LevelAlgebra, shapes: list, base: GradedMap,
     return (block(start) for start in range(0, total, _BLOCK))
 
 
-def _apply(alg: LevelAlgebra, op: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over alg for op = alg.left_op(a); a and b stack by broadcasting."""
-    c, s, k, m = b.shape[-4:]
-    cols = np.moveaxis(b, -3, -1).reshape(b.shape[:-4] + (c * k * m, s))
-    prod = op @ cols
-    prod = prod.reshape(prod.shape[:-2] + (-1, k, m, s))
-    return np.moveaxis(prod, -1, -3) % alg.ring.orders
-
-
 # ---------------------------------------------------------------------------
 # F0: exact enumeration of strict lifts
 # ---------------------------------------------------------------------------
@@ -198,7 +189,7 @@ def strict_lifts(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
         ok = np.ones(size, dtype=bool)
         for i, _, _ in shapes:
             if i + 1 in d:
-                ok &= ~_apply(algR, algR.left_op(d[i + 1]), d[i]).any(axis=(1, 2, 3, 4))
+                ok &= ~algR.apply_left(algR.left_op(d[i + 1]), d[i]).any(axis=(1, 2, 3, 4))
         kept = {i: c[ok] for i, c in d.items()}
         out.extend(GradedMap(algR, ob, ob, 1, {i: AlgMatrix(algR, c[n])
                                                for i, c in kept.items()})
@@ -230,10 +221,10 @@ def _unipotent_inverse_many(alg: LevelAlgebra, u: dict[int, np.ndarray],
     one = {i: alg.eye(c.shape[1]).data for i, c in u.items()}
     v = {i: np.broadcast_to(one[i], c.shape) for i, c in u.items()}
     for _ in range(64):
-        uv = {i: _apply(alg, u_ops[i], v[i]) for i in u}
+        uv = {i: alg.apply_left(u_ops[i], v[i]) for i in u}
         if all((uv[i] == one[i]).all() for i in u):
             return v
-        v = {i: _apply(alg, alg.left_op(v[i]), 2 * one[i] - uv[i]) for i in u}
+        v = {i: alg.apply_left(alg.left_op(v[i]), 2 * one[i] - uv[i]) for i in u}
     raise ValidationError("map is not unipotently invertible")
 
 
@@ -292,7 +283,7 @@ def iso_orbits(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
                 continue
             if n not in d_ops:
                 d_ops[n] = {i: algR.left_op(d.comp(i).data) for i in degs}
-            conj = [_apply(algR, u_ops[i + 1], _apply(algR, d_ops[n][i], uinv[i]))
+            conj = [algR.apply_left(u_ops[i + 1], algR.apply_left(d_ops[n][i], uinv[i]))
                     for i in degs]
             hits = index.find(conj, size)
             merged = np.union1d(root[hits], root[n])
@@ -311,8 +302,8 @@ def _intertwiners(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,
     for size, u in _blocks(A, algR, _endo_shapes(ob), base, cap, _AUTOS):
         ok = np.ones(size, dtype=bool)
         for i in degs:
-            lhs = _apply(algR, algR.left_op(u[i + 1]), d1_data[i])
-            rhs = _apply(algR, d2_ops[i], u[i])
+            lhs = algR.apply_left(algR.left_op(u[i + 1]), d1_data[i])
+            rhs = algR.apply_left(d2_ops[i], u[i])
             ok &= (lhs == rhs).all(axis=(1, 2, 3, 4))
         for n in np.flatnonzero(ok).tolist():
             yield GradedMap(algR, ob, ob, 0,

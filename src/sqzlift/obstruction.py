@@ -20,8 +20,13 @@ H^m.  The problems state only what differs:
     MapProblem           f-bar, deg f     delta(f-bar)         +1    (d_C, d_D)
     HomotopyProblem      H-bar, deg f-1   g - f - delta(H-bar) -1    (d_C, d_D)
 
-and `obstruct`, `lift` and `classify` do the rest.  The per-kind functions
-below them are one-line entry points kept under their public names.
+Each residual is stated once, on a stack of unknowns (`residual_blocks`,
+over the block view of complexes.py): `residuals` evaluates it on every row
+of an (N, ncoef) coefficient stack in one pass, which is how the oracle
+evaluates it on all of its basis vectors and witnesses, and `residual` on
+one GradedMap is the one-row case.  `obstruct`, `lift` and `classify` do the
+rest.  The per-kind functions below them are one-line entry points kept
+under their public names.
 """
 
 from __future__ import annotations
@@ -30,18 +35,29 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
 
+import numpy as np
+
 from . import gf
 from .algebra import DeformedAlgebra
 from .cohomology import CohClass, KernelComplex, kernel_complex
 from .complexes import (
+    Blocks,
     Complex,
     GradedMap,
     GradedObject,
+    add_blocks,
+    block_view,
+    coefficients,
     compose,
+    compose_blocks,
     delta,
+    delta_blocks,
+    from_coefficients,
     identity_map,
+    map_blocks,
     map_lift,
     map_reduce,
+    stack_of,
 )
 from .errors import (
     InternalObstruction,
@@ -64,9 +80,10 @@ class AffineLift:
     """A lifting problem whose residual is affine in a J-valued correction.
 
     A subclass provides `defalg`, `kernel`, the mid-level datum `mid_datum`
-    of degree `degree`, `residual`, `sign` and `move_ends` (the differentials
-    that the orbit moves delta(kappa) are taken against); see the module
-    docstring.
+    of degree `degree`, `residual_blocks` (the residual on the block view of
+    a stack of top-level unknowns), `sign` and `move_ends` (the
+    differentials that the orbit moves delta(kappa) are taken against); see
+    the module docstring.
     """
 
     sign: ClassVar[int] = 1
@@ -75,6 +92,20 @@ class AffineLift:
     def sigma_lift(self) -> GradedMap:
         """The coefficientwise minimal lift X0 of the mid-level datum."""
         return map_lift(self.defalg, self.mid_datum, "mid", "bar")
+
+    def residuals(self, stack: np.ndarray) -> np.ndarray:
+        """residual(X) for each row X of an (N, ncoef) stack of top-level
+        degree-m maps, as an (N, ncoef) stack of degree m+1 maps."""
+        K, m = self.kernel, self.degree
+        bar, obC, obD = K.defalg.bar, K.hom.obC, K.hom.obD
+        res = self.residual_blocks(block_view(bar, obC, obD, m, stack))
+        return stack_of(bar, obC, obD, m + 1, res, len(stack))
+
+    def residual(self, X: GradedMap) -> GradedMap:
+        """residual(X) of one top-level map: the one-row case of residuals."""
+        K, m = self.kernel, self.degree
+        return from_coefficients(K.defalg.bar, K.hom.obC, K.hom.obD, m + 1,
+                                 self.residuals(coefficients(X)[None])[0])
 
 
 @dataclass(eq=False)
@@ -105,8 +136,8 @@ class DifferentialProblem(AffineLift):
         return kernel_complex(self.defalg, self.ob, self.ob,
                               self.d_base, self.d_base)
 
-    def residual(self, d: GradedMap) -> GradedMap:
-        return compose(d, d)
+    def residual_blocks(self, d: Blocks) -> Blocks:
+        return compose_blocks(self.defalg.bar, d, d, 1)
 
     @property
     def move_ends(self) -> tuple[GradedMap, GradedMap]:
@@ -130,6 +161,10 @@ class _BetweenComplexes(AffineLift):
     @property
     def move_ends(self) -> tuple[GradedMap, GradedMap]:
         return self.C.d, self.D.d
+
+    @cached_property
+    def _d_blocks(self) -> tuple[Blocks, Blocks]:
+        return map_blocks(self.C.d), map_blocks(self.D.d)
 
 
 @dataclass(eq=False)
@@ -160,8 +195,8 @@ class MapProblem(_BetweenComplexes):
     def degree(self) -> int:
         return self.f_mid.degree
 
-    def residual(self, f: GradedMap) -> GradedMap:
-        return delta(f, self.C.d, self.D.d)
+    def residual_blocks(self, f: Blocks) -> Blocks:
+        return delta_blocks(self.defalg.bar, f, self.degree, *self._d_blocks)
 
 
 @dataclass(eq=False)
@@ -201,8 +236,13 @@ class HomotopyProblem(_BetweenComplexes):
     def degree(self) -> int:
         return self.H_mid.degree
 
-    def residual(self, H: GradedMap) -> GradedMap:
-        return self.g_bar - self.f_bar - delta(H, self.C.d, self.D.d)
+    @cached_property
+    def _g_minus_f(self) -> Blocks:
+        return map_blocks(self.g_bar - self.f_bar)
+
+    def residual_blocks(self, H: Blocks) -> Blocks:
+        return add_blocks(self._g_minus_f,
+                          delta_blocks(self.defalg.bar, H, self.degree, *self._d_blocks), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,14 @@ gens_s = residual(X0 + kappa_s) - residual(X0) (the residual is affine in a
 J-valued correction because J * J = 0), which the scan kernel checks digit
 tuple by digit tuple.
 
+The defining equation is evaluated on stacks of coefficient vectors
+(`residuals`, see obstruction.py), so each of these is one call: every
+generator, from the stack X0 + kappa_s over the kernel basis; the re-check
+of the first VERIFY_WITNESSES scan hits, from the stack of those candidate
+lifts; and every orbit move, delta of the stack of degree m-1 basis maps
+taken with the bar-level differentials (`KernelComplex.delta_via_bar`).
+None of them reads the closed-form delta matrix (`delta_generators`).
+
 Equivalence orbits come from the moves: conjugating by 1 + kappa, or
 absorbing a delta of a lower-degree J-matrix, moves a witness by an element
 of an F_p-linear image, so an orbit is a coset of the row space of the moves.
@@ -41,7 +49,7 @@ from .complexes import (
     delta,
     map_reduce,
 )
-from .errors import CheckFailed
+from .errors import CheckFailed, ValidationError
 from .finring import mk_tower
 from .obstruction import (
     AffineLift,
@@ -54,12 +62,6 @@ from .obstruction import (
 DEFAULT_CAP = 1 << 20
 VERIFY_WITNESSES = 16      # scan hits re-checked by evaluating the residual
 _PARTITION_ROWS = 1 << 15  # witnesses per digit array, to bound its memory
-
-
-def _one_hot(n: int, s: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.int64)
-    v[s] = 1
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +85,11 @@ class OracleResult:
 
 
 def _partition(witness_indices: np.ndarray, kdim: int, p: int,
-               move_gens: list[np.ndarray]) -> np.ndarray:
+               move_gens: np.ndarray) -> np.ndarray:
     """Partition the witnesses (ascending, distinct) into orbits of
-    w -> w + sum c_s move_gens[s]: an int64 array with one orbit per row,
-    each row ascending, rows ordered by least member.
+    w -> w + sum c_s move_gens[s] (the moves as rows, kdim long each): an
+    int64 array with one orbit per row, each row ascending, rows ordered by
+    least member.
 
     An orbit is a coset of the row space of the moves, so every witness is
     keyed by the index of its canonical representative modulo that space.
@@ -98,8 +101,7 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
     length.
     """
     w = np.asarray(witness_indices, dtype=np.int64)
-    G = (np.stack(move_gens) if move_gens
-         else np.zeros((0, kdim), dtype=np.int64))
+    G = np.asarray(move_gens, dtype=np.int64).reshape(len(move_gens), kdim)
     G, pivots = gf.row_space(G, p)
     cols = np.flatnonzero(G.any(axis=0))
     G, pivots = G[:, cols], np.searchsorted(cols, pivots)
@@ -128,35 +130,33 @@ def oracle(prob: AffineLift, cap: int = DEFAULT_CAP) -> OracleResult:
     K, p, m = prob.kernel, prob.kernel.p, prob.degree
     kdim = K.dim(m)
     total = gf.count_candidates(p, kdim, cap, "candidates")
-    X0 = prob.sigma_lift
-    r0 = prob.residual(X0)
-    base = coefficients(r0)
+    X0 = coefficients(prob.sigma_lift)
+    base = prob.residuals(X0[None])[0]
     moduli = coefficient_orders(K.defalg.bar, K.hom.obC, K.hom.obD, m + 1)
-    gens = [coefficients(prob.residual(X0 + K.out_of_kernel(_one_hot(kdim, s), m)) - r0)
-            for s in range(kdim)]
-    gens = np.stack(gens) if gens else np.zeros((0, len(base)), dtype=np.int64)
+    eye = np.eye(kdim, dtype=np.int64)
+    gens = (prob.residuals(X0 + K.out_of_kernel_stack(eye, m)) - base) % moduli
     hits = gf.scan_affine_zero(base, gens, moduli, p, 0, total)
 
     # independent re-verification of a deterministic sample of witnesses
-    for idx in hits[:VERIFY_WITNESSES]:
-        if not prob.residual(witness(prob, int(idx))).is_zero():
-            raise CheckFailed("scan produced a false witness")
+    sample = gf.digits(hits[:VERIFY_WITNESSES], kdim, p)
+    if prob.residuals(X0 + K.out_of_kernel_stack(sample, m)).any():
+        raise CheckFailed("scan produced a false witness")
 
     # orbit moves: delta of the degree m-1 kernel basis
-    moves = []
-    if len(hits):
-        kdim_lo = K.dim(m - 1)
-        for s in range(kdim_lo):
-            kap = K.out_of_kernel(_one_hot(kdim_lo, s), m - 1)
-            moves.append(K.into_kernel(delta(kap, *prob.move_ends)))
+    moves = (K.delta_via_bar(np.eye(K.dim(m - 1), dtype=np.int64), m - 1, *prob.move_ends)
+             if len(hits) else np.zeros((0, kdim), dtype=np.int64))
     orbits = _partition(hits, kdim, p, moves)
     return OracleResult(total, hits, orbits, kdim)
 
 
 def witness(prob: AffineLift, idx: int) -> GradedMap:
-    """The candidate lift X0 + gamma whose digits in base p are idx."""
+    """The candidate lift X0 + gamma whose digits in base p are idx, for idx
+    in [0, p^kdim); ValidationError otherwise."""
     K, m = prob.kernel, prob.degree
-    return prob.sigma_lift + K.out_of_kernel(gf.digits([idx], K.dim(m), K.p)[0], m)
+    kdim = K.dim(m)
+    if not 0 <= idx < K.p ** kdim:
+        raise ValidationError(f"candidate index {idx} is outside [0, {K.p}^{kdim})")
+    return prob.sigma_lift + K.out_of_kernel(gf.digits([idx], kdim, K.p)[0], m)
 
 
 # One entry point per problem kind, under the public names that callers (and

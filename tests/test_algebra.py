@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sqzlift import algebra
 from sqzlift.algebra import (
     AlgMatrix,
     LevelAlgebra,
@@ -45,6 +46,42 @@ def test_matmul_associativity_dual_numbers(dual3):
         mats.append(AlgMatrix(bar, data))
     A, B, C = mats
     assert (A @ B) @ C == A @ (B @ C)
+
+
+def _t2_over(ring):
+    """Upper-triangular T_2(ring) with basis e11, e12, e22 (noncommutative)."""
+    one = ring.one_vec()
+    struct = np.zeros((3, 3, 3, ring.m), dtype=np.int64)
+    struct[0, 0, 0] = struct[0, 1, 1] = struct[1, 2, 1] = struct[2, 2, 2] = one
+    return LevelAlgebra(ring, struct, np.stack([one, 0 * one, one]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("rcs", [(1, 1, 1), (2, 3, 2), (4, 4, 4), (4, 4, 5), (5, 7, 3),
+                                 (9, 2, 8), (3, 0, 2)])
+def test_matmul_paths_match_the_plain_einsum(k, rcs, monkeypatch):
+    """Both matmul paths, chosen by shape and forced either way, against the
+    plain einsum over the combined tensor, on unbatched and broadcast
+    batched operands; r*c*s = 64 is the last shape on the einsum path."""
+    tower = mk_tower("trunc_poly", 3, a=3, b=2)
+    alg = {1: lambda: mk_algebra(tower, "trivial").bar,
+           2: lambda: dual_numbers_algebra(tower).bar,
+           3: lambda: _t2_over(tower.Rbar)}[k]()
+    rng = np.random.default_rng(sum(rcs) + 10 * k)
+    r, c, s = rcs
+    for lead_a, lead_b in (((), ()), ((3,), (3,)), ((2, 1), (1, 4)), ((1,), (5,))):
+        a = rng.integers(0, 3, size=lead_a + (r, c, alg.k, 3))
+        b = rng.integers(0, 3, size=lead_b + (c, s, alg.k, 3))
+        want = np.einsum("...acis,...cbjt,isjtlw->...ablw", a, b, alg._T) % alg.ring.orders
+        assert np.array_equal(alg.matmul(a, b), want)
+        for bound in (0, 10 ** 9):          # always two-step, always einsum
+            monkeypatch.setattr(algebra, "_EINSUM_MAX_RCS", bound)
+            assert np.array_equal(alg.matmul(a, b), want)
+        monkeypatch.undo()
+    if k == 3 and c:                        # noncommutative: a @ b != b @ a
+        x = rng.integers(0, 3, size=(c, c, 3, 3))
+        y = rng.integers(0, 3, size=(c, c, 3, 3))
+        assert not np.array_equal(alg.matmul(x, y), alg.matmul(y, x))
 
 
 def test_identity_matrix_is_neutral(dual3):

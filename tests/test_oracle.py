@@ -5,9 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from sqzlift import complexes, gf
 from sqzlift.cli import canonical_json
 from sqzlift.complexes import Complex, GradedObject, compose, delta, map_reduce, zero_map
-from sqzlift.errors import CheckFailed
+from sqzlift.errors import CheckFailed, ValidationError
 from sqzlift.obstruction import (
     DifferentialProblem,
     classify_lifts,
@@ -21,9 +22,11 @@ from sqzlift.oracle import (
     _PARTITION_ROWS,
     _partition,
     gen_instance,
+    oracle,
     oracle_differential,
     oracle_homotopy,
     oracle_map,
+    witness,
     witness_differential,
     witness_map,
 )
@@ -96,6 +99,53 @@ def test_sigma_lift_is_a_witness_for_trivial_deformation(z4):
     prob = DifferentialProblem(z4, OB3, zero_map(z4.mid, OB3, OB3, 1))
     res = oracle_differential(prob)
     assert 0 in set(int(i) for i in res.witness_indices)
+
+
+def test_witness_rejects_an_index_outside_the_candidates():
+    prob = gen_instance("differential", 1).problem
+    total = prob.kernel.p ** prob.kernel.dim(1)
+    assert total == 8
+    assert witness(prob, total - 1) != witness(prob, 0)
+    for idx in (total, -1, total + 3):
+        with pytest.raises(ValidationError, match="outside"):
+            witness(prob, idx)
+
+
+@pytest.mark.parametrize("kind,seed", [("differential", 1), ("differential", 21),
+                                       ("map", 24), ("homotopy", 2)])
+def test_oracle_recheck_catches_a_false_witness(kind, seed, monkeypatch):
+    """A scan that puts a non-witness ahead of its hits is caught by the
+    re-check, which evaluates the residual and not the scan's generators."""
+    prob = gen_instance(kind, seed).problem
+    res = oracle(prob)
+    non = sorted(set(range(res.candidates)) - set(res.witness_indices.tolist()))[0]
+    scan = gf.scan_affine_zero
+
+    def lying_scan(*args):
+        return np.concatenate([[non], scan(*args)]).astype(np.int64)
+
+    monkeypatch.setattr(gf, "scan_affine_zero", lying_scan)
+    with pytest.raises(CheckFailed, match="scan produced a false witness"):
+        oracle(gen_instance(kind, seed).problem)
+
+
+def test_oracle_does_not_use_the_closed_form_delta(monkeypatch):
+    """The oracle evaluates the defining equations itself: with
+    delta_generators raising, it still re-derives every result."""
+    kinds = [("differential", s) for s in (1, 21, 51)] + [("map", 24), ("homotopy", 12)]
+    want = [oracle(gen_instance(k, s, max_kdim=20).problem) for k, s in kinds]
+    fresh = [gen_instance(k, s, max_kdim=20).problem for k, s in kinds]
+
+    def refuse(*args):
+        raise AssertionError("the oracle used the closed-form delta")
+
+    monkeypatch.setattr(complexes, "delta_generators", refuse)
+    for prob, ref in zip(fresh, want):
+        res = oracle(prob)
+        assert np.array_equal(res.witness_indices, ref.witness_indices)
+        assert np.array_equal(res.orbits, ref.orbits)
+    with pytest.raises(AssertionError, match="closed-form"):
+        fresh[0].kernel.delta_matrix(1)
 
 
 def test_gen_instance_is_deterministic():
