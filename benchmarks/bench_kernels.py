@@ -29,9 +29,11 @@ stacked evaluations of the defining equation on `gen --kind differential
 scan generators (the residual on X0 + kappa_s for every kernel basis vector),
 the re-check of the first 16 scan hits, and the orbit moves (delta of the
 degree m-1 kernel basis); the hits come from one scan made before timing.
-The `matmul` cases multiply seeded r x r matrices with `LevelAlgebra.matmul`
-over F_3[t]/t^3 (k = 1) and over the dual numbers on it (k = 2), for r = 2
-(the einsum path), 8 and 26 (the two-step path).  Each case prints its
+The `matmul` cases multiply seeded r x r matrices with `LevelAlgebra.matmul`,
+forced onto each of its two paths (the one einsum, and left_op then one
+integer matmul), over F_3 (k*m = 1), F_3[t]/t^3 (k*m = 3) and the dual
+numbers over F_3[t]/t^3 (k*m = 6); the crossover of the two paths sets
+`algebra._TWO_STEP_MIN_TERMS`, and both paths give one digest.  Each case prints its
 best time of several runs and a digest of its result, so that a change of
 result shows up next to a change of speed.
 
@@ -48,7 +50,7 @@ from time import perf_counter
 
 import numpy as np
 
-from sqzlift import cli, crude, defun, gf, oracle
+from sqzlift import algebra, cli, crude, defun, gf, oracle
 from sqzlift.algebra import AlgMatrix, dual_numbers_algebra, mk_algebra
 from sqzlift.complexes import (Complex, GradedMap, GradedObject, HomComplex,
                                coefficient_orders, coefficients, delta_generators)
@@ -79,9 +81,11 @@ def _workloads():
     loads.append(("nilpotent", 2, 14))
     loads.append(("oracle_setup", 3, ("differential", 51)))
     loads.append(("oracle_setup", 3, ("homotopy", 12)))
-    for k in (1, 2):
-        for r in (2, 8, 26):
-            loads.append(("matmul", 3, (k, r)))
+    for level, k, sizes in (("base", 1, (2, 3, 4, 5, 8)), ("bar", 1, (2, 3, 4, 5, 8, 26)),
+                            ("bar", 2, (2, 3, 4, 5, 8, 26))):
+        for r in sizes:
+            for path in ("einsum", "two-step"):
+                loads.append(("matmul", 3, (level, k, r, path)))
     return loads
 
 
@@ -225,19 +229,25 @@ def _oracle_setup_job(kind, seed):
     return job
 
 
-def _matmul_job(k, r):
+def _matmul_job(level, k, r, path):
     rng = np.random.default_rng(r)
     tower = mk_tower("trunc_poly", 3, a=3, b=2)
-    alg = (mk_algebra(tower, "trivial") if k == 1 else dual_numbers_algebra(tower)).bar
+    alg = getattr(mk_algebra(tower, "trivial") if k == 1 else dual_numbers_algebra(tower),
+                  level)
     a, b = (rng.integers(0, 3, size=(r, r, alg.k, alg.ring.m)) for _ in range(2))
+    bound = 10 ** 18 if path == "einsum" else 0
 
     def job():
-        return np.ascontiguousarray(alg.matmul(a, b)).tobytes()
+        default, algebra._TWO_STEP_MIN_TERMS = algebra._TWO_STEP_MIN_TERMS, bound
+        try:
+            return np.ascontiguousarray(alg.matmul(a, b)).tobytes()
+        finally:
+            algebra._TWO_STEP_MIN_TERMS = default
     return job
 
 
 def main() -> int:
-    print(f"{'case':<24} {'seconds':>10} {'digest':>18}")
+    print(f"{'case':<36} {'seconds':>10} {'digest':>18}")
     for name, p, payload in _workloads():
         if name == "rref":
             mat = payload
@@ -269,7 +279,8 @@ def main() -> int:
             name = f"oracle_setup {payload[0][:4]} {payload[1]}"
         elif name == "matmul":
             job = _matmul_job(*payload)
-            name = f"matmul k={payload[0]} r={payload[1]}"
+            level, k, r, path = payload
+            name = f"matmul {level} k={k} r={r} {path}"
         else:
             base, gens = payload
             moduli = np.full(base.shape[0], p, dtype=np.int64)
@@ -289,7 +300,7 @@ def main() -> int:
             out = repr(out).encode()
         digest = hashlib.sha256(out).hexdigest()[:16]
         label = name if p is None else f"{name} p={p}"
-        print(f"{label:<24} {best:>10.6f} {digest:>18}")
+        print(f"{label:<36} {best:>10.6f} {digest:>18}")
     return 0
 
 

@@ -26,8 +26,10 @@ from .errors import (
 )
 from .finring import FiniteRing, RingSurjection, Tower
 
-# matmul takes the two-step path above this many entry products r*c*s
-_EINSUM_MAX_RCS = 64
+# matmul takes the two-step path from this many terms of the einsum on
+# (batch of matrices) * r*c*s * (k*m)^3; below it the one einsum is faster
+# (see the matmul rows of benchmarks/bench_kernels.py)
+_TWO_STEP_MIN_TERMS = 1000
 
 
 @dataclass(eq=False)
@@ -104,15 +106,17 @@ class LevelAlgebra:
         """Products of stacked matrices a (..., r, c, k, m) and b (..., c, s, k, m),
         the leading axes broadcast.
 
-        The one einsum over a, b and T is fastest for small matrices; for
-        r*c*s above _EINSUM_MAX_RCS, left_op(a) is formed once and applied to
-        b's columns as one integer matmul, which is the cheaper contraction
-        order there.
+        The one einsum over a, b and T has no contraction order, but the
+        least overhead: it is the faster path below _TWO_STEP_MIN_TERMS
+        terms.  From there on, left_op(a) is formed once and applied to b's
+        columns as one integer matmul.
         """
         (r, c), s = a.shape[-4:-2], b.shape[-3]
         if c != b.shape[-4]:
             raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-        if r * c * s <= _EINSUM_MAX_RCS:
+        km = self.k * self.ring.m
+        # a.size * s * km^2 = (a's batch) * r*c*s * km^3, and likewise for b
+        if max(a.size * s, b.size * r) * km * km < _TWO_STEP_MIN_TERMS:
             return np.einsum("...acis,...cbjt,isjtlw->...ablw", a, b,
                              self._T) % self.ring.orders
         return self.apply_left(self.left_op(a), b)
@@ -130,7 +134,7 @@ class LevelAlgebra:
         c, s, k, m = b.shape[-4:]
         cols = np.moveaxis(b, -3, -1).reshape(b.shape[:-4] + (c * k * m, s))
         prod = op @ cols
-        prod = prod.reshape(prod.shape[:-2] + (-1, k, m, s))
+        prod = prod.reshape(prod.shape[:-2] + (prod.shape[-2] // (k * m), k, m, s))
         return np.moveaxis(prod, -1, -3) % self.ring.orders
 
     def right_op(self, b: np.ndarray) -> np.ndarray:

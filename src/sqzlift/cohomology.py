@@ -21,6 +21,7 @@ from .complexes import (
     GradedMap,
     HomComplex,
     block_view,
+    check_differentials,
     coefficients,
     delta_blocks,
     from_coefficients,
@@ -161,21 +162,20 @@ class KernelComplex:
 
     def delta_via_bar(self, vecs: np.ndarray, n: int, dbarC: GradedMap,
                       dbarD: GradedMap) -> np.ndarray:
-        """Apply delta to a degree-n vector, or to each row of an (N, dim(n))
-        stack of them in one evaluation, using bar-level graded lifts of the
-        differentials.
+        """delta of each row of an (N, dim(n)) stack of degree-n vectors, in one
+        evaluation with bar-level graded lifts of the differentials.
 
-        Must agree with delta_matrix(n) @ vec for any choice of graded lifts;
-        exposed so that independence can be checked on concrete data.
-        NotInKernel if a result leaves J.
+        Must agree with delta_matrix(n) applied to each row for any choice of
+        graded lifts; exposed so that independence can be checked on concrete
+        data.  ShapeMismatch if dbarC, dbarD are not degree-1 endomorphisms of
+        C and D at the bar level; NotInKernel if a result leaves J.
         """
-        vecs = np.asarray(vecs, dtype=np.int64)
-        rows = np.atleast_2d(vecs)
         bar, obC, obD = self.defalg.bar, self.hom.obC, self.hom.obD
-        f = block_view(bar, obC, obD, n, self.out_of_kernel_stack(rows, n))
-        d = delta_blocks(bar, f, n, map_blocks(dbarC), map_blocks(dbarD))
-        out = self.into_kernel_stack(stack_of(bar, obC, obD, n + 1, d, len(rows)))
-        return out if vecs.ndim > 1 else out[0]
+        check_differentials(bar, obC, obD, dbarC, dbarD)
+        stack = self.out_of_kernel_stack(vecs, n)
+        d = delta_blocks(bar, block_view(bar, obC, obD, n, stack), n,
+                         map_blocks(dbarC), map_blocks(dbarD))
+        return self.into_kernel_stack(stack_of(bar, obC, obD, n + 1, d, len(stack)))
 
 
 def kernel_complex(defalg: DeformedAlgebra, obC, obD, dC0: GradedMap,

@@ -151,11 +151,18 @@ def compose(g: GradedMap, f: GradedMap) -> GradedMap:
                     compose_blocks(f.alg, map_blocks(g), map_blocks(f), f.degree))
 
 
+def check_differentials(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
+                        dC: GradedMap, dD: GradedMap):
+    """ShapeMismatch unless dC and dD are degree-1 endomorphisms over alg of
+    src and tgt, as delta on maps src -> tgt needs."""
+    if not (dC.src == dC.tgt == src and dD.src == dD.tgt == tgt
+            and dC.degree == dD.degree == 1 and dC.alg == alg == dD.alg):
+        raise ShapeMismatch("differentials do not match the map endpoints")
+
+
 def delta(f: GradedMap, dC: GradedMap, dD: GradedMap) -> GradedMap:
     """delta(f) = dD o f - (-1)^|f| f o dC."""
-    if not (dC.src == dC.tgt == f.src and dD.src == dD.tgt == f.tgt
-            and dC.degree == dD.degree == 1 and dC.alg == f.alg == dD.alg):
-        raise ShapeMismatch("differentials do not match the map endpoints")
+    check_differentials(f.alg, f.src, f.tgt, dC, dD)
     return _one_map(f.alg, f.src, f.tgt, f.degree + 1,
                     delta_blocks(f.alg, map_blocks(f), f.degree,
                                  map_blocks(dC), map_blocks(dD)))
@@ -172,7 +179,9 @@ def delta(f: GradedMap, dC: GradedMap, dD: GradedMap) -> GradedMap:
 # degree i to the (N, rows, cols, k, m) array of the components f_i, and
 # compose and delta work on block dicts: a missing degree is a zero block,
 # and a block with N = 1 (a fixed map such as a differential) broadcasts
-# against a stack.  compose and delta on GradedMaps are the one-row case.
+# against a stack.  coefficients, from_coefficients, compose and delta on
+# GradedMaps are the one-row case, and every block offset and size (here,
+# in coefficient_orders and in delta_generators) comes from _block_shapes.
 
 Blocks = dict[int, np.ndarray]
 
@@ -180,35 +189,50 @@ Blocks = dict[int, np.ndarray]
 def _block_shapes(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
                   n: int) -> list[tuple[int, tuple[int, int, int, int]]]:
     """(degree, component shape) of each nonempty block, in coefficient order."""
-    return [(i, (tgt.rank(i + n), r, alg.k, alg.ring.m))
-            for i, r in src.ranks if tgt.rank(i + n)]
+    rows, k, m = dict(tgt.ranks), alg.k, alg.ring.m
+    return [(i, (rows[i + n], r, k, m)) for i, r in src.ranks if rows.get(i + n)]
 
 
 def block_view(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject, n: int,
                stack: np.ndarray) -> Blocks:
     """The blocks of an (N, ncoef) stack of degree-n maps src -> tgt, as
-    (N, rows, cols, k, m) views into it."""
+    (N, rows, cols, k, m) views into it; ShapeMismatch if the stack is not
+    ncoef wide."""
+    shapes = _block_shapes(alg, src, tgt, n)
+    ncoef = sum(math.prod(shape) for _, shape in shapes)
+    if stack.ndim != 2 or stack.shape[1] != ncoef:
+        raise ShapeMismatch(f"expected a stack of {ncoef} coefficients per row, "
+                            f"got shape {stack.shape}")
     out, pos = {}, 0
-    for i, shape in _block_shapes(alg, src, tgt, n):
+    for i, shape in shapes:
         size = math.prod(shape)
         out[i] = stack[:, pos:pos + size].reshape((len(stack),) + shape)
         pos += size
     return out
 
 
+def _flat_stack(shapes: list[tuple[int, tuple[int, int, int, int]]], blocks: Blocks,
+                rows: int) -> np.ndarray:
+    """The (rows, ncoef) stack with these blocks, laid out by shapes
+    (_block_shapes) and not reduced."""
+    parts = []
+    for i, shape in shapes:
+        blk = blocks.get(i)
+        size = math.prod(shape)
+        if blk is None:
+            parts.append(np.zeros((rows, size), dtype=np.int64))
+        else:
+            parts.append((blk if len(blk) == rows else np.broadcast_to(blk, (rows,) + shape))
+                         .reshape(rows, size))
+    return np.concatenate(parts, axis=1) if parts else np.zeros((rows, 0), dtype=np.int64)
+
+
 def stack_of(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject, n: int,
              blocks: Blocks, rows: int) -> np.ndarray:
     """The (rows, ncoef) stack of degree-n maps src -> tgt with these blocks,
     reduced mod the coefficient orders."""
-    parts = []
-    for i, shape in _block_shapes(alg, src, tgt, n):
-        blk = blocks.get(i)
-        size = math.prod(shape)
-        parts.append(np.zeros((rows, size), dtype=np.int64) if blk is None
-                     else np.broadcast_to(blk, (rows,) + shape).reshape(rows, size))
-    if not parts:
-        return np.zeros((rows, 0), dtype=np.int64)
-    return np.concatenate(parts, axis=1) % coefficient_orders(alg, src, tgt, n)
+    return (_flat_stack(_block_shapes(alg, src, tgt, n), blocks, rows)
+            % coefficient_orders(alg, src, tgt, n))
 
 
 def map_blocks(f: GradedMap) -> Blocks:
@@ -242,9 +266,9 @@ def delta_blocks(alg: LevelAlgebra, f: Blocks, n: int, dC: Blocks, dD: Blocks) -
 
 
 def coefficients(f: GradedMap) -> np.ndarray:
-    """The coefficient vector of f."""
-    parts = [f.comp(i).data.reshape(-1) for i in f.support()]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    """The coefficient vector of f: its stack of one map, whose blocks (the
+    data of AlgMatrix components) are reduced already."""
+    return _flat_stack(_block_shapes(f.alg, f.src, f.tgt, f.degree), map_blocks(f), 1)[0]
 
 
 def from_coefficients(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
@@ -256,7 +280,7 @@ def from_coefficients(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
 def coefficient_orders(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
                        n: int) -> np.ndarray:
     """The additive order of each coefficient of a degree-n map src -> tgt."""
-    entries = sum(tgt.rank(i + n) * r for i, r in src.ranks)
+    entries = sum(rows * cols for _, (rows, cols, _, _) in _block_shapes(alg, src, tgt, n))
     return np.tile(alg.ring.orders, entries * alg.k)
 
 
@@ -275,8 +299,8 @@ def delta_generators(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap,
     km = alg.k * alg.ring.m
 
     def blocks(deg):
-        """Offset of each nonempty block of Hom^deg, and the total size."""
-        sizes = {i: tgt.rank(i + deg) * c * km for i, c in src.ranks if tgt.rank(i + deg)}
+        """Offset of each block of Hom^deg in coefficient order, and the total size."""
+        sizes = {i: math.prod(shape) for i, shape in _block_shapes(alg, src, tgt, deg)}
         return dict(zip(sizes, accumulate(sizes.values(), initial=0))), sum(sizes.values())
 
     cols, ncols = blocks(n)

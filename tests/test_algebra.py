@@ -60,22 +60,23 @@ def _t2_over(ring):
 @pytest.mark.parametrize("rcs", [(1, 1, 1), (2, 3, 2), (4, 4, 4), (4, 4, 5), (5, 7, 3),
                                  (9, 2, 8), (3, 0, 2)])
 def test_matmul_paths_match_the_plain_einsum(k, rcs, monkeypatch):
-    """Both matmul paths, chosen by shape and forced either way, against the
-    plain einsum over the combined tensor, on unbatched and broadcast
-    batched operands; r*c*s = 64 is the last shape on the einsum path."""
+    """Both matmul paths, chosen by the einsum's term count and forced either
+    way, against the plain einsum over the combined tensor, on unbatched and
+    broadcast batched operands (empty batches too); the shapes fall on both
+    sides of _TWO_STEP_MIN_TERMS."""
     tower = mk_tower("trunc_poly", 3, a=3, b=2)
     alg = {1: lambda: mk_algebra(tower, "trivial").bar,
            2: lambda: dual_numbers_algebra(tower).bar,
            3: lambda: _t2_over(tower.Rbar)}[k]()
     rng = np.random.default_rng(sum(rcs) + 10 * k)
     r, c, s = rcs
-    for lead_a, lead_b in (((), ()), ((3,), (3,)), ((2, 1), (1, 4)), ((1,), (5,))):
+    for lead_a, lead_b in (((), ()), ((3,), (3,)), ((2, 1), (1, 4)), ((1,), (5,)), ((1,), (0,))):
         a = rng.integers(0, 3, size=lead_a + (r, c, alg.k, 3))
         b = rng.integers(0, 3, size=lead_b + (c, s, alg.k, 3))
         want = np.einsum("...acis,...cbjt,isjtlw->...ablw", a, b, alg._T) % alg.ring.orders
         assert np.array_equal(alg.matmul(a, b), want)
         for bound in (0, 10 ** 9):          # always two-step, always einsum
-            monkeypatch.setattr(algebra, "_EINSUM_MAX_RCS", bound)
+            monkeypatch.setattr(algebra, "_TWO_STEP_MIN_TERMS", bound)
             assert np.array_equal(alg.matmul(a, b), want)
         monkeypatch.undo()
     if k == 3 and c:                        # noncommutative: a @ b != b @ a

@@ -6,10 +6,13 @@ import pytest
 from sqzlift import gf
 from sqzlift.algebra import AlgMatrix, mk_algebra
 from sqzlift.cohomology import CohClass, kernel_complex
-from sqzlift.complexes import GradedMap, GradedObject, map_lift, zero_map
-from sqzlift.errors import NotACocycle
+from sqzlift.complexes import GradedMap, GradedObject, identity_map, map_lift, zero_map
+from sqzlift.errors import NotACocycle, ShapeMismatch
 from sqzlift.finring import mk_tower
 from sqzlift.oracle import gen_instance
+
+
+OB2 = GradedObject.of({0: 1, 1: 1})
 
 
 @pytest.fixture(scope="module")
@@ -132,13 +135,30 @@ def test_delta_independent_of_graded_lift(K_t3):
     for n in (0, 1):
         v = rng.integers(0, 3, size=K.dim(n)).astype(np.int64)
         via_matrix = (K.delta_matrix(n) @ v) % 3
-        via_bar = K.delta_via_bar(v, n, dbar, dbar)
+        via_bar = K.delta_via_bar(v[None], n, dbar, dbar)[0]
         assert np.array_equal(via_matrix, via_bar)
         # perturb the bar lift by a J-coefficient matrix: same answer
         gamma = K.out_of_kernel(
             rng.integers(0, 3, size=K.dim(1)).astype(np.int64), 1)
-        via_bar2 = K.delta_via_bar(v, n, dbar + gamma, dbar + gamma)
+        via_bar2 = K.delta_via_bar(v[None], n, dbar + gamma, dbar + gamma)[0]
         assert np.array_equal(via_matrix, via_bar2)
+
+
+def test_delta_via_bar_rejects_differentials_that_do_not_fit(K_z4):
+    """All ranks are 1, so a degree-0 map or a lower-level differential has
+    blocks that multiply; they are refused, not used."""
+    defalg, ob, K = K_z4
+    vecs = np.ones((2, K.dim(0)), dtype=np.int64)
+    dbar = zero_map(defalg.bar, ob, ob, 1)
+    assert not K.delta_via_bar(vecs, 0, dbar, dbar).any()
+    for dC, dD in ((identity_map(defalg.bar, ob), dbar),
+                   (dbar, identity_map(defalg.bar, ob)),
+                   (zero_map(defalg.mid, ob, ob, 1), dbar),
+                   (dbar, zero_map(defalg.bar, ob, OB2, 1))):
+        with pytest.raises(ShapeMismatch, match="differentials"):
+            K.delta_via_bar(vecs, 0, dC, dD)
+    with pytest.raises(ShapeMismatch):      # one vector, not a stack of them
+        K.delta_via_bar(vecs[0], 0, dbar, dbar)
 
 
 def test_solve_coboundary_consistency(K_t3):

@@ -7,17 +7,30 @@ import pytest
 
 from sqzlift import complexes, gf
 from sqzlift.cli import canonical_json
-from sqzlift.complexes import Complex, GradedObject, compose, delta, map_reduce, zero_map
+from sqzlift.algebra import AlgMatrix, LevelAlgebra, mk_algebra
+from sqzlift.complexes import (
+    Complex,
+    GradedMap,
+    GradedObject,
+    compose,
+    delta,
+    map_reduce,
+    zero_map,
+)
 from sqzlift.errors import CheckFailed, ValidationError
 from sqzlift.obstruction import (
     DifferentialProblem,
+    MapProblem,
+    classify,
     classify_lifts,
+    lift,
     lift_differential,
     obstruct_differential,
     obstruct_homotopy,
     obstruct_map,
     v_class,
 )
+from sqzlift.finring import mk_tower
 from sqzlift.oracle import (
     _PARTITION_ROWS,
     _partition,
@@ -91,6 +104,58 @@ def test_homotopy_oracle_agreement(seed):
     cls, _ = obstruct_homotopy(inst.problem)
     res = oracle_homotopy(inst.problem)
     assert cls.is_zero == (res.num_witnesses > 0)
+
+
+@pytest.mark.parametrize("obstructed", [False, True])
+def test_map_oracle_agreement_on_large_blocks(obstructed, monkeypatch):
+    """Maps C -> D with 9x1 and 1x9 blocks, so the residual multiplies 9x1 by
+    1x9 matrices (r*c*s = 81), and on the oracle's stacks of 16 or 18 maps
+    matmul takes its two-step path: the oracle agrees with the closed-form
+    lift and classification, here a torsor over H^0 of dimension 8."""
+    defalg = mk_algebra(mk_tower("zmod", 2, a=2, b=1), "trivial")
+    bar = defalg.bar
+    obC, obD = GradedObject.of({0: 9, 1: 1}), GradedObject.of({0: 1, 1: 9})
+    rng = np.random.default_rng(5)
+
+    def mat(rows, cols, values):
+        return AlgMatrix(bar, rng.choice(values, size=(rows, cols, 1, 1)))
+
+    if obstructed:   # d_C is J-valued, so any f commutes at the mid level
+        C = Complex(bar, obC, GradedMap(bar, obC, obC, 1, {0: mat(1, 9, [2])}))
+        D = Complex(bar, obD, zero_map(bar, obD, obD, 1))
+        f = GradedMap(bar, obC, obD, 0, {1: mat(9, 1, [1])})
+    else:            # delta of a degree -1 map is a cochain map; d_D is J-valued
+        C = Complex(bar, obC, GradedMap(bar, obC, obC, 1, {0: mat(1, 9, range(4))}))
+        D = Complex(bar, obD, GradedMap(bar, obD, obD, 1, {0: mat(9, 1, [2])}))
+        f = delta(GradedMap(bar, obC, obD, -1, {1: mat(1, 1, [1, 3])}), C.d, D.d)
+    prob = MapProblem(defalg, C, D, map_reduce(defalg, f, "bar", "mid"))
+    K = prob.kernel
+    assert K.dim(0) == 18
+    two_step = []
+    apply_left = LevelAlgebra.apply_left
+
+    def counted(self, op, b):
+        two_step.append(b.shape)
+        return apply_left(self, op, b)
+
+    monkeypatch.setattr(LevelAlgebra, "apply_left", counted)
+    res = oracle_map(prob)
+    assert two_step
+    monkeypatch.undo()
+    assert obstruct_map(prob)[0].is_zero == (not obstructed) == (res.num_witnesses > 0)
+    if obstructed:
+        return
+    powers = K.p ** np.arange(K.dim(0))
+    orbit_of = {int(w): o for o, row in enumerate(res.orbits) for w in row}
+
+    def orbit(X):
+        assert delta(X, C.d, D.d).is_zero()
+        return orbit_of[int(K.into_kernel(X - prob.sigma_lift) @ powers)]
+
+    reps = classify(prob).reps
+    assert res.num_classes == len(reps) == K.p ** K.h_dim(0) > 1
+    assert orbit(lift(prob).lifted) in range(len(reps))
+    assert sorted(orbit(X) for X in reps) == list(range(len(reps)))
 
 
 def test_sigma_lift_is_a_witness_for_trivial_deformation(z4):

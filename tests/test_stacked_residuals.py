@@ -17,7 +17,7 @@ from sqzlift.complexes import (
     map_reduce,
     zero_map,
 )
-from sqzlift.errors import NotInKernel
+from sqzlift.errors import NotInKernel, ShapeMismatch
 from sqzlift.finring import mk_tower
 from sqzlift.obstruction import DifferentialProblem, HomotopyProblem, MapProblem, obstruct
 from sqzlift.oracle import _square_zero_scalars
@@ -162,3 +162,17 @@ def test_kernel_codec_round_trip_on_stacks(tower, algebra):
         with pytest.raises(NotInKernel):
             K.into_kernel_stack(stack)
         K.into_kernel_stack(np.delete(stack, 2, axis=0))
+
+
+def test_stacks_of_the_wrong_width_are_refused():
+    """A stack is read only when each row holds exactly the map's coefficients."""
+    for _, prob in _problems("zmod(2;2,1)", "dual"):
+        K, m = prob.kernel, prob.degree
+        bar, obC, obD = K.defalg.bar, K.hom.obC, K.hom.obD
+        X0 = coefficients(prob.sigma_lift)
+        assert prob.residuals(X0[None]).shape[0] == 1
+        for bad in (np.append(X0, 0)[None], X0[None, :-1], X0, np.stack([X0[None]] * 2)):
+            with pytest.raises(ShapeMismatch, match="coefficients per row"):
+                prob.residuals(bad)
+        with pytest.raises(ShapeMismatch):
+            from_coefficients(bar, obC, obD, m, np.append(X0, 0))
