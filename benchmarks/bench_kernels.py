@@ -53,7 +53,7 @@ import numpy as np
 from sqzlift import algebra, cli, crude, defun, gf, oracle
 from sqzlift.algebra import AlgMatrix, dual_numbers_algebra, mk_algebra
 from sqzlift.complexes import (Complex, GradedMap, GradedObject, HomComplex,
-                               coefficient_orders, coefficients, delta_generators)
+                               coefficient_orders, delta_generators)
 from sqzlift.finring import (FiniteRing, mk_tower, square_zero_ring,
                               trunc_poly_ring)
 
@@ -117,7 +117,7 @@ def _strict_job():
 
     def job():
         lifts = defun.strict_lifts(A, inst.defalg.base, prob.ob, prob.d_base)
-        return repr([defun.map_coords(d) for d in lifts]).encode()
+        return repr([tuple(d.coef.tolist()) for d in lifts]).encode()
     return job
 
 
@@ -206,7 +206,7 @@ def _oracle_setup_job(kind, seed):
     prob = oracle.gen_instance(kind, seed, max_kdim=20).problem
     K, p, m = prob.kernel, prob.kernel.p, prob.degree
     kdim = K.dim(m)
-    X0 = coefficients(prob.sigma_lift)
+    X0 = prob.sigma_lift.coef
     eye = np.eye(kdim, dtype=np.int64)
     moduli = coefficient_orders(K.defalg.bar, K.hom.obC, K.hom.obD, m + 1)
 

@@ -1,0 +1,90 @@
+"""Digest every report the command line writes on a fixed set of documents.
+
+Prints one line per report: source, command, exit code and the sha256 of
+the report bytes.  The sources are
+
+- `gen` documents of seeds 0-49 (`SEEDS`) of each kind: the document itself
+  (command `gen`), then every command that reads a document of that kind;
+- the liftbench documents of seed 1 of every workload, each with the command
+  liftbench runs on it.
+
+`functor-eval` and `schlessinger` run on the `gen` documents with
+`--cap FUNCTOR_CAP`, because at the default cap some seeds take minutes
+(`schlessinger` on differential seed 11 does not finish).  Everything runs
+in one process, through `sqzlift.cli.main`, with reports written to a
+temporary `--out` file.  An exception that escapes `main` is recorded as its
+type in place of the exit code.  Two trees give the same output exactly when
+every report is byte-identical, so `diff` of two runs checks a change that
+must not move reports.
+
+Usage:  PYTHONPATH=src python3 benchmarks/report_digests.py > digests.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "liftbench"))
+
+import workloads  # noqa: E402
+from sqzlift import cli  # noqa: E402
+
+FUNCTOR_CAP = 4096
+SEEDS = 50
+KINDS = ("differential", "map", "homotopy")
+COMMANDS = {
+    "differential": ["obstruct-diff", "lift-diff", "classify", "classify-homotopy",
+                     "tangent", "extend-order", "oracle", "functor-eval", "schlessinger"],
+    "map": ["lift-map", "classify-homotopy", "oracle"],
+    "homotopy": ["lift-homotopy", "oracle"],
+}
+LIFTBENCH_SEED = 1
+
+
+def run(argv: list[str], out: str) -> tuple[str, str]:
+    """(exit code or exception type, sha256 of the --out bytes)."""
+    if os.path.exists(out):
+        os.remove(out)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = str(cli.main(argv + ["--out", out]))
+        except Exception as e:   # recorded, so that a crash is a visible difference
+            code = type(e).__name__
+    data = open(out, "rb").read() if os.path.exists(out) else b""
+    return code, hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        for kind in KINDS:
+            for seed in range(SEEDS):
+                src = f"gen:{kind}:{seed}"
+                doc = os.path.join(tmp, f"{kind}-{seed}.json")
+                code, digest = run(["gen", "--kind", kind, "--seed", str(seed)], doc)
+                print(src, "gen", code, digest, flush=True)
+                for cmd in COMMANDS[kind]:
+                    flag = "--map" if cmd in ("lift-map", "lift-homotopy") else "--complex"
+                    extra = ["--cap", str(FUNCTOR_CAP)] if cmd in ("functor-eval",
+                                                                    "schlessinger") else []
+                    code, digest = run([cmd, flag, doc] + extra, out)
+                    print(src, cmd, code, digest, flush=True)
+        sq = workloads.import_program()
+        for workload in sorted(workloads.WORKLOADS):
+            docs = os.path.join(tmp, workload)
+            for inst in workloads.write_documents(sq, workload, LIFTBENCH_SEED, docs):
+                code, digest = run(inst.argv(out)[:-2], out)
+                print(f"liftbench:{workload}:{inst.name}", inst.command, code, digest,
+                      flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,8 +4,9 @@ A LevelAlgebra is a free module over a FiniteRing with basis e_0, ..,
 e_{k-1} and structure constants e_i * e_j = sum_l struct[i,j,l] e_l (each
 struct[i,j,l] a ring coefficient vector).  Elements are (k, m) int arrays;
 matrices over the algebra are (rows, cols, k, m) arrays.  A DeformedAlgebra
-packages the same structure constants read over Rbar, R and R0, together
-with the reduction and section maps between the levels.
+packages the same structure constants read over Rbar, R and R0, and the
+J-coordinate codec of the top level; graded maps change level in
+complexes.map_reduce and map_lift.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BadDimensions,
-    LevelMismatch,
     NotAssociative,
     NotInKernel,
     NotUnital,
@@ -89,19 +89,6 @@ class LevelAlgebra:
 
     # -- matrices ----------------------------------------------------------
 
-    def mat(self, data: np.ndarray) -> "AlgMatrix":
-        return AlgMatrix(self, data)
-
-    def zeros(self, rows: int, cols: int) -> "AlgMatrix":
-        return AlgMatrix(self, np.zeros((rows, cols, self.k, self.ring.m),
-                                        dtype=np.int64))
-
-    def eye(self, n: int) -> "AlgMatrix":
-        data = np.zeros((n, n, self.k, self.ring.m), dtype=np.int64)
-        for i in range(n):
-            data[i, i] = self.unit
-        return AlgMatrix(self, data)
-
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Products of stacked matrices a (..., r, c, k, m) and b (..., c, s, k, m),
         the leading axes broadcast.
@@ -165,32 +152,6 @@ class AlgMatrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def _check_level(self, other: "AlgMatrix"):
-        if self.alg is not other.alg and self.alg != other.alg:
-            raise LevelMismatch("matrices live over different algebras")
-
-    def __add__(self, other: "AlgMatrix") -> "AlgMatrix":
-        self._check_level(other)
-        if self.data.shape != other.data.shape:
-            raise ShapeMismatch("matrix shapes differ")
-        return AlgMatrix(self.alg, self.data + other.data)
-
-    def __sub__(self, other: "AlgMatrix") -> "AlgMatrix":
-        self._check_level(other)
-        if self.data.shape != other.data.shape:
-            raise ShapeMismatch("matrix shapes differ")
-        return AlgMatrix(self.alg, self.data - other.data)
-
-    def __neg__(self) -> "AlgMatrix":
-        return AlgMatrix(self.alg, -self.data)
-
-    def __matmul__(self, other: "AlgMatrix") -> "AlgMatrix":
-        self._check_level(other)
-        return AlgMatrix(self.alg, self.alg.matmul(self.data, other.data))
-
-    def is_zero(self) -> bool:
-        return not self.data.any()
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgMatrix)
                 and self.alg == other.alg
@@ -198,9 +159,6 @@ class AlgMatrix:
                 and np.array_equal(self.data, other.data))
 
     __hash__ = None
-
-    def copy(self) -> "AlgMatrix":
-        return AlgMatrix(self.alg, self.data.copy())
 
     def __repr__(self) -> str:
         return f"AlgMatrix({self.rows}x{self.cols} over rank-{self.alg.k} algebra)"
@@ -243,45 +201,7 @@ class DeformedAlgebra:
     def level(self, name: str) -> LevelAlgebra:
         return {"bar": self.bar, "mid": self.mid, "base": self.base}[name]
 
-    # -- reductions --------------------------------------------------------
-
-    def _reduce(self, mat: AlgMatrix, surj: RingSurjection,
-                target: LevelAlgebra) -> AlgMatrix:
-        m = mat.alg.ring.m
-        flat = mat.data.reshape(-1, m)
-        out = surj.apply_many(flat).reshape(mat.data.shape[:3] + (surj.target.m,))
-        return AlgMatrix(target, out)
-
-    def reduce_bar_to_mid(self, mat: AlgMatrix) -> AlgMatrix:
-        return self._reduce(mat, self.tower.pibar, self.mid)
-
-    def reduce_bar_to_base(self, mat: AlgMatrix) -> AlgMatrix:
-        return self._reduce(mat, self.tower.pibar0, self.base)
-
-    def reduce_mid_to_base(self, mat: AlgMatrix) -> AlgMatrix:
-        return self._reduce(mat, self.tower.pi, self.base)
-
-    # -- sections ------------------------------------------------------------
-
-    def _lift(self, mat: AlgMatrix, section: np.ndarray,
-              target: LevelAlgebra) -> AlgMatrix:
-        return AlgMatrix(target, section[mat.alg.ring.code(mat.data)])
-
-    def lift_mid_to_bar(self, mat: AlgMatrix) -> AlgMatrix:
-        """Coefficientwise minimal section of Rbar -> R."""
-        return self._lift(mat, self.tower.sigma, self.bar)
-
-    def lift_base_to_bar(self, mat: AlgMatrix) -> AlgMatrix:
-        return self._lift(mat, self.tower.sigma0, self.bar)
-
-    def lift_base_to_mid(self, mat: AlgMatrix) -> AlgMatrix:
-        return self._lift(mat, self.tower.sigma_mid, self.mid)
-
     # -- kernel coordinates --------------------------------------------------
-
-    def in_kernel(self, mat: AlgMatrix) -> bool:
-        """True iff every coefficient of mat lies in J = Ker(Rbar -> R)."""
-        return self.reduce_bar_to_mid(mat).is_zero()
 
     def kernel_coords(self, coeffs: np.ndarray) -> np.ndarray:
         """F_p coordinates of Rbar coefficients (the last axis) that lie in J.
@@ -301,9 +221,6 @@ class DeformedAlgebra:
         coords = np.asarray(coords, dtype=np.int64)
         lam = coords.reshape(coords.shape[:-1] + (t.dimJ, n)).swapaxes(-1, -2) % self.p
         return lam @ t.jbasis % t.Rbar.orders
-
-    def kernel_dim(self, rows: int, cols: int) -> int:
-        return self.tower.dimJ * rows * cols * self.k
 
 
 

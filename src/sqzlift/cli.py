@@ -22,7 +22,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__, defun
-from .algebra import AlgMatrix, DeformedAlgebra, dual_numbers_algebra, mk_algebra
+from .algebra import DeformedAlgebra, dual_numbers_algebra, mk_algebra
 from .complexes import Complex, GradedMap, GradedObject, PreComplex
 from .crude import (
     HomotopyEquivData,
@@ -277,29 +277,41 @@ def ranks_from_payload(pay: dict) -> GradedObject:
     return GradedObject.of({int(k): int(v) for k, v in pay.items()})
 
 
+def _comps_payload(f: GradedMap) -> dict:
+    """The nonzero components of f, keyed by degree."""
+    return {str(i): _ilist(blk[0]) for i, blk in f.blocks().items()}
+
+
+def _gmap_from_comps(alg, src: GradedObject, tgt: GradedObject, n: int, comps: dict,
+                     bad_shape: str) -> GradedMap:
+    """The map with the given component payloads, shapes checked here once:
+    SchemaMismatch(bad_shape with the key) for a wrong coefficient shape,
+    ShapeMismatch for a component that does not fit the ranks."""
+    arrays = {}
+    for k, data in comps.items():
+        arr = np.asarray(data, dtype=np.int64)
+        if arr.ndim != 4 or arr.shape[2] != alg.k or arr.shape[3] != alg.ring.m:
+            raise SchemaMismatch(bad_shape.format(k))
+        arrays[int(k)] = arr
+    return GradedMap.from_arrays(alg, src, tgt, n, arrays)
+
+
 def gmap_to_payload(f: GradedMap, level: str) -> dict:
     return {"level": level, "degree": int(f.degree),
             "src": ranks_to_payload(f.src), "tgt": ranks_to_payload(f.tgt),
-            "comps": {str(i): _ilist(m.data) for i, m in sorted(f.comps.items())}}
+            "comps": _comps_payload(f)}
 
 
 def gmap_from_payload(defalg: DeformedAlgebra, pay: dict) -> GradedMap:
     alg = defalg.level(pay["level"])
     src = ranks_from_payload(pay["src"])
     tgt = ranks_from_payload(pay["tgt"])
-    n = int(pay["degree"])
-    comps = {}
-    for k, data in pay["comps"].items():
-        arr = np.asarray(data, dtype=np.int64)
-        if arr.ndim != 4 or arr.shape[2] != defalg.k or arr.shape[3] != alg.ring.m:
-            raise SchemaMismatch(f"component {k} has wrong coefficient shape")
-        comps[int(k)] = AlgMatrix(alg, arr)
-    return GradedMap(alg, src, tgt, n, comps)
+    return _gmap_from_comps(alg, src, tgt, int(pay["degree"]), pay["comps"],
+                            "component {} has wrong coefficient shape")
 
 
 def complex_to_payload(X, level: str) -> dict:
-    return {"level": level, "ranks": ranks_to_payload(X.ob),
-            "d": {str(i): _ilist(m.data) for i, m in sorted(X.d.comps.items())}}
+    return {"level": level, "ranks": ranks_to_payload(X.ob), "d": _comps_payload(X.d)}
 
 
 def complex_from_payload(defalg: DeformedAlgebra, pay: dict,
@@ -307,13 +319,7 @@ def complex_from_payload(defalg: DeformedAlgebra, pay: dict,
     """Build a complex from a document; strict enforces d^2 = 0."""
     alg = defalg.level(pay["level"])
     ob = ranks_from_payload(pay["ranks"])
-    comps = {}
-    for k, data in pay["d"].items():
-        arr = np.asarray(data, dtype=np.int64)
-        if arr.ndim != 4 or arr.shape[2] != defalg.k or arr.shape[3] != alg.ring.m:
-            raise SchemaMismatch(f"differential component {k} has wrong shape")
-        comps[int(k)] = AlgMatrix(alg, arr)
-    d = GradedMap(alg, ob, ob, 1, comps)
+    d = _gmap_from_comps(alg, ob, ob, 1, pay["d"], "differential component {} has wrong shape")
     if strict:
         return Complex(alg, ob, d)
     return PreComplex(alg, ob, d)

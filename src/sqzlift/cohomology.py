@@ -22,10 +22,7 @@ from .complexes import (
     HomComplex,
     block_view,
     check_differentials,
-    coefficients,
     delta_blocks,
-    from_coefficients,
-    map_blocks,
     stack_of,
 )
 from .errors import NotACocycle, ShapeMismatch
@@ -101,12 +98,12 @@ class KernelComplex:
 
     def into_kernel(self, f: GradedMap) -> np.ndarray:
         """Coordinates of a bar-level graded map with J coefficients."""
-        return self.into_kernel_stack(coefficients(f)[None])[0]
+        return self.into_kernel_stack(f.coef[None])[0]
 
     def out_of_kernel(self, vec: np.ndarray, n: int) -> GradedMap:
         """The bar-level degree-n graded map with coordinates vec."""
-        return from_coefficients(self.defalg.bar, self.hom.obC, self.hom.obD, n,
-                                 self.out_of_kernel_stack(np.asarray(vec)[None], n)[0])
+        return GradedMap.wrap(self.defalg.bar, self.hom.obC, self.hom.obD, n,
+                              self.out_of_kernel_stack(np.asarray(vec)[None], n)[0])
 
     # -- cohomology ----------------------------------------------------------
 
@@ -174,7 +171,7 @@ class KernelComplex:
         check_differentials(bar, obC, obD, dbarC, dbarD)
         stack = self.out_of_kernel_stack(vecs, n)
         d = delta_blocks(bar, block_view(bar, obC, obD, n, stack), n,
-                         map_blocks(dbarC), map_blocks(dbarD))
+                         dbarC.blocks(), dbarD.blocks())
         return self.into_kernel_stack(stack_of(bar, obC, obD, n + 1, d, len(stack)))
 
 

@@ -13,7 +13,8 @@ d_D and right multiplication by d_C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .algebra import AlgMatrix, DeformedAlgebra, LevelAlgebra
+from .finring import FiniteRing, RingSurjection
 
 
 @dataclass(frozen=True)
@@ -44,11 +46,12 @@ class GradedObject:
                 raise BadDimensions("ranks must be nonnegative")
         return GradedObject(items)
 
+    @cached_property
+    def rank_of(self) -> dict[int, int]:
+        return dict(self.ranks)
+
     def rank(self, i: int) -> int:
-        for d, r in self.ranks:
-            if d == i:
-                return r
-        return 0
+        return self.rank_of.get(i, 0)
 
     @property
     def support(self) -> list[int]:
@@ -62,93 +65,116 @@ class GradedObject:
         return GradedObject.of({d: self.rank(d) + other.rank(d) for d in degs})
 
 
-@dataclass(eq=False)
 class GradedMap:
-    """Degree-n map between graded objects, components f_i : src_i -> tgt_{i+n}."""
+    """Degree-n map between graded objects, components f_i : src_i -> tgt_{i+n}.
 
-    alg: LevelAlgebra
-    src: GradedObject
-    tgt: GradedObject
-    degree: int
-    comps: dict[int, AlgMatrix] = field(default_factory=dict)
+    A map is its coefficient vector `coef` (see the layout below), reduced
+    mod the coefficient orders; its components are views of it.
+    GradedMap(alg, src, tgt, n, {i: AlgMatrix}) checks each component's
+    algebra and shape, GradedMap.from_arrays checks arrays, and
+    GradedMap.wrap takes a vector that is laid out and reduced already.
+    """
 
-    def __post_init__(self):
-        cleaned = {}
-        for i, mat in self.comps.items():
-            r, c = self.tgt.rank(i + self.degree), self.src.rank(i)
+    def __init__(self, alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
+                 degree: int, comps: dict[int, AlgMatrix] | None = None):
+        self.alg, self.src, self.tgt, self.degree = alg, src, tgt, int(degree)
+        self._blocks = None
+        self.__post_init__(comps or {})
+
+    def __post_init__(self, comps: dict[int, AlgMatrix]):
+        for mat in comps.values():
             if mat.alg != self.alg:
                 raise LevelMismatch("component lives over the wrong algebra")
-            if (mat.rows, mat.cols) != (r, c):
-                raise ShapeMismatch(
-                    f"component at degree {i} is {mat.rows}x{mat.cols}, "
-                    f"expected {r}x{c}")
-            if r and c and not mat.is_zero():
-                cleaned[int(i)] = mat
-        self.comps = cleaned
+        self.coef = _checked_vector(self.alg, self.src, self.tgt, self.degree,
+                                    {i: mat.data for i, mat in comps.items()})
 
-    def support(self) -> list[int]:
-        """Degrees where a component can be nonzero (by ranks)."""
-        return sorted(i for i in self.src.support
-                      if self.tgt.rank(i + self.degree) > 0)
+    @classmethod
+    def from_arrays(cls, alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
+                    n: int, arrays: dict[int, np.ndarray]) -> "GradedMap":
+        """The map with components arrays[i] of shape (rows, cols, k, m);
+        ShapeMismatch if a component does not fit."""
+        return cls.wrap(alg, src, tgt, n, _checked_vector(alg, src, tgt, n, arrays))
 
-    def comp(self, i: int) -> AlgMatrix:
-        if i in self.comps:
-            return self.comps[i]
-        return self.alg.zeros(self.tgt.rank(i + self.degree), self.src.rank(i))
+    @classmethod
+    def wrap(cls, alg: LevelAlgebra, src: GradedObject, tgt: GradedObject, n: int,
+             coef: np.ndarray) -> "GradedMap":
+        """The map whose coefficient vector is coef, unchecked: coef must be
+        laid out and reduced already."""
+        f = cls.__new__(cls)
+        f.alg, f.src, f.tgt, f.degree, f.coef, f._blocks = alg, src, tgt, n, coef, None
+        return f
 
-    def _like(self, comps: dict[int, AlgMatrix]) -> "GradedMap":
-        return GradedMap(self.alg, self.src, self.tgt, self.degree, comps)
+    def blocks(self) -> "Blocks":
+        """The nonzero components as a stack of one map: {i: (1, rows, cols,
+        k, m) view}, so that compose_blocks skips the zero ones.  Made once
+        per map; callers must not change it."""
+        if self._blocks is None:
+            self._blocks = {i: blk for i, blk in block_view(
+                self.alg, self.src, self.tgt, self.degree, self.coef[None]).items() if blk.any()}
+        return self._blocks
+
+    @property
+    def comps(self) -> dict[int, AlgMatrix]:
+        """The nonzero components, as a new dict of AlgMatrix."""
+        return {i: AlgMatrix(self.alg, blk[0]) for i, blk in self.blocks().items()}
+
+    def _like(self, coef: np.ndarray) -> "GradedMap":
+        return GradedMap.wrap(self.alg, self.src, self.tgt, self.degree,
+                              reduce_coefficients(self.alg, coef))
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         self._check_parallel(other)
-        return self._like({i: self.comp(i) + other.comp(i) for i in self.support()})
+        return self._like(self.coef + other.coef)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
         self._check_parallel(other)
-        return self._like({i: self.comp(i) - other.comp(i) for i in self.support()})
+        return self._like(self.coef - other.coef)
 
     def __neg__(self) -> "GradedMap":
-        return self._like({i: -m for i, m in self.comps.items()})
+        return self._like(-self.coef)
+
+    def _parallel(self, other: "GradedMap") -> bool:
+        return (self.alg == other.alg and self.src == other.src
+                and self.tgt == other.tgt and self.degree == other.degree)
 
     def _check_parallel(self, other: "GradedMap"):
-        if (self.alg != other.alg or self.src != other.src
-                or self.tgt != other.tgt or self.degree != other.degree):
+        if not self._parallel(other):
             raise ShapeMismatch("graded maps are not parallel")
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.comps.values())
+        return not self.coef.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedMap):
             return NotImplemented
-        if (self.alg != other.alg or self.src != other.src
-                or self.tgt != other.tgt or self.degree != other.degree):
-            return False
-        return all(self.comp(i) == other.comp(i) for i in self.support())
+        return self._parallel(other) and np.array_equal(self.coef, other.coef)
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return (f"GradedMap(deg={self.degree}, "
-                f"support={sorted(self.comps)})")
+                f"support={list(self.blocks())})")
 
 
 def zero_map(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
              degree: int) -> GradedMap:
-    return GradedMap(alg, src, tgt, degree, {})
+    return GradedMap.wrap(alg, src, tgt, degree,
+                          np.zeros(coefficient_count(alg, src, tgt, degree), dtype=np.int64))
 
 
 def identity_map(alg: LevelAlgebra, ob: GradedObject) -> GradedMap:
-    return GradedMap(alg, ob, ob, 0,
-                     {d: alg.eye(r) for d, r in ob.ranks})
+    eye = {d: np.eye(r, dtype=np.int64)[None, :, :, None, None] * alg.unit
+           for d, r in ob.ranks}
+    return GradedMap.wrap(alg, ob, ob, 0, stack_of(alg, ob, ob, 0, eye, 1)[0])
 
 
 def compose(g: GradedMap, f: GradedMap) -> GradedMap:
     """g o f, degree |g| + |f|, components (g o f)_i = g_{i+|f|} f_i."""
     if f.alg != g.alg or f.tgt != g.src:
         raise ShapeMismatch("composition endpoints do not match")
-    return _one_map(f.alg, f.src, g.tgt, f.degree + g.degree,
-                    compose_blocks(f.alg, map_blocks(g), map_blocks(f), f.degree))
+    n = f.degree + g.degree
+    gf_blocks = compose_blocks(f.alg, g.blocks(), f.blocks(), f.degree)
+    return GradedMap.wrap(f.alg, f.src, g.tgt, n, stack_of(f.alg, f.src, g.tgt, n, gf_blocks, 1)[0])
 
 
 def check_differentials(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
@@ -163,25 +189,28 @@ def check_differentials(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
 def delta(f: GradedMap, dC: GradedMap, dD: GradedMap) -> GradedMap:
     """delta(f) = dD o f - (-1)^|f| f o dC."""
     check_differentials(f.alg, f.src, f.tgt, dC, dD)
-    return _one_map(f.alg, f.src, f.tgt, f.degree + 1,
-                    delta_blocks(f.alg, map_blocks(f), f.degree,
-                                 map_blocks(dC), map_blocks(dD)))
+    n = f.degree + 1
+    d = delta_blocks(f.alg, f.blocks(), f.degree, dC.blocks(), dD.blocks())
+    return GradedMap.wrap(f.alg, f.src, f.tgt, n, stack_of(f.alg, f.src, f.tgt, n, d, 1)[0])
 
 
 # ---------------------------------------------------------------------------
 # the coefficient layout of a graded map, and stacks of maps
 # ---------------------------------------------------------------------------
 #
-# A degree-n map src -> tgt is one flat int64 vector: graded degree i
-# ascending over its support, then row-major matrix entries, then algebra
-# basis index, then ring coordinate.  A stack of N such maps is an
-# (N, ncoef) array, one map per row.  Its block view is a dict from graded
-# degree i to the (N, rows, cols, k, m) array of the components f_i, and
-# compose and delta work on block dicts: a missing degree is a zero block,
-# and a block with N = 1 (a fixed map such as a differential) broadcasts
-# against a stack.  coefficients, from_coefficients, compose and delta on
-# GradedMaps are the one-row case, and every block offset and size (here,
-# in coefficient_orders and in delta_generators) comes from _block_shapes.
+# A degree-n map src -> tgt is one flat int64 vector, its `coef`: graded
+# degree i ascending over the degrees where src_i and tgt_{i+n} are both
+# nonzero, then row-major matrix entries, then algebra basis index, then ring
+# coordinate, each coefficient reduced mod its additive order.  A stack of N
+# such maps is an (N, ncoef) array, one map per row.  Its block view is a
+# dict from graded degree i to the (N, rows, cols, k, m) view of the
+# components f_i.  compose and delta work on block dicts: a missing degree is
+# a zero block, and a block with N = 1 (a fixed map such as a differential)
+# broadcasts against a stack.  GradedMap arithmetic and equality are vector
+# operations, a change of level maps the vector's ring coordinates
+# (map_push, map_section), and compose and delta on GradedMaps are the
+# one-row case of the stacked forms.  Every block offset and size, and so
+# the dimension of a Hom space, comes from _block_shapes.
 
 Blocks = dict[int, np.ndarray]
 
@@ -189,8 +218,39 @@ Blocks = dict[int, np.ndarray]
 def _block_shapes(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
                   n: int) -> list[tuple[int, tuple[int, int, int, int]]]:
     """(degree, component shape) of each nonempty block, in coefficient order."""
-    rows, k, m = dict(tgt.ranks), alg.k, alg.ring.m
+    rows, k, m = tgt.rank_of, alg.k, alg.ring.m
     return [(i, (rows[i + n], r, k, m)) for i, r in src.ranks if rows.get(i + n)]
+
+
+def coefficient_count(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
+                      n: int) -> int:
+    """The length of the coefficient vector of a degree-n map src -> tgt."""
+    return sum(math.prod(shape) for _, shape in _block_shapes(alg, src, tgt, n))
+
+
+def reduce_coefficients(alg: LevelAlgebra, stack: np.ndarray) -> np.ndarray:
+    """Coefficient vectors (the last axis) reduced mod the coefficient orders."""
+    m = alg.ring.m
+    grouped = stack.reshape(stack.shape[:-1] + (stack.shape[-1] // m, m))
+    return (grouped % alg.ring.orders).reshape(stack.shape)
+
+
+def _checked_vector(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject, n: int,
+                    arrays: dict[int, np.ndarray]) -> np.ndarray:
+    """The reduced coefficient vector with components arrays[i]; ShapeMismatch
+    if a component is not tgt_{i+n} x src_i.  Components of an empty shape
+    are dropped."""
+    blocks = {}
+    for i, data in arrays.items():
+        r, c = tgt.rank(i + n), src.rank(i)
+        if data.ndim != 4 or data.shape[2:] != (alg.k, alg.ring.m):
+            raise BadDimensions(f"matrix data has shape {data.shape}")
+        if data.shape[:2] != (r, c):
+            raise ShapeMismatch(f"component at degree {i} is {data.shape[0]}x{data.shape[1]}, "
+                                f"expected {r}x{c}")
+        if r and c:
+            blocks[int(i)] = data[None]
+    return stack_of(alg, src, tgt, n, blocks, 1)[0]
 
 
 def block_view(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject, n: int,
@@ -211,39 +271,23 @@ def block_view(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject, n: int,
     return out
 
 
-def _flat_stack(shapes: list[tuple[int, tuple[int, int, int, int]]], blocks: Blocks,
-                rows: int) -> np.ndarray:
-    """The (rows, ncoef) stack with these blocks, laid out by shapes
-    (_block_shapes) and not reduced."""
-    parts = []
-    for i, shape in shapes:
-        blk = blocks.get(i)
-        size = math.prod(shape)
-        if blk is None:
-            parts.append(np.zeros((rows, size), dtype=np.int64))
-        else:
-            parts.append((blk if len(blk) == rows else np.broadcast_to(blk, (rows,) + shape))
-                         .reshape(rows, size))
-    return np.concatenate(parts, axis=1) if parts else np.zeros((rows, 0), dtype=np.int64)
-
-
 def stack_of(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject, n: int,
              blocks: Blocks, rows: int) -> np.ndarray:
     """The (rows, ncoef) stack of degree-n maps src -> tgt with these blocks,
     reduced mod the coefficient orders."""
-    return (_flat_stack(_block_shapes(alg, src, tgt, n), blocks, rows)
-            % coefficient_orders(alg, src, tgt, n))
-
-
-def map_blocks(f: GradedMap) -> Blocks:
-    """f as a stack of one map."""
-    return {i: mat.data[None] for i, mat in f.comps.items()}
-
-
-def _one_map(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject, n: int,
-             blocks: Blocks) -> GradedMap:
-    """The map of a stack of one map."""
-    return GradedMap(alg, src, tgt, n, {i: AlgMatrix(alg, blk[0]) for i, blk in blocks.items()})
+    parts = []
+    for i, shape in _block_shapes(alg, src, tgt, n):
+        blk = blocks.get(i)
+        size = math.prod(shape)
+        if blk is None:
+            parts.append(np.zeros((rows, size), dtype=np.int64))
+        elif len(blk) == rows:
+            parts.append(blk.reshape(rows, size))
+        else:
+            parts.append(np.broadcast_to(blk, (rows,) + shape).reshape(rows, size))
+    if not parts:
+        return np.zeros((rows, 0), dtype=np.int64)
+    return reduce_coefficients(alg, np.concatenate(parts, axis=1))
 
 
 def add_blocks(a: Blocks, b: Blocks, sign: int) -> Blocks:
@@ -265,23 +309,21 @@ def delta_blocks(alg: LevelAlgebra, f: Blocks, n: int, dC: Blocks, dD: Blocks) -
                       1 if n % 2 else -1)
 
 
-def coefficients(f: GradedMap) -> np.ndarray:
-    """The coefficient vector of f: its stack of one map, whose blocks (the
-    data of AlgMatrix components) are reduced already."""
-    return _flat_stack(_block_shapes(f.alg, f.src, f.tgt, f.degree), map_blocks(f), 1)[0]
-
-
 def from_coefficients(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
                       n: int, vec: np.ndarray) -> GradedMap:
-    """The degree-n map src -> tgt over alg with coefficient vector vec."""
-    return _one_map(alg, src, tgt, n, block_view(alg, src, tgt, n, np.asarray(vec)[None]))
+    """The degree-n map src -> tgt over alg with coefficient vector vec,
+    reduced; ShapeMismatch unless vec has one coefficient per position."""
+    vec = np.asarray(vec, dtype=np.int64)
+    ncoef = coefficient_count(alg, src, tgt, n)
+    if vec.shape != (ncoef,):
+        raise ShapeMismatch(f"expected {ncoef} coefficients, got shape {vec.shape}")
+    return GradedMap.wrap(alg, src, tgt, n, reduce_coefficients(alg, vec))
 
 
 def coefficient_orders(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
                        n: int) -> np.ndarray:
     """The additive order of each coefficient of a degree-n map src -> tgt."""
-    entries = sum(rows * cols for _, (rows, cols, _, _) in _block_shapes(alg, src, tgt, n))
-    return np.tile(alg.ring.orders, entries * alg.k)
+    return np.tile(alg.ring.orders, coefficient_count(alg, src, tgt, n) // alg.ring.m)
 
 
 def delta_generators(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap,
@@ -305,18 +347,19 @@ def delta_generators(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap,
 
     cols, ncols = blocks(n)
     rows, nrows = blocks(n + 1)
+    dCb, dDb = dC.blocks(), dD.blocks()
     sign = 1 if n % 2 else -1
     mat = np.zeros((nrows, ncols), dtype=np.int64)
     for i, row in rows.items():
         c0, r1 = src.rank(i), tgt.rank(i + n + 1)
         out = slice(row, row + r1 * c0 * km)
-        if i in cols and i + n in dD.comps:   # dD_{i+n} f_i: the identity on columns
-            op = alg.left_op(dD.comps[i + n].data).reshape(r1, km, -1, km)
+        if i in cols and i + n in dDb:   # dD_{i+n} f_i: the identity on columns
+            op = alg.left_op(dDb[i + n][0]).reshape(r1, km, -1, km)
             blk = np.einsum("alry,cd->aclrdy", op, np.eye(c0, dtype=np.int64))
             blk = blk.reshape(r1 * c0 * km, -1)
             mat[out, cols[i]:cols[i] + blk.shape[1]] = blk
-        if i + 1 in cols and i in dC.comps:   # f_{i+1} dC_i: the identity on rows
-            blk = np.kron(np.eye(r1, dtype=np.int64), alg.right_op(dC.comps[i].data))
+        if i + 1 in cols and i in dCb:   # f_{i+1} dC_i: the identity on rows
+            blk = np.kron(np.eye(r1, dtype=np.int64), alg.right_op(dCb[i][0]))
             mat[out, cols[i + 1]:cols[i + 1] + blk.shape[1]] = sign * blk
     qs, ts = [], []
     for q, order in enumerate(coefficient_orders(alg, src, tgt, n).tolist()):
@@ -340,7 +383,7 @@ def delta_solutions(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap, n: int,
     gens = delta_generators(alg, dC, dD, n)
     total = gf.count_candidates(alg.ring.p, len(gens), cap, "graded maps")
     moduli = coefficient_orders(alg, dC.src, dD.src, n + 1)
-    return gf.scan_affine_zero(-coefficients(target) % moduli, gens, moduli,
+    return gf.scan_affine_zero(-target.coef % moduli, gens, moduli,
                                alg.ring.p, 0, total)
 
 
@@ -369,8 +412,7 @@ class Complex(PreComplex):
         super().__post_init__()
         sq = self.d_square()
         if not sq.is_zero():
-            bad = [i for i in sq.support() if not sq.comp(i).is_zero()]
-            raise NotADifferential(f"d^2 != 0 at degrees {bad}")
+            raise NotADifferential(f"d^2 != 0 at degrees {list(sq.blocks())}")
 
 
 def check_cochain_map(f: GradedMap, dC: GradedMap, dD: GradedMap):
@@ -378,8 +420,7 @@ def check_cochain_map(f: GradedMap, dC: GradedMap, dD: GradedMap):
         raise NotCochainMap("cochain maps have degree 0")
     df = delta(f, dC, dD)
     if not df.is_zero():
-        bad = [i for i in df.support() if not df.comp(i).is_zero()]
-        raise NotCochainMap(f"d f != f d at degrees {bad}")
+        raise NotCochainMap(f"d f != f d at degrees {list(df.blocks())}")
 
 
 def check_homotopy(h: GradedMap, f: GradedMap, g: GradedMap,
@@ -392,37 +433,45 @@ def check_homotopy(h: GradedMap, f: GradedMap, g: GradedMap,
 
 
 # ---------------------------------------------------------------------------
-# moving graded maps between tower levels
+# moving graded maps between rings: one pass over the ring coordinates
 # ---------------------------------------------------------------------------
 
-_REDUCERS = {
-    ("bar", "mid"): "reduce_bar_to_mid",
-    ("bar", "base"): "reduce_bar_to_base",
-    ("mid", "base"): "reduce_mid_to_base",
-}
-_LIFTERS = {
-    ("mid", "bar"): "lift_mid_to_bar",
-    ("base", "bar"): "lift_base_to_bar",
-    ("base", "mid"): "lift_base_to_mid",
-}
+def _ring_rows(f: GradedMap, ring: FiniteRing) -> np.ndarray:
+    """f's coefficients as (entries, m) rows of ring elements; LevelMismatch
+    unless f lives over ring."""
+    if f.alg.ring != ring:
+        raise LevelMismatch("graded map lives over the wrong ring")
+    return f.coef.reshape(-1, ring.m)
+
+
+def map_push(surj: RingSurjection, alg: LevelAlgebra, f: GradedMap) -> GradedMap:
+    """f with each ring coefficient mapped by surj, as a map over alg (whose
+    ring is surj's target)."""
+    return GradedMap.wrap(alg, f.src, f.tgt, f.degree,
+                          surj.apply_many(_ring_rows(f, surj.source)).reshape(-1))
+
+
+def map_section(section: np.ndarray, ring: FiniteRing, alg: LevelAlgebra,
+                f: GradedMap) -> GradedMap:
+    """f, over ring, with each ring coefficient replaced by its row of the
+    table section (indexed by element code), as a map over alg."""
+    return GradedMap.wrap(alg, f.src, f.tgt, f.degree,
+                          section[ring.code(_ring_rows(f, ring))].reshape(-1))
 
 
 def map_reduce(defalg: DeformedAlgebra, f: GradedMap, src: str, dst: str) -> GradedMap:
     """Push a graded map down the tower (coefficientwise)."""
-    fn = getattr(defalg, _REDUCERS[(src, dst)])
-    tgt_alg = defalg.level(dst)
-    return GradedMap(tgt_alg, f.src, f.tgt, f.degree,
-                     {i: fn(m) for i, m in f.comps.items()})
+    t = defalg.tower
+    surj = {("bar", "mid"): t.pibar, ("bar", "base"): t.pibar0, ("mid", "base"): t.pi}
+    return map_push(surj[(src, dst)], defalg.level(dst), f)
 
 
 def map_lift(defalg: DeformedAlgebra, f: GradedMap, src: str, dst: str) -> GradedMap:
     """Lift a graded map up the tower by the minimal set-theoretic section."""
-    fn = getattr(defalg, _LIFTERS[(src, dst)])
-    tgt_alg = defalg.level(dst)
-    comps = {}
-    for i in f.support():
-        comps[i] = fn(f.comp(i))
-    return GradedMap(tgt_alg, f.src, f.tgt, f.degree, comps)
+    t = defalg.tower
+    section = {("mid", "bar"): t.sigma, ("base", "bar"): t.sigma0,
+               ("base", "mid"): t.sigma_mid}
+    return map_section(section[(src, dst)], defalg.level(src).ring, defalg.level(dst), f)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +482,8 @@ def map_lift(defalg: DeformedAlgebra, f: GradedMap, src: str, dst: str) -> Grade
 class HomComplex:
     """Hom(C, D) as a complex of F_p-vector spaces at the base level.
 
-    The flattening of a degree-n map is its coefficient vector (the ring
-    has one coordinate here), reduced mod p.
+    A degree-n map is its coefficient vector; the ring has one coordinate
+    here, so its length is dim(n).
     """
 
     alg: LevelAlgebra          # base level (ring = F_p)
@@ -448,22 +497,9 @@ class HomComplex:
             raise LevelMismatch("HomComplex lives at the base (prime field) level")
         self.p = self.alg.ring.p
 
-    def support(self, n: int) -> list[int]:
-        return sorted(i for i in self.obC.support if self.obD.rank(i + n) > 0)
-
     def dim(self, n: int) -> int:
-        return sum(self.obD.rank(i + n) * self.obC.rank(i) * self.alg.k
-                   for i in self.support(n))
-
-    def flatten(self, f: GradedMap) -> np.ndarray:
-        return coefficients(f) % self.p
-
-    def unflatten(self, vec: np.ndarray, n: int) -> GradedMap:
-        vec = np.asarray(vec, dtype=np.int64) % self.p
-        if vec.shape != (self.dim(n),):
-            raise ShapeMismatch(f"expected a vector of length {self.dim(n)}")
-        return from_coefficients(self.alg, self.obC, self.obD, n, vec)
+        return coefficient_count(self.alg, self.obC, self.obD, n)
 
     def delta_matrix(self, n: int) -> np.ndarray:
-        """Matrix of delta: Hom^n -> Hom^{n+1} in the flattening bases."""
+        """Matrix of delta: Hom^n -> Hom^{n+1} on coefficient vectors."""
         return delta_generators(self.alg, self.dC, self.dD, n).T

@@ -109,7 +109,7 @@ class CrudeResult:
 
 
 def _nonzero_count(m: GradedMap) -> int:
-    return int(sum(np.count_nonzero(c.data) for c in m.comps.values()))
+    return int(np.count_nonzero(m.coef))
 
 
 def crude_lift(E: HomotopyEquivData, dbar_D: GradedMap,

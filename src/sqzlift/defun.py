@@ -10,9 +10,10 @@ F_p, the functors computed here are:
 
 F0 is enumerated exactly: the equations are quadratic over R, so every
 candidate is tested by honest matrix arithmetic, on blocks of candidates
-stacked as arrays (the digits of the candidate index pick the coefficients),
-and a GradedMap is built only for a candidate that passes.  F is the orbit
-partition, over blocks of conjugators enumerated the same way.  F1
+stacked as coefficient vectors (the digits of the candidate index pick the
+coefficients) and read through the block view of complexes.py; a candidate
+that passes is a GradedMap wrapping its row.  F is the orbit partition, over
+blocks of conjugators enumerated the same way.  F1
 coincides with F's classification and can be cross-checked by an exhaustive
 homotopy-equivalence search, whose affine questions (is a map a delta?) go
 through the scan kernel gf.scan_affine_zero.  Schlessinger-style conditions are
@@ -27,17 +28,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .algebra import AlgMatrix, DeformedAlgebra, LevelAlgebra
+from .algebra import DeformedAlgebra, LevelAlgebra
 from .complexes import (
+    Blocks,
     GradedMap,
     GradedObject,
     HomComplex,
-    coefficients,
+    add_blocks,
+    block_view,
+    coefficient_count,
     compose,
+    compose_blocks,
     delta_solutions,
+    from_coefficients,
     identity_map,
+    map_push,
+    map_section,
+    reduce_coefficients,
+    stack_of,
 )
-from .errors import CheckFailed, NotLocal, ValidationError
+from .errors import CheckFailed, NotLocal, ShapeMismatch, ValidationError
 from .finring import (
     FiniteRing,
     RingSurjection,
@@ -83,7 +93,14 @@ class ArtinLocalRing:
         return int(hit[0])
 
     def section(self, c: int) -> np.ndarray:
-        return (int(c) * self.ring.one_vec()) % self.ring.orders
+        return self.scalars([c])
+
+    def scalars(self, coef: np.ndarray) -> np.ndarray:
+        """Base-level coefficient vectors (the last axis) read over R: each
+        c in F_p becomes c * 1, so each coefficient grows m coordinates."""
+        coef = np.asarray(coef, dtype=np.int64)
+        out = coef[..., None] * self.ring.one_vec() % self.ring.orders
+        return out.reshape(coef.shape[:-1] + (coef.shape[-1] * self.ring.m,))
 
     def is_field(self) -> bool:
         return self.msize == 1
@@ -99,70 +116,46 @@ def tensor_algebra(ring: FiniteRing, alg0: LevelAlgebra) -> LevelAlgebra:
     return LevelAlgebra(ring, struct, unit)
 
 
-def _lift_map_to(algR: LevelAlgebra, A: ArtinLocalRing, f0: GradedMap) -> GradedMap:
-    """Coefficientwise section F_p -> R of a base-level graded map."""
-    comps = {}
-    for i, mat in f0.comps.items():
-        data = (mat.data[..., 0:1] * A.ring.one_vec()) % A.ring.orders
-        comps[i] = AlgMatrix(algR, data)
-    return GradedMap(algR, f0.src, f0.tgt, f0.degree, comps)
-
-
-def map_coords(f: GradedMap) -> tuple[int, ...]:
-    return tuple(coefficients(f).tolist())
-
-
 # ---------------------------------------------------------------------------
 # the candidate blocks
 # ---------------------------------------------------------------------------
 
-# Maps base + nu, nu with coefficients in m and components of the given
-# shapes [(degree, rows, cols)], are enumerated in blocks of stacked
-# component arrays {degree: (N, rows, cols, k, m)}, N <= _BLOCK, so that
-# memory stays bounded however many there are.  Row n of a block is candidate
-# start + n; its digits in base |m|, least significant first, pick the
-# coefficients of nu in degree, row, column, algebra-basis order.
+# Maps base + nu, nu with coefficients in m, are enumerated in blocks: (N,
+# ncoef) stacks of coefficient vectors, N <= _BLOCK, so that memory stays
+# bounded however many there are.  Row n of a block is candidate start + n;
+# its digits in base |m|, least significant first, pick nu's coefficients in
+# coefficient order (degree, row, column, algebra basis).
 _BLOCK = 4096
 _STRICT = "strict-lift candidates"
 _AUTOS = "automorphism candidates"
 
 
-def _diff_shapes(ob: GradedObject) -> list[tuple[int, int, int]]:
-    """Component shapes of a degree-1 endomorphism of ob, in coefficient order."""
-    return [(i, ob.rank(i + 1), ob.rank(i)) for i in ob.support if ob.rank(i + 1) > 0]
-
-
-def _endo_shapes(ob: GradedObject) -> list[tuple[int, int, int]]:
-    """Component shapes of a degree-0 endomorphism of ob."""
-    return [(i, r, r) for i, r in ob.ranks]
-
-
-def _count(A: ArtinLocalRing, k: int, shapes: list, cap: int, what: str) -> tuple[int, int]:
-    """(coefficients, candidates) of the maps with these shapes over an
-    algebra of rank k; CapExceeded if the candidates exceed the cap."""
-    ncoef = sum(r * c for _, r, c in shapes) * k
-    return ncoef, gf.count_candidates(A.msize, ncoef, cap, what)
-
-
-def _blocks(A: ArtinLocalRing, alg: LevelAlgebra, shapes: list, base: GradedMap,
-            cap: int, what: str):
-    """base + nu for every nu as above, as blocks (N, {degree: array}) in
-    enumeration order.  The cap is checked at the call, before any block is
-    built."""
-    ncoef, total = _count(A, alg.k, shapes, cap, what)
+def _blocks(A: ArtinLocalRing, alg: LevelAlgebra, base: np.ndarray, cap: int, what: str):
+    """base + nu for every nu as above, base a coefficient vector over alg,
+    as stacks in enumeration order.  The cap is checked at the call, before
+    any block is built."""
+    entries = len(base) // alg.ring.m
+    total = gf.count_candidates(A.msize, entries, cap, what)
 
     def block(start: int):
         idx = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
-        nu = A.mvecs[gf.digits(idx, ncoef, A.msize)]
-        comps, pos = {}, 0
-        for i, r, c in shapes:
-            size = r * c * alg.k
-            comp = nu[:, pos:pos + size].reshape(-1, r, c, alg.k, alg.ring.m)
-            comps[i] = (comp + base.comp(i).data) % alg.ring.orders
-            pos += size
-        return len(idx), comps
+        nu = A.mvecs[gf.digits(idx, entries, A.msize)].reshape(len(idx), -1)
+        return reduce_coefficients(alg, nu + base)
 
     return (block(start) for start in range(0, total, _BLOCK))
+
+
+def _zero_rows(blocks: Blocks, size: int) -> np.ndarray:
+    """Which of the size rows of a stack, given by its blocks, are zero."""
+    ok = np.ones(size, dtype=bool)
+    for blk in blocks.values():
+        ok &= ~blk.reshape(size, -1).any(axis=1)
+    return ok
+
+
+def _rows(maps: list[GradedMap]) -> np.ndarray:
+    """The coefficient vectors of parallel maps, one per row."""
+    return np.array([f.coef for f in maps], dtype=np.int64).reshape(len(maps), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +172,16 @@ def strict_lifts(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
     """All differentials on R (x) C0 lifting d0, in enumeration order.
 
     The square-zero condition is quadratic over R, so every candidate is
-    tested directly, a block of candidates at a time.
+    tested directly, a block of candidates at a time; each lift wraps its
+    row of the block.
     """
     _check_base(d0)
     algR = tensor_algebra(A.ring, alg0)
-    shapes = _diff_shapes(ob)
-    out = []
-    for size, d in _blocks(A, algR, shapes, _lift_map_to(algR, A, d0), cap, _STRICT):
-        ok = np.ones(size, dtype=bool)
-        for i, _, _ in shapes:
-            if i + 1 in d:
-                ok &= ~algR.apply_left(algR.left_op(d[i + 1]), d[i]).any(axis=(1, 2, 3, 4))
-        kept = {i: c[ok] for i, c in d.items()}
-        out.extend(GradedMap(algR, ob, ob, 1, {i: AlgMatrix(algR, c[n])
-                                               for i, c in kept.items()})
-                   for n in range(int(ok.sum())))
-    return out
+    kept = []
+    for d in _blocks(A, algR, A.scalars(d0.coef), cap, _STRICT):
+        blk = block_view(algR, ob, ob, 1, d)
+        kept.append(d[_zero_rows(compose_blocks(algR, blk, blk, 1), len(d))])
+    return [GradedMap.wrap(algR, ob, ob, 1, row) for row in np.concatenate(kept)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +189,20 @@ def strict_lifts(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
 # ---------------------------------------------------------------------------
 
 def unipotent_inverse(algR: LevelAlgebra, u: GradedMap) -> GradedMap:
-    """Inverse of a degree-0 automorphism congruent to 1 mod nilpotents,
-    by Newton iteration v <- v(2 - uv)."""
-    one = identity_map(algR, u.src)
-    v = one
-    for _ in range(64):
-        uv = compose(u, v)
-        if uv == one:
-            return v
-        v = compose(v, one + one - uv)
-    raise ValidationError("map is not unipotently invertible")
+    """Inverse of a degree-0 automorphism congruent to 1 mod nilpotents: the
+    one-row case of _unipotent_inverse_many."""
+    if u.alg != algR or u.src != u.tgt or u.degree != 0:
+        raise ShapeMismatch("not a degree-0 endomorphism over the algebra")
+    ub = block_view(algR, u.src, u.tgt, 0, u.coef[None])
+    inv = _unipotent_inverse_many(algR, u.src, ub, {i: algR.left_op(c) for i, c in ub.items()})
+    return GradedMap.wrap(algR, u.src, u.tgt, 0, stack_of(algR, u.src, u.tgt, 0, inv, 1)[0])
 
 
-def _unipotent_inverse_many(alg: LevelAlgebra, u: dict[int, np.ndarray],
-                            u_ops: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """unipotent_inverse of every automorphism of a block at once; u_ops
-    holds the left_op of u."""
-    one = {i: alg.eye(c.shape[1]).data for i, c in u.items()}
+def _unipotent_inverse_many(alg: LevelAlgebra, ob: GradedObject, u: Blocks,
+                            u_ops: dict[int, np.ndarray]) -> Blocks:
+    """The inverse of every automorphism of ob in a stack u at once, by
+    Newton iteration v <- v(2 - uv); u_ops holds the left_op of u."""
+    one = identity_map(alg, ob).blocks()
     v = {i: np.broadcast_to(one[i], c.shape) for i, c in u.items()}
     for _ in range(64):
         uv = {i: alg.apply_left(u_ops[i], v[i]) for i in u}
@@ -229,29 +213,22 @@ def _unipotent_inverse_many(alg: LevelAlgebra, u: dict[int, np.ndarray],
 
 
 class _LiftIndex:
-    """Vectorised lookup of coordinate rows among the strict lifts."""
+    """Vectorised lookup of coefficient rows among the strict lifts."""
 
-    def __init__(self, lifts: list[GradedMap]):
-        self.rows = self._pad([np.array([map_coords(d) for d in lifts], dtype=np.int64)],
-                              len(lifts))
-        keys = self._keys(self.rows)
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        keys = self._keys(rows)
         self.order = np.argsort(keys)
         self.sorted = keys[self.order]
 
     @staticmethod
-    def _pad(parts: list[np.ndarray], size: int) -> np.ndarray:
-        # one zero column, because rows of width 0 have no void view
-        return np.concatenate([p.reshape(size, -1) for p in parts]
-                              + [np.zeros((size, 1), np.int64)], axis=1)
-
-    @staticmethod
     def _keys(rows: np.ndarray) -> np.ndarray:
+        # one zero column, because rows of width 0 have no void view
+        rows = np.concatenate([rows, np.zeros((len(rows), 1), np.int64)], axis=1)
         return rows.view(np.dtype((np.void, rows.shape[1] * 8))).reshape(-1)
 
-    def find(self, parts: list[np.ndarray], size: int) -> np.ndarray:
-        """Lift index of each of `size` rows, given as column blocks that
-        concatenate to map_coords order; CheckFailed if some row is no lift."""
-        rows = self._pad(parts, size)
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """Lift index of each row; CheckFailed if some row is no lift."""
         pos = np.searchsorted(self.sorted, self._keys(rows))
         hits = self.order[np.minimum(pos, len(self.order) - 1)]
         if not np.array_equal(self.rows[hits], rows):
@@ -270,51 +247,45 @@ def iso_orbits(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
     if not lifts:
         return []
     algR = lifts[0].alg
-    blocks = _blocks(A, algR, _endo_shapes(ob), identity_map(algR, ob), cap, _AUTOS)
-    index = _LiftIndex(lifts)
-    degs = [i for i, _, _ in _diff_shapes(ob)]
+    blocks = _blocks(A, algR, identity_map(algR, ob).coef, cap, _AUTOS)
+    index = _LiftIndex(_rows(lifts))
     d_ops = {}
     root = np.arange(len(lifts))
-    for size, u in blocks:
-        u_ops = {i: algR.left_op(c) for i, c in u.items()}
-        uinv = _unipotent_inverse_many(algR, u, u_ops)
+    for u in blocks:
+        ub = block_view(algR, ob, ob, 0, u)
+        u_ops = {i: algR.left_op(c) for i, c in ub.items()}
+        uinv = _unipotent_inverse_many(algR, ob, ub, u_ops)
         for n, d in enumerate(lifts):
             if root[n] != n:
                 continue
             if n not in d_ops:
-                d_ops[n] = {i: algR.left_op(d.comp(i).data) for i in degs}
-            conj = [algR.apply_left(u_ops[i + 1], algR.apply_left(d_ops[n][i], uinv[i]))
-                    for i in degs]
-            hits = index.find(conj, size)
+                d_ops[n] = {i: algR.left_op(c[0]) for i, c in d.blocks().items()}
+            conj = {i: algR.apply_left(u_ops[i + 1], algR.apply_left(op, uinv[i]))
+                    for i, op in d_ops[n].items()}
+            hits = index.find(stack_of(algR, ob, ob, 1, conj, len(u)))
             merged = np.union1d(root[hits], root[n])
             root[np.isin(root, merged)] = merged[0]
     return [tuple(np.flatnonzero(root == r).tolist()) for r in np.unique(root)]
 
 
 def _intertwiners(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,
-                  d2: GradedMap, base: GradedMap, cap: int):
-    """Yield, in enumeration order, every u = base + nu (nu with coefficients
-    in m) with u d1 = d2 u."""
+                  d2: GradedMap, base: np.ndarray, cap: int):
+    """Yield, in enumeration order, every u = base + nu (base a coefficient
+    vector over d1's algebra, nu with coefficients in m) with u d1 = d2 u."""
     algR = d1.alg
-    degs = [i for i, _, _ in _diff_shapes(ob)]
-    d2_ops = {i: algR.left_op(d2.comp(i).data) for i in degs}
-    d1_data = {i: d1.comp(i).data for i in degs}
-    for size, u in _blocks(A, algR, _endo_shapes(ob), base, cap, _AUTOS):
-        ok = np.ones(size, dtype=bool)
-        for i in degs:
-            lhs = algR.apply_left(algR.left_op(u[i + 1]), d1_data[i])
-            rhs = algR.apply_left(d2_ops[i], u[i])
-            ok &= (lhs == rhs).all(axis=(1, 2, 3, 4))
-        for n in np.flatnonzero(ok).tolist():
-            yield GradedMap(algR, ob, ob, 0,
-                            {i: AlgMatrix(algR, c[n]) for i, c in u.items()})
+    d1b, d2b = d1.blocks(), d2.blocks()
+    for u in _blocks(A, algR, base, cap, _AUTOS):
+        ub = block_view(algR, ob, ob, 0, u)
+        diff = add_blocks(compose_blocks(algR, ub, d1b, 1), compose_blocks(algR, d2b, ub, 0), -1)
+        for row in u[_zero_rows(diff, len(u))]:
+            yield GradedMap.wrap(algR, ob, ob, 0, row)
 
 
 def find_intertwiner(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,
                      d2: GradedMap, cap: int = DEFAULT_CAP) -> GradedMap | None:
     """The first unipotent u, in enumeration order, with u d1 = d2 u, or None."""
     one = identity_map(d1.alg, ob)
-    return next(_intertwiners(A, ob, d1, d2, one, cap), None)
+    return next(_intertwiners(A, ob, d1, d2, one.coef, cap), None)
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +293,15 @@ def find_intertwiner(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,
 # ---------------------------------------------------------------------------
 
 def _residues_homotopic_to_one(alg0: LevelAlgebra, ob: GradedObject,
-                               d0: GradedMap, cap: int) -> list[GradedMap]:
-    """Every map 1 + delta0(h), from every h over F_p in degree -1, each map
-    once."""
+                               d0: GradedMap, cap: int) -> np.ndarray:
+    """The coefficient vector of every map 1 + delta0(h), from every h over
+    F_p in degree -1, each map once, one per row."""
     hc = HomComplex(alg0, ob, ob, d0, d0)
     p, dim = alg0.ring.p, hc.dim(-1)
     total = gf.count_candidates(p, dim, cap, "graded maps")
     images = np.unique(gf.digit_matrix(0, total, dim, p) @ hc.delta_matrix(-1).T % p,
                        axis=0)
-    one0 = hc.flatten(identity_map(alg0, ob))
-    return [hc.unflatten(one0 + v, 0) for v in images]
+    return (identity_map(alg0, ob).coef + images) % p
 
 
 def _homotopy_equivalent(A: ArtinLocalRing, alg0: LevelAlgebra,
@@ -341,12 +311,11 @@ def _homotopy_equivalent(A: ArtinLocalRing, alg0: LevelAlgebra,
     """Search for a homotopy equivalence (R (x) C0, d1) -> (R (x) C0, d2)
     lifting a map homotopic to the identity."""
     algR = d1.alg
-    res_cands = _residues_homotopic_to_one(alg0, ob, d0, cap)
+    res_cands = A.scalars(_residues_homotopic_to_one(alg0, ob, d0, cap))
 
     def candidates(da, db):
         """Cochain maps (da) -> (db) over R whose residue is homotopic to 1."""
-        return [u for g in res_cands
-                for u in _intertwiners(A, ob, da, db, _lift_map_to(algR, A, g), cap)]
+        return [u for g in res_cands for u in _intertwiners(A, ob, da, db, g, cap)]
 
     def null_homotopic(m, da, db):
         """Is the degree-0 map m of the form delta(P) for P over R?"""
@@ -413,10 +382,10 @@ def functor_eval(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
     Both caps are checked before any lift is enumerated.
     """
     _check_base(d0)
-    _count(A, alg0.k, _diff_shapes(ob), cap, _STRICT)
-    _count(A, alg0.k, _endo_shapes(ob), cap, _AUTOS)
+    gf.count_candidates(A.msize, coefficient_count(alg0, ob, ob, 1), cap, _STRICT)
+    gf.count_candidates(A.msize, coefficient_count(alg0, ob, ob, 0), cap, _AUTOS)
     lifts = strict_lifts(A, alg0, ob, d0, cap)
-    coords = [map_coords(d) for d in lifts]
+    coords = list(map(tuple, _rows(lifts).tolist()))
     orbits = sorted(iso_orbits(A, alg0, ob, lifts, cap))
     if cross_check:
         hcls = homotopy_classes(A, alg0, ob, d0, lifts, cap)
@@ -445,15 +414,6 @@ def tangent_dim(alg0: LevelAlgebra, ob: GradedObject, d0: GradedMap) -> int:
 # ---------------------------------------------------------------------------
 # Schlessinger-type checks on concrete rings
 # ---------------------------------------------------------------------------
-
-def push_diff(surj: RingSurjection, alg_t: LevelAlgebra, d: GradedMap) -> GradedMap:
-    comps = {}
-    for i, mat in d.comps.items():
-        flat = mat.data.reshape(-1, surj.source.m)
-        out = surj.apply_many(flat).reshape(mat.data.shape[:3] + (surj.target.m,))
-        comps[i] = AlgMatrix(alg_t, out)
-    return GradedMap(alg_t, d.src, d.tgt, d.degree, comps)
-
 
 def is_small(surj: RingSurjection) -> bool:
     """Kernel is one-dimensional over F_p and killed by the maximal ideal."""
@@ -490,6 +450,14 @@ class SchlessingerReport:
     ok: bool
 
 
+def _keys(lifts: list[GradedMap], surj: RingSurjection | None = None) -> list[tuple]:
+    """Each lift's coefficient vector, mapped along surj if given, as a tuple."""
+    rows = _rows(lifts)
+    if surj is not None:
+        rows = surj.apply_many(rows.reshape(len(rows), -1, surj.source.m))
+    return list(map(tuple, rows.reshape(len(lifts), -1).tolist()))
+
+
 def check_triple(f1: RingSurjection, f2: RingSurjection, alg0: LevelAlgebra,
                  ob: GradedObject, d0: GradedMap,
                  cap: int = DEFAULT_CAP) -> TripleReport:
@@ -500,32 +468,23 @@ def check_triple(f1: RingSurjection, f2: RingSurjection, alg0: LevelAlgebra,
     A1 = ArtinLocalRing(f1.source)
     A2 = ArtinLocalRing(f2.source)
     AR = ArtinLocalRing(f1.target)
-    algP = tensor_algebra(fp.ring, alg0)
-    alg1 = tensor_algebra(f1.source, alg0)
-    alg2 = tensor_algebra(f2.source, alg0)
-    algR = tensor_algebra(f1.target, alg0)
 
     LP = strict_lifts(AP, alg0, ob, d0, cap)
     L1 = strict_lifts(A1, alg0, ob, d0, cap)
     L2 = strict_lifts(A2, alg0, ob, d0, cap)
 
-    k1 = {map_coords(d): i for i, d in enumerate(L1)}
-    k2 = {map_coords(d): i for i, d in enumerate(L2)}
+    k1 = {key: i for i, key in enumerate(_keys(L1))}
+    k2 = {key: i for i, key in enumerate(_keys(L2))}
+    P1, P2 = _keys(LP, fp.proj1), _keys(LP, fp.proj2)
     images = set()
-    for d in LP:
-        a = map_coords(push_diff(fp.proj1, alg1, d))
-        b = map_coords(push_diff(fp.proj2, alg2, d))
+    for a, b in zip(P1, P2):
         pair = (k1[a], k2[b])
         if pair in images:
             break
         images.add(pair)
     injective = len(images) == len(LP)
-    compat = set()
-    for i, da in enumerate(L1):
-        ra = map_coords(push_diff(f1, algR, da))
-        for j, db in enumerate(L2):
-            if ra == map_coords(push_diff(f2, algR, db)):
-                compat.add((i, j))
+    R1, R2 = _keys(L1, f1), _keys(L2, f2)
+    compat = {(i, j) for i, ra in enumerate(R1) for j, rb in enumerate(R2) if ra == rb}
     f0_bij = injective and images == compat
 
     # class level
@@ -534,24 +493,15 @@ def check_triple(f1: RingSurjection, f2: RingSurjection, alg0: LevelAlgebra,
     O_2 = iso_orbits(A2, alg0, ob, L2, cap)
     cls1 = {i: ci for ci, cl in enumerate(O_1) for i in cl}
     cls2 = {i: ci for ci, cl in enumerate(O_2) for i in cl}
-    f_pairs = set()
-    for cl in O_P:
-        d = LP[cl[0]]
-        a = cls1[k1[map_coords(push_diff(fp.proj1, alg1, d))]]
-        b = cls2[k2[map_coords(push_diff(fp.proj2, alg2, d))]]
-        f_pairs.add((a, b))
+    f_pairs = {(cls1[k1[P1[cl[0]]]], cls2[k2[P2[cl[0]]]]) for cl in O_P}
     # compatible class pairs over R
     LR = strict_lifts(AR, alg0, ob, d0, cap)
     O_R = iso_orbits(AR, alg0, ob, LR, cap)
-    kR = {map_coords(d): i for i, d in enumerate(LR)}
+    kR = {key: i for i, key in enumerate(_keys(LR))}
     clsR = {i: ci for ci, cl in enumerate(O_R) for i in cl}
-    compat_cls = set()
-    for ci, cl in enumerate(O_1):
-        r = clsR[kR[map_coords(push_diff(f1, algR, L1[cl[0]]))]]
-        for cj, cl2 in enumerate(O_2):
-            r2 = clsR[kR[map_coords(push_diff(f2, algR, L2[cl2[0]]))]]
-            if r == r2:
-                compat_cls.add((ci, cj))
+    r1 = [clsR[kR[R1[cl[0]]]] for cl in O_1]
+    r2 = [clsR[kR[R2[cl[0]]]] for cl in O_2]
+    compat_cls = {(ci, cj) for ci, a in enumerate(r1) for cj, b in enumerate(r2) if a == b}
     f_surj = compat_cls.issubset(f_pairs)
     f_bij = f_surj and len(f_pairs) == len(O_P)
     return TripleReport(f0_bij, f_surj, f_bij,
@@ -577,18 +527,16 @@ def check_smoothness(pi: RingSurjection, alg0: LevelAlgebra, ob: GradedObject,
     section = minimal_section(pi)
     pairs = 0
     for dR in LR:
-        dRS = push_diff(pi, algS, dR)
+        dRS = map_push(pi, algS, dR)
         for dS in LS:
             u = find_intertwiner(AS, ob, dRS, dS, cap)
             if u is None:
                 continue
             pairs += 1
-            comps = {i: AlgMatrix(algR, section[pi.target.code(u.comp(i).data)])
-                     for i in u.support()}
-            ubar = GradedMap(algR, ob, ob, 0, comps)
+            ubar = map_section(section, pi.target, algR, u)
             uinv = unipotent_inverse(algR, ubar)
             dR2 = compose(compose(ubar, dR), uinv)
-            if map_coords(push_diff(pi, algS, dR2)) != map_coords(dS):
+            if not np.array_equal(map_push(pi, algS, dR2).coef, dS.coef):
                 raise CheckFailed("conjugated lift does not map onto d_S")
             if not compose(dR2, dR2).is_zero():
                 raise CheckFailed("conjugated lift is not square-zero")
@@ -628,10 +576,10 @@ def extend_order(p: int, alg0: LevelAlgebra, ob: GradedObject,
     obstruction class.
     """
     tower = mk_tower("trunc_poly", p, a=n + 1, b=n)
-    bar_alg = tensor_algebra(tower.Rbar, alg0)
-    defalg = DeformedAlgebra(tower, bar_alg)
-    d_mid = GradedMap(defalg.mid, ob, ob, 1,
-                      {i: defalg.mid.mat(m.data) for i, m in d_current.comps.items()})
+    defalg = DeformedAlgebra(tower, tensor_algebra(tower.Rbar, alg0))
+    # the new tower's mid level is F_p[t]/(t^n): hand the vector over
+    d_mid = from_coefficients(defalg.mid, d_current.src, d_current.tgt, d_current.degree,
+                              d_current.coef)
     prob = DifferentialProblem(defalg, ob, d_mid)
     return lift_differential(prob)
 

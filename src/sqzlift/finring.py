@@ -48,8 +48,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def vec_key(v: np.ndarray) -> bytes:
-    return np.ascontiguousarray(v, dtype=np.int64).tobytes()
+def _mixed_radix(orders: np.ndarray) -> np.ndarray:
+    """Strides s with s[i] = prod(orders[i+1:]): v @ s numbers the vectors
+    with 0 <= v[i] < orders[i] in lexicographic order."""
+    return np.cumprod(np.append(1, orders[:0:-1]))[::-1].copy()
 
 
 @dataclass(eq=False)
@@ -158,7 +160,7 @@ class FiniteRing:
     @cached_property
     def strides(self) -> np.ndarray:
         """code(v) = v @ strides, with strides[i] = prod(orders[i+1:])."""
-        return np.cumprod(np.append(1, self.orders[:0:-1]))[::-1].copy()
+        return _mixed_radix(self.orders)
 
     def code(self, v) -> np.ndarray:
         """Index in elements() of each canonical vector on the last axis of v."""
@@ -459,63 +461,61 @@ class FiberProduct:
     proj2: RingSurjection
 
 
-def _group_basis(elems: list[np.ndarray], add, orders_fn) -> list[np.ndarray]:
+def _group_basis(elems: list[np.ndarray], add, orders_fn, strides: np.ndarray) -> list[np.ndarray]:
     """Basis of a finite abelian p-group given by exhaustive enumeration.
 
     elems must contain the zero vector; add is componentwise; orders_fn gives
-    the additive order of an element.  The first returned element is the one
-    passed first among maximal-order elements (callers put the ring unit
-    first, which always has maximal additive order).
+    the additive order of an element; an element is keyed by its code
+    v @ strides, which ascends in lexicographic order.  The first returned
+    element is the one passed first among maximal-order elements (callers put
+    the ring unit first, which always has maximal additive order).
     """
     if len(elems) == 1:
         return []
+
+    def key(v: np.ndarray) -> int:
+        return int(v @ strides)
+
     orders = [orders_fn(v) for v in elems]
-    omax = max(orders)
-    g = elems[next(i for i, o in enumerate(orders) if o == omax)]
+    g = elems[orders.index(max(orders))]
     # cyclic subgroup <g>
     sub = [np.zeros_like(g)]
     acc = g.copy()
     while acc.any():
         sub.append(acc.copy())
         acc = add(acc, g)
-    subkeys = {vec_key(v) for v in sub}
-    # quotient: canonical representative = lexicographically smallest in coset
-    rep_of: dict[bytes, bytes] = {}
-    reps: dict[bytes, np.ndarray] = {}
+    subkeys = {key(v) for v in sub}
+    # quotient: canonical representative = least code in the coset
+    rep_of: dict[int, int] = {}
+    reps: dict[int, np.ndarray] = {}
     for v in elems:
-        if vec_key(v) in rep_of:
+        if key(v) in rep_of:
             continue
         coset = [add(v, s) for s in sub]
-        best = min(coset, key=lambda w: tuple(int(x) for x in w))
-        bk = vec_key(best)
+        best = min(coset, key=key)
+        bk = key(best)
         reps[bk] = best
         for w in coset:
-            rep_of[vec_key(w)] = bk
+            rep_of[key(w)] = bk
 
     def addq(a, b):
-        return reps[rep_of[vec_key(add(a, b))]]
+        return reps[rep_of[key(add(a, b))]]
 
     def orderq(v):
         # order of coset: smallest t with t*v in <g>
         t = 1
         acc = v.copy()
-        while vec_key(acc) not in subkeys:
+        while key(acc) not in subkeys:
             acc = add(acc, v)
             t += 1
         return t
 
-    qelems = list(reps.values())
-    qbasis = _group_basis(qelems, addq, orderq)
+    qbasis = _group_basis(list(reps.values()), addq, orderq, strides)
     lifted = []
     for h in qbasis:
         target_order = orderq(h)
-        best = None
-        for s in sub:
-            cand = add(h, s)
-            if orders_fn(cand) == target_order:
-                if best is None or tuple(map(int, cand)) < tuple(map(int, best)):
-                    best = cand
-        lifted.append(best)
+        cands = (add(h, s) for s in sub)
+        lifted.append(min((c for c in cands if orders_fn(c) == target_order), key=key))
     return [g] + lifted
 
 
@@ -527,15 +527,20 @@ def ring_fiber_product(f1: RingSurjection, f2: RingSurjection) -> FiberProduct:
         raise CharMismatch("fiber product factors have different characteristic")
     R1, R2 = f1.source, f2.source
     joint_orders = np.concatenate([R1.orders, R2.orders])
+    strides = _mixed_radix(joint_orders)
 
-    fibers: dict[bytes, list[np.ndarray]] = {}
+    def key(v: np.ndarray) -> int:
+        return int(v @ strides)
+
+    # the pairs (a, b) with f1(a) = f2(b), in lexicographic order
+    fibers: dict[int, list[np.ndarray]] = {}
     e2 = R2.elements()
-    for row, img in zip(e2, f2.apply_many(e2)):
-        fibers.setdefault(vec_key(img), []).append(row)
+    for row, img in zip(e2, f2.target.code(f2.apply_many(e2)).tolist()):
+        fibers.setdefault(img, []).append(row)
     pairs: list[np.ndarray] = []
     e1 = R1.elements()
-    for row, img in zip(e1, f1.apply_many(e1)):
-        for b in fibers.get(vec_key(img), ()):
+    for row, img in zip(e1, f1.target.code(f1.apply_many(e1)).tolist()):
+        for b in fibers.get(img, ()):
             pairs.append(np.concatenate([row, b]))
     if len(pairs) > MAX_RING_SIZE:
         raise ValidationError("fiber product exceeds the ring size cap")
@@ -553,19 +558,10 @@ def ring_fiber_product(f1: RingSurjection, f2: RingSurjection) -> FiberProduct:
 
     one = np.concatenate([R1.one_vec(), R2.one_vec()])
     zero = np.zeros_like(one)
-    # put the unit first so the greedy picks it as the leading basis vector
-    rest = sorted((v for v in pairs if not np.array_equal(v, one)),
-                  key=lambda w: tuple(int(x) for x in w))
-    ordered = [zero] + [one] + [v for v in rest if v.any()]
-    # _group_basis wants zero present exactly once; `rest` keeps other elements
-    elems = []
-    seen = set()
-    for v in ordered:
-        k = vec_key(v)
-        if k not in seen:
-            seen.add(k)
-            elems.append(v)
-    basis = _group_basis(elems, add, order_of)
+    # zero first, then the unit, so the greedy picks it as the leading basis
+    # vector; keyed by code, so each element is passed once
+    elems = list({key(v): v for v in [zero, one] + pairs}.values())
+    basis = _group_basis(elems, add, order_of, strides)
     if basis and not np.array_equal(basis[0], one):
         raise ValidationError("fiber product basis does not start at the unit")
     if not basis:
@@ -573,12 +569,12 @@ def ring_fiber_product(f1: RingSurjection, f2: RingSurjection) -> FiberProduct:
 
     borders = np.array([order_of(v) for v in basis], dtype=np.int64)
     # coordinates of every element
-    coords: dict[bytes, np.ndarray] = {}
+    coords: dict[int, np.ndarray] = {}
     for combo in itertools.product(*[range(int(o)) for o in borders]):
         v = zero.copy()
         for c, b in zip(combo, basis):
             v = add(v, (c * b) % joint_orders)
-        coords[vec_key(v)] = np.asarray(combo, dtype=np.int64)
+        coords[key(v)] = np.asarray(combo, dtype=np.int64)
     if len(coords) != len(elems):
         raise ValidationError("fiber product basis does not span")
 
@@ -590,7 +586,7 @@ def ring_fiber_product(f1: RingSurjection, f2: RingSurjection) -> FiberProduct:
     mult = np.zeros((k, k, k), dtype=np.int64)
     for i in range(k):
         for j in range(k):
-            mult[i, j] = coords[vec_key(mulp(basis[i], basis[j]))]
+            mult[i, j] = coords[key(mulp(basis[i], basis[j]))]
     ring = FiniteRing(f1.source.p, borders, mult)
     img1 = np.stack([b[:m1] for b in basis])
     img2 = np.stack([b[m1:] for b in basis])

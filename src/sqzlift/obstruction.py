@@ -47,14 +47,12 @@ from .complexes import (
     GradedObject,
     add_blocks,
     block_view,
-    coefficients,
     compose,
     compose_blocks,
     delta,
     delta_blocks,
     from_coefficients,
     identity_map,
-    map_blocks,
     map_lift,
     map_reduce,
     stack_of,
@@ -104,8 +102,8 @@ class AffineLift:
     def residual(self, X: GradedMap) -> GradedMap:
         """residual(X) of one top-level map: the one-row case of residuals."""
         K, m = self.kernel, self.degree
-        return from_coefficients(K.defalg.bar, K.hom.obC, K.hom.obD, m + 1,
-                                 self.residuals(coefficients(X)[None])[0])
+        return GradedMap.wrap(K.defalg.bar, K.hom.obC, K.hom.obD, m + 1,
+                              self.residuals(X.coef[None])[0])
 
 
 @dataclass(eq=False)
@@ -164,7 +162,7 @@ class _BetweenComplexes(AffineLift):
 
     @cached_property
     def _d_blocks(self) -> tuple[Blocks, Blocks]:
-        return map_blocks(self.C.d), map_blocks(self.D.d)
+        return self.C.d.blocks(), self.D.d.blocks()
 
 
 @dataclass(eq=False)
@@ -238,7 +236,7 @@ class HomotopyProblem(_BetweenComplexes):
 
     @cached_property
     def _g_minus_f(self) -> Blocks:
-        return map_blocks(self.g_bar - self.f_bar)
+        return (self.g_bar - self.f_bar).blocks()
 
     def residual_blocks(self, H: Blocks) -> Blocks:
         return add_blocks(self._g_minus_f,
@@ -462,8 +460,8 @@ def lift_along_chain(defalgs: list[DeformedAlgebra], ob: GradedObject,
     steps: list[ChainStep] = []
     d = d_first
     for i, da in enumerate(defalgs):
-        d = GradedMap(da.mid, ob, ob, 1,
-                      {j: da.mid.mat(m.data) for j, m in d.comps.items()})
+        # each step's mid level is the last step's top level: hand the vector over
+        d = from_coefficients(da.mid, d.src, d.tgt, d.degree, d.coef)
         prob = DifferentialProblem(da, ob, d)
         rep = lift_differential(prob)
         steps.append(ChainStep(i, rep))

@@ -42,13 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .algebra import AlgMatrix, mk_algebra
+from .algebra import mk_algebra
 from .complexes import (
     Complex,
     GradedMap,
     GradedObject,
     coefficient_orders,
-    coefficients,
     compose,
     delta,
     map_reduce,
@@ -134,7 +133,7 @@ def oracle(prob: AffineLift, cap: int = DEFAULT_CAP) -> OracleResult:
     K, p, m = prob.kernel, prob.kernel.p, prob.degree
     kdim = K.dim(m)
     total = gf.count_candidates(p, kdim, cap, "candidates")
-    X0 = coefficients(prob.sigma_lift)
+    X0 = prob.sigma_lift.coef
     base = prob.residuals(X0[None])[0]
     moduli = coefficient_orders(K.defalg.bar, K.hom.obC, K.hom.obD, m + 1)
     eye = np.eye(kdim, dtype=np.int64)
@@ -232,7 +231,7 @@ def _rand_matrix(rng, alg, r, c):
     flat = data.reshape(-1, ring.m)
     for e in range(flat.shape[0]):
         flat[e] = [rng.randrange(int(o)) for o in ring.orders]
-    return AlgMatrix(alg, data)
+    return data
 
 
 def _rand_map(rng, alg, src, tgt, n):
@@ -240,7 +239,7 @@ def _rand_map(rng, alg, src, tgt, n):
     for i in src.support:
         if tgt.rank(i + n) > 0:
             comps[i] = _rand_matrix(rng, alg, tgt.rank(i + n), src.rank(i))
-    return GradedMap(alg, src, tgt, n, comps)
+    return GradedMap.from_arrays(alg, src, tgt, n, comps)
 
 
 def _square_zero_scalars(ring):
@@ -268,14 +267,14 @@ def _rand_mid_differential(rng, defalg, ob):
             for i in ob.support:
                 if ob.rank(i + 1) > 0 and rng.random() < 0.8:
                     m = _rand_matrix(rng, defalg.mid, ob.rank(i + 1), ob.rank(i))
-                    data = np.zeros_like(m.data)
+                    data = np.zeros_like(m)
                     ring = defalg.mid.ring
-                    for idx in np.ndindex(m.data.shape[:3]):
-                        data[idx] = ring.mul_vec(a, m.data[idx])
-                    comps[i] = AlgMatrix(defalg.mid, data)
+                    for idx in np.ndindex(m.shape[:3]):
+                        data[idx] = ring.mul_vec(a, m[idx])
+                    comps[i] = data
         else:
             family = "zero"
-    d = GradedMap(defalg.mid, ob, ob, 1, comps)
+    d = GradedMap.from_arrays(defalg.mid, ob, ob, 1, comps)
     if not compose(d, d).is_zero():
         raise CheckFailed("generator produced a non-square-zero differential")
     return d, family

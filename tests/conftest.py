@@ -9,7 +9,6 @@ from sqzlift.complexes import (
     GradedMap,
     GradedObject,
     coefficient_orders,
-    coefficients,
     compose,
     delta,
     from_coefficients,
@@ -75,7 +74,7 @@ def delta_generators_reference(alg, dC, dD, n):
     for row, (q, t) in enumerate(gens):
         e = np.zeros(len(orders), dtype=np.int64)
         e[q] = t
-        rows[row] = coefficients(delta(from_coefficients(alg, src, tgt, n, e), dC, dD))
+        rows[row] = delta(from_coefficients(alg, src, tgt, n, e), dC, dD).coef
     return rows
 
 
@@ -121,8 +120,9 @@ def build_equiv(defalg, obC, dC_mid, contr_deg):
         if r == 0 or c == 0:
             continue
         data = np.zeros((r, c, k, mid.ring.m), dtype=np.int64)
-        blk = dC_mid.comp(i).data
-        data[:blk.shape[0], :blk.shape[1]] = blk
+        blk = dC_mid.blocks().get(i)
+        if blk is not None:
+            data[:blk.shape[1], :blk.shape[2]] = blk[0]
         if i == contr_deg:
             data[r - 1, c - 1] = unit()
         dD_comps[i] = AlgMatrix(mid, data)

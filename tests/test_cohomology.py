@@ -129,8 +129,8 @@ def test_delta_independent_of_graded_lift(K_t3):
     defalg, ob, d0, K = K_t3
     rng = np.random.default_rng(2)
     dbar = map_lift(defalg, GradedMap(defalg.mid, ob, ob, 1,
-                    {i: defalg.mid.mat(
-                        np.concatenate([m.data, np.zeros_like(m.data)], axis=-1))
+                    {i: AlgMatrix(defalg.mid,
+                                  np.concatenate([m.data, np.zeros_like(m.data)], axis=-1))
                      for i, m in d0.comps.items()}), "mid", "bar")
     for n in (0, 1):
         v = rng.integers(0, 3, size=K.dim(n)).astype(np.int64)

@@ -9,7 +9,6 @@ from sqzlift.complexes import (
     GradedMap,
     GradedObject,
     coefficient_orders,
-    coefficients,
     compose,
     delta,
     identity_map,
@@ -129,10 +128,10 @@ def _reference_guard(defalg, C, D, cap):
     dC = map_reduce(defalg, C.d, "bar", "mid")
     dD = map_reduce(defalg, D.d, "bar", "mid")
     try:
-        cocycles = {coefficients(z).tobytes()
+        cocycles = {z.coef.tobytes()
                     for z in enumerate_graded_maps(mid, C.ob, D.ob, -1, cap)
                     if delta(z, dC, dD).is_zero()}
-        image = {coefficients(delta(w, dC, dD)).tobytes()
+        image = {delta(w, dC, dD).coef.tobytes()
                  for w in enumerate_graded_maps(mid, C.ob, D.ob, -2, cap)}
     except CapExceeded:
         return "undecided"

@@ -307,3 +307,27 @@ def test_fiber_product_of_dual_numbers():
         a = fp.proj1.apply_vec(v)
         b = fp.proj2.apply_vec(v)
         assert np.array_equal(t.pibar.apply_vec(a), t.pibar.apply_vec(b))
+
+
+def test_fiber_product_of_truncated_polynomials_is_pinned():
+    """F_3[t]/t^3 x_{F_3[t]/t^2} F_3[t]/t^3: the basis the group-basis search
+    picks, its orders, the multiplication table and the projections."""
+    t = mk_tower("trunc_poly", 3, a=3, b=2)
+    fp = ring_fiber_product(t.pibar, t.pibar)
+    # basis as (first factor | second factor): 1, (0, t^2), (t^2, 0), (t, t)
+    basis = np.concatenate([fp.proj1.images, fp.proj2.images], axis=1)
+    assert basis.tolist() == [[1, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1],
+                              [0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 1, 0]]
+    assert fp.ring.orders.tolist() == [3, 3, 3, 3]
+    mult = np.zeros((4, 4, 4), dtype=np.int64)
+    for i in range(4):
+        mult[0, i, i] = mult[i, 0, i] = 1
+    mult[3, 3] = [0, 1, 1, 0]          # (t, t)^2 = (t^2, t^2)
+    assert np.array_equal(fp.ring.mult, mult)
+    assert fp.proj1.source is fp.ring and fp.proj1.target == t.Rbar
+    assert fp.proj2.source is fp.ring and fp.proj2.target == t.Rbar
+    # every element is a pair over one element of F_3[t]/t^2, and each pair once
+    pairs = np.concatenate([fp.proj1.apply_many(fp.ring.elements()),
+                            fp.proj2.apply_many(fp.ring.elements())], axis=1)
+    assert len(np.unique(pairs, axis=0)) == fp.ring.cardinality == 81
+    assert np.array_equal(t.pibar.apply_many(pairs[:, :3]), t.pibar.apply_many(pairs[:, 3:]))

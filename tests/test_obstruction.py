@@ -85,7 +85,7 @@ def test_zero_complex_over_z4_has_four_classes(z4_prob):
     for rep in cl.reps:
         assert compose(rep, rep).is_zero()
         assert map_reduce(z4_prob.defalg, rep, "bar", "mid") == z4_prob.d_mid
-        reps_data.add(tuple(int(rep.comp(i).data.reshape(-1)[0]) for i in (0, 1)))
+        reps_data.add(tuple(rep.coef.tolist()))   # the 1x1 components in degrees 0, 1
     assert (2, 2) in reps_data
 
 

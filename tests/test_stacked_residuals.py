@@ -10,7 +10,6 @@ from sqzlift.complexes import (
     GradedMap,
     GradedObject,
     coefficient_orders,
-    coefficients,
     compose,
     delta,
     from_coefficients,
@@ -78,7 +77,7 @@ def _problems(tower, algebra):
     for s in _square_zero_scalars(da.mid.ring)[:1]:
         sm = _scalar(da.mid, s)
         out.append(("differential", DifferentialProblem(
-            da, OB3, GradedMap(da.mid, OB3, OB3, 1, {0: sm, 1: sm.copy()}))))
+            da, OB3, GradedMap(da.mid, OB3, OB3, 1, {0: sm, 1: sm}))))
     # maps: delta of a top-level map lifts; the identity on degree 1
     # against d_C = u (which reduces to zero) does not
     C, D = _parity_complex(rng, bar, PAR), _parity_complex(rng, bar, TWO)
@@ -87,14 +86,14 @@ def _problems(tower, algebra):
         out.append(("map", MapProblem(da, C, D, map_reduce(da, f, "bar", "mid"))))
     Cu = Complex(bar, TWO, GradedMap(bar, TWO, TWO, 1, {0: u}))
     Dz = Complex(bar, TWO, zero_map(bar, TWO, TWO, 1))
-    one = GradedMap(da.mid, TWO, TWO, 0, {1: da.mid.eye(1)})
+    one = GradedMap(da.mid, TWO, TWO, 0, {1: AlgMatrix(da.mid, da.mid.unit[None, None])})
     out.append(("map", MapProblem(da, Cu, Dz, one)))
     # homotopies: g = f + delta(k) lifts along k; g - f = u with d = 0 does not
     h, k = (_rand_map(rng, bar, PAR, TWO, -1) for _ in range(2))
     f = delta(h, C.d, D.d)
     out.append(("homotopy", HomotopyProblem(da, C, D, f, f + delta(k, C.d, D.d),
                                             map_reduce(da, k, "bar", "mid"))))
-    g = GradedMap(bar, TWO, TWO, 0, {0: u, 1: u.copy()})
+    g = GradedMap(bar, TWO, TWO, 0, {0: u, 1: u})
     out.append(("homotopy", HomotopyProblem(da, Dz, Dz, zero_map(bar, TWO, TWO, 0), g,
                                             zero_map(da.mid, TWO, TWO, -1))))
     return out
@@ -118,7 +117,7 @@ def test_stacked_residual_matches_the_per_map_residual(tower, algebra):
         K, m = prob.kernel, prob.degree
         bar, obC, obD = K.defalg.bar, K.hom.obC, K.hom.obD
         rng = np.random.default_rng(len(seen))
-        X0 = coefficients(prob.sigma_lift)
+        X0 = prob.sigma_lift.coef
         orders = coefficient_orders(bar, obC, obD, m)
         for rows in (0, 1, 6):
             # candidate lifts X0 + gamma, and then arbitrary top-level maps
@@ -131,7 +130,7 @@ def test_stacked_residual_matches_the_per_map_residual(tower, algebra):
                 for row, vec in zip(got, stack):
                     X = from_coefficients(bar, obC, obD, m, vec)
                     want = _reference_residual(prob, X)
-                    assert np.array_equal(row, coefficients(want))
+                    assert np.array_equal(row, want.coef)
                     assert prob.residual(X) == want
     kinds = {"differential", "map", "homotopy"}
     assert {k for k, _ in seen} == kinds
@@ -154,7 +153,7 @@ def test_kernel_codec_round_trip_on_stacks(tower, algebra):
             assert np.array_equal(K.into_kernel_stack(stack), vecs)
             for vec, row in zip(vecs, stack):
                 f = K.out_of_kernel(vec, n)
-                assert np.array_equal(coefficients(f), row)
+                assert np.array_equal(f.coef, row)
                 assert np.array_equal(K.into_kernel(f), vec)
         # one coefficient of one row outside J
         stack = K.out_of_kernel_stack(rng.integers(0, K.p, size=(4, K.dim(n))), n)
@@ -169,7 +168,7 @@ def test_stacks_of_the_wrong_width_are_refused():
     for _, prob in _problems("zmod(2;2,1)", "dual"):
         K, m = prob.kernel, prob.degree
         bar, obC, obD = K.defalg.bar, K.hom.obC, K.hom.obD
-        X0 = coefficients(prob.sigma_lift)
+        X0 = prob.sigma_lift.coef
         assert prob.residuals(X0[None]).shape[0] == 1
         for bad in (np.append(X0, 0)[None], X0[None, :-1], X0, np.stack([X0[None]] * 2)):
             with pytest.raises(ShapeMismatch, match="coefficients per row"):
