@@ -48,6 +48,17 @@ COMMANDS = {
 LIFTBENCH_SEED = 1
 
 
+def gen_argv(kind: str, seed: int) -> list[str]:
+    return ["gen", "--kind", kind, "--seed", str(seed)]
+
+
+def command_argv(cmd: str, doc: str) -> list[str]:
+    """The argv that runs cmd on the gen document doc."""
+    flag = "--map" if cmd in ("lift-map", "lift-homotopy") else "--complex"
+    extra = ["--cap", str(FUNCTOR_CAP)] if cmd in ("functor-eval", "schlessinger") else []
+    return [cmd, flag, doc] + extra
+
+
 def run(argv: list[str], out: str) -> tuple[str, str]:
     """(exit code or exception type, sha256 of the --out bytes)."""
     if os.path.exists(out):
@@ -68,13 +79,10 @@ def main() -> int:
             for seed in range(SEEDS):
                 src = f"gen:{kind}:{seed}"
                 doc = os.path.join(tmp, f"{kind}-{seed}.json")
-                code, digest = run(["gen", "--kind", kind, "--seed", str(seed)], doc)
+                code, digest = run(gen_argv(kind, seed), doc)
                 print(src, "gen", code, digest, flush=True)
                 for cmd in COMMANDS[kind]:
-                    flag = "--map" if cmd in ("lift-map", "lift-homotopy") else "--complex"
-                    extra = ["--cap", str(FUNCTOR_CAP)] if cmd in ("functor-eval",
-                                                                    "schlessinger") else []
-                    code, digest = run([cmd, flag, doc] + extra, out)
+                    code, digest = run(command_argv(cmd, doc), out)
                     print(src, cmd, code, digest, flush=True)
         sq = workloads.import_program()
         for workload in sorted(workloads.WORKLOADS):

@@ -8,7 +8,8 @@ byte-identically and repeated runs produce identical reports.
 indent=2)` itself: a list of ints is joined with `str` in one call, and an
 integer ndarray is written as bytes in a few numpy passes.  Reports carry
 "verdict" in {lifts, obstructed, classified, verified, failed}; obstructed is
-exit status 2 (a mathematical outcome), errors are exit status 1.
+exit status 2 (a mathematical outcome), errors (usage errors too) are exit
+status 1.  Each command takes only the flags it reads (`COMMANDS`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import functools
 import json
 import sys
 from contextlib import contextmanager
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,8 +32,8 @@ from .crude import (
     classify_homotopy_map_lifts,
     crude_lift,
 )
-from .errors import ParseError, SchemaMismatch, SqzliftError, ValidationError
-from .finring import FiniteRing, RingSurjection, Tower, mk_tower, trunc_poly_ring
+from .errors import ParseError, SchemaMismatch, SqzliftError
+from .finring import FiniteRing, RingSurjection, Tower, mk_tower
 from .obstruction import (
     Classification,
     DifferentialProblem,
@@ -320,9 +322,7 @@ def complex_from_payload(defalg: DeformedAlgebra, pay: dict,
     alg = defalg.level(pay["level"])
     ob = ranks_from_payload(pay["ranks"])
     d = _gmap_from_comps(alg, ob, ob, 1, pay["d"], "differential component {} has wrong shape")
-    if strict:
-        return Complex(alg, ob, d)
-    return PreComplex(alg, ob, d)
+    return (Complex if strict else PreComplex)(alg, ob, d)
 
 
 # ---------------------------------------------------------------------------
@@ -397,44 +397,45 @@ def problem_from_doc(doc: dict):
     return kind, defalg, prob, pay
 
 
-def _load_problem(args, expect: str | None = None):
-    """Load the problem for a command, either from a problem bundle given by
-    --complex/--map, or from separate tower/algebra/complex documents."""
-    path = args.complex or args.map
+def _load_problem(args):
+    """Load the problem of a command from its --complex or --map document:
+    a problem bundle, or a bare complex document with --tower (and
+    optionally --algebra), which is always a differential problem.
+    SchemaMismatch if the command needs another kind of problem."""
+    expect = COMMANDS[args.command].kind
+    path = getattr(args, "complex", None) or getattr(args, "map", None)
     if path is None:
         raise ParseError("a problem or complex document is required")
     doc = load_doc(path)
-    if isinstance(doc, dict) and doc.get("schema") == "problem":
-        kind, defalg, prob, pay = problem_from_doc(doc)
-    else:
-        if not args.tower:
-            raise ParseError("--tower is required with a bare complex document")
-        with _field("tower"):
-            tower = tower_from_payload(unwrap(load_doc(args.tower), "tower"))
-        with _field("algebra"):
-            if args.algebra:
-                defalg = algebra_from_payload(
-                    tower, unwrap(load_doc(args.algebra), "algebra"))
-            else:
-                defalg = mk_algebra(tower, "trivial")
-        with _field("complex"):
-            X = complex_from_payload(defalg, unwrap(doc, "complex"), strict=True)
-        if X.d.alg != defalg.mid:
-            raise SchemaMismatch("the complex must be given at the mid level")
-        prob = DifferentialProblem(defalg, X.ob, X.d)
-        kind, pay = "differential", None
+    bundle = isinstance(doc, dict) and doc.get("schema") == "problem"
+    kind, defalg, prob, _ = problem_from_doc(doc) if bundle else ("differential", None, None, None)
     if expect is not None and kind != expect:
         raise SchemaMismatch(f"command needs a {expect} problem, got {kind}")
-    return kind, defalg, prob
+    return (kind, defalg, prob) if bundle else (kind, *_bare_problem(args, doc))
+
+
+def _bare_problem(args, doc: dict):
+    """(defalg, differential problem) of a bare complex document over the
+    --tower and --algebra documents."""
+    if not args.tower:
+        raise ParseError("--tower is required with a bare complex document")
+    with _field("tower"):
+        tower = tower_from_payload(unwrap(load_doc(args.tower), "tower"))
+    with _field("algebra"):
+        defalg = algebra_from_payload(tower, unwrap(load_doc(args.algebra), "algebra")
+                                      if args.algebra else {"kind": "trivial"})
+    with _field("complex"):
+        X = complex_from_payload(defalg, unwrap(doc, "complex"), strict=True)
+    if X.d.alg != defalg.mid:
+        raise SchemaMismatch("the complex must be given at the mid level")
+    return defalg, DifferentialProblem(defalg, X.ob, X.d)
 
 
 # ---------------------------------------------------------------------------
 # report emission
 # ---------------------------------------------------------------------------
 
-def _coh_payload(cls) -> dict | None:
-    if cls is None:
-        return None
+def _coh_payload(cls) -> dict:
     return {"degree": int(cls.n), "coords": [int(x) for x in cls.rep]}
 
 
@@ -466,34 +467,52 @@ def emit(args, report: dict, exit_code: int) -> int:
               "tool": f"sqzlift {__version__}", "timings": None, **report}
     if not _deliver(args, canonical_json(report)):
         return 1
-    print(f"sqzlift {report.get('command', '')}: verdict {report['verdict']}",
-          file=sys.stderr)
+    print(f"{_prog(report['command'])}: verdict {report['verdict']}", file=sys.stderr)
     return exit_code
 
 
+def _prog(command: str | None) -> str:
+    return f"sqzlift {command}" if command else "sqzlift"
+
+
 def _fail(args, e: SqzliftError) -> int:
-    print(f"sqzlift {args.command}: error: {e}", file=sys.stderr)
+    print(f"{_prog(args.command)}: error: {e}", file=sys.stderr)
     return emit(args, {"command": args.command, "verdict": "failed",
                        "error": {"type": type(e).__name__, "message": str(e)}}, 1)
 
 
-def _lift_report(cmd: str, rep: LiftReport, level: str = "bar") -> tuple[dict, int]:
+def _lift_report(cmd: str, rep: LiftReport) -> tuple[dict, int]:
     body = {"command": cmd, "obstruction": _coh_payload(rep.obstruction)}
     if rep.obstructed:
         body["verdict"] = "obstructed"
         return body, 2
     body["verdict"] = "lifts"
-    if rep.lifted is not None:
-        body["witness"] = gmap_to_payload(rep.lifted, level)
+    body["witness"] = gmap_to_payload(rep.lifted, "bar")
     return body, 0
+
+
+def _classified(args, rep: LiftReport, cl: Classification | None) -> int:
+    """The report of the strict classification of differential lifts, which
+    classify-homotopy shares with classify."""
+    body = {"command": args.command, "obstruction": _coh_payload(rep.obstruction)}
+    if rep.obstructed:
+        body["verdict"] = "obstructed"
+        return emit(args, body, 2)
+    body["verdict"] = "classified"
+    body["classification"] = _classification_payload(cl)
+    return emit(args, body, 0)
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
+# The per-kind functions below are looked up by their module names at each
+# call, so that wrappers installed on those names (liftbench/tracing.py)
+# see the calls.
+
 def cmd_obstruct_diff(args) -> int:
-    _, _, prob = _load_problem(args, "differential")
+    _, _, prob = _load_problem(args)
     cls, _ = obstruct_differential(prob)
     verdict = "obstructed" if not cls.is_zero else "lifts"
     return emit(args, {"command": "obstruct-diff", "verdict": verdict,
@@ -502,92 +521,59 @@ def cmd_obstruct_diff(args) -> int:
                 2 if not cls.is_zero else 0)
 
 
-def cmd_lift_diff(args) -> int:
-    _, _, prob = _load_problem(args, "differential")
-    body, code = _lift_report("lift-diff", lift_differential(prob))
+def cmd_lift(args) -> int:
+    """lift-diff, lift-map and lift-homotopy."""
+    kind, _, prob = _load_problem(args)
+    lift = {"differential": lift_differential, "map": lift_map,
+            "homotopy": lift_homotopy}[kind]
+    body, code = _lift_report(args.command, lift(prob))
     return emit(args, body, code)
 
 
 def cmd_classify(args) -> int:
-    _, _, prob = _load_problem(args, "differential")
+    _, _, prob = _load_problem(args)
     rep = lift_differential(prob)
-    if rep.obstructed:
-        return emit(args, {"command": "classify", "verdict": "obstructed",
-                           "obstruction": _coh_payload(rep.obstruction)}, 2)
-    cl = classify_lifts(prob, rep.lifted)
-    return emit(args, {"command": "classify", "verdict": "classified",
-                       "obstruction": _coh_payload(rep.obstruction),
-                       "classification": _classification_payload(cl)}, 0)
-
-
-def cmd_lift_map(args) -> int:
-    _, _, prob = _load_problem(args, "map")
-    body, code = _lift_report("lift-map", lift_map(prob))
-    return emit(args, body, code)
-
-
-def cmd_lift_homotopy(args) -> int:
-    _, _, prob = _load_problem(args, "homotopy")
-    body, code = _lift_report("lift-homotopy", lift_homotopy(prob))
-    return emit(args, body, code)
+    cl = None if rep.obstructed else classify_lifts(prob, rep.lifted, args.cap)
+    return _classified(args, rep, cl)
 
 
 def cmd_crude_lift(args) -> int:
-    kind, defalg, prob = _load_problem(args)
-    if kind != "crude":
-        raise SchemaMismatch("crude-lift needs a problem bundle of kind crude")
-    E, dbar_D = prob
+    _, _, (E, dbar_D) = _load_problem(args)
     res = crude_lift(E, dbar_D, collect_trace=args.trace)
     body = {"command": "crude-lift", "verdict": "lifts",
-            "d_C": gmap_to_payload(res.d_C, "bar"),
-            "f": gmap_to_payload(res.f, "bar"),
-            "g": gmap_to_payload(res.g, "bar"),
-            "H": gmap_to_payload(res.H, "bar"),
-            "K": gmap_to_payload(res.K, "bar")}
+            **{k: gmap_to_payload(getattr(res, k), "bar") for k in ("d_C", "f", "g", "H", "K")}}
     if args.trace:
         body["trace"] = res.trace
     return emit(args, body, 0)
 
 
 def cmd_classify_homotopy(args) -> int:
-    kind, defalg, prob = _load_problem(args)
+    kind, _, prob = _load_problem(args)
     if kind == "differential":
-        rep, cl = classify_homotopy_lifts(prob)
-        if rep.obstructed:
-            return emit(args, {"command": "classify-homotopy",
-                               "verdict": "obstructed",
-                               "obstruction": _coh_payload(rep.obstruction)}, 2)
-        return emit(args, {"command": "classify-homotopy",
-                           "verdict": "classified",
-                           "obstruction": _coh_payload(rep.obstruction),
-                           "classification": _classification_payload(cl)}, 0)
-    if kind == "map":
-        hm = classify_homotopy_map_lifts(prob, cap=args.cap)
-        body = {"command": "classify-homotopy",
-                "obstruction": _coh_payload(hm.obstruction),
-                "guard": hm.guard,
-                "torsor_guaranteed": bool(hm.torsor_guaranteed)}
-        if hm.obstructed:
-            body["verdict"] = "obstructed"
-            return emit(args, body, 2)
-        body["verdict"] = "classified"
-        if hm.lifted is not None:
-            body["witness"] = gmap_to_payload(hm.lifted, "bar")
-        if hm.classification is not None:
-            body["classification"] = _classification_payload(hm.classification)
-        return emit(args, body, 0)
-    raise SchemaMismatch("classify-homotopy needs a differential or map problem")
+        return _classified(args, *classify_homotopy_lifts(prob, args.cap))
+    if kind != "map":
+        raise SchemaMismatch("classify-homotopy needs a differential or map problem")
+    hm = classify_homotopy_map_lifts(prob, cap=args.cap)
+    body = {"command": "classify-homotopy", "obstruction": _coh_payload(hm.obstruction),
+            "guard": hm.guard, "torsor_guaranteed": bool(hm.torsor_guaranteed)}
+    if hm.obstructed:
+        body["verdict"] = "obstructed"
+        return emit(args, body, 2)
+    body["verdict"] = "classified"
+    body["witness"] = gmap_to_payload(hm.lifted, "bar")
+    body["classification"] = _classification_payload(hm.classification)
+    return emit(args, body, 0)
 
 
 def cmd_tangent(args) -> int:
-    _, defalg, prob = _load_problem(args, "differential")
+    _, defalg, prob = _load_problem(args)
     dim = defun.tangent_dim(defalg.base, prob.ob, prob.d_base)
     return emit(args, {"command": "tangent", "verdict": "verified",
                        "tangent_dim": int(dim)}, 0)
 
 
 def cmd_functor_eval(args) -> int:
-    _, defalg, prob = _load_problem(args, "differential")
+    _, defalg, prob = _load_problem(args)
     A = defun.ArtinLocalRing(defalg.tower.Rbar)
     body = {"command": "functor-eval", "verdict": "verified",
             "ring_size": int(A.ring.cardinality),
@@ -602,7 +588,7 @@ def cmd_functor_eval(args) -> int:
 
 
 def cmd_schlessinger(args) -> int:
-    _, defalg, prob = _load_problem(args, "differential")
+    _, defalg, prob = _load_problem(args)
     p = defalg.p
     small = mk_tower("trunc_poly", p, a=2, b=1).pibar
     smooth = mk_tower("trunc_poly", p, a=3, b=2).pibar
@@ -619,34 +605,23 @@ def cmd_schlessinger(args) -> int:
 
 
 def cmd_extend_order(args) -> int:
-    _, defalg, prob = _load_problem(args, "differential")
-    p = defalg.p
-    tower = defalg.tower
-    # the tower must be a one-step truncated-polynomial tower
-    b = tower.R.m
-    if tower.R != trunc_poly_ring(p, b) or tower.Rbar != trunc_poly_ring(p, b + 1):
-        raise ValidationError(
-            "extend-order needs the one-step truncated-polynomial tower")
-    rep = lift_differential(prob)
-    body, code = _lift_report("extend-order", rep)
-    body["from_order"] = int(b)
-    body["to_order"] = int(b + 1)
+    _, defalg, prob = _load_problem(args)
+    body, code = _lift_report("extend-order", defun.extend_order(prob))
+    b = defalg.tower.R.m
+    body["from_order"], body["to_order"] = int(b), int(b + 1)
     return emit(args, body, code)
 
 
 def cmd_oracle(args) -> int:
-    kind, defalg, prob = _load_problem(args)
-    if kind == "differential":
-        res = oracle_differential(prob, cap=args.cap)
-        cls, _ = obstruct_differential(prob)
-    elif kind == "map":
-        res = oracle_map(prob, cap=args.cap)
-        cls, _ = obstruct_map(prob)
-    elif kind == "homotopy":
-        res = oracle_homotopy(prob, cap=args.cap)
-        cls, _ = obstruct_homotopy(prob)
-    else:
+    kind, _, prob = _load_problem(args)
+    pairs = {"differential": (oracle_differential, obstruct_differential),
+             "map": (oracle_map, obstruct_map),
+             "homotopy": (oracle_homotopy, obstruct_homotopy)}
+    if kind not in pairs:
         raise SchemaMismatch("oracle needs a differential, map, or homotopy problem")
+    oracle, obstruct = pairs[kind]
+    res = oracle(prob, cap=args.cap)
+    cls, _ = obstruct(prob)
     agree = (res.num_witnesses > 0) == cls.is_zero
     body = {"command": "oracle", "kind": kind,
             "candidates": int(res.candidates),
@@ -657,14 +632,10 @@ def cmd_oracle(args) -> int:
             "orbits": res.orbits,
             "obstruction": _coh_payload(cls),
             "agrees_with_obstruction": bool(agree)}
-    if not agree:
-        body["verdict"] = "failed"
-        return emit(args, body, 1)
-    if res.num_witnesses == 0:
-        body["verdict"] = "obstructed"
-        return emit(args, body, 2)
-    body["verdict"] = "verified"
-    return emit(args, body, 0)
+    body["verdict"], code = (("failed", 1) if not agree
+                             else ("obstructed", 2) if res.num_witnesses == 0
+                             else ("verified", 0))
+    return emit(args, body, code)
 
 
 def cmd_gen(args) -> int:
@@ -684,54 +655,72 @@ def cmd_gen(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-COMMANDS = {
-    "obstruct-diff": cmd_obstruct_diff,
-    "lift-diff": cmd_lift_diff,
-    "classify": cmd_classify,
-    "lift-map": cmd_lift_map,
-    "lift-homotopy": cmd_lift_homotopy,
-    "crude-lift": cmd_crude_lift,
-    "classify-homotopy": cmd_classify_homotopy,
-    "tangent": cmd_tangent,
-    "functor-eval": cmd_functor_eval,
-    "schlessinger": cmd_schlessinger,
-    "extend-order": cmd_extend_order,
-    "oracle": cmd_oracle,
-    "gen": cmd_gen,
+class Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    flags: str              # the flags it takes besides --out
+    kind: str | None = None  # the problem kind it needs; None: run checks it
+
+
+FLAGS = {
+    "complex": {"help": "problem bundle, or a complex document at the mid level"},
+    "map": {"help": "problem bundle of kind map or homotopy"},
+    "tower": {"help": "tower document, with a bare complex document"},
+    "algebra": {"help": "algebra document, with a bare complex document"},
+    "cap": {"type": int, "default": DEFAULT_CAP, "help": "enumeration cap"},
+    "trace": {"action": "store_true", "help": "report the checks of every stage"},
+    "kind": {"default": "differential", "choices": ["differential", "map", "homotopy"]},
+    "seed": {"type": int, "default": 0},
+    "workers": {"type": int, "default": 1, "help": "ignored (old command lines still run)"},
+    "out": {"help": "write the report here"},
 }
+
+_PROBLEM = "complex tower algebra"   # a problem bundle, or a bare complex
+COMMANDS = {
+    "obstruct-diff": Command(cmd_obstruct_diff, _PROBLEM + " workers", "differential"),
+    "lift-diff": Command(cmd_lift, _PROBLEM + " workers", "differential"),
+    "classify": Command(cmd_classify, _PROBLEM + " cap workers", "differential"),
+    "lift-map": Command(cmd_lift, "map workers", "map"),
+    "lift-homotopy": Command(cmd_lift, "map workers", "homotopy"),
+    "crude-lift": Command(cmd_crude_lift, "complex trace", "crude"),
+    "classify-homotopy": Command(cmd_classify_homotopy, _PROBLEM + " cap workers"),
+    "tangent": Command(cmd_tangent, _PROBLEM + " workers", "differential"),
+    "functor-eval": Command(cmd_functor_eval, _PROBLEM + " cap workers", "differential"),
+    "schlessinger": Command(cmd_schlessinger, _PROBLEM + " cap", "differential"),
+    "extend-order": Command(cmd_extend_order, _PROBLEM + " workers", "differential"),
+    "oracle": Command(cmd_oracle, _PROBLEM + " cap workers"),
+    "gen": Command(cmd_gen, "kind seed cap"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError on a usage error, so that it ends in a report."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="sqzlift",
-        description="exact lifting of complexes along square-zero deformations")
+    ap = _Parser(prog="sqzlift",
+                 description="exact lifting of complexes along square-zero deformations")
     ap.add_argument("--version", action="version", version=f"sqzlift {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, command in COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--tower", default=None, help="tower document")
-        sp.add_argument("--algebra", default=None, help="algebra document")
-        sp.add_argument("--complex", default=None,
-                        help="complex document or problem bundle")
-        sp.add_argument("--map", default=None,
-                        help="map document or problem bundle")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
-        sp.add_argument("--out", default=None, help="write the report here")
-        sp.add_argument("--trace", action="store_true")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="ignored; accepted so that old command lines still run")
-        if name == "gen":
-            sp.add_argument("--kind", default="differential",
-                            choices=["differential", "map", "homotopy"])
+        for flag in command.flags.split() + ["out"]:
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a usage error's report names the command if argv starts with one
+    args = argparse.Namespace(command=argv[0] if argv and argv[0] in COMMANDS else None,
+                              out=None)
     try:
-        return COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        return COMMANDS[args.command].run(args)
     except SqzliftError as e:
         return _fail(args, e)
 

@@ -25,7 +25,7 @@ from .complexes import (
     delta_blocks,
     stack_of,
 )
-from .errors import NotACocycle, ShapeMismatch
+from .errors import LevelMismatch, NotACocycle, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,12 @@ class KernelComplex:
         return coeffs.reshape(len(vecs), entries * self.defalg.bar.ring.m)
 
     def into_kernel(self, f: GradedMap) -> np.ndarray:
-        """Coordinates of a bar-level graded map with J coefficients."""
+        """Coordinates of a bar-level graded map C -> D with J coefficients;
+        LevelMismatch for another algebra, ShapeMismatch for other ends."""
+        if f.alg != self.defalg.bar:
+            raise LevelMismatch("expected a bar-level map")
+        if f.src != self.hom.obC or f.tgt != self.hom.obD:
+            raise ShapeMismatch("expected a map from C to D")
         return self.into_kernel_stack(f.coef[None])[0]
 
     def out_of_kernel(self, vec: np.ndarray, n: int) -> GradedMap:
@@ -146,12 +151,14 @@ class KernelComplex:
         _, keep, _ = gf.rref(reps.T, self.p)
         return reps[keep]
 
-    def all_classes(self, n: int) -> list[CohClass]:
-        """All of H^n, canonical representatives, lexicographic digit order."""
+    def all_classes(self, n: int, cap: int = 1 << 20) -> list[CohClass]:
+        """All of H^n, canonical representatives, lexicographic digit order;
+        CapExceeded if H^n has more than cap classes."""
         basis = self.h_basis(n)
         red, pivots = self.coboundary_space(n)
         h = len(basis)
-        vecs = gf.digit_matrix(0, self.p ** h, h, self.p) @ basis
+        total = gf.count_candidates(self.p, h, cap, "cohomology classes")
+        vecs = gf.digit_matrix(0, total, h, self.p) @ basis
         reps = gf.reduce_mod_rowspace(vecs, red, pivots, self.p)
         return [CohClass(n, tuple(rep)) for rep in reps.tolist()]
 

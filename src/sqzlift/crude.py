@@ -238,18 +238,20 @@ def crude_lift(E: HomotopyEquivData, dbar_D: GradedMap,
 # homotopy-category classification
 # ---------------------------------------------------------------------------
 
-def classify_homotopy_lifts(prob: DifferentialProblem) -> tuple[LiftReport, Classification | None]:
+def classify_homotopy_lifts(prob: DifferentialProblem,
+                            cap: int = 1 << 20) -> tuple[LiftReport, Classification | None]:
     """Classify lifts of a complex up to homotopy.
 
     Every homotopy-category lift is equivalent to a strict lift on the fixed
     graded object, and two strict lifts are homotopy-equivalent iff they are
     strictly equivalent, so the report coincides with the strict
     classification: obstruction in H^2, classes affine over H^1.
+    CapExceeded if H^1 has more than cap classes.
     """
     rep = lift_differential(prob)
     if rep.obstructed:
         return rep, None
-    return rep, classify_lifts(prob, rep.lifted)
+    return rep, classify_lifts(prob, rep.lifted, cap)
 
 
 def h_minus1_guard(defalg: DeformedAlgebra, C: Complex, D: Complex,
@@ -299,7 +301,7 @@ def classify_homotopy_map_lifts(prob: MapProblem,
     homotopy lift.  The classes are affine over H^0 only when
     H^{-1}Hom(C, D) = 0 at the mid level, which is decided by bounded
     enumeration; otherwise the torsor structure is reported as not
-    guaranteed.
+    guaranteed.  CapExceeded if H^0 has more than cap classes.
     """
     rep = lift_map(prob)
     guard = h_minus1_guard(prob.defalg, prob.C, prob.D, cap)
@@ -321,4 +323,4 @@ def classify_homotopy_map_lifts(prob: MapProblem,
         homotopy = hrep.lifted
     return HomotopyMapReport(rep.obstruction, False, fbar, homotopy,
                              homotopy is not None, guard, guard == "zero",
-                             classify_map_lifts(prob, fbar))
+                             classify_map_lifts(prob, fbar, cap))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .algebra import DeformedAlgebra, LevelAlgebra
+from .algebra import LevelAlgebra
 from .complexes import (
     Blocks,
     GradedMap,
@@ -40,7 +40,6 @@ from .complexes import (
     compose,
     compose_blocks,
     delta_solutions,
-    from_coefficients,
     identity_map,
     map_push,
     map_section,
@@ -52,7 +51,7 @@ from .finring import (
     FiniteRing,
     RingSurjection,
     minimal_section,
-    mk_tower,
+    trunc_poly_ring,
     zmod_ring,
 )
 from .obstruction import DifferentialProblem, LiftReport, lift_differential
@@ -567,20 +566,18 @@ def schlessinger_check(alg0: LevelAlgebra, ob: GradedObject, d0: GradedMap,
 # order-by-order extension
 # ---------------------------------------------------------------------------
 
-def extend_order(p: int, alg0: LevelAlgebra, ob: GradedObject,
-                 d_current: GradedMap, n: int) -> LiftReport:
+def extend_order(prob: DifferentialProblem) -> LiftReport:
     """Extend a differential over F_p[t]/(t^n) to F_p[t]/(t^{n+1}).
 
-    Uses the one-step tower F_p[t]/(t^{n+1}) -> F_p[t]/(t^n) -> F_p, whose
-    two kernels multiply to zero; reports the extension or the order-(n+1)
-    obstruction class.
+    The problem's tower must be the one-step tower F_p[t]/(t^{n+1}) ->
+    F_p[t]/(t^n) -> F_p (ValidationError otherwise), whose two kernels
+    multiply to zero; reports the extension or the order-(n+1) obstruction
+    class.
     """
-    tower = mk_tower("trunc_poly", p, a=n + 1, b=n)
-    defalg = DeformedAlgebra(tower, tensor_algebra(tower.Rbar, alg0))
-    # the new tower's mid level is F_p[t]/(t^n): hand the vector over
-    d_mid = from_coefficients(defalg.mid, d_current.src, d_current.tgt, d_current.degree,
-                              d_current.coef)
-    prob = DifferentialProblem(defalg, ob, d_mid)
+    tower, p = prob.defalg.tower, prob.defalg.p
+    n = tower.R.m
+    if tower.R != trunc_poly_ring(p, n) or tower.Rbar != trunc_poly_ring(p, n + 1):
+        raise ValidationError("extend-order needs the one-step truncated-polynomial tower")
     return lift_differential(prob)
 
 

@@ -301,16 +301,18 @@ def lift(prob: AffineLift) -> LiftReport:
     return LiftReport(obstruction, False, X0, X)
 
 
-def classify(prob: AffineLift, base: GradedMap | None = None) -> Classification:
+def classify(prob: AffineLift, base: GradedMap | None = None,
+             cap: int = 1 << 20) -> Classification:
     """All lifts modulo delta of degree m-1 J-valued maps: a torsor over
-    H^m, with representatives base + (canonical H^m class representatives)."""
+    H^m, with representatives base + (canonical H^m class representatives);
+    CapExceeded if H^m has more than cap classes."""
     K, m = prob.kernel, prob.degree
     if base is None:
         rep = lift(prob)
         if rep.obstructed:
             raise Obstructed(f"no lift exists; obstruction {rep.obstruction}")
         base = rep.lifted
-    classes = K.all_classes(m)
+    classes = K.all_classes(m, cap)
     reps = [base + K.out_of_kernel(c.vec(), m) for c in classes]
     return Classification(m, K.h_dim(m), len(classes), base, classes, reps)
 
@@ -342,19 +344,19 @@ def lift_homotopy(prob: HomotopyProblem) -> LiftReport:
     return lift(prob)
 
 
-def classify_lifts(prob: DifferentialProblem,
-                   base: GradedMap | None = None) -> Classification:
-    return classify(prob, base)
+def classify_lifts(prob: DifferentialProblem, base: GradedMap | None = None,
+                   cap: int = 1 << 20) -> Classification:
+    return classify(prob, base, cap)
 
 
-def classify_map_lifts(prob: MapProblem,
-                       base: GradedMap | None = None) -> Classification:
-    return classify(prob, base)
+def classify_map_lifts(prob: MapProblem, base: GradedMap | None = None,
+                       cap: int = 1 << 20) -> Classification:
+    return classify(prob, base, cap)
 
 
-def classify_homotopy_lifts_of(prob: HomotopyProblem,
-                               base: GradedMap | None = None) -> Classification:
-    return classify(prob, base)
+def classify_homotopy_lifts_of(prob: HomotopyProblem, base: GradedMap | None = None,
+                               cap: int = 1 << 20) -> Classification:
+    return classify(prob, base, cap)
 
 
 # ---------------------------------------------------------------------------

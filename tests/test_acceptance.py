@@ -31,7 +31,6 @@ from sqzlift.defun import (
     functor_eval,
     schlessinger_check,
     tangent_dim,
-    tensor_algebra,
     trivial_base_algebra,
 )
 from sqzlift.finring import mk_tower, trunc_poly_ring, zmod_ring
@@ -366,13 +365,12 @@ def test_criterion_8_deformation_functors():
     assert checked >= 20
 
     # the (t, t) one-parameter deformation obstructs at order three
-    a0 = trivial_base_algebra(2)
-    alg_t2 = tensor_algebra(trunc_poly_ring(2, 2), a0)
+    defalg = mk_algebra(mk_tower("trunc_poly", 2, a=3, b=2), "trivial")
     tvec = np.zeros((1, 1, 1, 2), dtype=np.int64)
     tvec[0, 0, 0, 1] = 1
-    d = GradedMap(alg_t2, ob3, ob3, 1,
-                  {0: AlgMatrix(alg_t2, tvec), 1: AlgMatrix(alg_t2, tvec.copy())})
-    rep = extend_order(2, a0, ob3, d, 2)
+    d = GradedMap(defalg.mid, ob3, ob3, 1,
+                  {0: AlgMatrix(defalg.mid, tvec), 1: AlgMatrix(defalg.mid, tvec.copy())})
+    rep = extend_order(DifferentialProblem(defalg, ob3, d))
     assert rep.obstructed and rep.obstruction.rep == (1,)
     print(f"criterion 8: PASS (functor battery; {checked} strict-vs-homotopy "
           f"functor agreements; order-3 obstruction nonzero)")

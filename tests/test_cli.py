@@ -1,6 +1,9 @@
 """Command-line interface: document round-trips, exit codes, determinism."""
 
+import argparse
+import importlib.util
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from sqzlift import cli
 from sqzlift.algebra import AlgMatrix, mk_algebra
 from sqzlift.cli import (
+    build_parser,
     canonical_json,
     complex_from_payload,
     complex_to_payload,
@@ -29,6 +33,8 @@ from sqzlift.complexes import GradedMap, GradedObject, zero_map
 from sqzlift.errors import NotADifferential
 from sqzlift.finring import mk_tower
 from sqzlift.obstruction import DifferentialProblem
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 from conftest import build_equiv
 
@@ -174,6 +180,88 @@ def test_command_kind_mismatch_exits_1(tmp_path, z4, capsys):
     assert rep["error"]["type"] == "SchemaMismatch"
 
 
+def test_a_bare_complex_is_a_differential_problem(tmp_path, capsys):
+    cx_doc = _write(tmp_path, "c.json",
+                    wrap("complex", {"level": "mid", "ranks": {"0": 1}, "d": {}}))
+    code = main(["lift-map", "--map", cx_doc])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert rep["error"]["type"] == "SchemaMismatch"
+
+
+# -- the command table and usage errors ---------------------------------------
+
+FLAG_TABLE = {
+    ("obstruct-diff", "lift-diff", "tangent", "extend-order"):
+        "--complex --tower --algebra --workers",
+    ("classify", "classify-homotopy", "functor-eval", "oracle"):
+        "--complex --tower --algebra --cap --workers",
+    ("schlessinger",): "--complex --tower --algebra --cap",
+    ("lift-map", "lift-homotopy"): "--map --workers",
+    ("crude-lift",): "--complex --trace",
+    ("gen",): "--kind --seed --cap",
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {opt for a in sp._actions for opt in a.option_strings} - {"-h", "--help"}
+             for name, sp in sub.choices.items()}
+    assert flags == {cmd: set(f.split()) | {"--out"}
+                     for cmds, f in FLAG_TABLE.items() for cmd in cmds}
+    assert sum(map(len, flags.values())) == 62
+
+
+@pytest.mark.parametrize("argv, command, message", [
+    (["lift-diff", "--bogus"], "lift-diff", "unrecognized arguments: --bogus"),
+    (["lift-diff", "--cap", "5"], "lift-diff", "unrecognized arguments: --cap 5"),
+    (["oracle", "--complex", "p.json", "--cap", "x"], "oracle", "argument --cap"),
+    (["no-such-command"], None, "invalid choice"),
+    ([], None, "required"),
+])
+def test_usage_errors_end_in_one_failed_report(capsys, argv, command, message):
+    code = main(argv)
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert rep["verdict"] == "failed" and rep["command"] == command
+    assert rep["error"]["type"] == "ParseError" and message in rep["error"]["message"]
+    assert rep["schema"] == "report" and rep["timings"] is None
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["oracle", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out
+
+
+def _module(path):
+    spec = importlib.util.spec_from_file_location(os.path.basename(path)[:-3],
+                                                  os.path.join(ROOT, path))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_command_lines_parse():
+    """The argv of every command that liftbench and report_digests run."""
+    digests = _module("benchmarks/report_digests.py")   # imports liftbench's workloads
+    workloads = digests.workloads
+    sq = workloads.import_program()
+    argvs = [inst.argv("out.json") for build, _ in workloads.WORKLOADS.values()
+             for inst in build(workloads.Builder(sq), 1)]
+    assert len({argv[0] for argv in argvs}) == 10
+    for kind, commands in digests.COMMANDS.items():
+        argvs.append(digests.gen_argv(kind, 0) + ["--out", "out.json"])
+        argvs += [digests.command_argv(cmd, "doc.json") + ["--out", "out.json"]
+                  for cmd in commands]
+    for argv in argvs:
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0] and args.out == "out.json"
+
+
 # -- command outputs --------------------------------------------------------
 
 def test_classify_reports_the_full_torsor(tmp_path, z4, capsys):
@@ -226,6 +314,22 @@ def test_extend_order_rejects_wrong_tower(tmp_path, z4, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert code == 1
     assert rep["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("command", ["classify", "classify-homotopy"])
+def test_classify_honours_the_cap(tmp_path, capsys, command):
+    # H^1 has 3^4 = 81 classes
+    defalg = mk_algebra(mk_tower("trunc_poly", 3, a=2, b=1), "trivial")
+    ob = GradedObject.of({0: 2, 1: 2})
+    prob = DifferentialProblem(defalg, ob, zero_map(defalg.mid, ob, ob, 1))
+    path = _write(tmp_path, "p.json", problem_to_doc(
+        "differential", defalg, ("trunc_poly", 3, (("a", 2), ("b", 1))), prob))
+    code = main([command, "--complex", path, "--cap", "80"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert rep["error"]["type"] == "CapExceeded"
+    assert main([command, "--complex", path, "--cap", "81"]) == 0
+    assert json.loads(capsys.readouterr().out)["classification"]["count"] == 81
 
 
 def test_functor_eval_on_truncated_polynomial_tower(tmp_path, capsys):
@@ -396,7 +500,8 @@ def test_every_problem_command_writes_the_reference_bytes(tmp_path, z4, capsys, 
     write = canonical_json
     monkeypatch.setattr(cli, "canonical_json", lambda obj: written.append(obj) or write(obj))
     for cmd, kind in runs:
-        code = main([cmd, "--complex", docs[kind]] + (["--trace"] if kind == "crude" else []))
+        flag = "--map" if kind in ("map", "homotopy") else "--complex"
+        code = main([cmd, flag, docs[kind]] + (["--trace"] if kind == "crude" else []))
         out = capsys.readouterr().out
         assert code == 0, (cmd, out)
         report = written.pop()

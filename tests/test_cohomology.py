@@ -7,7 +7,7 @@ from sqzlift import gf
 from sqzlift.algebra import AlgMatrix, mk_algebra
 from sqzlift.cohomology import CohClass, kernel_complex
 from sqzlift.complexes import GradedMap, GradedObject, identity_map, map_lift, zero_map
-from sqzlift.errors import NotACocycle, ShapeMismatch
+from sqzlift.errors import CapExceeded, LevelMismatch, NotACocycle, ShapeMismatch
 from sqzlift.finring import mk_tower
 from sqzlift.oracle import gen_instance
 
@@ -112,6 +112,25 @@ def test_all_classes_enumerates_p_to_h(K_z4):
         classes = K.all_classes(n)
         assert len(classes) == 2 ** K.h_dim(n)
         assert len({c.rep for c in classes}) == len(classes)
+
+
+def test_all_classes_checks_the_cap_before_enumerating(K_z4):
+    _, _, K = K_z4
+    n = next(n for n in (0, 1, 2) if K.h_dim(n))
+    count = 2 ** K.h_dim(n)
+    with pytest.raises(CapExceeded):
+        K.all_classes(n, cap=count - 1)
+    assert len(K.all_classes(n, cap=count)) == count
+
+
+def test_into_kernel_refuses_a_map_that_is_not_bar_level_from_C_to_D():
+    defalg = mk_algebra(mk_tower("trunc_poly", 3, a=3, b=2), "trivial")
+    d0 = zero_map(defalg.base, OB2, OB2, 1)
+    K = kernel_complex(defalg, OB2, OB2, d0, d0)
+    with pytest.raises(LevelMismatch):
+        K.into_kernel(identity_map(defalg.mid, OB2))
+    with pytest.raises(ShapeMismatch):
+        K.into_kernel(zero_map(defalg.bar, OB2, GradedObject.of({0: 2}), 0))
 
 
 def test_in_and_out_of_kernel_roundtrip(K_t3):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sqzlift import defun
-from sqzlift.algebra import AlgMatrix, LevelAlgebra
+from sqzlift.algebra import AlgMatrix, LevelAlgebra, mk_algebra
 from sqzlift.complexes import (GradedMap, GradedObject, block_view, compose,
                                delta, identity_map)
 from sqzlift.defun import (
@@ -27,6 +27,7 @@ from sqzlift.defun import (
 )
 from sqzlift.errors import CapExceeded, NotLocal, ValidationError
 from sqzlift.finring import FiniteRing, mk_tower, trunc_poly_ring, zmod_ring
+from sqzlift.obstruction import DifferentialProblem
 
 from conftest import enumerate_graded_maps
 from test_acceptance import _base_diffs
@@ -153,24 +154,34 @@ def test_schlessinger_at_p3():
     assert rep.ok
 
 
-def test_extend_order_unobstructed(alg0):
-    alg_t1 = tensor_algebra(trunc_poly_ring(2, 1), alg0)
-    d = GradedMap(alg_t1, OB2, OB2, 1, {})
-    rep = extend_order(2, alg0, OB2, d, 1)
+def _order_problem(n: int, ob: GradedObject, comps: dict) -> DifferentialProblem:
+    """The differential with these components over F_2[t]/(t^n), in the
+    one-step tower to F_2[t]/(t^(n+1))."""
+    defalg = mk_algebra(mk_tower("trunc_poly", 2, a=n + 1, b=n), "trivial")
+    d = GradedMap(defalg.mid, ob, ob, 1,
+                  {i: AlgMatrix(defalg.mid, c) for i, c in comps.items()})
+    return DifferentialProblem(defalg, ob, d)
+
+
+def test_extend_order_unobstructed():
+    rep = extend_order(_order_problem(1, OB2, {}))
     assert not rep.obstructed
 
 
-def test_extend_order_tt_obstruction(alg0):
+def test_extend_order_tt_obstruction():
     """The order-2 one-parameter deformation d = (t, t) of the three-term
     zero complex does not extend to order 3."""
-    alg_t2 = tensor_algebra(trunc_poly_ring(2, 2), alg0)
     tvec = np.zeros((1, 1, 1, 2), dtype=np.int64)
     tvec[0, 0, 0, 1] = 1
-    d = GradedMap(alg_t2, OB3, OB3, 1,
-                  {0: AlgMatrix(alg_t2, tvec), 1: AlgMatrix(alg_t2, tvec.copy())})
-    rep = extend_order(2, alg0, OB3, d, 2)
+    rep = extend_order(_order_problem(2, OB3, {0: tvec, 1: tvec.copy()}))
     assert rep.obstructed
     assert rep.obstruction.rep == (1,)
+
+
+def test_extend_order_rejects_another_tower():
+    defalg = mk_algebra(mk_tower("zmod", 2, a=2, b=1), "trivial")
+    with pytest.raises(ValidationError):
+        extend_order(DifferentialProblem(defalg, OB2, GradedMap(defalg.mid, OB2, OB2, 1, {})))
 
 
 def test_orbits_cover_all_lifts(alg0, d0_zero):
