@@ -117,7 +117,7 @@ def _strict_job():
 
     def job():
         lifts = defun.strict_lifts(A, inst.defalg.base, prob.ob, prob.d_base)
-        return repr([tuple(d.coef.tolist()) for d in lifts]).encode()
+        return repr(list(map(tuple, lifts.tolist()))).encode()
     return job
 
 

@@ -9,11 +9,15 @@ the report bytes.  The sources are
   liftbench runs on it.
 
 `functor-eval` and `schlessinger` run on the `gen` documents with
-`--cap FUNCTOR_CAP`, because at the default cap some seeds take minutes
-(`schlessinger` on differential seed 11 does not finish).  Everything runs
-in one process, through `sqzlift.cli.main`, with reports written to a
-temporary `--out` file.  An exception that escapes `main` is recorded as its
-type in place of the exit code.  Two trees give the same output exactly when
+`--cap FUNCTOR_CAP`, because at the default cap some seeds take long
+(`schlessinger` on differential seed 11 takes about 30 s).  That cap lets
+`schlessinger` finish on 22 seeds, whose smoothness checks have at most 160
+pairs, so it also runs at the default cap on the differential seeds
+`DEFAULT_CAP_SEEDS`, whose smoothness checks have 144, 729 and 2048 pairs
+(command `schlessinger@default-cap`).  Everything runs in one process,
+through `sqzlift.cli.main`, with reports written to a temporary `--out`
+file.  An exception that escapes `main` is recorded as its type in place of
+the exit code.  Two trees give the same output exactly when
 every report is byte-identical, so `diff` of two runs checks a change that
 must not move reports.
 
@@ -45,6 +49,7 @@ COMMANDS = {
     "map": ["lift-map", "classify-homotopy", "oracle"],
     "homotopy": ["lift-homotopy", "oracle"],
 }
+DEFAULT_CAP_SEEDS = (3, 19, 41)
 LIFTBENCH_SEED = 1
 
 
@@ -52,10 +57,12 @@ def gen_argv(kind: str, seed: int) -> list[str]:
     return ["gen", "--kind", kind, "--seed", str(seed)]
 
 
-def command_argv(cmd: str, doc: str) -> list[str]:
-    """The argv that runs cmd on the gen document doc."""
+def command_argv(cmd: str, doc: str, capped: bool = True) -> list[str]:
+    """The argv that runs cmd on the gen document doc; capped: with
+    --cap FUNCTOR_CAP where cmd takes it."""
     flag = "--map" if cmd in ("lift-map", "lift-homotopy") else "--complex"
-    extra = ["--cap", str(FUNCTOR_CAP)] if cmd in ("functor-eval", "schlessinger") else []
+    capped = capped and cmd in ("functor-eval", "schlessinger")
+    extra = ["--cap", str(FUNCTOR_CAP)] if capped else []
     return [cmd, flag, doc] + extra
 
 
@@ -84,6 +91,9 @@ def main() -> int:
                 for cmd in COMMANDS[kind]:
                     code, digest = run(command_argv(cmd, doc), out)
                     print(src, cmd, code, digest, flush=True)
+                if kind == "differential" and seed in DEFAULT_CAP_SEEDS:
+                    code, digest = run(command_argv("schlessinger", doc, capped=False), out)
+                    print(src, "schlessinger@default-cap", code, digest, flush=True)
         sq = workloads.import_program()
         for workload in sorted(workloads.WORKLOADS):
             docs = os.path.join(tmp, workload)

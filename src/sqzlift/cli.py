@@ -700,12 +700,23 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser: it reports an argument it does not take
+    itself, so that the usage printed is the subcommand's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + " ".join(extra))
+        return args, extra
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="sqzlift",
                  description="exact lifting of complexes along square-zero deformations")
     ap.add_argument("--version", action="version", version=f"sqzlift {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, command in COMMANDS.items():
         sp = sub.add_parser(name)
         for flag in command.flags.split() + ["out"]:

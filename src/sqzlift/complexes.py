@@ -24,8 +24,6 @@ from .errors import (
     BadDimensions,
     LevelMismatch,
     NotADifferential,
-    NotAHomotopy,
-    NotCochainMap,
     ShapeMismatch,
 )
 from .algebra import AlgMatrix, DeformedAlgebra, LevelAlgebra
@@ -56,9 +54,6 @@ class GradedObject:
     @property
     def support(self) -> list[int]:
         return [d for d, _ in self.ranks]
-
-    def shift(self, s: int) -> "GradedObject":
-        return GradedObject(tuple((d + s, r) for d, r in self.ranks))
 
     def direct_sum(self, other: "GradedObject") -> "GradedObject":
         degs = set(self.support) | set(other.support)
@@ -413,23 +408,6 @@ class Complex(PreComplex):
         sq = self.d_square()
         if not sq.is_zero():
             raise NotADifferential(f"d^2 != 0 at degrees {list(sq.blocks())}")
-
-
-def check_cochain_map(f: GradedMap, dC: GradedMap, dD: GradedMap):
-    if f.degree != 0:
-        raise NotCochainMap("cochain maps have degree 0")
-    df = delta(f, dC, dD)
-    if not df.is_zero():
-        raise NotCochainMap(f"d f != f d at degrees {list(df.blocks())}")
-
-
-def check_homotopy(h: GradedMap, f: GradedMap, g: GradedMap,
-                   dC: GradedMap, dD: GradedMap):
-    """h is a homotopy from f to g: delta(h) = g - f."""
-    if h.degree != f.degree - 1:
-        raise NotAHomotopy("homotopy degree must be one below the maps")
-    if delta(h, dC, dD) != g - f:
-        raise NotAHomotopy("delta(h) != g - f")
 
 
 # ---------------------------------------------------------------------------

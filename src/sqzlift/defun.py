@@ -11,14 +11,17 @@ F_p, the functors computed here are:
 F0 is enumerated exactly: the equations are quadratic over R, so every
 candidate is tested by honest matrix arithmetic, on blocks of candidates
 stacked as coefficient vectors (the digits of the candidate index pick the
-coefficients) and read through the block view of complexes.py; a candidate
-that passes is a GradedMap wrapping its row.  F is the orbit partition, over
-blocks of conjugators enumerated the same way.  F1
-coincides with F's classification and can be cross-checked by an exhaustive
-homotopy-equivalence search, whose affine questions (is a map a delta?) go
-through the scan kernel gf.scan_affine_zero.  Schlessinger-style conditions are
-verified on concrete fiber-product rings, and one-parameter deformations are
-extended order by order through the truncated-polynomial towers.
+coefficients) and read through the block view of complexes.py.  The lifts
+are one (N, ncoef) stack, row n the coefficient vector of lift n.  F is the
+orbit partition of that stack, over blocks of conjugators enumerated the
+same way.  F1 coincides with F's classification and can be cross-checked by
+an exhaustive homotopy-equivalence search, whose affine questions (is a map
+a delta?) go through the scan kernel gf.scan_affine_zero.
+Schlessinger-style conditions are verified on concrete fiber-product rings:
+lifts move between rings by mapping their rows, are found again with one
+sorted index per ring, and are compared by their orbit labels.
+One-parameter deformations are extended order by order through the
+truncated-polynomial towers.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ from .complexes import (
     compose_blocks,
     delta_solutions,
     identity_map,
-    map_push,
-    map_section,
     reduce_coefficients,
     stack_of,
 )
@@ -50,7 +51,7 @@ from .errors import CheckFailed, NotLocal, ShapeMismatch, ValidationError
 from .finring import (
     FiniteRing,
     RingSurjection,
-    minimal_section,
+    ring_fiber_product,
     trunc_poly_ring,
     zmod_ring,
 )
@@ -74,6 +75,7 @@ class ArtinLocalRing:
         if not self.ring.is_local():
             raise NotLocal("ring is not local with residue field F_p")
         self.mvecs = self.ring.elements()[self.ring.nilpotent_mask]   # lex order
+        self._algebra = None
 
     @property
     def p(self) -> int:
@@ -83,16 +85,11 @@ class ArtinLocalRing:
     def msize(self) -> int:
         return len(self.mvecs)
 
-    def residue(self, v: np.ndarray) -> int:
-        """The residue in F_p = R/m of a ring element."""
-        shifted = (v - np.arange(self.p)[:, None] * self.ring.one_vec()) % self.ring.orders
-        hit = np.flatnonzero(self.ring.nilpotent_mask[self.ring.code(shifted)])
-        if not len(hit):
-            raise ValidationError("element has no residue; ring is not local")
-        return int(hit[0])
-
-    def section(self, c: int) -> np.ndarray:
-        return self.scalars([c])
+    def algebra(self, alg0: LevelAlgebra) -> LevelAlgebra:
+        """R (x) alg0, built once for the last base algebra asked for."""
+        if self._algebra is None or self._algebra[0] is not alg0:
+            self._algebra = (alg0, tensor_algebra(self.ring, alg0))
+        return self._algebra[1]
 
     def scalars(self, coef: np.ndarray) -> np.ndarray:
         """Base-level coefficient vectors (the last axis) read over R: each
@@ -152,11 +149,6 @@ def _zero_rows(blocks: Blocks, size: int) -> np.ndarray:
     return ok
 
 
-def _rows(maps: list[GradedMap]) -> np.ndarray:
-    """The coefficient vectors of parallel maps, one per row."""
-    return np.array([f.coef for f in maps], dtype=np.int64).reshape(len(maps), -1)
-
-
 # ---------------------------------------------------------------------------
 # F0: exact enumeration of strict lifts
 # ---------------------------------------------------------------------------
@@ -167,20 +159,21 @@ def _check_base(d0: GradedMap) -> None:
 
 
 def strict_lifts(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
-                 d0: GradedMap, cap: int = DEFAULT_CAP) -> list[GradedMap]:
-    """All differentials on R (x) C0 lifting d0, in enumeration order.
+                 d0: GradedMap, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """All differentials on R (x) C0 lifting d0, in enumeration order, as
+    one (N, ncoef) stack of coefficient vectors over A.algebra(alg0).
 
     The square-zero condition is quadratic over R, so every candidate is
-    tested directly, a block of candidates at a time; each lift wraps its
-    row of the block.
+    tested directly, a block of candidates at a time, and the rows that pass
+    are kept.
     """
     _check_base(d0)
-    algR = tensor_algebra(A.ring, alg0)
+    algR = A.algebra(alg0)
     kept = []
     for d in _blocks(A, algR, A.scalars(d0.coef), cap, _STRICT):
         blk = block_view(algR, ob, ob, 1, d)
         kept.append(d[_zero_rows(compose_blocks(algR, blk, blk, 1), len(d))])
-    return [GradedMap.wrap(algR, ob, ob, 1, row) for row in np.concatenate(kept)]
+    return np.concatenate(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -231,34 +224,36 @@ class _LiftIndex:
         pos = np.searchsorted(self.sorted, self._keys(rows))
         hits = self.order[np.minimum(pos, len(self.order) - 1)]
         if not np.array_equal(self.rows[hits], rows):
-            raise CheckFailed("conjugate left the strict-lift set")
+            raise CheckFailed("image left the strict-lift set")
         return hits
 
 
 def iso_orbits(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
-               lifts: list[GradedMap], cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
-    """Partition of the strict lifts under d -> u d u^{-1}, u = 1 + nu.
+               lifts: np.ndarray, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
+    """Partition of a stack of strict lifts under d -> u d u^{-1}, u = 1 + nu.
 
     Classes are merged block by block of conjugators.  Each block conjugates
     only the current class roots (least members), so the least member of
     every orbit meets every conjugator and its whole orbit is merged.
     """
-    if not lifts:
+    if not len(lifts):
         return []
-    algR = lifts[0].alg
+    algR = A.algebra(alg0)
     blocks = _blocks(A, algR, identity_map(algR, ob).coef, cap, _AUTOS)
-    index = _LiftIndex(_rows(lifts))
+    index = _LiftIndex(lifts)
+    lift_blocks = block_view(algR, ob, ob, 1, lifts)
     d_ops = {}
     root = np.arange(len(lifts))
     for u in blocks:
         ub = block_view(algR, ob, ob, 0, u)
         u_ops = {i: algR.left_op(c) for i, c in ub.items()}
         uinv = _unipotent_inverse_many(algR, ob, ub, u_ops)
-        for n, d in enumerate(lifts):
+        for n in range(len(lifts)):
             if root[n] != n:
                 continue
             if n not in d_ops:
-                d_ops[n] = {i: algR.left_op(c[0]) for i, c in d.blocks().items()}
+                d_ops[n] = {i: algR.left_op(c[n]) for i, c in lift_blocks.items()
+                            if c[n].any()}
             conj = {i: algR.apply_left(u_ops[i + 1], algR.apply_left(op, uinv[i]))
                     for i, op in d_ops[n].items()}
             hits = index.find(stack_of(algR, ob, ob, 1, conj, len(u)))
@@ -278,13 +273,6 @@ def _intertwiners(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,
         diff = add_blocks(compose_blocks(algR, ub, d1b, 1), compose_blocks(algR, d2b, ub, 0), -1)
         for row in u[_zero_rows(diff, len(u))]:
             yield GradedMap.wrap(algR, ob, ob, 0, row)
-
-
-def find_intertwiner(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,
-                     d2: GradedMap, cap: int = DEFAULT_CAP) -> GradedMap | None:
-    """The first unipotent u, in enumeration order, with u d1 = d2 u, or None."""
-    one = identity_map(d1.alg, ob)
-    return next(_intertwiners(A, ob, d1, d2, one.coef, cap), None)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +322,13 @@ def _homotopy_equivalent(A: ArtinLocalRing, alg0: LevelAlgebra,
 
 
 def homotopy_classes(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
-                     d0: GradedMap, lifts: list[GradedMap],
+                     d0: GradedMap, lifts: np.ndarray,
                      cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
-    """Partition of the strict lifts by homotopy equivalence (exhaustive)."""
-    n = len(lifts)
+    """Partition of a stack of strict lifts by homotopy equivalence
+    (exhaustive)."""
+    algR = A.algebra(alg0)
+    maps = [GradedMap.wrap(algR, ob, ob, 1, row) for row in lifts]
+    n = len(maps)
     parent = list(range(n))
 
     def find(i):
@@ -350,7 +341,7 @@ def homotopy_classes(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
         for j in range(i + 1, n):
             if find(i) == find(j):
                 continue
-            if _homotopy_equivalent(A, alg0, ob, d0, lifts[i], lifts[j], cap):
+            if _homotopy_equivalent(A, alg0, ob, d0, maps[i], maps[j], cap):
                 parent[find(j)] = find(i)
     groups: dict[int, list[int]] = {}
     for i in range(n):
@@ -384,7 +375,7 @@ def functor_eval(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
     gf.count_candidates(A.msize, coefficient_count(alg0, ob, ob, 1), cap, _STRICT)
     gf.count_candidates(A.msize, coefficient_count(alg0, ob, ob, 0), cap, _AUTOS)
     lifts = strict_lifts(A, alg0, ob, d0, cap)
-    coords = list(map(tuple, _rows(lifts).tolist()))
+    coords = list(map(tuple, lifts.tolist()))
     orbits = sorted(iso_orbits(A, alg0, ob, lifts, cap))
     if cross_check:
         hcls = homotopy_classes(A, alg0, ob, d0, lifts, cap)
@@ -449,19 +440,34 @@ class SchlessingerReport:
     ok: bool
 
 
-def _keys(lifts: list[GradedMap], surj: RingSurjection | None = None) -> list[tuple]:
-    """Each lift's coefficient vector, mapped along surj if given, as a tuple."""
-    rows = _rows(lifts)
-    if surj is not None:
-        rows = surj.apply_many(rows.reshape(len(rows), -1, surj.source.m))
-    return list(map(tuple, rows.reshape(len(lifts), -1).tolist()))
+def _push(surj: RingSurjection, lifts: np.ndarray) -> np.ndarray:
+    """A stack of coefficient vectors over surj.source mapped along surj."""
+    rows = surj.apply_many(lifts.reshape(len(lifts), -1, surj.source.m))
+    return rows.reshape(len(lifts), -1)
+
+
+def _labels(orbits: list[tuple[int, ...]], n: int) -> np.ndarray:
+    """The index of the orbit holding each of n lifts."""
+    label = np.empty(n, dtype=np.int64)
+    for c, orbit in enumerate(orbits):
+        label[list(orbit)] = c
+    return label
+
+
+def _roots(orbits: list[tuple[int, ...]]) -> np.ndarray:
+    """The least member of each orbit."""
+    return np.array([orbit[0] for orbit in orbits], dtype=np.int64)
 
 
 def check_triple(f1: RingSurjection, f2: RingSurjection, alg0: LevelAlgebra,
                  ob: GradedObject, d0: GradedMap,
                  cap: int = DEFAULT_CAP) -> TripleReport:
-    """Compare F0/F on R' x_R R'' with the fiber product of values."""
-    from .finring import ring_fiber_product
+    """Compare F0/F on R' x_R R'' with the fiber product of values.
+
+    Lifts are moved along the projections and along f1, f2 by mapping their
+    rows and found again among the lifts over the target ring; classes are
+    read from each ring's orbit labels.
+    """
     fp = ring_fiber_product(f1, f2)
     AP = ArtinLocalRing(fp.ring)
     A1 = ArtinLocalRing(f1.source)
@@ -471,37 +477,29 @@ def check_triple(f1: RingSurjection, f2: RingSurjection, alg0: LevelAlgebra,
     LP = strict_lifts(AP, alg0, ob, d0, cap)
     L1 = strict_lifts(A1, alg0, ob, d0, cap)
     L2 = strict_lifts(A2, alg0, ob, d0, cap)
+    LR = strict_lifts(AR, alg0, ob, d0, cap)
 
-    k1 = {key: i for i, key in enumerate(_keys(L1))}
-    k2 = {key: i for i, key in enumerate(_keys(L2))}
-    P1, P2 = _keys(LP, fp.proj1), _keys(LP, fp.proj2)
-    images = set()
-    for a, b in zip(P1, P2):
-        pair = (k1[a], k2[b])
-        if pair in images:
-            break
-        images.add(pair)
-    injective = len(images) == len(LP)
-    R1, R2 = _keys(L1, f1), _keys(L2, f2)
-    compat = {(i, j) for i, ra in enumerate(R1) for j, rb in enumerate(R2) if ra == rb}
-    f0_bij = injective and images == compat
+    # lift level: P -> F0(R') x_F0(R) F0(R''), lift n |-> (P1[n], P2[n])
+    P1 = _LiftIndex(L1).find(_push(fp.proj1, LP))
+    P2 = _LiftIndex(L2).find(_push(fp.proj2, LP))
+    index = _LiftIndex(LR)
+    R1, R2 = index.find(_push(f1, L1)), index.find(_push(f2, L2))
+    injective = len(np.unique(P1 * len(L2) + P2)) == len(LP)
+    compatible = np.bincount(R1, minlength=len(LR)) @ np.bincount(R2, minlength=len(LR))
+    f0_bij = bool(injective and (R1[P1] == R2[P2]).all() and len(LP) == compatible)
 
     # class level
     O_P = iso_orbits(AP, alg0, ob, LP, cap)
     O_1 = iso_orbits(A1, alg0, ob, L1, cap)
     O_2 = iso_orbits(A2, alg0, ob, L2, cap)
-    cls1 = {i: ci for ci, cl in enumerate(O_1) for i in cl}
-    cls2 = {i: ci for ci, cl in enumerate(O_2) for i in cl}
-    f_pairs = {(cls1[k1[P1[cl[0]]]], cls2[k2[P2[cl[0]]]]) for cl in O_P}
-    # compatible class pairs over R
-    LR = strict_lifts(AR, alg0, ob, d0, cap)
     O_R = iso_orbits(AR, alg0, ob, LR, cap)
-    kR = {key: i for i, key in enumerate(_keys(LR))}
-    clsR = {i: ci for ci, cl in enumerate(O_R) for i in cl}
-    r1 = [clsR[kR[R1[cl[0]]]] for cl in O_1]
-    r2 = [clsR[kR[R2[cl[0]]]] for cl in O_2]
-    compat_cls = {(ci, cj) for ci, a in enumerate(r1) for cj, b in enumerate(r2) if a == b}
-    f_surj = compat_cls.issubset(f_pairs)
+    cls1, cls2, clsR = _labels(O_1, len(L1)), _labels(O_2, len(L2)), _labels(O_R, len(LR))
+    roots = _roots(O_P)
+    f_pairs = np.unique(cls1[P1[roots]] * len(O_2) + cls2[P2[roots]])
+    # compatible class pairs: their least members map to one class over R
+    over1, over2 = clsR[R1[_roots(O_1)]], clsR[R2[_roots(O_2)]]
+    c1, c2 = np.nonzero(over1[:, None] == over2[None, :])
+    f_surj = bool(np.isin(c1 * len(O_2) + c2, f_pairs).all())
     f_bij = f_surj and len(f_pairs) == len(O_P)
     return TripleReport(f0_bij, f_surj, f_bij,
                         {"F0(P)": len(LP), "F0(R')": len(L1), "F0(R'')": len(L2),
@@ -512,35 +510,24 @@ def check_smoothness(pi: RingSurjection, alg0: LevelAlgebra, ob: GradedObject,
                      d0: GradedMap, cap: int = DEFAULT_CAP) -> SmoothReport:
     """Formal smoothness of F0 -> F along pi: R -> S on concrete data.
 
-    For every strict lift d_R over R and strict lift d_S over S isomorphic
-    to the image of d_R, a conjugate of d_R must map exactly onto d_S.  The
-    conjugator is the coefficientwise section of the S-level intertwiner,
-    which is unipotent, hence exactly invertible over R.
+    Every strict lift d_S over S isomorphic to the image of a strict lift
+    d_R must be the image of a conjugate of d_R.  Conjugation commutes with
+    pi, so this holds exactly when pi maps every class over R onto the
+    whole class over S of the image of its least member; CheckFailed
+    otherwise.  pairs_checked counts the pairs (d_R, d_S).
     """
     AR = ArtinLocalRing(pi.source)
     AS = ArtinLocalRing(pi.target)
-    algR = tensor_algebra(pi.source, alg0)
-    algS = tensor_algebra(pi.target, alg0)
     LR = strict_lifts(AR, alg0, ob, d0, cap)
     LS = strict_lifts(AS, alg0, ob, d0, cap)
-    section = minimal_section(pi)
-    pairs = 0
-    for dR in LR:
-        dRS = map_push(pi, algS, dR)
-        for dS in LS:
-            u = find_intertwiner(AS, ob, dRS, dS, cap)
-            if u is None:
-                continue
-            pairs += 1
-            ubar = map_section(section, pi.target, algR, u)
-            uinv = unipotent_inverse(algR, ubar)
-            dR2 = compose(compose(ubar, dR), uinv)
-            if not np.array_equal(map_push(pi, algS, dR2).coef, dS.coef):
-                raise CheckFailed("conjugated lift does not map onto d_S")
-            if not compose(dR2, dR2).is_zero():
-                raise CheckFailed("conjugated lift is not square-zero")
-            if find_intertwiner(AR, ob, dR, dR2, cap) is None:
-                raise CheckFailed("conjugated lift left its class")
+    O_S = iso_orbits(AS, alg0, ob, LS, cap)
+    O_R = iso_orbits(AR, alg0, ob, LR, cap)
+    clsS = _labels(O_S, len(LS))
+    image = _LiftIndex(LS).find(_push(pi, LR))
+    for orbit in O_R:
+        if np.unique(image[list(orbit)]).tolist() != list(O_S[clsS[image[orbit[0]]]]):
+            raise CheckFailed("a class over R does not map onto a class over S")
+    pairs = int(np.bincount(clsS)[clsS[image]].sum())
     return SmoothReport(pairs, pairs == 0, True)
 
 

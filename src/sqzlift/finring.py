@@ -135,14 +135,6 @@ class FiniteRing:
         v[0] = 1 % int(self.orders[0])
         return v
 
-    def from_int(self, c: int) -> np.ndarray:
-        v = self.zero_vec()
-        v[0] = c % int(self.orders[0])
-        return v
-
-    def reduce_vec(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v, dtype=np.int64) % self.orders
-
     def add_vec(self, a, b) -> np.ndarray:
         return (np.asarray(a) + np.asarray(b)) % self.orders
 
@@ -217,19 +209,6 @@ class FiniteRing:
             return False
         return self.cardinality == self.p * int(nil.sum())
 
-    def is_unit_vec(self, v) -> bool:
-        # in a finite commutative ring, x is a unit iff x^|R|... cheaper:
-        # unit iff multiplication by x is injective; test via brute power
-        v = self.reduce_vec(v)
-        acc = v.copy()
-        one = self.one_vec()
-        for _ in range(self.cardinality):
-            if np.array_equal(acc, one):
-                return True
-            acc = self.mul_vec(acc, v)
-            if not acc.any():
-                return False
-        return False
 
 
 @dataclass(eq=False)

@@ -213,17 +213,21 @@ def test_each_command_takes_only_the_flags_it_reads():
     assert sum(map(len, flags.values())) == 62
 
 
-@pytest.mark.parametrize("argv, command, message", [
-    (["lift-diff", "--bogus"], "lift-diff", "unrecognized arguments: --bogus"),
-    (["lift-diff", "--cap", "5"], "lift-diff", "unrecognized arguments: --cap 5"),
-    (["oracle", "--complex", "p.json", "--cap", "x"], "oracle", "argument --cap"),
-    (["no-such-command"], None, "invalid choice"),
-    ([], None, "required"),
+@pytest.mark.parametrize("argv, command, message, usage", [
+    (["lift-diff", "--bogus"], "lift-diff", "unrecognized arguments: --bogus",
+     "usage: sqzlift lift-diff [-h] [--complex COMPLEX]"),
+    (["lift-diff", "--complex", "x.json", "--cap", "5"], "lift-diff",
+     "unrecognized arguments: --cap 5", "usage: sqzlift lift-diff [-h] [--complex COMPLEX]"),
+    (["oracle", "--complex", "p.json", "--cap", "x"], "oracle", "argument --cap",
+     "usage: sqzlift oracle [-h] [--complex COMPLEX]"),
+    (["no-such-command"], None, "invalid choice", "usage: sqzlift [-h] [--version]"),
+    ([], None, "required", "usage: sqzlift [-h] [--version]"),
 ])
-def test_usage_errors_end_in_one_failed_report(capsys, argv, command, message):
+def test_usage_errors_end_in_one_failed_report(capsys, argv, command, message, usage):
     code = main(argv)
-    rep = json.loads(capsys.readouterr().out)
-    assert code == 1
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 1 and err.startswith(usage)
     assert rep["verdict"] == "failed" and rep["command"] == command
     assert rep["error"]["type"] == "ParseError" and message in rep["error"]["message"]
     assert rep["schema"] == "report" and rep["timings"] is None

@@ -8,13 +8,12 @@ import pytest
 from sqzlift import defun
 from sqzlift.algebra import AlgMatrix, LevelAlgebra, mk_algebra
 from sqzlift.complexes import (GradedMap, GradedObject, block_view, compose,
-                               delta, identity_map)
+                               delta, from_coefficients, identity_map, map_push)
 from sqzlift.defun import (
     ArtinLocalRing,
     check_smoothness,
     check_triple,
     extend_order,
-    find_intertwiner,
     functor_eval,
     is_small,
     iso_orbits,
@@ -25,7 +24,7 @@ from sqzlift.defun import (
     trivial_base_algebra,
     unipotent_inverse,
 )
-from sqzlift.errors import CapExceeded, NotLocal, ValidationError
+from sqzlift.errors import CapExceeded, CheckFailed, NotLocal, ValidationError
 from sqzlift.finring import FiniteRing, mk_tower, trunc_poly_ring, zmod_ring
 from sqzlift.obstruction import DifferentialProblem
 
@@ -37,6 +36,13 @@ OB2 = GradedObject.of({0: 1, 1: 1})
 
 def map_coords(f):
     return tuple(f.coef.tolist())
+
+
+def as_maps(A, alg0, ob, lifts):
+    """A stack of strict lifts as checked GradedMaps over R (x) alg0."""
+    algR = tensor_algebra(A.ring, alg0)
+    return [from_coefficients(algR, ob, ob, 1, row) for row in lifts]
+
 
 OB3 = GradedObject.of({0: 1, 1: 1, 2: 1})
 
@@ -63,14 +69,6 @@ def test_artin_ring_validation():
     mult[1, 1, 1] = 1
     with pytest.raises(NotLocal):
         ArtinLocalRing(FiniteRing(2, np.array([2, 2]), mult, ("1", "w")))
-
-
-def test_residue_and_section():
-    A = ArtinLocalRing(trunc_poly_ring(3, 2))
-    for c in range(3):
-        v = A.section(c)
-        assert A.residue(v) == c
-        assert A.residue((v + np.array([0, 2])) % 3) == c
 
 
 def test_value_on_the_field_is_a_singleton(alg0, d0_zero):
@@ -109,8 +107,8 @@ def test_strict_lifts_are_honest(alg0):
     one = AlgMatrix(alg0, np.ones((1, 1, 1, 1), dtype=np.int64))
     d = GradedMap(alg0, OB3, OB3, 1, {0: one})
     lifts = strict_lifts(A, alg0, OB3, d)
-    assert lifts
-    for L in lifts:
+    assert len(lifts)
+    for L in as_maps(A, alg0, OB3, lifts):
         assert compose(L, L).is_zero()
 
 
@@ -133,10 +131,93 @@ def test_fiber_product_bijection(alg0, d0_zero):
     assert tr.sizes["F0(P)"] == tr.sizes["F0(R')"] * tr.sizes["F0(R'')"]
 
 
+@pytest.mark.parametrize("edit, verdict", [
+    ("drop a lift", "f0_bijective"),         # a compatible pair has no lift
+    ("repeat a lift", "f0_bijective"),       # a compatible pair has two
+    ("merge two classes", "f_surjective"),   # a compatible class pair is missed
+])
+def test_triple_fails_on_an_edited_fiber_product(monkeypatch, alg0, d0_zero, edit, verdict):
+    """Over P = R' x_R R'' the lifts are the compatible pairs of lifts, each
+    once; edit the lifts or classes over P and the verdict turns false."""
+    pi = mk_tower("trunc_poly", 2, a=2, b=1).pibar
+    lifts_of, orbits_of = defun.strict_lifts, defun.iso_orbits
+    over_p = []
+
+    def edited_lifts(A, *args, **kwargs):
+        lifts = lifts_of(A, *args, **kwargs)
+        if not over_p:   # the first call is over P
+            over_p.append(A)
+            if edit == "drop a lift":
+                lifts = lifts[:-1]
+            elif edit == "repeat a lift":
+                lifts = np.concatenate([lifts[:-1], lifts[:1]])
+        return lifts
+
+    def edited_orbits(A, *args, **kwargs):
+        orbits = orbits_of(A, *args, **kwargs)
+        if A is over_p[0] and edit == "merge two classes":
+            orbits = [tuple(sorted(orbits[0] + orbits[1]))] + orbits[2:]
+        return orbits
+
+    assert getattr(check_triple(pi, pi, alg0, OB2, d0_zero), verdict)
+    monkeypatch.setattr(defun, "strict_lifts", edited_lifts)
+    monkeypatch.setattr(defun, "iso_orbits", edited_orbits)
+    assert not getattr(check_triple(pi, pi, alg0, OB2, d0_zero), verdict)
+
+
 def test_smoothness_by_conjugation(alg0, d0_zero):
     pi = mk_tower("trunc_poly", 2, a=3, b=2).pibar
     rep = check_smoothness(pi, alg0, OB2, d0_zero)
     assert rep.ok and not rep.vacuous
+
+
+def _reference_pairs(pi, alg0, ob, d0):
+    """The pairs (d_R, d_S) with d_S isomorphic to pi(d_R), one intertwiner
+    search per pair."""
+    AR, AS = ArtinLocalRing(pi.source), ArtinLocalRing(pi.target)
+    LS = as_maps(AS, alg0, ob, strict_lifts(AS, alg0, ob, d0))
+    one = identity_map(LS[0].alg, ob).coef
+    pairs = 0
+    for dR in as_maps(AR, alg0, ob, strict_lifts(AR, alg0, ob, d0)):
+        dRS = map_push(pi, LS[0].alg, dR)
+        pairs += sum(next(defun._intertwiners(AS, ob, dRS, dS, one, 1 << 20), None)
+                     is not None for dS in LS)
+    return pairs
+
+
+def test_smoothness_pairs_match_per_pair_reference():
+    """On the criterion-8 shapes, along F_p[t]/t^3 -> F_p[t]/t^2, with the
+    zero base differential and the first nonzero one (all eight nonzero ones
+    of ranks (1, 2) over F_3 would take seconds)."""
+    classes_over_s = set()
+    for p in (2, 3):
+        pi = mk_tower("trunc_poly", p, a=3, b=2).pibar
+        AS = ArtinLocalRing(pi.target)
+        for ranks in ((1, 1), (1, 1, 1), (1, 2)):
+            ob = GradedObject.of(dict(enumerate(ranks)))
+            for a0, d0 in _base_diffs(p, ob)[:2]:
+                rep = check_smoothness(pi, a0, ob, d0)
+                assert rep.ok and rep.pairs_checked == _reference_pairs(pi, a0, ob, d0)
+                classes_over_s.add(len(iso_orbits(AS, a0, ob, strict_lifts(AS, a0, ob, d0))))
+    assert max(classes_over_s) > 1
+
+
+def test_smoothness_fails_when_classes_over_s_merge(monkeypatch, alg0, d0_zero):
+    """pi maps a class over R into a class over S; if the partition over S
+    merges two classes, the image no longer fills its class."""
+    pi = mk_tower("trunc_poly", 2, a=3, b=2).pibar
+    iso = defun.iso_orbits
+
+    def merging(A, *args, **kwargs):
+        orbits = iso(A, *args, **kwargs)
+        if A.ring is pi.target:
+            assert len(orbits) > 1
+            orbits = [tuple(sorted(orbits[0] + orbits[1]))] + orbits[2:]
+        return orbits
+
+    monkeypatch.setattr(defun, "iso_orbits", merging)
+    with pytest.raises(CheckFailed, match="does not map onto a class over S"):
+        check_smoothness(pi, alg0, OB2, d0_zero)
 
 
 def test_schlessinger_battery(alg0, d0_zero):
@@ -225,9 +306,9 @@ def _unipotents(A, algR, ob):
 
 
 def _reference_orbits(A, ob, lifts):
-    """Orbits by compose and unipotent_inverse, one conjugator at a time.
-    An orbit that already holds every lift outside the earlier orbits is
-    complete, so its scan stops there."""
+    """Orbits of GradedMap lifts by compose and unipotent_inverse, one
+    conjugator at a time.  An orbit that already holds every lift outside
+    the earlier orbits is complete, so its scan stops there."""
     algR = lifts[0].alg
     index = {map_coords(d): i for i, d in enumerate(lifts)}
     conjugators = []
@@ -277,7 +358,7 @@ def test_batched_orbits_match_per_conjugator_reference(monkeypatch, p, a, kind, 
     A = ArtinLocalRing(trunc_poly_ring(p, a))
     lifts = strict_lifts(A, alg0, ob, _scalar_diff(alg0, ob, entries))
     orbits = iso_orbits(A, alg0, ob, lifts)
-    assert orbits == _reference_orbits(A, ob, lifts)
+    assert orbits == _reference_orbits(A, ob, as_maps(A, alg0, ob, lifts))
     assert len(orbits) > 1 or len(lifts) > 1
 
 
@@ -286,7 +367,7 @@ def test_oversized_group_raises_cap_exceeded(alg0):
     A = ArtinLocalRing(trunc_poly_ring(2, 3))
     zero = GradedMap(tensor_algebra(A.ring, alg0), ob, ob, 1, {})
     with pytest.raises(CapExceeded, match="16777216 automorphism candidates"):
-        iso_orbits(A, alg0, ob, [zero])
+        iso_orbits(A, alg0, ob, zero.coef[None])
     lifts = strict_lifts(A, alg0, OB2, GradedMap(alg0, OB2, OB2, 1, {}))
     assert len(iso_orbits(A, alg0, OB2, lifts, cap=16)) == 3
     with pytest.raises(CapExceeded, match="16 automorphism candidates exceed the cap 15"):
@@ -323,22 +404,23 @@ def test_functor_eval_fails_on_the_conjugator_cap_before_enumerating(monkeypatch
 
 
 @pytest.mark.parametrize("block", [None, SMALL_BLOCK])
-def test_find_intertwiner_returns_the_first_enumerated(monkeypatch, alg0, block):
+def test_intertwiners_come_in_enumeration_order(monkeypatch, alg0, block):
     if block:
         monkeypatch.setattr(defun, "_BLOCK", block)
     ob = GradedObject.of({0: 1, 1: 2})
     A = ArtinLocalRing(trunc_poly_ring(2, 3))
-    lifts = strict_lifts(A, alg0, ob, _scalar_diff(alg0, ob, (1, 0)))
-    zero_lifts = strict_lifts(A, alg0, ob, GradedMap(alg0, ob, ob, 1, {}))
+    lifts = as_maps(A, alg0, ob, strict_lifts(A, alg0, ob, _scalar_diff(alg0, ob, (1, 0))))
+    zero_lifts = as_maps(A, alg0, ob, strict_lifts(A, alg0, ob, GradedMap(alg0, ob, ob, 1, {})))
     for d1, d2 in [(lifts[0], lifts[5]), (lifts[3], lifts[3]),
                    (zero_lifts[0], zero_lifts[1])]:
         first = next((u for u in _unipotents(A, d1.alg, ob)
                       if compose(u, d1) == compose(d2, u)), None)
-        found = find_intertwiner(A, ob, d1, d2)
+        one = identity_map(d1.alg, ob).coef
+        found = next(defun._intertwiners(A, ob, d1, d2, one, 1 << 20), None)
         assert (found is None) == (first is None)
         if first is not None:
             assert found == first
-    assert find_intertwiner(A, ob, zero_lifts[0], zero_lifts[1]) is None
+    assert found is None
 
 
 # -- batched strict lifts against one GradedMap per candidate --
@@ -392,8 +474,7 @@ def test_batched_strict_lifts_match_per_candidate_reference(monkeypatch, block, 
     d0 = _scalar_diff(alg0, ob, entries)
     want, total = _reference_strict_lifts(A, alg0, ob, d0)
     got = strict_lifts(A, alg0, ob, d0)
-    assert got == want
-    assert [map_coords(d) for d in got] == [map_coords(d) for d in want]
+    assert list(map(tuple, got.tolist())) == [map_coords(d) for d in want]
     assert want and (len(want) < total or len(ranks) == 2)
 
 
@@ -444,7 +525,7 @@ def test_homotopy_equivalence_search_matches_reference():
                 want = {map_coords(g) for g in _reference_residues(a0, ob, d0)}
                 assert sorted(map(tuple, residues.tolist())) == sorted(want)
                 residue_counts.add(len(residues))
-                lifts = strict_lifts(A, a0, ob, d0)
+                lifts = as_maps(A, a0, ob, strict_lifts(A, a0, ob, d0))
                 for d2 in lifts:
                     got = defun._homotopy_equivalent(A, a0, ob, d0, lifts[0], d2)
                     assert got == _reference_homotopy_equivalent(A, a0, ob, d0, lifts[0], d2)

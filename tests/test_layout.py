@@ -97,8 +97,8 @@ def test_wrong_length_algebra_or_shape_is_refused():
 
 
 def test_strict_lifts_and_orbits_build_no_matrix_or_checked_map_per_lift(monkeypatch):
-    """Each strict lift wraps its row of a block: no AlgMatrix is built and
-    no GradedMap is checked per lift, per conjugator or per orbit root."""
+    """The strict lifts are one stack: no AlgMatrix is built and no
+    GradedMap is checked per lift, per conjugator or per orbit root."""
     alg0 = trivial_base_algebra(2)
     ob = GradedObject.of({0: 1, 1: 2, 2: 1})
     d0 = GradedMap(alg0, ob, ob, 1, {})
@@ -119,4 +119,4 @@ def test_strict_lifts_and_orbits_build_no_matrix_or_checked_map_per_lift(monkeyp
     values = functor_eval(A, alg0, ob, d0)
     assert builds == {"AlgMatrix": 0, "GradedMap": 0}
     assert sorted(orbits) == values["F"].classes and len(orbits) > 1
-    assert values["F0"].elements == [tuple(d.coef.tolist()) for d in lifts]
+    assert values["F0"].elements == list(map(tuple, lifts.tolist()))
