@@ -6,7 +6,9 @@ oracle's orbit partition `oracle._partition` on the shape of
 candidates are witnesses and its 13 moves are zero, so every orbit is a
 singleton), and the unipotent orbit partition `defun.iso_orbits` on the
 shape of `sqzlift gen --kind differential --seed 7` (F_3[x]/x^2, ranks 2 and
-2, zero base differential: 81 strict lifts, 6561 conjugators).  The
+2, zero base differential: 81 strict lifts, each conjugated by the 8
+generators of the 6561-element unipotent group, 1 plus x at one of the 8
+coefficient positions).  The
 `strict` case is `defun.strict_lifts` on `gen --kind differential --seed 23`
 (F_3[t]/t^3 over F_3, ranks 1, 2, 2: 531 441 candidates, 111 537 lifts), and
 the `guard` case is `crude.h_minus1_guard` on `gen --kind map --seed 47`

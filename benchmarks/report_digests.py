@@ -9,12 +9,16 @@ the report bytes.  The sources are
   liftbench runs on it.
 
 `functor-eval` and `schlessinger` run on the `gen` documents with
-`--cap FUNCTOR_CAP`, because at the default cap some seeds take long
-(`schlessinger` on differential seed 11 takes about 30 s).  That cap lets
-`schlessinger` finish on 22 seeds, whose smoothness checks have at most 160
-pairs, so it also runs at the default cap on the differential seeds
-`DEFAULT_CAP_SEEDS`, whose smoothness checks have 144, 729 and 2048 pairs
-(command `schlessinger@default-cap`).  Everything runs in one process,
+`--cap FUNCTOR_CAP`, which bounds their strict-lift candidates and their
+conjugations (lifts times generators of the unipotent group).  That cap
+lets `schlessinger` finish on 30 seeds, whose smoothness checks have up to
+2048 pairs.  `schlessinger` also runs at the default cap on the
+differential seeds `DEFAULT_CAP_SEEDS`, whose smoothness checks have 144,
+729 and 2048 pairs (command `schlessinger@default-cap`).  At the default
+cap the slowest of these reports takes about 1.5 s (`schlessinger` on
+differential seed 2, which ends in `CapExceeded`); the cap and the seed
+lists stay fixed, so that runs on two trees compare line by line.
+Everything runs in one process,
 through `sqzlift.cli.main`, with reports written to a temporary `--out`
 file.  An exception that escapes `main` is recorded as its type in place of
 the exit code.  Two trees give the same output exactly when

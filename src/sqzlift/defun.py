@@ -13,10 +13,11 @@ candidate is tested by honest matrix arithmetic, on blocks of candidates
 stacked as coefficient vectors (the digits of the candidate index pick the
 coefficients) and read through the block view of complexes.py.  The lifts
 are one (N, ncoef) stack, row n the coefficient vector of lift n.  F is the
-orbit partition of that stack, over blocks of conjugators enumerated the
-same way.  F1 coincides with F's classification and can be cross-checked by
-an exhaustive homotopy-equivalence search, whose affine questions (is a map
-a delta?) go through the scan kernel gf.scan_affine_zero.
+orbit partition of that stack: the closure of each lift under generators of
+the unipotent group, in blocks of conjugates.  F1 coincides with F's
+classification and can be cross-checked by an exhaustive homotopy-equivalence
+search, whose affine questions (is a map a delta?) go through the scan
+kernel gf.scan_affine_zero.
 Schlessinger-style conditions are verified on concrete fiber-product rings:
 lifts move between rings by mapping their rows, are found again with one
 sorted index per ring, and are compared by their orbit labels.
@@ -39,7 +40,6 @@ from .complexes import (
     HomComplex,
     add_blocks,
     block_view,
-    coefficient_count,
     compose,
     compose_blocks,
     delta_solutions,
@@ -47,7 +47,7 @@ from .complexes import (
     reduce_coefficients,
     stack_of,
 )
-from .errors import CheckFailed, NotLocal, ShapeMismatch, ValidationError
+from .errors import CapExceeded, CheckFailed, NotLocal, ShapeMismatch, ValidationError
 from .finring import (
     FiniteRing,
     RingSurjection,
@@ -120,10 +120,9 @@ def tensor_algebra(ring: FiniteRing, alg0: LevelAlgebra) -> LevelAlgebra:
 # ncoef) stacks of coefficient vectors, N <= _BLOCK, so that memory stays
 # bounded however many there are.  Row n of a block is candidate start + n;
 # its digits in base |m|, least significant first, pick nu's coefficients in
-# coefficient order (degree, row, column, algebra basis).
+# coefficient order (degree, row, column, algebra basis).  iso_orbits makes
+# its conjugates _BLOCK at a time too.
 _BLOCK = 4096
-_STRICT = "strict-lift candidates"
-_AUTOS = "automorphism candidates"
 
 
 def _blocks(A: ArtinLocalRing, alg: LevelAlgebra, base: np.ndarray, cap: int, what: str):
@@ -170,7 +169,7 @@ def strict_lifts(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
     _check_base(d0)
     algR = A.algebra(alg0)
     kept = []
-    for d in _blocks(A, algR, A.scalars(d0.coef), cap, _STRICT):
+    for d in _blocks(A, algR, A.scalars(d0.coef), cap, "strict-lift candidates"):
         blk = block_view(algR, ob, ob, 1, d)
         kept.append(d[_zero_rows(compose_blocks(algR, blk, blk, 1), len(d))])
     return np.concatenate(kept)
@@ -228,38 +227,68 @@ class _LiftIndex:
         return hits
 
 
+def _m_basis(A: ArtinLocalRing) -> np.ndarray:
+    """An F_p-basis of m adapted to m > m^2 > ...: its rows in m^k span m^k.
+    The powers are row spaces, and from the deepest up each row is kept that
+    is independent of the rows before it."""
+    ring, p = A.ring, A.p
+    powers = [gf.row_space(A.mvecs, p)[0]]
+    while len(powers[-1]):
+        prods = np.einsum("ai,bj,ijk->abk", powers[-1], powers[0], ring.mult) % p
+        powers.append(gf.row_space(prods.reshape(-1, ring.m), p)[0])
+    rows = np.concatenate(powers[::-1])
+    return rows[gf.rref(rows.T, p)[1]]
+
+
+def _components(src: np.ndarray, dst: np.ndarray, n: int) -> list[tuple[int, ...]]:
+    """The components of the graph on n nodes with edges src -> dst, sorted
+    tuples in order of least member: each round hooks the larger label of
+    every edge onto the smaller and jumps every label to its root."""
+    label = np.arange(n)
+    while not np.array_equal(a := label[src], b := label[dst]):
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    order = np.argsort(label, kind="stable")
+    return [tuple(c.tolist()) for c in np.split(order, np.flatnonzero(np.diff(label[order])) + 1)]
+
+
 def iso_orbits(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
                lifts: np.ndarray, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
     """Partition of a stack of strict lifts under d -> u d u^{-1}, u = 1 + nu.
 
-    Classes are merged block by block of conjugators.  Each block conjugates
-    only the current class roots (least members), so the least member of
-    every orbit meets every conjugator and its whole orbit is merged.
+    The u form a group filtered by the 1 + m^k, whose layers are spanned by
+    the generators 1 + b, b one row of _m_basis(A) at one coefficient
+    position; so an orbit is the closure of a lift under them.  Every lift
+    is conjugated by every generator, _BLOCK conjugates at a time, each
+    image is found among the lifts (CheckFailed if it is none), and the
+    orbits are the components of the graph lift -> image.  The cap bounds
+    the conjugations and is checked before the first.
     """
     if not len(lifts):
         return []
-    algR = A.algebra(alg0)
-    blocks = _blocks(A, algR, identity_map(algR, ob).coef, cap, _AUTOS)
-    index = _LiftIndex(lifts)
-    lift_blocks = block_view(algR, ob, ob, 1, lifts)
-    d_ops = {}
-    root = np.arange(len(lifts))
-    for u in blocks:
-        ub = block_view(algR, ob, ob, 0, u)
-        u_ops = {i: algR.left_op(c) for i, c in ub.items()}
-        uinv = _unipotent_inverse_many(algR, ob, ub, u_ops)
-        for n in range(len(lifts)):
-            if root[n] != n:
-                continue
-            if n not in d_ops:
-                d_ops[n] = {i: algR.left_op(c[n]) for i, c in lift_blocks.items()
-                            if c[n].any()}
-            conj = {i: algR.apply_left(u_ops[i + 1], algR.apply_left(op, uinv[i]))
-                    for i, op in d_ops[n].items()}
-            hits = index.find(stack_of(algR, ob, ob, 1, conj, len(u)))
-            merged = np.union1d(root[hits], root[n])
-            root[np.isin(root, merged)] = merged[0]
-    return [tuple(np.flatnonzero(root == r).tolist()) for r in np.unique(root)]
+    algR, m = A.algebra(alg0), A.ring.m
+    one = identity_map(algR, ob).coef
+    npos = len(one) // m
+    b = np.einsum("xj,qr->xqrj", _m_basis(A), np.eye(npos, dtype=np.int64))
+    gens = reduce_coefficients(algR, one + b.reshape(-1, npos * m))
+    total = len(lifts) * len(gens)
+    if total > cap:
+        raise CapExceeded(f"{total} conjugations exceed the cap {cap}")
+    u = block_view(algR, ob, ob, 0, gens)
+    uinv = _unipotent_inverse_many(algR, ob, u, {i: algR.left_op(c) for i, c in u.items()})
+    d, index = block_view(algR, ob, ob, 1, lifts), _LiftIndex(lifts)
+    image = np.empty((len(gens), len(lifts)), dtype=np.int64)
+    gstep = min(len(gens), _BLOCK) or 1
+    lstep = max(1, _BLOCK // gstep)
+    for g in range(0, len(gens), gstep):
+        for n in range(0, len(lifts), lstep):
+            G, L = slice(g, g + gstep), slice(n, n + lstep)
+            out = image[G, L]   # conjugates (G, L): every generator by every lift
+            conj = {i: algR.matmul(u[i + 1][G, None], algR.matmul(c[None, L], uinv[i][G, None]))
+                    .reshape((out.size,) + c.shape[1:]) for i, c in d.items()}
+            out[...] = index.find(stack_of(algR, ob, ob, 1, conj, out.size)).reshape(out.shape)
+    return _components(np.tile(np.arange(len(lifts)), len(gens)), image.ravel(), len(lifts))
 
 
 def _intertwiners(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,
@@ -268,7 +297,7 @@ def _intertwiners(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,
     vector over d1's algebra, nu with coefficients in m) with u d1 = d2 u."""
     algR = d1.alg
     d1b, d2b = d1.blocks(), d2.blocks()
-    for u in _blocks(A, algR, base, cap, _AUTOS):
+    for u in _blocks(A, algR, base, cap, "automorphism candidates"):
         ub = block_view(algR, ob, ob, 0, u)
         diff = add_blocks(compose_blocks(algR, ub, d1b, 1), compose_blocks(algR, d2b, ub, 0), -1)
         for row in u[_zero_rows(diff, len(u))]:
@@ -325,28 +354,19 @@ def homotopy_classes(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
                      d0: GradedMap, lifts: np.ndarray,
                      cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
     """Partition of a stack of strict lifts by homotopy equivalence
-    (exhaustive)."""
+    (exhaustive): each lift joins the first class whose least member it is
+    equivalent to, or starts a class."""
     algR = A.algebra(alg0)
     maps = [GradedMap.wrap(algR, ob, ob, 1, row) for row in lifts]
-    n = len(maps)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if find(i) == find(j):
-                continue
-            if _homotopy_equivalent(A, alg0, ob, d0, maps[i], maps[j], cap):
-                parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(tuple(sorted(v)) for v in groups.values())
+    classes: list[list[int]] = []
+    for j, d in enumerate(maps):
+        home = next((c for c in classes
+                     if _homotopy_equivalent(A, alg0, ob, d0, maps[c[0]], d, cap)), None)
+        if home is None:
+            classes.append([j])
+        else:
+            home.append(j)
+    return [tuple(c) for c in classes]
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +389,10 @@ def functor_eval(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
 
     The strict lifts are enumerated once, and F and F1 share one orbit
     partition; cross_check compares it with the exhaustive homotopy classes.
-    Both caps are checked before any lift is enumerated.
+    The cap bounds the strict-lift candidates before any is tested, then
+    the conjugations of iso_orbits before any is made.
     """
     _check_base(d0)
-    gf.count_candidates(A.msize, coefficient_count(alg0, ob, ob, 1), cap, _STRICT)
-    gf.count_candidates(A.msize, coefficient_count(alg0, ob, ob, 0), cap, _AUTOS)
     lifts = strict_lifts(A, alg0, ob, d0, cap)
     coords = list(map(tuple, lifts.tolist()))
     orbits = sorted(iso_orbits(A, alg0, ob, lifts, cap))
@@ -410,12 +429,9 @@ def is_small(surj: RingSurjection) -> bool:
     ker = surj.kernel_vectors()
     if len(ker) != surj.source.p:
         return False
-    A = ArtinLocalRing(surj.source)
-    for k in ker:
-        for mv in A.mvecs:
-            if surj.source.mul_vec(k, mv).any():
-                return False
-    return True
+    ring = surj.source
+    prods = np.einsum("ai,bj,ijk->abk", ker, ArtinLocalRing(ring).mvecs, ring.mult)
+    return not (prods % ring.orders).any()
 
 
 @dataclass

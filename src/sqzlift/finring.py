@@ -175,39 +175,22 @@ class FiniteRing:
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
         """Bool array over codes: True at the nilpotent elements."""
-        elems = self.elements()
+        elems, m = self.elements(), self.m
+        # x^2 = x @ (x @ mult): one matmul on the table, then a row-wise one
+        half = (elems @ self.mult.reshape(m, m * m)).reshape(-1, m, m)
         # sq[c] is the code of x^e for the element x of code c, and sq[sq]
         # that of x^(e*e); a nilpotent x has x^e = 0 once e >= cardinality,
         # since its nonzero powers are distinct
-        sq, e = self.code(np.einsum("ni,nj,ijk->nk", elems, elems, self.mult) % self.orders), 2
+        sq, e = self.code((elems[:, None, :] @ half)[:, 0] % self.orders), 2
         while e < self.cardinality:
             sq, e = sq[sq], e * e
         return sq == 0
 
-    def additive_span(self, gens) -> np.ndarray:
-        """Bool array over codes of the additive subgroup generated by gens,
-        by coset expansion."""
-        span = np.zeros(self.cardinality, dtype=bool)
-        span[0] = True
-        members = self.zero_vec()[None, :]
-        for v, c in zip(gens, self.code(gens).tolist()):
-            if span[c]:
-                continue
-            shells = [v]
-            while not span[self.code(acc := self.add_vec(shells[-1], v))]:
-                shells.append(acc)
-            new = (members[None, :, :] + np.stack(shells)[:, None, :]) % self.orders
-            members = np.concatenate([members, new.reshape(-1, self.m)])
-            span[self.code(members)] = True
-        return span
-
     def is_local(self) -> bool:
-        """True iff the ring is local with residue field F_p."""
-        nil = self.nilpotent_mask
-        # the nilpotents must form an additive subgroup of index p
-        if not np.array_equal(self.additive_span(self.elements()[nil]), nil):
-            return False
-        return self.cardinality == self.p * int(nil.sum())
+        """True iff the ring is local with residue field F_p.  The nilpotents
+        N of a commutative ring form an ideal and R/N is reduced, so R/N is
+        the field F_p exactly when |R| = p |N|."""
+        return self.cardinality == self.p * int(self.nilpotent_mask.sum())
 
 
 

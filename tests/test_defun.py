@@ -7,8 +7,9 @@ import pytest
 
 from sqzlift import defun
 from sqzlift.algebra import AlgMatrix, LevelAlgebra, mk_algebra
-from sqzlift.complexes import (GradedMap, GradedObject, block_view, compose,
-                               delta, from_coefficients, identity_map, map_push)
+from sqzlift.complexes import (GradedMap, GradedObject, block_view, coefficient_count,
+                               compose, delta, from_coefficients, identity_map, map_push,
+                               stack_of)
 from sqzlift.defun import (
     ArtinLocalRing,
     check_smoothness,
@@ -25,8 +26,10 @@ from sqzlift.defun import (
     unipotent_inverse,
 )
 from sqzlift.errors import CapExceeded, CheckFailed, NotLocal, ValidationError
-from sqzlift.finring import FiniteRing, mk_tower, trunc_poly_ring, zmod_ring
+from sqzlift.finring import (FiniteRing, mk_tower, ring_fiber_product, trunc_poly_ring,
+                              zmod_ring)
 from sqzlift.obstruction import DifferentialProblem
+from sqzlift.oracle import gen_instance
 
 from conftest import enumerate_graded_maps
 from test_acceptance import _base_diffs
@@ -329,6 +332,33 @@ def _reference_orbits(A, ob, lifts):
     return orbits
 
 
+def _scan_orbits(A, alg0, ob, lifts, cap=1 << 20):
+    """Orbits by scanning the whole unipotent group, a block of conjugators
+    at a time.  Each block conjugates only the current class roots (least
+    members), so the least member of every orbit meets every conjugator and
+    its whole orbit is merged."""
+    if not len(lifts):
+        return []
+    algR = A.algebra(alg0)
+    index = defun._LiftIndex(lifts)
+    lift_blocks = block_view(algR, ob, ob, 1, lifts)
+    root = np.arange(len(lifts))
+    one = identity_map(algR, ob).coef
+    for u in defun._blocks(A, algR, one, cap, "automorphism candidates"):
+        ub = block_view(algR, ob, ob, 0, u)
+        u_ops = {i: algR.left_op(c) for i, c in ub.items()}
+        uinv = defun._unipotent_inverse_many(algR, ob, ub, u_ops)
+        for n in range(len(lifts)):
+            if root[n] != n:
+                continue
+            conj = {i: algR.apply_left(u_ops[i + 1], algR.matmul(c[n], uinv[i]))
+                    for i, c in lift_blocks.items()}
+            hits = index.find(stack_of(algR, ob, ob, 1, conj, len(u)))
+            merged = np.union1d(root[hits], root[n])
+            root[np.isin(root, merged)] = merged[0]
+    return [tuple(np.flatnonzero(root == r).tolist()) for r in np.unique(root)]
+
+
 def _scalar_diff(alg0, ob, entries):
     """Base differential C^0 -> C^1 with the given scalar column."""
     data = np.zeros((ob.rank(1), ob.rank(0), alg0.k, 1), dtype=np.int64)
@@ -339,7 +369,7 @@ def _scalar_diff(alg0, ob, entries):
 SMALL_BLOCK = 1   # one conjugator per block: orbits grow across blocks
 
 
-@pytest.mark.parametrize("p, a, kind, ranks, entries, block", [
+ORBIT_CASES = [
     (3, 3, "trivial", (1, 2), (1, 0), None),  # one orbit of 81 lifts, 9^5 conjugators
     (2, 3, "trivial", (1, 2), (1, 0), SMALL_BLOCK),  # one orbit of 16, 4^5 conjugators
     (3, 3, "trivial", (1, 1), (0,), None),    # orbits {0}, (t), (t^2) up to units
@@ -348,7 +378,10 @@ SMALL_BLOCK = 1   # one conjugator per block: orbits grow across blocks
     (3, 2, "dual", (1, 1), (0,), SMALL_BLOCK),
     (2, 2, "upper", (1, 1), (0,), None),      # k = 3, noncommutative
     (2, 2, "upper", (1, 1), (0,), SMALL_BLOCK),
-])
+]
+
+
+@pytest.mark.parametrize("p, a, kind, ranks, entries, block", ORBIT_CASES)
 def test_batched_orbits_match_per_conjugator_reference(monkeypatch, p, a, kind, ranks,
                                                        entries, block):
     if block:
@@ -359,48 +392,170 @@ def test_batched_orbits_match_per_conjugator_reference(monkeypatch, p, a, kind, 
     lifts = strict_lifts(A, alg0, ob, _scalar_diff(alg0, ob, entries))
     orbits = iso_orbits(A, alg0, ob, lifts)
     assert orbits == _reference_orbits(A, ob, as_maps(A, alg0, ob, lifts))
+    assert orbits == _scan_orbits(A, alg0, ob, lifts)
     assert len(orbits) > 1 or len(lifts) > 1
 
 
 def test_oversized_group_raises_cap_exceeded(alg0):
+    """The cap bounds the conjugations, lifts times generators.  Over
+    F_2[t]/t^3 (m has the basis t^2, t) a degree-0 map of ranks (2, 2, 2)
+    has 12 coefficient positions: one lift takes 24 conjugations, where the
+    whole group has 4^12 elements."""
     ob = GradedObject.of({0: 2, 1: 2, 2: 2})
     A = ArtinLocalRing(trunc_poly_ring(2, 3))
     zero = GradedMap(tensor_algebra(A.ring, alg0), ob, ob, 1, {})
-    with pytest.raises(CapExceeded, match="16777216 automorphism candidates"):
-        iso_orbits(A, alg0, ob, zero.coef[None])
+    assert iso_orbits(A, alg0, ob, zero.coef[None], cap=24) == [(0,)]
+    with pytest.raises(CapExceeded, match="24 conjugations exceed the cap 23"):
+        iso_orbits(A, alg0, ob, zero.coef[None], cap=23)
     lifts = strict_lifts(A, alg0, OB2, GradedMap(alg0, OB2, OB2, 1, {}))
-    assert len(iso_orbits(A, alg0, OB2, lifts, cap=16)) == 3
-    with pytest.raises(CapExceeded, match="16 automorphism candidates exceed the cap 15"):
+    assert len(iso_orbits(A, alg0, OB2, lifts, cap=16)) == 3   # 4 lifts, 4 generators
+    with pytest.raises(CapExceeded, match="16 conjugations exceed the cap 15"):
         iso_orbits(A, alg0, OB2, lifts, cap=15)
 
 
-def test_functor_eval_fails_on_the_conjugator_cap_before_enumerating(monkeypatch):
+def test_functor_eval_fails_on_the_conjugation_cap_before_conjugating(monkeypatch):
     # over F_3[t]/t^2 with ranks (2, 2): 3^4 = 81 strict-lift candidates fit
-    # the cap of 100, 3^8 = 6561 conjugators do not
+    # the cap of 100 and are all lifts; 81 lifts times 8 generators (t at
+    # each of the 8 degree-0 positions) = 648 conjugations do not
     alg0 = trivial_base_algebra(3)
     A = ArtinLocalRing(trunc_poly_ring(3, 2))
     ob = GradedObject.of({0: 2, 1: 2})
     d0 = GradedMap(alg0, ob, ob, 1, {})
     assert len(strict_lifts(A, alg0, ob, d0, cap=100)) == 81
-    calls = {"strict_lifts": 0, "compose over R": 0}
+    calls = {"strict_lifts": 0, "inverses": 0, "lookups": 0}
 
-    def counting_strict_lifts(*args, **kwargs):
-        calls["strict_lifts"] += 1
-        return strict_lifts(*args, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    def counting_compose(f, g):
-        if f.alg.ring.m > 1:
-            calls["compose over R"] += 1
-        return compose(f, g)
-
-    monkeypatch.setattr(defun, "strict_lifts", counting_strict_lifts)
-    monkeypatch.setattr(defun, "compose", counting_compose)
-    with pytest.raises(CapExceeded, match="6561 automorphism candidates exceed the cap 100"):
+    monkeypatch.setattr(defun, "strict_lifts", counting("strict_lifts", strict_lifts))
+    monkeypatch.setattr(defun, "_unipotent_inverse_many",
+                        counting("inverses", defun._unipotent_inverse_many))
+    monkeypatch.setattr(defun._LiftIndex, "find", counting("lookups", defun._LiftIndex.find))
+    with pytest.raises(CapExceeded, match="648 conjugations exceed the cap 100"):
         functor_eval(A, alg0, ob, d0, cap=100)
-    assert calls == {"strict_lifts": 0, "compose over R": 0}
+    assert calls == {"strict_lifts": 1, "inverses": 0, "lookups": 0}
+    classes = functor_eval(A, alg0, ob, d0, cap=648)["F"].classes
+    assert len(classes) == 3 ** tangent_dim(alg0, ob, d0)
     # the strict-lift cap is still checked first
     with pytest.raises(CapExceeded, match="81 strict-lift candidates exceed the cap 80"):
         functor_eval(A, alg0, ob, d0, cap=80)
+
+
+# -- the closure under generators against the whole-group scan --
+
+STRICT_SHAPES = [
+    (3, 3, "trivial", (1, 2), (0, 0)),       # two terms: every candidate passes
+    (2, 3, "trivial", (1, 2, 1), (1, 0)),    # nonzero base differential
+    (3, 3, "trivial", (1, 1, 1), (0,)),
+    (2, 3, "trivial", (1, 1, 1), (1,)),
+    (3, 2, "dual", (1, 1, 1), (1,)),         # k = 2
+    (2, 2, "upper", (1, 1, 1), (1,)),        # k = 3, noncommutative
+]
+
+
+def _shapes():
+    """(ring, base algebra, ob, d0) of the orbit and strict-lift shapes of this
+    file, and of the criterion-8 shapes over F_p[t]/t^a for a = 1, 2, 3."""
+    for p, a, kind, ranks, entries in sorted({c[:5] for c in ORBIT_CASES} | set(STRICT_SHAPES)):
+        alg0 = _base_algebra(p, kind)
+        ob = GradedObject.of(dict(enumerate(ranks)))
+        yield trunc_poly_ring(p, a), alg0, ob, _scalar_diff(alg0, ob, entries)
+    for p in (2, 3):
+        for a in (1, 2, 3):
+            for ranks in ((1, 1), (1, 1, 1), (1, 2)):
+                ob = GradedObject.of(dict(enumerate(ranks)))
+                for alg0, d0 in _base_diffs(p, ob)[:3]:
+                    yield trunc_poly_ring(p, a), alg0, ob, d0
+
+
+def test_closure_matches_whole_group_scan_on_every_shape():
+    merged = 0
+    for ring, alg0, ob, d0 in _shapes():
+        A = ArtinLocalRing(ring)
+        lifts = strict_lifts(A, alg0, ob, d0)
+        orbits = iso_orbits(A, alg0, ob, lifts)
+        assert orbits == _scan_orbits(A, alg0, ob, lifts)
+        merged += len(orbits) < len(lifts)
+    assert merged >= 10
+
+
+def test_closure_matches_whole_group_scan_on_fiber_products():
+    """The check_triple rings F_p[t]/t^2 x_{F_p} F_p[t]/t^2, where m^2 = 0."""
+    merged = 0
+    for p in (2, 3):
+        pi = mk_tower("trunc_poly", p, a=2, b=1).pibar
+        A = ArtinLocalRing(ring_fiber_product(pi, pi).ring)
+        for ranks in ((1, 1), (1, 1, 1), (1, 2)):
+            ob = GradedObject.of(dict(enumerate(ranks)))
+            for alg0, d0 in _base_diffs(p, ob)[:2]:
+                lifts = strict_lifts(A, alg0, ob, d0)
+                orbits = iso_orbits(A, alg0, ob, lifts)
+                assert orbits == _scan_orbits(A, alg0, ob, lifts)
+                merged += len(orbits) < len(lifts)
+    assert merged > 0
+
+
+def test_closure_matches_whole_group_scan_on_gen_seeds():
+    """gen differential seeds 0-49 over an F_p-algebra whose unipotent group
+    has at most 3^8 elements."""
+    compared, merged = 0, 0
+    for seed in range(50):
+        inst = gen_instance("differential", seed)
+        ring, alg0, prob = inst.defalg.tower.Rbar, inst.defalg.base, inst.problem
+        if (ring.orders != ring.p).any():
+            continue
+        A = ArtinLocalRing(ring)
+        if A.msize ** coefficient_count(alg0, prob.ob, prob.ob, 0) > 3 ** 8:
+            continue
+        lifts = strict_lifts(A, alg0, prob.ob, prob.d_base)
+        orbits = iso_orbits(A, alg0, prob.ob, lifts)
+        assert orbits == _scan_orbits(A, alg0, prob.ob, lifts)
+        compared += 1
+        merged += len(orbits) < len(lifts)
+    assert compared >= 25 and merged >= 3
+
+
+def test_generators_from_m_mod_m2_alone_give_a_finer_partition(monkeypatch):
+    """Over F_3[t]/t^3, 1 + t generates only {1, 1 + t, 1 + 2t + t^2} in
+    1 + m, since (1 + t)^3 = 1; with d0 = 1 on ranks (1, 1) the nine lifts
+    1 + m form one orbit, which 1 + t alone splits into three.  So the
+    comparison with the scan catches a generator set that is not adapted
+    to m > m^2."""
+    alg0 = trivial_base_algebra(3)
+    ob = GradedObject.of({0: 1, 1: 1})
+    A = ArtinLocalRing(trunc_poly_ring(3, 3))
+    assert defun._m_basis(A).tolist() == [[0, 0, 1], [0, 1, 0]]   # t^2, then t
+    lifts = strict_lifts(A, alg0, ob, _scalar_diff(alg0, ob, (1,)))
+    want = _scan_orbits(A, alg0, ob, lifts)
+    assert iso_orbits(A, alg0, ob, lifts) == want == [tuple(range(9))]
+    monkeypatch.setattr(defun, "_m_basis", lambda A: np.array([[0, 1, 0]]))
+    finer = iso_orbits(A, alg0, ob, lifts)
+    assert len(finer) == 3 and all(len(orbit) == 3 for orbit in finer)
+
+
+def test_components_match_union_find():
+    rng = np.random.default_rng(0)
+    for n, edges in ((1, 0), (7, 0), (40, 25), (200, 150), (200, 400)):
+        src, dst = rng.integers(0, n, size=(2, edges))
+        # a long chain, numbered backwards, besides the random edges
+        src = np.concatenate([src, np.arange(n - 1, 0, -1)[: n // 4]])
+        dst = np.concatenate([dst, np.arange(n - 2, -1, -1)[: n // 4]])
+        parent = list(range(n))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for a, b in zip(src.tolist(), dst.tolist()):
+            parent[max(find(a), find(b))] = min(find(a), find(b))
+        groups = {}
+        for i in range(n):
+            groups.setdefault(find(i), []).append(i)
+        assert defun._components(src, dst, n) == [tuple(g) for g in groups.values()]
 
 
 @pytest.mark.parametrize("block", [None, SMALL_BLOCK])
@@ -456,14 +611,7 @@ def _reference_strict_lifts(A, alg0, ob, d0):
 
 
 @pytest.mark.parametrize("block", [None, SMALL_BLOCK])
-@pytest.mark.parametrize("p, a, kind, ranks, entries", [
-    (3, 3, "trivial", (1, 2), (0, 0)),       # two terms: every candidate passes
-    (2, 3, "trivial", (1, 2, 1), (1, 0)),    # nonzero base differential
-    (3, 3, "trivial", (1, 1, 1), (0,)),
-    (2, 3, "trivial", (1, 1, 1), (1,)),
-    (3, 2, "dual", (1, 1, 1), (1,)),         # k = 2
-    (2, 2, "upper", (1, 1, 1), (1,)),        # k = 3, noncommutative
-])
+@pytest.mark.parametrize("p, a, kind, ranks, entries", STRICT_SHAPES)
 def test_batched_strict_lifts_match_per_candidate_reference(monkeypatch, block, p, a,
                                                             kind, ranks, entries):
     if block:

@@ -84,19 +84,22 @@ def test_nonassociative_table_rejected():
         FiniteRing(2, np.full(3, 2), table({(1, 2): 1}))
 
 
-def test_locality_detection():
-    assert zmod_ring(2, 2).is_local()
-    assert trunc_poly_ring(3, 2).is_local()
-    # F_4 is local (it is a field) with residue field F_4, not F_p; but
-    # is_local here asks for maximal ideal = nilpotents with index p
+def _f4():
     mult = np.zeros((2, 2, 2), dtype=np.int64)
     mult[0, 0, 0] = 1
     mult[0, 1, 1] = 1
     mult[1, 0, 1] = 1
     mult[1, 1, 0] = 1
     mult[1, 1, 1] = 1
-    f4 = FiniteRing(2, np.array([2, 2]), mult, ("1", "w"))
-    assert not f4.is_local()
+    return FiniteRing(2, np.array([2, 2]), mult, ("1", "w"))
+
+
+def test_locality_detection():
+    assert zmod_ring(2, 2).is_local()
+    assert trunc_poly_ring(3, 2).is_local()
+    # F_4 is local (it is a field) with residue field F_4, not F_p; but
+    # is_local here asks for maximal ideal = nilpotents with index p
+    assert not _f4().is_local()
 
 
 def _reference_nilpotent_mask(ring):
@@ -126,6 +129,33 @@ def _mask_rings():
         yield from (t.Rbar, t.R, t.R0)
     yield ring_fiber_product(*[mk_tower("trunc_poly", 3, a=3, b=2).pibar] * 2).ring
     yield _nonlocal_ring()
+
+
+def _reference_is_local(ring):
+    """The nilpotents are an additive subgroup of index p: their span, by
+    coset expansion, is themselves, and |R| = p |N|."""
+    nil = ring.nilpotent_mask
+    span = np.zeros(ring.cardinality, dtype=bool)
+    span[0] = True
+    members = ring.zero_vec()[None, :]
+    for v in ring.elements()[nil]:
+        if span[ring.code(v)]:
+            continue
+        shells = [v]
+        while not span[ring.code(acc := ring.add_vec(shells[-1], v))]:
+            shells.append(acc)
+        new = (members[None, :, :] + np.stack(shells)[:, None, :]) % ring.orders
+        members = np.concatenate([members, new.reshape(-1, ring.m)])
+        span[ring.code(members)] = True
+    return np.array_equal(span, nil) and ring.cardinality == ring.p * int(nil.sum())
+
+
+def test_is_local_matches_coset_expansion():
+    verdicts = set()
+    for ring in [*_mask_rings(), _f4()]:   # _mask_rings ends with the non-local ring
+        assert ring.is_local() == _reference_is_local(ring)
+        verdicts.add(ring.is_local())
+    assert verdicts == {True, False}
 
 
 def test_nilpotent_mask_matches_repeated_squaring():
