@@ -22,8 +22,11 @@ for `gen --kind differential --seed 74` (59 049 witnesses, 59 049 singleton
 orbits), taken as the command hands it to the writer.  The `tower` case
 builds every tower of `oracle._TOWER_MENU` with `mk_tower` and round-trips
 the J elements of each through the kernel codec (`kernel_coords`, then
-`kernel_matrix`); its digest covers the three minimal sections, the
-J-coordinate table and the codec's coordinates.  The `nilpotent` case is
+`kernel_matrix`); its digest covers the minimal section sigma, the
+J-coordinate table and the codec's coordinates.  The `fiber` case is
+`finring.ring_fiber_product` on F_3[t]/t^3 x_{F_3[t]/t^2} F_3[t]/t^3, and its
+digest covers the basis orders, the multiplication table and both
+projections.  The `nilpotent` case is
 `FiniteRing.nilpotent_mask` on F_2[t]/t^14 (16 384 elements), computed
 afresh on each run.  The `oracle_setup` cases are the oracle's three
 stacked evaluations of the defining equation on `gen --kind differential
@@ -52,7 +55,7 @@ from time import perf_counter
 
 import numpy as np
 
-from sqzlift import algebra, cli, crude, defun, gf, oracle
+from sqzlift import algebra, cli, crude, defun, finring, gf, oracle
 from sqzlift.algebra import AlgMatrix, dual_numbers_algebra, mk_algebra
 from sqzlift.complexes import (Complex, GradedMap, GradedObject, HomComplex,
                                coefficient_orders, delta_generators)
@@ -80,6 +83,7 @@ def _workloads():
     loads.append(("delta4", 2, None))
     loads.append(("emit", 3, None))
     loads.append(("tower", None, None))
+    loads.append(("fiber", 3, None))
     loads.append(("nilpotent", 2, 14))
     loads.append(("oracle_setup", 3, ("differential", 51)))
     loads.append(("oracle_setup", 3, ("homotopy", 12)))
@@ -191,8 +195,19 @@ def _tower_job():
             coords = defalg.kernel_coords(jvecs)
             if not np.array_equal(defalg.kernel_matrix(coords, len(jvecs)), jvecs):
                 raise AssertionError(f"codec round trip failed on {kind} {p} {params}")
-            out += [t.sigma, t.sigma0, t.sigma_mid, t.jcoords, coords]
+            out += [t.sigma, t.jcoords, coords]
         return b"".join(np.ascontiguousarray(a, dtype=np.int64).tobytes() for a in out)
+    return job
+
+
+def _fiber_job():
+    pibar = mk_tower("trunc_poly", 3, a=3, b=2).pibar
+
+    def job():
+        fp = finring.ring_fiber_product(pibar, pibar)
+        return b"".join(np.ascontiguousarray(a, dtype=np.int64).tobytes()
+                        for a in (fp.ring.orders, fp.ring.mult,
+                                  fp.proj1.images, fp.proj2.images))
     return job
 
 
@@ -274,6 +289,8 @@ def main() -> int:
             job = _emit_job()
         elif name == "tower":
             job = _tower_job()
+        elif name == "fiber":
+            job = _fiber_job()
         elif name == "nilpotent":
             job = _nilpotent_job(p, payload)
         elif name == "oracle_setup":

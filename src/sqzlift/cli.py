@@ -34,6 +34,7 @@ from .crude import (
 )
 from .errors import ParseError, SchemaMismatch, SqzliftError
 from .finring import FiniteRing, RingSurjection, Tower, mk_tower
+from .gf import DEFAULT_CAP
 from .obstruction import (
     Classification,
     DifferentialProblem,
@@ -49,7 +50,6 @@ from .obstruction import (
     obstruct_map,
 )
 from .oracle import (
-    DEFAULT_CAP,
     gen_instance,
     oracle_differential,
     oracle_homotopy,
@@ -338,7 +338,7 @@ def problem_to_doc(kind: str, defalg: DeformedAlgebra, tower_desc, prob,
         pay["meta"] = meta
     if kind == "differential":
         pay["complex"] = complex_to_payload(
-            type("X", (), {"ob": prob.ob, "d": prob.d_mid}), "mid")
+            PreComplex(defalg.mid, prob.ob, prob.d_mid), "mid")
     elif kind == "map":
         pay["C"] = complex_to_payload(prob.C, "bar")
         pay["D"] = complex_to_payload(prob.D, "bar")

@@ -26,6 +26,7 @@ from .complexes import (
     stack_of,
 )
 from .errors import LevelMismatch, NotACocycle, ShapeMismatch
+from .gf import DEFAULT_CAP
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ class KernelComplex:
         _, keep, _ = gf.rref(reps.T, self.p)
         return reps[keep]
 
-    def all_classes(self, n: int, cap: int = 1 << 20) -> list[CohClass]:
+    def all_classes(self, n: int, cap: int = DEFAULT_CAP) -> list[CohClass]:
         """All of H^n, canonical representatives, lexicographic digit order;
         CapExceeded if H^n has more than cap classes."""
         basis = self.h_basis(n)

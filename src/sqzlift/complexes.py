@@ -203,7 +203,7 @@ def delta(f: GradedMap, dC: GradedMap, dD: GradedMap) -> GradedMap:
 # a zero block, and a block with N = 1 (a fixed map such as a differential)
 # broadcasts against a stack.  GradedMap arithmetic and equality are vector
 # operations, a change of level maps the vector's ring coordinates
-# (map_push, map_section), and compose and delta on GradedMaps are the
+# (map_push, map_lift), and compose and delta on GradedMaps are the
 # one-row case of the stacked forms.  Every block offset and size, and so
 # the dimension of a Hom space, comes from _block_shapes.
 
@@ -429,14 +429,6 @@ def map_push(surj: RingSurjection, alg: LevelAlgebra, f: GradedMap) -> GradedMap
                           surj.apply_many(_ring_rows(f, surj.source)).reshape(-1))
 
 
-def map_section(section: np.ndarray, ring: FiniteRing, alg: LevelAlgebra,
-                f: GradedMap) -> GradedMap:
-    """f, over ring, with each ring coefficient replaced by its row of the
-    table section (indexed by element code), as a map over alg."""
-    return GradedMap.wrap(alg, f.src, f.tgt, f.degree,
-                          section[ring.code(_ring_rows(f, ring))].reshape(-1))
-
-
 def map_reduce(defalg: DeformedAlgebra, f: GradedMap, src: str, dst: str) -> GradedMap:
     """Push a graded map down the tower (coefficientwise)."""
     t = defalg.tower
@@ -444,12 +436,12 @@ def map_reduce(defalg: DeformedAlgebra, f: GradedMap, src: str, dst: str) -> Gra
     return map_push(surj[(src, dst)], defalg.level(dst), f)
 
 
-def map_lift(defalg: DeformedAlgebra, f: GradedMap, src: str, dst: str) -> GradedMap:
-    """Lift a graded map up the tower by the minimal set-theoretic section."""
-    t = defalg.tower
-    section = {("mid", "bar"): t.sigma, ("base", "bar"): t.sigma0,
-               ("base", "mid"): t.sigma_mid}
-    return map_section(section[(src, dst)], defalg.level(src).ring, defalg.level(dst), f)
+def map_lift(defalg: DeformedAlgebra, f: GradedMap) -> GradedMap:
+    """Lift a graded map from the mid level to the top, each ring
+    coefficient by the tower's minimal set-theoretic section sigma."""
+    ring = defalg.mid.ring
+    return GradedMap.wrap(defalg.bar, f.src, f.tgt, f.degree,
+                          defalg.tower.sigma[ring.code(_ring_rows(f, ring))].reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from .errors import (
     NotHomotopyEquivalence,
     ValidationError,
 )
+from .gf import DEFAULT_CAP
 from .obstruction import (
     Classification,
     DifferentialProblem,
@@ -150,19 +151,16 @@ def crude_lift(E: HomotopyEquivData, dbar_D: GradedMap,
     record("mid-repair", K_nonzero=_nonzero_count(K_mid))
 
     # coefficientwise minimal lifts of everything
-    dC = map_lift(da, E.C.d, "mid", "bar")
-    f = map_lift(da, E.f, "mid", "bar")
-    g = map_lift(da, E.g, "mid", "bar")
-    H = map_lift(da, E.H, "mid", "bar")
-    Kb = map_lift(da, K_mid, "mid", "bar")
+    dC = map_lift(da, E.C.d)
+    f = map_lift(da, E.f)
+    g = map_lift(da, E.g)
+    H = map_lift(da, E.H)
+    Kb = map_lift(da, K_mid)
     dD = dbar_D
-
-    def dl(u, s, t):
-        return delta(u, s, t)
 
     # stage (i): d_C^2 = delta(eta) with eta = g eps + H xi, eps = -delta(f)
     xi = compose(dC, dC)
-    eps = -dl(f, dC, dD)
+    eps = -delta(f, dC, dD)
     eta = compose(g, eps) + compose(H, xi)
     dC = dC - eta
     if not compose(dC, dC).is_zero():
@@ -171,38 +169,38 @@ def crude_lift(E: HomotopyEquivData, dbar_D: GradedMap,
 
     # stage (ii): shift d_C by g delta(f), then absorb the remaining defect
     # of f by an echelon-minimal solve in the kernel complex
-    xif = dl(f, dC, dD)
+    xif = delta(f, dC, dD)
     dC = dC + compose(g, xif)
     if not compose(dC, dC).is_zero():
         raise InternalObstruction("stage (ii): d_C^2 broken by the shift")
-    vec = K_CD.into_kernel(dl(f, dC, dD))
+    vec = K_CD.into_kernel(delta(f, dC, dD))
     corr = K_CD.solve_coboundary((-vec) % K_CD.p, 1)
     if corr is None:
         raise InternalObstruction("stage (ii): defect of f is not a coboundary")
     f = f + K_CD.out_of_kernel(corr, 0)
-    if not dl(f, dC, dD).is_zero():
+    if not delta(f, dC, dD).is_zero():
         raise InternalObstruction("stage (ii): delta(f) != 0 after correction")
-    record("ii", delta_f_nonzero=_nonzero_count(dl(f, dC, dD)))
+    record("ii", delta_f_nonzero=_nonzero_count(delta(f, dC, dD)))
 
     # stage (iii): g <- g - eta_g with eta_g = -g mu_K + H delta(g)
     oneD = identity_map(bar, E.D.ob)
     oneC = identity_map(bar, E.C.ob)
-    mu_K = oneD - compose(f, g) - dl(Kb, dD, dD)
-    xig = dl(g, dD, dC)
+    mu_K = oneD - compose(f, g) - delta(Kb, dD, dD)
+    xig = delta(g, dD, dC)
     eta_g = -compose(g, mu_K) + compose(H, xig)
     g = g - eta_g
-    if not dl(g, dD, dC).is_zero():
+    if not delta(g, dD, dC).is_zero():
         raise InternalObstruction("stage (iii): delta(g) != 0 after correction")
-    record("iii", delta_g_nonzero=_nonzero_count(dl(g, dD, dC)))
+    record("iii", delta_g_nonzero=_nonzero_count(delta(g, dD, dC)))
 
     # stage (v): g <- g + mu_H g, then solve for the homotopy corrections
-    mu_H = oneC - compose(g, f) - dl(H, dC, dC)
+    mu_H = oneC - compose(g, f) - delta(H, dC, dC)
     gamma = compose(mu_H, g)
-    if not dl(gamma, dD, dC).is_zero():
+    if not delta(gamma, dD, dC).is_zero():
         raise InternalObstruction("stage (v): gamma is not a cocycle")
     g = g + gamma
-    mu_H = oneC - compose(g, f) - dl(H, dC, dC)
-    mu_K = oneD - compose(f, g) - dl(Kb, dD, dD)
+    mu_H = oneC - compose(g, f) - delta(H, dC, dC)
+    mu_K = oneD - compose(f, g) - delta(Kb, dD, dD)
     vH = K_CC.solve_coboundary(K_CC.into_kernel(mu_H), 0)
     if vH is None:
         raise InternalObstruction("stage (v): mu_H is not a coboundary")
@@ -211,16 +209,16 @@ def crude_lift(E: HomotopyEquivData, dbar_D: GradedMap,
     if vK is None:
         raise InternalObstruction("stage (v): mu_K is not a coboundary")
     Kb = Kb + K_DD.out_of_kernel(vK, -1)
-    record("v", mu_H_nonzero=_nonzero_count(oneC - compose(g, f) - dl(H, dC, dC)),
-           mu_K_nonzero=_nonzero_count(oneD - compose(f, g) - dl(Kb, dD, dD)))
+    record("v", mu_H_nonzero=_nonzero_count(oneC - compose(g, f) - delta(H, dC, dC)),
+           mu_K_nonzero=_nonzero_count(oneD - compose(f, g) - delta(Kb, dD, dD)))
 
     # final postconditions, all exact
     checks = {
         "d_C^2 = 0": compose(dC, dC).is_zero(),
-        "delta(f) = 0": dl(f, dC, dD).is_zero(),
-        "delta(g) = 0": dl(g, dD, dC).is_zero(),
-        "delta(H) = 1 - gf": dl(H, dC, dC) == oneC - compose(g, f),
-        "delta(K) = 1 - fg": dl(Kb, dD, dD) == oneD - compose(f, g),
+        "delta(f) = 0": delta(f, dC, dD).is_zero(),
+        "delta(g) = 0": delta(g, dD, dC).is_zero(),
+        "delta(H) = 1 - gf": delta(H, dC, dC) == oneC - compose(g, f),
+        "delta(K) = 1 - fg": delta(Kb, dD, dD) == oneD - compose(f, g),
         "reduce(d_C) = d_C": map_reduce(da, dC, "bar", "mid") == E.C.d,
         "reduce(f) = f": map_reduce(da, f, "bar", "mid") == E.f,
         "reduce(g) = g": map_reduce(da, g, "bar", "mid") == E.g,
@@ -239,7 +237,7 @@ def crude_lift(E: HomotopyEquivData, dbar_D: GradedMap,
 # ---------------------------------------------------------------------------
 
 def classify_homotopy_lifts(prob: DifferentialProblem,
-                            cap: int = 1 << 20) -> tuple[LiftReport, Classification | None]:
+                            cap: int = DEFAULT_CAP) -> tuple[LiftReport, Classification | None]:
     """Classify lifts of a complex up to homotopy.
 
     Every homotopy-category lift is equivalent to a strict lift on the fixed
@@ -255,7 +253,7 @@ def classify_homotopy_lifts(prob: DifferentialProblem,
 
 
 def h_minus1_guard(defalg: DeformedAlgebra, C: Complex, D: Complex,
-                   cap: int = 1 << 20) -> str:
+                   cap: int = DEFAULT_CAP) -> str:
     """Decide whether H^{-1}Hom(C, D) vanishes at the mid level.
 
     Returns "zero", "nonzero", or "undecided" (enumeration cap exceeded).
@@ -290,7 +288,7 @@ class HomotopyMapReport:
 def classify_homotopy_map_lifts(prob: MapProblem,
                                 g_bar: GradedMap | None = None,
                                 H_mid: GradedMap | None = None,
-                                cap: int = 1 << 20) -> HomotopyMapReport:
+                                cap: int = DEFAULT_CAP) -> HomotopyMapReport:
     """Lift a cochain map up to homotopy, with the degree -1 guard.
 
     The obstruction lives in H^1 of the kernel complex.  If instead of f a

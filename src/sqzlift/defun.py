@@ -55,9 +55,9 @@ from .finring import (
     trunc_poly_ring,
     zmod_ring,
 )
+from .gf import DEFAULT_CAP
 from .obstruction import DifferentialProblem, LiftReport, lift_differential
 
-DEFAULT_CAP = 1 << 20
 MAX_ARTIN_SIZE = 1 << 12
 
 

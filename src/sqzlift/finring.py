@@ -8,14 +8,17 @@ table of the basis.  Elements are canonical coefficient vectors
 Each element also has an integer code, its index in the lexicographic list
 `elements()`: code(v) = v @ strides with strides[i] = prod(orders[i+1:]),
 so code(elements()) == arange(cardinality).  A map out of a ring is then
-an array indexed by code: the minimal sections of a surjection, the
-J-coordinates of a tower and the maximal ideal of a local ring are all
-lookup tables.
+an array indexed by code: the minimal section of a tower, its
+J-coordinates and the nilpotents of a ring are all lookup tables.
+
+Surjectivity and fiber products are linear algebra mod p with `gf`: a map
+is onto when its images span the target mod p, and the fiber product of two
+F_p-algebras over a common quotient is a null space, not a search through
+the pairs of elements.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -221,8 +224,9 @@ class RingSurjection:
         if len(bad):
             i, j = bad[0]
             raise ValidationError(f"map not multiplicative on (b{i}, b{j})")
-        hit = self.target.code(self.apply_many(self.source.elements()))
-        if not np.bincount(hit, minlength=self.target.cardinality).all():
+        # the image is a subgroup H of the p-group S, and H = S iff
+        # H + pS = S (Frattini): the images span S/pS = F_p^m
+        if gf.rank(self.images, self.target.p) != np.count_nonzero(self.target.orders > 1):
             raise NotSurjective("image does not cover the target")
 
     def apply_vec(self, v) -> np.ndarray:
@@ -260,7 +264,7 @@ class Tower:
     """Chain Rbar -> R -> R0 = F_p with I = Ker(Rbar->R0), J = Ker(Rbar->R),
     I*J = 0, and a fixed minimal set-theoretic section sigma of Rbar -> R.
 
-    The sections are arrays indexed by the code of the element they lift;
+    sigma is an array indexed by the code of the element of R it lifts;
     jcoords[code(v)] holds the F_p-coordinates of v in the J basis, or -1
     when v is not in J.
     """
@@ -274,8 +278,6 @@ class Tower:
     jbasis: np.ndarray = field(init=False)       # (dimJ, m_bar)
     jcoords: np.ndarray = field(init=False)      # (|Rbar|, dimJ)
     sigma: np.ndarray = field(init=False)        # (|R|, m_bar)
-    sigma0: np.ndarray = field(init=False)       # (|R0|, m_bar)
-    sigma_mid: np.ndarray = field(init=False)    # (|R0|, m_mid)
 
     def __post_init__(self):
         if not (self.Rbar.p == self.R.p == self.R0.p):
@@ -312,8 +314,6 @@ class Tower:
                     f"I*J != 0: {list(map(int, i_bad))} * {list(map(int, j))} != 0")
 
         self.sigma = minimal_section(self.pibar)
-        self.sigma0 = minimal_section(self.pibar0)
-        self.sigma_mid = minimal_section(self.pi)
         lams = gf.digit_matrix(0, self.p ** self.dimJ, self.dimJ, self.p)
         self.jcoords = np.full((self.Rbar.cardinality, self.dimJ), -1, dtype=np.int64)
         self.jcoords[self.Rbar.code(lams @ self.jbasis % self.Rbar.orders)] = lams
@@ -423,135 +423,32 @@ class FiberProduct:
     proj2: RingSurjection
 
 
-def _group_basis(elems: list[np.ndarray], add, orders_fn, strides: np.ndarray) -> list[np.ndarray]:
-    """Basis of a finite abelian p-group given by exhaustive enumeration.
-
-    elems must contain the zero vector; add is componentwise; orders_fn gives
-    the additive order of an element; an element is keyed by its code
-    v @ strides, which ascends in lexicographic order.  The first returned
-    element is the one passed first among maximal-order elements (callers put
-    the ring unit first, which always has maximal additive order).
-    """
-    if len(elems) == 1:
-        return []
-
-    def key(v: np.ndarray) -> int:
-        return int(v @ strides)
-
-    orders = [orders_fn(v) for v in elems]
-    g = elems[orders.index(max(orders))]
-    # cyclic subgroup <g>
-    sub = [np.zeros_like(g)]
-    acc = g.copy()
-    while acc.any():
-        sub.append(acc.copy())
-        acc = add(acc, g)
-    subkeys = {key(v) for v in sub}
-    # quotient: canonical representative = least code in the coset
-    rep_of: dict[int, int] = {}
-    reps: dict[int, np.ndarray] = {}
-    for v in elems:
-        if key(v) in rep_of:
-            continue
-        coset = [add(v, s) for s in sub]
-        best = min(coset, key=key)
-        bk = key(best)
-        reps[bk] = best
-        for w in coset:
-            rep_of[key(w)] = bk
-
-    def addq(a, b):
-        return reps[rep_of[key(add(a, b))]]
-
-    def orderq(v):
-        # order of coset: smallest t with t*v in <g>
-        t = 1
-        acc = v.copy()
-        while key(acc) not in subkeys:
-            acc = add(acc, v)
-            t += 1
-        return t
-
-    qbasis = _group_basis(list(reps.values()), addq, orderq, strides)
-    lifted = []
-    for h in qbasis:
-        target_order = orderq(h)
-        cands = (add(h, s) for s in sub)
-        lifted.append(min((c for c in cands if orders_fn(c) == target_order), key=key))
-    return [g] + lifted
-
-
 def ring_fiber_product(f1: RingSurjection, f2: RingSurjection) -> FiberProduct:
-    """Fiber product of f1: R' -> R and f2: R'' -> R, with its projections."""
+    """Fiber product of f1: R' -> R and f2: R'' -> R, with its projections.
+
+    R' and R'' must be F_p-algebras (every basis element of additive order
+    p); ValidationError otherwise.  The pairs (a, b) with f1(a) = f2(b) are
+    then the null space of [f1.images; -f2.images]^T mod p.  Its basis is the
+    pivot columns of the rref of [unit; null space]^T, so b_0 = (1, 1).
+    """
     if f1.target != f2.target:
         raise TargetMismatch("fiber product needs a common target")
     if f1.source.p != f2.source.p:
         raise CharMismatch("fiber product factors have different characteristic")
-    R1, R2 = f1.source, f2.source
-    joint_orders = np.concatenate([R1.orders, R2.orders])
-    strides = _mixed_radix(joint_orders)
-
-    def key(v: np.ndarray) -> int:
-        return int(v @ strides)
-
-    # the pairs (a, b) with f1(a) = f2(b), in lexicographic order
-    fibers: dict[int, list[np.ndarray]] = {}
-    e2 = R2.elements()
-    for row, img in zip(e2, f2.target.code(f2.apply_many(e2)).tolist()):
-        fibers.setdefault(img, []).append(row)
-    pairs: list[np.ndarray] = []
-    e1 = R1.elements()
-    for row, img in zip(e1, f1.target.code(f1.apply_many(e1)).tolist()):
-        for b in fibers.get(img, ()):
-            pairs.append(np.concatenate([row, b]))
-    if len(pairs) > MAX_RING_SIZE:
+    R1, R2, p = f1.source, f2.source, f1.source.p
+    if (R1.orders != p).any() or (R2.orders != p).any():
+        raise ValidationError("fiber product factors must be F_p-algebras")
+    null = gf.nullspace(np.concatenate([f1.images, -f2.images]).T, p)
+    if p ** len(null) > MAX_RING_SIZE:
         raise ValidationError("fiber product exceeds the ring size cap")
-
-    def add(a, b):
-        return (a + b) % joint_orders
-
-    def order_of(v):
-        t = 1
-        acc = v.copy()
-        while acc.any():
-            acc = add(acc, v)
-            t += 1
-        return t
-
-    one = np.concatenate([R1.one_vec(), R2.one_vec()])
-    zero = np.zeros_like(one)
-    # zero first, then the unit, so the greedy picks it as the leading basis
-    # vector; keyed by code, so each element is passed once
-    elems = list({key(v): v for v in [zero, one] + pairs}.values())
-    basis = _group_basis(elems, add, order_of, strides)
-    if basis and not np.array_equal(basis[0], one):
-        raise ValidationError("fiber product basis does not start at the unit")
-    if not basis:
-        raise ValidationError("fiber product is the zero ring")
-
-    borders = np.array([order_of(v) for v in basis], dtype=np.int64)
-    # coordinates of every element
-    coords: dict[int, np.ndarray] = {}
-    for combo in itertools.product(*[range(int(o)) for o in borders]):
-        v = zero.copy()
-        for c, b in zip(combo, basis):
-            v = add(v, (c * b) % joint_orders)
-        coords[key(v)] = np.asarray(combo, dtype=np.int64)
-    if len(coords) != len(elems):
-        raise ValidationError("fiber product basis does not span")
-
-    m1 = R1.m
-    def mulp(a, b):
-        return np.concatenate([R1.mul_vec(a[:m1], b[:m1]), R2.mul_vec(a[m1:], b[m1:])])
-
-    k = len(basis)
-    mult = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            mult[i, j] = coords[key(mulp(basis[i], basis[j]))]
-    ring = FiniteRing(f1.source.p, borders, mult)
-    img1 = np.stack([b[:m1] for b in basis])
-    img2 = np.stack([b[m1:] for b in basis])
-    proj1 = RingSurjection(ring, R1, img1)
-    proj2 = RingSurjection(ring, R2, img2)
-    return FiberProduct(ring, proj1, proj2)
+    pairs = np.concatenate([[np.concatenate([R1.one_vec(), R2.one_vec()])], null])
+    basis = pairs[gf.rref(pairs.T, p)[1]]
+    k, b1, b2 = len(basis), basis[:, :R1.m], basis[:, R1.m:]
+    # the products b_i b_j, factor by factor, one row per pair (i, j)
+    prods = np.concatenate([np.einsum("iu,jv,uvw->ijw", b1, b1, R1.mult),
+                            np.einsum("iu,jv,uvw->ijw", b2, b2, R2.mult)], axis=2)
+    red, pivots, _ = gf.rref(np.concatenate([basis.T, prods.reshape(k * k, -1).T], axis=1), p)
+    if pivots != list(range(k)):
+        raise ValidationError("fiber product is not closed under multiplication")
+    ring = FiniteRing(p, np.full(k, p), red[:k, k:].T.reshape(k, k, k))
+    return FiberProduct(ring, RingSurjection(ring, R1, b1), RingSurjection(ring, R2, b2))

@@ -39,6 +39,7 @@ __all__ = [
     "reduce_mod_rowspace",
     "scan_affine_zero",
     "affine_combinations",
+    "DEFAULT_CAP",
     "count_candidates",
     "digits",
     "digit_matrix",
@@ -124,6 +125,10 @@ def reduce_mod_rowspace(v: np.ndarray, red: np.ndarray, pivots: list[int], p: in
     """
     v = np.asarray(v, dtype=np.int64)
     return (v - v[..., pivots] @ red) % p
+
+
+# the enumeration cap that every cap= argument defaults to
+DEFAULT_CAP = 1 << 20
 
 
 def count_candidates(radix: int, ndigits: int, cap: int, what: str) -> int:

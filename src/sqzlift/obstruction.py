@@ -68,6 +68,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
+from .gf import DEFAULT_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,7 @@ class AffineLift:
     @cached_property
     def sigma_lift(self) -> GradedMap:
         """The coefficientwise minimal lift X0 of the mid-level datum."""
-        return map_lift(self.defalg, self.mid_datum, "mid", "bar")
+        return map_lift(self.defalg, self.mid_datum)
 
     def residuals(self, stack: np.ndarray) -> np.ndarray:
         """residual(X) for each row X of an (N, ncoef) stack of top-level
@@ -302,7 +303,7 @@ def lift(prob: AffineLift) -> LiftReport:
 
 
 def classify(prob: AffineLift, base: GradedMap | None = None,
-             cap: int = 1 << 20) -> Classification:
+             cap: int = DEFAULT_CAP) -> Classification:
     """All lifts modulo delta of degree m-1 J-valued maps: a torsor over
     H^m, with representatives base + (canonical H^m class representatives);
     CapExceeded if H^m has more than cap classes."""
@@ -345,17 +346,17 @@ def lift_homotopy(prob: HomotopyProblem) -> LiftReport:
 
 
 def classify_lifts(prob: DifferentialProblem, base: GradedMap | None = None,
-                   cap: int = 1 << 20) -> Classification:
+                   cap: int = DEFAULT_CAP) -> Classification:
     return classify(prob, base, cap)
 
 
 def classify_map_lifts(prob: MapProblem, base: GradedMap | None = None,
-                       cap: int = 1 << 20) -> Classification:
+                       cap: int = DEFAULT_CAP) -> Classification:
     return classify(prob, base, cap)
 
 
 def classify_homotopy_lifts_of(prob: HomotopyProblem, base: GradedMap | None = None,
-                               cap: int = 1 << 20) -> Classification:
+                               cap: int = DEFAULT_CAP) -> Classification:
     return classify(prob, base, cap)
 
 
@@ -426,7 +427,7 @@ def invert_lift(defalg: DeformedAlgebra, f_bar: GradedMap,
     one_mid_C = identity_map(defalg.mid, f_bar.src)
     if compose(fm, g_mid) != one_mid_D or compose(g_mid, fm) != one_mid_C:
         raise NotInverse("g_mid is not a two-sided inverse of the reduction")
-    gp = map_lift(defalg, g_mid, "mid", "bar")
+    gp = map_lift(defalg, g_mid)
     one = identity_map(defalg.bar, f_bar.tgt)
     eps = compose(f_bar, gp) - one
     g = gp - compose(gp, eps)

@@ -54,6 +54,7 @@ from .complexes import (
 )
 from .errors import CheckFailed, ValidationError
 from .finring import mk_tower
+from .gf import DEFAULT_CAP
 from .obstruction import (
     AffineLift,
     DifferentialProblem,
@@ -62,7 +63,6 @@ from .obstruction import (
     lift_differential,
 )
 
-DEFAULT_CAP = 1 << 20
 VERIFY_WITNESSES = 16      # scan hits re-checked by evaluating the residual
 _PARTITION_ROWS = 1 << 15  # witnesses per digit array, to bound its memory
 

@@ -153,7 +153,7 @@ def build_equiv(defalg, obC, dC_mid, contr_deg):
     C = Complex(mid, obC, dC_mid)
     D = Complex(mid, obD, dD)
     E = HomotopyEquivData(defalg, C, D, f, g, H, K)
-    dbar_D = map_lift(defalg, dD, "mid", "bar")
+    dbar_D = map_lift(defalg, dD)
     if not compose(dbar_D, dbar_D).is_zero():
         from sqzlift.obstruction import DifferentialProblem, lift_differential
         rep = lift_differential(DifferentialProblem(defalg, obD, dD))

@@ -129,7 +129,7 @@ def test_section_then_reduce_is_identity(z4):
     rng = np.random.default_rng(4)
     data = rng.integers(0, 2, size=(2, 3, 1, 1)).astype(np.int64)
     f = _one_block(z4.mid, AlgMatrix(z4.mid, data))
-    assert map_reduce(z4, map_lift(z4, f, "mid", "bar"), "bar", "mid") == f
+    assert map_reduce(z4, map_lift(z4, f), "bar", "mid") == f
 
 
 def test_kernel_coords_bijection(z4):

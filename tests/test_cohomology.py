@@ -150,7 +150,7 @@ def test_delta_independent_of_graded_lift(K_t3):
     dbar = map_lift(defalg, GradedMap(defalg.mid, ob, ob, 1,
                     {i: AlgMatrix(defalg.mid,
                                   np.concatenate([m.data, np.zeros_like(m.data)], axis=-1))
-                     for i, m in d0.comps.items()}), "mid", "bar")
+                     for i, m in d0.comps.items()}))
     for n in (0, 1):
         v = rng.integers(0, 3, size=K.dim(n)).astype(np.int64)
         via_matrix = (K.delta_matrix(n) @ v) % 3

@@ -122,7 +122,7 @@ def test_map_lift_then_reduce_roundtrip(A3):
     rng = np.random.default_rng(5)
     ob = GradedObject.of({0: 2, 1: 1})
     f = _rand_map(rng, A3.mid, ob, ob, 0)
-    assert map_reduce(A3, map_lift(A3, f, "mid", "bar"), "bar", "mid") == f
+    assert map_reduce(A3, map_lift(A3, f), "bar", "mid") == f
 
 
 def test_hom_complex_flatten_roundtrip(A3):

@@ -15,6 +15,7 @@ from sqzlift.errors import (
     ValidationError,
 )
 from sqzlift.finring import (
+    MAX_RING_SIZE,
     FiniteRing,
     RingSurjection,
     mk_tower,
@@ -207,6 +208,10 @@ def test_surjection_validation():
         # whose image {0, 1} misses half the ring
         Re = trunc_poly_ring(2, 2)
         RingSurjection(Re, Re, np.array([[1, 0], [0, 0]]))
+    with pytest.raises(NotSurjective):
+        # t -> t^2 on F_2[t]/t^3: the image {0, 1, t^2, 1 + t^2} misses t
+        Rc = trunc_poly_ring(2, 3)
+        RingSurjection(Rc, Rc, np.array([[1, 0, 0], [0, 0, 1], [0, 0, 0]]))
     with pytest.raises(CharMismatch):
         RingSurjection(R4, zmod_ring(3, 1), np.array([[1]]))
 
@@ -262,10 +267,8 @@ def test_tower_invariants(kind, p, params):
     off = np.ones(tower.Rbar.cardinality, dtype=bool)
     off[codes] = False
     assert (tower.jcoords[off] == -1).all()
-    # the sections pick the lexicographically least preimage
+    # the section picks the lexicographically least preimage
     _assert_minimal_section(tower.pibar, tower.sigma)
-    _assert_minimal_section(tower.pibar0, tower.sigma0)
-    _assert_minimal_section(tower.pi, tower.sigma_mid)
 
 
 @pytest.mark.parametrize("kind,p,params", [
@@ -321,8 +324,6 @@ def test_tower_rejects_kernel_not_killed_by_p():
 def test_sigma_sections_land_correctly():
     tower = mk_tower("trunc_poly", 3, a=3, b=2)
     assert np.array_equal(tower.pibar.apply_many(tower.sigma), tower.R.elements())
-    assert np.array_equal(tower.pibar0.apply_many(tower.sigma0), tower.R0.elements())
-    assert np.array_equal(tower.pi.apply_many(tower.sigma_mid), tower.R0.elements())
 
 
 def test_fiber_product_of_dual_numbers():
@@ -338,19 +339,19 @@ def test_fiber_product_of_dual_numbers():
 
 
 def test_fiber_product_of_truncated_polynomials_is_pinned():
-    """F_3[t]/t^3 x_{F_3[t]/t^2} F_3[t]/t^3: the basis the group-basis search
+    """F_3[t]/t^3 x_{F_3[t]/t^2} F_3[t]/t^3: the basis the null-space rule
     picks, its orders, the multiplication table and the projections."""
     t = mk_tower("trunc_poly", 3, a=3, b=2)
     fp = ring_fiber_product(t.pibar, t.pibar)
-    # basis as (first factor | second factor): 1, (0, t^2), (t^2, 0), (t, t)
+    # basis as (first factor | second factor): 1, (t^2, 0), (t, t), (0, t^2)
     basis = np.concatenate([fp.proj1.images, fp.proj2.images], axis=1)
-    assert basis.tolist() == [[1, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1],
-                              [0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 1, 0]]
+    assert basis.tolist() == [[1, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0],
+                              [0, 1, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
     assert fp.ring.orders.tolist() == [3, 3, 3, 3]
     mult = np.zeros((4, 4, 4), dtype=np.int64)
     for i in range(4):
         mult[0, i, i] = mult[i, 0, i] = 1
-    mult[3, 3] = [0, 1, 1, 0]          # (t, t)^2 = (t^2, t^2)
+    mult[2, 2] = [0, 1, 0, 1]          # (t, t)^2 = (t^2, t^2) = b1 + b3
     assert np.array_equal(fp.ring.mult, mult)
     assert fp.proj1.source is fp.ring and fp.proj1.target == t.Rbar
     assert fp.proj2.source is fp.ring and fp.proj2.target == t.Rbar
@@ -359,3 +360,56 @@ def test_fiber_product_of_truncated_polynomials_is_pinned():
                             fp.proj2.apply_many(fp.ring.elements())], axis=1)
     assert len(np.unique(pairs, axis=0)) == fp.ring.cardinality == 81
     assert np.array_equal(t.pibar.apply_many(pairs[:, :3]), t.pibar.apply_many(pairs[:, 3:]))
+
+
+def _fiber_product_cases():
+    """(id, f1, f2): dual numbers; F_3[t]/t^3 over F_3[t]/t^2; the mixed
+    factors F_3[t]/t^3 -> F_3 <- square_zero(3; r=2); F_3 itself as R'."""
+    dual = mk_tower("trunc_poly", 2, a=2, b=1).pibar
+    t32 = mk_tower("trunc_poly", 3, a=3, b=2).pibar
+    f3 = zmod_ring(3, 1)
+    to_f3 = RingSurjection(trunc_poly_ring(3, 3), f3, np.array([[1], [0], [0]]))
+    sq = mk_tower("square_zero", 3, r=2).pibar
+    yield "dual-numbers", dual, dual
+    yield "t3-over-t2", t32, t32
+    yield "t3-and-square-zero-over-f3", to_f3, sq
+    yield "f3-factor", RingSurjection(f3, f3, np.array([[1]])), sq
+
+
+@pytest.mark.parametrize("f1, f2", [pytest.param(f1, f2, id=name)
+                                    for name, f1, f2 in _fiber_product_cases()])
+def test_fiber_product_is_the_set_of_compatible_pairs(f1, f2):
+    """The images under (proj1, proj2) are exactly the pairs (a, b) with
+    f1(a) = f2(b), found by brute force over R' x R'', each pair once."""
+    e1, e2 = f1.source.elements(), f2.source.elements()
+    c1, c2 = f1.target.code(f1.apply_many(e1)), f2.target.code(f2.apply_many(e2))
+    i, j = np.nonzero(c1[:, None] == c2[None, :])
+    expected = np.concatenate([e1[i], e2[j]], axis=1)
+    fp = ring_fiber_product(f1, f2)
+    elems = fp.ring.elements()
+    pairs = np.concatenate([fp.proj1.apply_many(elems), fp.proj2.apply_many(elems)], axis=1)
+    assert len(np.unique(pairs, axis=0)) == fp.ring.cardinality == len(expected)
+    assert sorted(map(tuple, pairs.tolist())) == sorted(map(tuple, expected.tolist()))
+    one = np.concatenate([f1.source.one_vec(), f2.source.one_vec()])
+    assert np.array_equal(pairs[fp.ring.code(fp.ring.one_vec())], one)
+    assert fp.ring.is_local()
+
+
+def test_fiber_product_rejects_factors_that_are_not_fp_algebras():
+    z4_to_z2 = mk_tower("zmod", 2, a=2, b=1).pibar
+    with pytest.raises(ValidationError, match="F_p-algebras"):
+        ring_fiber_product(z4_to_z2, z4_to_z2)
+
+
+def test_fiber_product_above_the_cap_is_rejected_before_building(monkeypatch):
+    # F_2[t]/t^9 x_{F_2} F_2[t]/t^9 has 2^17 elements
+    R, f2 = trunc_poly_ring(2, 9), zmod_ring(2, 1)
+    images = np.zeros((9, 1), dtype=np.int64)
+    images[0, 0] = 1
+    proj = RingSurjection(R, f2, images)
+    assert 2 ** 17 > MAX_RING_SIZE
+    built = []
+    monkeypatch.setattr(FiniteRing, "__post_init__", lambda self: built.append(self))
+    with pytest.raises(ValidationError, match="fiber product exceeds the ring size cap"):
+        ring_fiber_product(proj, proj)
+    assert built == [] and "_elements" not in vars(R)

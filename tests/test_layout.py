@@ -72,7 +72,7 @@ def test_arithmetic_and_level_changes_are_vector_operations():
     down = map_reduce(da, f, "bar", "mid")
     rows = f.coef.reshape(-1, da.bar.ring.m)
     assert np.array_equal(down.coef, da.tower.pibar.apply_many(rows).reshape(-1))
-    assert map_reduce(da, map_lift(da, down, "mid", "bar"), "bar", "mid") == down
+    assert map_reduce(da, map_lift(da, down), "bar", "mid") == down
 
 
 def test_wrong_length_algebra_or_shape_is_refused():
