@@ -17,9 +17,19 @@ the `guard` case is `crude.h_minus1_guard` on `gen --kind map --seed 47`
 seeded complex over F_3 with ranks 24, 26, 26 (the size of the liftbench
 ladder24 rung), and `delta4` is `complexes.delta_generators` in degree 0 at
 the Z/4 level of Z/8 -> Z/4 -> F_2 (two generators per coefficient).  The
+`core` cases are `KernelComplex.coboundary_space` and `solve_coboundary` in
+degree 2 (delta_1, 624 x 1300) on a fresh kernel complex, on the core of
+delta ("core") and on the dense matrix with `gf.row_space` and `gf.solve`
+("dense"), for the seeded complex above ("random", whose core is nearly all
+of delta) and for the ladder24 base differential, a rank-2 split block
+("ladder": 48 nonzero entries); both paths give one digest.  The
 `emit` case is `cli.canonical_json` on the report that `sqzlift oracle` writes
 for `gen --kind differential --seed 74` (59 049 witnesses, 59 049 singleton
-orbits), taken as the command hands it to the writer.  The `tower` case
+orbits), taken as the command hands it to the writer.  The `emit (shape)`
+rows write one seeded integer array by `cli._int_array` and through its list;
+the 4-d shapes are map components (r x r entries of 3 coefficients), and
+their crossover sets `cli._INT_ARRAY_MIN_SIZE`, while 1-d arrays cross
+later.  The `tower` case
 builds every tower of `oracle._TOWER_MENU` with `mk_tower` and round-trips
 the J elements of each through the kernel codec (`kernel_coords`, then
 `kernel_matrix`); its digest covers the minimal section sigma, the
@@ -55,7 +65,7 @@ from time import perf_counter
 
 import numpy as np
 
-from sqzlift import algebra, cli, crude, defun, finring, gf, oracle
+from sqzlift import algebra, cli, cohomology, crude, defun, finring, gf, oracle
 from sqzlift.algebra import AlgMatrix, dual_numbers_algebra, mk_algebra
 from sqzlift.complexes import (Complex, GradedMap, GradedObject, HomComplex,
                                coefficient_orders, delta_generators)
@@ -81,7 +91,13 @@ def _workloads():
     loads.append(("delta", 3, -1))
     loads.append(("delta", 3, 0))
     loads.append(("delta4", 2, None))
+    for shape in ("random", "ladder"):
+        for path in ("dense", "core"):
+            loads.append(("core", 3, (shape, path)))
     loads.append(("emit", 3, None))
+    for shape in [(r, r, 1, 3) for r in (2, 3, 4, 5, 6, 8)] + [(n,) for n in (32, 64, 256, 512)]:
+        for path in ("list", "int_array"):
+            loads.append(("emit_array", None, (shape, path)))
     loads.append(("tower", None, None))
     loads.append(("fiber", 3, None))
     loads.append(("nilpotent", 2, 14))
@@ -135,20 +151,66 @@ def _guard_job():
     return job
 
 
-def _delta_job(n):
+def _ladder_complex(alg, shape):
+    """The base differential on ranks 24, 26, 26: seeded and of full rank
+    ("random"), or the rank-2 split block of the liftbench ladder24 rung
+    ("ladder", whose nilpotent blocks vanish at the base)."""
     rng = np.random.default_rng(1)
-    alg = defun.trivial_base_algebra(3)
     ob = GradedObject.of({0: 24, 1: 26, 2: 26})
-    d0 = rng.integers(0, 3, size=(26, 24)).astype(np.int64)
-    ker = gf.nullspace(d0.T, 3)   # rows y with y d0 = 0
-    d1 = rng.integers(0, 3, size=(26, len(ker))) @ ker % 3
+    if shape == "random":
+        d0 = rng.integers(0, 3, size=(26, 24)).astype(np.int64)
+        ker = gf.nullspace(d0.T, 3)   # rows y with y d0 = 0
+        d1 = rng.integers(0, 3, size=(26, len(ker))) @ ker % 3
+    else:
+        d0, d1 = np.zeros((26, 24), dtype=np.int64), np.zeros((26, 26), dtype=np.int64)
+        d0[24:, 22:] = np.eye(2, dtype=np.int64)
     d = GradedMap(alg, ob, ob, 1, {0: AlgMatrix(alg, d0[:, :, None, None]),
                                    1: AlgMatrix(alg, d1[:, :, None, None])})
     Complex(alg, ob, d)   # checks d^2 = 0
+    return ob, d
+
+
+def _delta_job(n):
+    alg = defun.trivial_base_algebra(3)
+    ob, d = _ladder_complex(alg, "random")
     hc = HomComplex(alg, ob, ob, d, d)
 
     def job():
         return hc.delta_matrix(n).tobytes()
+    return job
+
+
+def _core_job(shape, path):
+    """coboundary_space(2) and solve_coboundary(v, 2) of a fresh kernel complex
+    over F_3 (dimJ = 1), v a seeded coboundary; "dense" is the same on the
+    dense matrix of delta_1 (624 x 1300), with gf.row_space and gf.solve."""
+    defalg = mk_algebra(mk_tower("trunc_poly", 3, a=2, b=1), "trivial")
+    ob, d = _ladder_complex(defalg.base, shape)
+    mat = HomComplex(defalg.base, ob, ob, d, d).delta_matrix(1)
+    v = mat @ np.random.default_rng(3).integers(0, 3, size=mat.shape[1]) % 3
+
+    def job():
+        if path == "dense":
+            dmat = HomComplex(defalg.base, ob, ob, d, d).delta_matrix(1)
+            (red, pivots), x = gf.row_space(dmat.T, 3), gf.solve(dmat, v, 3)
+        else:
+            K = cohomology.kernel_complex(defalg, ob, ob, d, d)
+            (red, pivots), x = K.coboundary_space(2), K.solve_coboundary(v, 2)
+        return red.tobytes() + np.asarray(pivots, dtype=np.int64).tobytes() + x.tobytes()
+    return job
+
+
+def _emit_array_job(shape, path):
+    """One seeded integer array of the given shape written by `_int_array`, or
+    through its list: the two sides of `cli._INT_ARRAY_MIN_SIZE`."""
+    a = np.random.default_rng(4).integers(-40, 40, size=shape)
+
+    def job():
+        if path == "int_array":
+            return cli._int_array(a, "\n  ").encode()
+        out = []
+        cli._write_json(a.tolist(), "\n  ", out)
+        return "".join(out).encode()
     return job
 
 
@@ -285,6 +347,12 @@ def main() -> int:
             name = f"delta n={payload}"
         elif name == "delta4":
             job = _delta_z4_job()
+        elif name == "core":
+            job = _core_job(*payload)
+            name = f"core {payload[0]} {payload[1]}"
+        elif name == "emit_array":
+            job = _emit_array_job(*payload)
+            name = f"emit {payload[0]} {payload[1]}"
         elif name == "emit":
             job = _emit_job()
         elif name == "tower":

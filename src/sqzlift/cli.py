@@ -6,7 +6,8 @@ s in {tower, algebra, complex, map, problem}.  Serialization is canonical
 byte-identically and repeated runs produce identical reports.
 `canonical_json` writes the bytes of `json.dumps(obj, sort_keys=True,
 indent=2)` itself: a list of ints is joined with `str` in one call, and an
-integer ndarray is written as bytes in a few numpy passes.  Reports carry
+integer ndarray of 64 elements or more (reports hold map components as
+arrays) is written as bytes in a few numpy passes.  Reports carry
 "verdict" in {lifts, obstructed, classified, verified, failed}; obstructed is
 exit status 2 (a mathematical outcome), errors (usage errors too) are exit
 status 1.  Each command takes only the flags it reads (`COMMANDS`).
@@ -67,8 +68,13 @@ SCHEMAS = ("tower", "algebra", "complex", "map", "problem")
 def canonical_json(obj) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)` and a
     newline, byte for byte, without the pure-Python encoder that `indent`
-    selects.  Integer ndarrays are written as their `tolist()` would be, by
-    `_int_array`, with no Python object per element."""
+    selects.  An integer ndarray is written as its `tolist()` would be:
+    from _INT_ARRAY_MIN_SIZE (64) elements up by `_int_array`, with no Python
+    object per element, and below that through the list itself.  The
+    crossover is that of map components (r x r entries of a few
+    coefficients), where `_int_array`'s fixed cost of tens of microseconds
+    meets the list's cost of about one microsecond per element; the `emit`
+    rows of benchmarks/bench_kernels.py measure it."""
     out: list[str] = []
     _write_json(obj, "\n", out)
     out.append("\n")
@@ -114,7 +120,7 @@ def _write_json(o, nl: str, out: list[str]) -> None:
     elif isinstance(o, str):
         out.append(_escape(o))
     elif isinstance(o, np.ndarray):
-        if o.dtype.kind in "iu" and o.size:
+        if o.dtype.kind in "iu" and o.size >= _INT_ARRAY_MIN_SIZE:
             out.append(_int_array(o, nl))
         else:
             _write_json(o.tolist(), nl, out)
@@ -122,6 +128,8 @@ def _write_json(o, nl: str, out: list[str]) -> None:
         out.append(json.dumps(o))
 
 
+# the size from which _int_array writes an integer array faster than its list
+_INT_ARRAY_MIN_SIZE = 64
 _DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
                              dtype=np.uint16)          # "00" .. "99"
 _POWERS_OF_TEN = 10 ** np.arange(19, -1, -1, dtype=np.uint64)
@@ -279,9 +287,10 @@ def ranks_from_payload(pay: dict) -> GradedObject:
     return GradedObject.of({int(k): int(v) for k, v in pay.items()})
 
 
-def _comps_payload(f: GradedMap) -> dict:
-    """The nonzero components of f, keyed by degree."""
-    return {str(i): _ilist(blk[0]) for i, blk in f.blocks().items()}
+def _comps_payload(f: GradedMap, lists: bool) -> dict:
+    """The nonzero components of f, keyed by degree: int64 arrays, which
+    canonical_json writes as their lists, or with lists the lists themselves."""
+    return {str(i): blk[0].tolist() if lists else blk[0] for i, blk in f.blocks().items()}
 
 
 def _gmap_from_comps(alg, src: GradedObject, tgt: GradedObject, n: int, comps: dict,
@@ -298,10 +307,11 @@ def _gmap_from_comps(alg, src: GradedObject, tgt: GradedObject, n: int, comps: d
     return GradedMap.from_arrays(alg, src, tgt, n, arrays)
 
 
-def gmap_to_payload(f: GradedMap, level: str) -> dict:
+def gmap_to_payload(f: GradedMap, level: str, lists: bool = False) -> dict:
+    """The payload of f; its components are arrays unless lists is set."""
     return {"level": level, "degree": int(f.degree),
             "src": ranks_to_payload(f.src), "tgt": ranks_to_payload(f.tgt),
-            "comps": _comps_payload(f)}
+            "comps": _comps_payload(f, lists)}
 
 
 def gmap_from_payload(defalg: DeformedAlgebra, pay: dict) -> GradedMap:
@@ -312,8 +322,10 @@ def gmap_from_payload(defalg: DeformedAlgebra, pay: dict) -> GradedMap:
                             "component {} has wrong coefficient shape")
 
 
-def complex_to_payload(X, level: str) -> dict:
-    return {"level": level, "ranks": ranks_to_payload(X.ob), "d": _comps_payload(X.d)}
+def complex_to_payload(X, level: str, lists: bool = False) -> dict:
+    """The payload of X; its differential's components are arrays unless
+    lists is set."""
+    return {"level": level, "ranks": ranks_to_payload(X.ob), "d": _comps_payload(X.d, lists)}
 
 
 def complex_from_payload(defalg: DeformedAlgebra, pay: dict,
@@ -331,6 +343,8 @@ def complex_from_payload(defalg: DeformedAlgebra, pay: dict,
 
 def problem_to_doc(kind: str, defalg: DeformedAlgebra, tower_desc, prob,
                    algebra_kind: str = "trivial", meta: dict | None = None) -> dict:
+    """The problem document; it holds lists, not arrays, so that documents
+    compare with ==."""
     pay = {"kind": kind,
            "tower": tower_to_payload(defalg.tower, tower_desc),
            "algebra": algebra_to_payload(defalg, algebra_kind)}
@@ -338,17 +352,17 @@ def problem_to_doc(kind: str, defalg: DeformedAlgebra, tower_desc, prob,
         pay["meta"] = meta
     if kind == "differential":
         pay["complex"] = complex_to_payload(
-            PreComplex(defalg.mid, prob.ob, prob.d_mid), "mid")
+            PreComplex(defalg.mid, prob.ob, prob.d_mid), "mid", lists=True)
     elif kind == "map":
-        pay["C"] = complex_to_payload(prob.C, "bar")
-        pay["D"] = complex_to_payload(prob.D, "bar")
-        pay["f"] = gmap_to_payload(prob.f_mid, "mid")
+        pay["C"] = complex_to_payload(prob.C, "bar", lists=True)
+        pay["D"] = complex_to_payload(prob.D, "bar", lists=True)
+        pay["f"] = gmap_to_payload(prob.f_mid, "mid", lists=True)
     elif kind == "homotopy":
-        pay["C"] = complex_to_payload(prob.C, "bar")
-        pay["D"] = complex_to_payload(prob.D, "bar")
-        pay["f"] = gmap_to_payload(prob.f_bar, "bar")
-        pay["g"] = gmap_to_payload(prob.g_bar, "bar")
-        pay["H"] = gmap_to_payload(prob.H_mid, "mid")
+        pay["C"] = complex_to_payload(prob.C, "bar", lists=True)
+        pay["D"] = complex_to_payload(prob.D, "bar", lists=True)
+        pay["f"] = gmap_to_payload(prob.f_bar, "bar", lists=True)
+        pay["g"] = gmap_to_payload(prob.g_bar, "bar", lists=True)
+        pay["H"] = gmap_to_payload(prob.H_mid, "mid", lists=True)
     else:
         raise SchemaMismatch(f"unknown problem kind {kind!r}")
     return wrap("problem", pay)

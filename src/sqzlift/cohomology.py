@@ -7,6 +7,15 @@ only depends on the base reductions of the latter, so the complex carries the
 differential id_J (x) delta_0.  All cohomology classes get canonical
 representatives (reduction against the row-reduced coboundary space), which
 keeps reports deterministic.
+
+For nilpotent deformations delta_0 is almost all zero, so the linear algebra
+runs on its core (`HomComplex.delta_core`): the nonzero rows, the nonzero
+columns and the small matrix they cut out; the kernel complex's core is
+dimJ diagonal copies of it.  Each answer is scattered back to full
+coordinates and is the one that the dense matrix gives: a zero row never
+pivots, a zero column is free (its variable is 0 in a solution, and its unit
+vector is a cocycle), and a right-hand side that is nonzero on a zero row
+has no solution.  `delta_matrix` stays as the dense reference.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import numpy as np
 from . import gf
 from .algebra import DeformedAlgebra
 from .complexes import (
+    DeltaCore,
     GradedMap,
     HomComplex,
     block_view,
@@ -61,18 +71,28 @@ class KernelComplex:
     def __post_init__(self):
         self.p = self.defalg.p
         self.dimJ = self.defalg.tower.dimJ
-        self._dmat: dict[int, np.ndarray] = {}
+        self._cores: dict[int, DeltaCore] = {}
         self._cobound: dict[int, tuple[np.ndarray, list[int]]] = {}
 
     def dim(self, n: int) -> int:
         return self.dimJ * self.hom.dim(n)
 
     def delta_matrix(self, n: int) -> np.ndarray:
-        if n not in self._dmat:
-            eye = np.eye(self.dimJ, dtype=np.int64)
-            mat = self.hom.delta_matrix(n)
-            self._dmat[n] = mat if self.dimJ == 1 else np.kron(eye, mat)   # no copy of mat
-        return self._dmat[n]
+        """The dense matrix of id_J (x) delta_n, made afresh on each call."""
+        return np.kron(np.eye(self.dimJ, dtype=np.int64), self.hom.delta_matrix(n))
+
+    def delta_core(self, n: int) -> DeltaCore:
+        """The core of id_J (x) delta_n: one diagonal copy of the Hom core
+        per J-basis vector."""
+        if n not in self._cores:
+            core = self.hom.delta_core(n)
+            if self.dimJ > 1:
+                shift = np.arange(self.dimJ)[:, None]
+                core = DeltaCore((shift * self.hom.dim(n + 1) + core.rows).reshape(-1),
+                                 (shift * self.hom.dim(n) + core.cols).reshape(-1),
+                                 np.kron(np.eye(self.dimJ, dtype=np.int64), core.mat))
+            self._cores[n] = core
+        return self._cores[n]
 
     # -- moving between graded maps and coordinate vectors -----------------
 
@@ -114,13 +134,17 @@ class KernelComplex:
     # -- cohomology ----------------------------------------------------------
 
     def is_cocycle(self, vec: np.ndarray, n: int) -> bool:
-        return not ((self.delta_matrix(n) @ (vec % self.p)) % self.p).any()
+        core = self.delta_core(n)
+        return not (core.mat @ (np.asarray(vec)[core.cols] % self.p) % self.p).any()
 
     def coboundary_space(self, n: int) -> tuple[np.ndarray, list[int]]:
         """Row-reduced basis of the degree-n coboundaries, with pivots."""
         if n not in self._cobound:
-            img = self.delta_matrix(n - 1).T   # images as rows
-            self._cobound[n] = gf.row_space(img, self.p)
+            core = self.delta_core(n - 1)
+            red, pivots = gf.row_space(core.mat.T, self.p)   # images as rows
+            full = np.zeros((len(pivots), self.dim(n)), dtype=np.int64)
+            full[:, core.rows] = red
+            self._cobound[n] = full, core.rows[pivots].tolist()
         return self._cobound[n]
 
     def coh_class(self, vec: np.ndarray, n: int) -> CohClass:
@@ -132,9 +156,21 @@ class KernelComplex:
         return CohClass(n, tuple(int(x) for x in rep))
 
     def solve_coboundary(self, vec: np.ndarray, n: int) -> np.ndarray | None:
-        """x with delta(x) = vec (x in degree n-1), or None."""
+        """x with delta(x) = vec (x in degree n-1), or None: gf.solve's
+        canonical solution, with zero free variables."""
         vec = np.asarray(vec, dtype=np.int64) % self.p
-        return gf.solve(self.delta_matrix(n - 1), vec, self.p)
+        if vec.shape != (self.dim(n),):
+            raise ShapeMismatch(f"expected a vector of length {self.dim(n)}")
+        core = self.delta_core(n - 1)
+        part = vec[core.rows]
+        if np.count_nonzero(part) < np.count_nonzero(vec):   # nonzero on a zero row
+            return None
+        y = gf.solve(core.mat, part, self.p)
+        if y is None:
+            return None
+        x = np.zeros(self.dim(n - 1), dtype=np.int64)
+        x[core.cols] = y
+        return x
 
     def h_dim(self, n: int) -> int:
         # rank delta_n = rank delta_n^T, the number of degree-(n+1) coboundary pivots
@@ -142,15 +178,31 @@ class KernelComplex:
         return self.dim(n) - rank_n - len(self.coboundary_space(n)[1])
 
     def h_basis(self, n: int) -> np.ndarray:
-        """Canonical representatives of a basis of H^n, one per row."""
-        red, pivots = self.coboundary_space(n)
-        reps = gf.reduce_mod_rowspace(gf.nullspace(self.delta_matrix(n), self.p),
-                                      red, pivots, self.p)
+        """Canonical representatives of a basis of H^n, one per row: the
+        reduced null space vectors of delta_n that are independent of the ones
+        before them, in the order of their free columns.
+
+        A coordinate that is neither a column of delta_n's core nor a row of
+        delta_{n-1}'s is its own class (its unit vector); the other vectors
+        live on the touched coordinates, and are found there."""
+        cocycles, red, pivots = self.delta_core(n), *self.coboundary_space(n)
+        touched = np.union1d(cocycles.cols, self.delta_core(n - 1).rows)
+        a = np.zeros((len(cocycles.rows), len(touched)), dtype=np.int64)
+        a[:, np.searchsorted(touched, cocycles.cols)] = cocycles.mat
+        free = np.setdiff1d(np.arange(len(touched)),
+                            np.asarray(gf.rref(a, self.p)[1], dtype=np.int64))
+        z = np.zeros((len(free), self.dim(n)), dtype=np.int64)
+        z[:, touched] = gf.nullspace(a, self.p)
+        reps = gf.reduce_mod_rowspace(z, red, pivots, self.p)
         # the reps are zero on the coboundaries' pivot columns, so a rep is
         # independent of the coboundaries and the earlier reps iff it is
         # independent of the earlier reps: a pivot column of reps^T
-        _, keep, _ = gf.rref(reps.T, self.p)
-        return reps[keep]
+        keep = gf.rref(reps[:, touched].T, self.p)[1]
+        untouched = np.setdiff1d(np.arange(self.dim(n)), touched)
+        units = np.zeros((len(untouched), self.dim(n)), dtype=np.int64)
+        units[np.arange(len(untouched)), untouched] = 1
+        order = np.argsort(np.concatenate([untouched, touched[free[keep]]]))
+        return np.concatenate([units, reps[keep]])[order]
 
     def all_classes(self, n: int, cap: int = DEFAULT_CAP) -> list[CohClass]:
         """All of H^n, canonical representatives, lexicographic digit order;

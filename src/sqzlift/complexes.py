@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -344,18 +345,23 @@ def delta_generators(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap,
     rows, nrows = blocks(n + 1)
     dCb, dDb = dC.blocks(), dD.blocks()
     sign = 1 if n % 2 else -1
+    korders = np.tile(alg.ring.orders, alg.k)   # the order of each coefficient of an entry
     mat = np.zeros((nrows, ncols), dtype=np.int64)
+    # Each block repeats one reduced operator along a diagonal; einsum with a
+    # repeated index is a writeable view of that diagonal, so only the
+    # operator's entries are written.
     for i, row in rows.items():
         c0, r1 = src.rank(i), tgt.rank(i + n + 1)
         out = slice(row, row + r1 * c0 * km)
         if i in cols and i + n in dDb:   # dD_{i+n} f_i: the identity on columns
             op = alg.left_op(dDb[i + n][0]).reshape(r1, km, -1, km)
-            blk = np.einsum("alry,cd->aclrdy", op, np.eye(c0, dtype=np.int64))
-            blk = blk.reshape(r1 * c0 * km, -1)
-            mat[out, cols[i]:cols[i] + blk.shape[1]] = blk
+            blk = mat[out, cols[i]:cols[i] + op.shape[2] * c0 * km]
+            diag = np.einsum("aclrcy->calry", blk.reshape(r1, c0, km, -1, c0, km))
+            diag[...] = op % korders[:, None, None]
         if i + 1 in cols and i in dCb:   # f_{i+1} dC_i: the identity on rows
-            blk = np.kron(np.eye(r1, dtype=np.int64), alg.right_op(dCb[i][0]))
-            mat[out, cols[i + 1]:cols[i + 1] + blk.shape[1]] = sign * blk
+            op = sign * alg.right_op(dCb[i][0]) % np.tile(korders, c0)[:, None]
+            blk = mat[out, cols[i + 1]:cols[i + 1] + r1 * op.shape[1]]
+            np.einsum("asat->ast", blk.reshape(r1, len(op), r1, -1))[...] = op
     qs, ts = [], []
     for q, order in enumerate(coefficient_orders(alg, src, tgt, n).tolist()):
         t = 1
@@ -363,10 +369,10 @@ def delta_generators(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap,
             qs.append(q)
             ts.append(t)
             t *= alg.ring.p
-    # one generator per coefficient (t = 1, as over a field): M itself, without a copy
-    gens = mat if len(qs) == ncols else mat[:, qs] * np.array(ts, dtype=np.int64)
-    gens %= coefficient_orders(alg, src, tgt, n + 1)[:, None]
-    return gens.T
+    if len(qs) == ncols:   # one generator per coefficient (t = 1, as over a field): M itself
+        return mat.T
+    orders = coefficient_orders(alg, src, tgt, n + 1)[:, None]
+    return (mat[:, qs] * np.array(ts, dtype=np.int64) % orders).T
 
 
 def delta_solutions(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap, n: int,
@@ -448,6 +454,15 @@ def map_lift(defalg: DeformedAlgebra, f: GradedMap) -> GradedMap:
 # the Hom complex over the base field
 # ---------------------------------------------------------------------------
 
+class DeltaCore(NamedTuple):
+    """A matrix of delta cut down to its nonzero rows and columns: every other
+    entry of the matrix is zero, and mat is its [rows][:, cols] block."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    mat: np.ndarray
+
+
 @dataclass(eq=False)
 class HomComplex:
     """Hom(C, D) as a complex of F_p-vector spaces at the base level.
@@ -466,6 +481,7 @@ class HomComplex:
         if self.alg.ring.m != 1:
             raise LevelMismatch("HomComplex lives at the base (prime field) level")
         self.p = self.alg.ring.p
+        self._cores: dict[int, DeltaCore] = {}
 
     def dim(self, n: int) -> int:
         return coefficient_count(self.alg, self.obC, self.obD, n)
@@ -473,3 +489,11 @@ class HomComplex:
     def delta_matrix(self, n: int) -> np.ndarray:
         """Matrix of delta: Hom^n -> Hom^{n+1} on coefficient vectors."""
         return delta_generators(self.alg, self.dC, self.dD, n).T
+
+    def delta_core(self, n: int) -> DeltaCore:
+        """The core of delta_n, made once per degree."""
+        if n not in self._cores:
+            mat = self.delta_matrix(n)
+            rows, cols = np.flatnonzero(mat.any(axis=1)), np.flatnonzero(mat.any(axis=0))
+            self._cores[n] = DeltaCore(rows, cols, mat[np.ix_(rows, cols)])
+        return self._cores[n]

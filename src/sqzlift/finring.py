@@ -74,12 +74,14 @@ class FiniteRing:
         m = len(self.orders)
         if not self.names:
             self.names = tuple(f"b{i}" for i in range(m))
-        for o in self.orders:
-            e = int(o)
-            while e % self.p == 0:
+        # p^e with e >= 1: a basis element of order 1 is zero, and 0 is no order
+        for o in self.orders.tolist():
+            e = o
+            while e > 1 and e % self.p == 0:
                 e //= self.p
-            if e != 1:
-                raise ValidationError(f"additive order {int(o)} is not a power of {self.p}")
+            if o < self.p or e != 1:
+                raise ValidationError(f"additive order {o} is not a power p^e, e >= 1, "
+                                      f"of {self.p}")
         if self.cardinality > MAX_RING_SIZE:
             raise ValidationError(f"ring of order {self.cardinality} exceeds cap {MAX_RING_SIZE}")
         if self.mult.shape != (m, m, m):

@@ -4,6 +4,7 @@ import argparse
 import importlib.util
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sqzlift.cli import (
     canonical_json,
     complex_from_payload,
     complex_to_payload,
+    gmap_from_payload,
     gmap_to_payload,
     load_doc,
     main,
@@ -29,7 +31,7 @@ from sqzlift.cli import (
     unwrap,
     wrap,
 )
-from sqzlift.complexes import GradedMap, GradedObject, zero_map
+from sqzlift.complexes import GradedMap, GradedObject, from_coefficients, zero_map
 from sqzlift.errors import NotADifferential
 from sqzlift.finring import mk_tower
 from sqzlift.obstruction import DifferentialProblem
@@ -140,6 +142,27 @@ def test_bare_complex_doc_with_bad_square_exits_1(tmp_path, z4, capsys):
     rep = json.loads(out)
     assert rep["verdict"] == "failed"
     assert rep["error"]["type"] == "NotADifferential"
+
+
+def test_tower_document_with_an_order_one_basis_element_fails_cleanly(tmp_path, capsys):
+    """Rbar = F_2[t]/t^2 plus a basis element of additive order 1, which is
+    zero: a ValidationError report, with no numpy warning on the way."""
+    fp = {"p": 2, "orders": [2], "mult": [[[1]]], "names": ["1"]}
+    mult = np.zeros((3, 3, 3), dtype=np.int64)
+    mult[0, 0, 0] = mult[0, 1, 1] = mult[1, 0, 1] = 1
+    rbar = {"p": 2, "orders": [2, 2, 1], "mult": mult.tolist(), "names": ["1", "t", "z"]}
+    tower = {"kind": "custom", "p": 2, "rbar": rbar, "r": fp, "r0": fp,
+             "pibar": [[1], [0], [0]], "pi": [[1]]}
+    tower_doc = _write(tmp_path, "t.json", wrap("tower", tower))
+    cx_doc = _write(tmp_path, "c.json",
+                    wrap("complex", {"level": "mid", "ranks": {"0": 1, "1": 1}, "d": {}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # as python -W error
+        code = main(["obstruct-diff", "--tower", tower_doc, "--complex", cx_doc])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1 and rep["verdict"] == "failed"
+    assert rep["error"] == {"type": "ValidationError",
+                            "message": "additive order 1 is not a power p^e, e >= 1, of 2"}
 
 
 # -- exit-code contract -----------------------------------------------------
@@ -478,6 +501,44 @@ _EXACT_ARRAYS = {
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_writer_is_exact_on_long_and_wide_int_arrays(name, depth):
     _assert_writes_its_list(_EXACT_ARRAYS[name], depth)
+
+
+_CROSSOVER = cli._INT_ARRAY_MIN_SIZE
+
+
+@pytest.mark.parametrize("size", [_CROSSOVER - 1, _CROSSOVER, _CROSSOVER + 1])
+@pytest.mark.parametrize("shape", [(-1,), (-1, 1), (1, -1, 1, 1), (-1, 0, 2), (0, -1)])
+def test_writer_is_exact_across_the_int_array_crossover(size, shape):
+    """Arrays of size just below, at and just above the size from which
+    _int_array writes them, with negative entries, and shapes with a 0 axis."""
+    arr = np.arange(size, dtype=np.int64) - size // 2
+    if 0 in shape:
+        arr = np.zeros(tuple(size if d == -1 else d for d in shape), dtype=np.int64)
+    else:
+        arr = arr.reshape(shape)
+    assert canonical_json(arr) == _reference_json(arr.tolist())
+    assert canonical_json({"a": [arr, 1]}) == _reference_json({"a": [arr.tolist(), 1]})
+
+
+def _witness_with_small_and_large_components():
+    """A bar-level map over F_3[t]/t^3 whose components have 3 and 75
+    coefficients, one below and one above the crossover."""
+    defalg = mk_algebra(mk_tower("trunc_poly", 3, a=3, b=2), "trivial")
+    src, tgt = GradedObject.of({0: 1, 1: 1}), GradedObject.of({0: 1, 1: 25})
+    f = from_coefficients(defalg.bar, src, tgt, 0,
+                          np.random.default_rng(7).integers(1, 27, size=3 + 75))
+    sizes = sorted(blk.size for blk in f.blocks().values())
+    assert sizes[0] < _CROSSOVER <= sizes[-1]
+    return defalg, f
+
+
+def test_witness_components_on_both_sides_of_the_crossover_write_their_lists(tmp_path):
+    defalg, f = _witness_with_small_and_large_components()
+    want = _reference_json(wrap("map", gmap_to_payload(f, "bar", lists=True)))
+    assert canonical_json(wrap("map", gmap_to_payload(f, "bar"))) == want
+    path = _write(tmp_path, "f.json", wrap("map", gmap_to_payload(f, "bar")))
+    assert open(path).read() == want
+    assert gmap_from_payload(defalg, unwrap(load_doc(path), "map")) == f
 
 
 def _crude_doc(z4):

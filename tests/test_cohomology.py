@@ -47,13 +47,9 @@ def test_dimensions_and_zero_differential(K_z4):
     assert K.dim(1) == 2   # dimJ = 1, two off-diagonal slots
 
 
-def test_kernel_delta_is_the_hom_delta_once_per_j_basis_vector(K_t3):
-    """dimJ = 1 keeps the Hom matrix itself; dimJ = 2 (square_zero r = 2)
-    is its Kronecker product with the identity."""
-    _, _, _, K = K_t3
-    assert K.dimJ == 1
-    for n in (-1, 0, 1):
-        assert np.array_equal(K.delta_matrix(n), K.hom.delta_matrix(n))
+@pytest.fixture(scope="module")
+def K_sq2():
+    """Kernel complex over square_zero(3; r=2), so dimJ = 2."""
     defalg = mk_algebra(mk_tower("square_zero", 3, r=2), "trivial")
     base = defalg.base
     ob = GradedObject.of({0: 1, 1: 2, 2: 1})
@@ -61,7 +57,32 @@ def test_kernel_delta_is_the_hom_delta_once_per_j_basis_vector(K_t3):
         0: AlgMatrix(base, np.array([[[[1]]], [[[2]]]], dtype=np.int64)),
         1: AlgMatrix(base, np.array([[[[1]], [[1]]]], dtype=np.int64)),
     })
-    K2 = kernel_complex(defalg, ob, ob, d0, d0)
+    return kernel_complex(defalg, ob, ob, d0, d0)
+
+
+@pytest.fixture(scope="module")
+def K_ladder():
+    """A ladder-shaped complex over F_3[t]/t^3 -> F_3[t]/t^2: ranks 6, 7, 7
+    and a base differential of two 2 x 2 identity blocks, so delta is
+    mostly zero rows and zero columns."""
+    defalg = mk_algebra(mk_tower("trunc_poly", 3, a=3, b=2), "trivial")
+    base = defalg.base
+    ob = GradedObject.of({0: 6, 1: 7, 2: 7})
+    d_0, d_1 = np.zeros((7, 6), dtype=np.int64), np.zeros((7, 7), dtype=np.int64)
+    d_0[:2, :2] = d_1[2:4, 2:4] = np.eye(2, dtype=np.int64)
+    d0 = GradedMap(base, ob, ob, 1, {0: AlgMatrix(base, d_0[:, :, None, None]),
+                                     1: AlgMatrix(base, d_1[:, :, None, None])})
+    return kernel_complex(defalg, ob, ob, d0, d0)
+
+
+def test_kernel_delta_is_the_hom_delta_once_per_j_basis_vector(K_t3, K_sq2):
+    """dimJ = 1 keeps the Hom matrix itself; dimJ = 2 (square_zero r = 2)
+    is its Kronecker product with the identity."""
+    _, _, _, K = K_t3
+    assert K.dimJ == 1
+    for n in (-1, 0, 1):
+        assert np.array_equal(K.delta_matrix(n), K.hom.delta_matrix(n))
+    K2 = K_sq2
     assert K2.dimJ == 2
     for n in (-1, 0, 1):
         want = np.kron(np.eye(2, dtype=np.int64), K2.hom.delta_matrix(n))
@@ -239,3 +260,73 @@ def test_h_basis_and_all_classes_match_the_greedy_loops(K_z4, K_t3):
             if K.p ** len(ref) <= 729:
                 assert K.all_classes(n) == _classes_digit_by_digit(K, n, ref)
     assert compared > 0
+
+
+# -- the core of delta against the dense matrix ----------------------------
+
+def _dense_h_basis(K, n):
+    """h_basis on the dense matrix: the reduced null space of delta_n, each
+    vector kept when it is independent of the ones before it."""
+    red, pivots = gf.row_space(K.delta_matrix(n - 1).T, K.p)
+    reps = gf.reduce_mod_rowspace(gf.nullspace(K.delta_matrix(n), K.p), red, pivots, K.p)
+    return reps[gf.rref(reps.T, K.p)[1]]
+
+
+@pytest.mark.parametrize("name", ["K_t3", "K_z4", "K_sq2", "K_ladder"])
+def test_core_answers_are_the_dense_answers(name, request):
+    K = request.getfixturevalue(name)
+    K = K[-1] if isinstance(K, tuple) else K
+    rng = np.random.default_rng(5)
+    solved = unsolved = 0
+    for n in (-1, 0, 1, 2):
+        dense, prev = K.delta_matrix(n), K.delta_matrix(n - 1)
+        core = K.delta_core(n)
+        assert np.array_equal(dense[np.ix_(core.rows, core.cols)], core.mat)
+        assert dense.sum() == core.mat.sum()   # nothing nonzero outside the core
+        red, pivots = K.coboundary_space(n)
+        want_red, want_pivots = gf.row_space(prev.T, K.p)
+        assert np.array_equal(red, want_red) and pivots == want_pivots
+        assert K.h_dim(n) == K.dim(n) - gf.rank(dense, K.p) - gf.rank(prev, K.p)
+        basis = K.h_basis(n)
+        assert basis.dtype == np.int64
+        assert np.array_equal(basis, _dense_h_basis(K, n).reshape(-1, K.dim(n)))
+        # coboundaries, cocycles and random vectors, through solve and is_cocycle
+        null = gf.nullspace(dense, K.p)
+        xs = rng.integers(0, K.p, size=(4, K.dim(n - 1)))
+        zs = rng.integers(0, K.p, size=(4, len(null))) @ null % K.p
+        vs = np.concatenate([xs @ prev.T % K.p, zs, rng.integers(0, K.p, size=(4, K.dim(n)))])
+        for v in vs:
+            got, want = K.solve_coboundary(v, n), gf.solve(prev, v, K.p)
+            assert (got is None) == (want is None)
+            assert want is None or np.array_equal(got, want)
+            assert K.is_cocycle(v, n) == (not (dense @ v % K.p).any())
+            solved, unsolved = solved + (got is not None), unsolved + (got is None)
+    assert solved and unsolved
+
+
+def test_zero_delta_has_an_empty_core(K_z4):
+    """d = 0: every core is 0 x 0, every vector a cocycle, and only 0 a
+    coboundary."""
+    _, _, K = K_z4
+    for n in (-1, 0, 1, 2):
+        core = K.delta_core(n)
+        assert core.mat.shape == (0, 0) and not len(core.rows) and not len(core.cols)
+        assert K.coboundary_space(n)[0].shape == (0, K.dim(n))
+        assert np.array_equal(K.h_basis(n), np.eye(K.dim(n), dtype=np.int64))
+    v = np.ones(K.dim(1), dtype=np.int64)
+    assert K.is_cocycle(v, 1) and K.solve_coboundary(v, 1) is None
+    assert np.array_equal(K.solve_coboundary(0 * v, 1), np.zeros(K.dim(0), dtype=np.int64))
+
+
+def test_rhs_on_a_zero_row_of_delta_has_no_solution(K_ladder):
+    """A vector that is nonzero only on a zero row of delta is no coboundary,
+    although the core part of it (zero) is solvable."""
+    K = K_ladder
+    for n in (0, 1, 2):
+        core = K.delta_core(n - 1)
+        zero_rows = np.setdiff1d(np.arange(K.dim(n)), core.rows)
+        assert len(zero_rows) and len(core.rows)
+        v = np.zeros(K.dim(n), dtype=np.int64)
+        v[zero_rows[0]] = 1
+        assert K.solve_coboundary(v, n) is None
+        assert gf.solve(K.delta_matrix(n - 1), v, K.p) is None

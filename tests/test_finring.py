@@ -321,6 +321,27 @@ def test_tower_rejects_kernel_not_killed_by_p():
         mk_tower("zmod", 2, a=3, b=1)
 
 
+def _f2_ring_with_orders(orders):
+    """F_2[t]/t^2 with one more basis element of the given additive order,
+    which multiplies to zero; the table is canonical for order 1."""
+    mult = np.zeros((3, 3, 3), dtype=np.int64)
+    mult[0, 0, 0] = mult[0, 1, 1] = mult[1, 0, 1] = 1
+    return FiniteRing(2, np.array(orders), mult)
+
+
+@pytest.mark.parametrize("orders", [[2, 2, 1], [2, 2, 0], [2, 2, -2]])
+def test_basis_element_of_order_below_p_is_rejected(orders):
+    """A basis element of order 1 is zero, which left Tower dividing by
+    orders // p = 0; order 0 used to loop forever.  The ring is refused
+    before any table is built, so mk_tower never sees it."""
+    with pytest.raises(ValidationError, match=f"additive order {orders[2]} is not a power"):
+        fp = zmod_ring(2, 1)
+        rbar = _f2_ring_with_orders(orders)
+        mk_tower("custom", 2, Rbar=rbar, R=fp, R0=fp,
+                 pibar=RingSurjection(rbar, fp, np.array([[1], [0], [0]])),
+                 pi=RingSurjection(fp, fp, np.array([[1]])))
+
+
 def test_sigma_sections_land_correctly():
     tower = mk_tower("trunc_poly", 3, a=3, b=2)
     assert np.array_equal(tower.pibar.apply_many(tower.sigma), tower.R.elements())
