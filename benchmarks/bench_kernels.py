@@ -27,9 +27,13 @@ of delta) and for the ladder24 base differential, a rank-2 split block
 for `gen --kind differential --seed 74` (59 049 witnesses, 59 049 singleton
 orbits), taken as the command hands it to the writer.  The `emit (shape)`
 rows write one seeded integer array by `cli._int_array` and through its list;
-the 4-d shapes are map components (r x r entries of 3 coefficients), and
-their crossover sets `cli._INT_ARRAY_MIN_SIZE`, while 1-d arrays cross
-later.  The `tower` case
+the 4-d shapes are map components (r x r entries of 3 coefficients), the 1-d
+ones witness lists, and the crossovers of both set `cli._list_work` and
+`cli._INT_ARRAY_MIN_WORK`.  The `scan k= L=` cases are `gf.scan_affine_zero`
+over all p^k candidates on two seeded shapes, the scan of the oracle on
+`gen --kind differential --seed 51` (p = 3, k = 12, L = 24: 6 561 hits, the
+oracle's largest scan in liftbench), and a seeded shape at the enumeration
+cap (p = 2, k = 20, L = 16).  The `tower` case
 builds every tower of `oracle._TOWER_MENU` with `mk_tower` and round-trips
 the J elements of each through the kernel codec (`kernel_coords`, then
 `kernel_matrix`); its digest covers the minimal section sigma, the
@@ -83,7 +87,11 @@ def _workloads():
     for p, neq, k in ((2, 64, 14), (3, 48, 9)):
         base = rng.integers(0, p, size=neq).astype(np.int64)
         gens = rng.integers(0, p, size=(k, neq)).astype(np.int64)
-        loads.append(("scan", p, (base, gens)))
+        loads.append(("scan", p, (base, gens, np.full(neq, p, dtype=np.int64))))
+    loads.append(("scan", 3, _oracle_generators("differential", 51)[1]()))
+    wide = np.random.default_rng(20)
+    loads.append(("scan", 2, (wide.integers(0, 2, size=16), wide.integers(0, 2, size=(20, 16)),
+                              np.full(16, 2, dtype=np.int64))))
     loads.append(("partition", 3, (10, 13)))
     loads.append(("orbits", 3, None))
     loads.append(("strict", 3, None))
@@ -95,7 +103,8 @@ def _workloads():
         for path in ("dense", "core"):
             loads.append(("core", 3, (shape, path)))
     loads.append(("emit", 3, None))
-    for shape in [(r, r, 1, 3) for r in (2, 3, 4, 5, 6, 8)] + [(n,) for n in (32, 64, 256, 512)]:
+    for shape in ([(r, r, 1, 3) for r in (2, 3, 4, 5, 6, 8)]
+                  + [(n,) for n in (32, 64, 81, 243, 256, 384, 512)]):
         for path in ("list", "int_array"):
             loads.append(("emit_array", None, (shape, path)))
     loads.append(("tower", None, None))
@@ -202,7 +211,7 @@ def _core_job(shape, path):
 
 def _emit_array_job(shape, path):
     """One seeded integer array of the given shape written by `_int_array`, or
-    through its list: the two sides of `cli._INT_ARRAY_MIN_SIZE`."""
+    through its list: the two sides of `cli._INT_ARRAY_MIN_WORK`."""
     a = np.random.default_rng(4).integers(-40, 40, size=shape)
 
     def job():
@@ -281,23 +290,32 @@ def _nilpotent_job(p, a):
     return job
 
 
-def _oracle_setup_job(kind, seed):
+def _oracle_generators(kind, seed):
+    """The problem of `gen --kind kind --seed seed` and a function that
+    evaluates the oracle's scan inputs on it: base, gens and moduli."""
     prob = oracle.gen_instance(kind, seed, max_kdim=20).problem
-    K, p, m = prob.kernel, prob.kernel.p, prob.degree
-    kdim = K.dim(m)
+    K, m = prob.kernel, prob.degree
     X0 = prob.sigma_lift.coef
-    eye = np.eye(kdim, dtype=np.int64)
+    eye = np.eye(K.dim(m), dtype=np.int64)
     moduli = coefficient_orders(K.defalg.bar, K.hom.obC, K.hom.obD, m + 1)
 
     def generators():
         base = prob.residuals(X0[None])[0]
-        return base, (prob.residuals(X0 + K.out_of_kernel_stack(eye, m)) - base) % moduli
+        gens = (prob.residuals(X0 + K.out_of_kernel_stack(eye, m)) - base) % moduli
+        return base, gens, moduli
+    return prob, generators
 
-    hits = gf.scan_affine_zero(*generators(), moduli, p, 0, p ** kdim)
+
+def _oracle_setup_job(kind, seed):
+    prob, generators = _oracle_generators(kind, seed)
+    K, p, m = prob.kernel, prob.kernel.p, prob.degree
+    kdim = K.dim(m)
+    X0 = prob.sigma_lift.coef
+    hits = gf.scan_affine_zero(*generators(), p, 0, p ** kdim)
     sample = gf.digits(hits[:oracle.VERIFY_WITNESSES], kdim, p)
 
     def job():
-        base, gens = generators()
+        base, gens, _ = generators()
         rechecked = prob.residuals(X0 + K.out_of_kernel_stack(sample, m))
         if rechecked.any():
             raise AssertionError(f"a scan hit of {kind} {seed} is not a witness")
@@ -369,8 +387,8 @@ def main() -> int:
             level, k, r, path = payload
             name = f"matmul {level} k={k} r={r} {path}"
         else:
-            base, gens = payload
-            moduli = np.full(base.shape[0], p, dtype=np.int64)
+            base, gens, moduli = payload
+            name = f"scan k={gens.shape[0]} L={base.shape[0]}"
 
             def job():
                 hits = gf.scan_affine_zero(base, gens, moduli, p,

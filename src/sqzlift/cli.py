@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from contextlib import contextmanager
 from typing import Callable, NamedTuple
@@ -68,13 +69,14 @@ SCHEMAS = ("tower", "algebra", "complex", "map", "problem")
 def canonical_json(obj) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)` and a
     newline, byte for byte, without the pure-Python encoder that `indent`
-    selects.  An integer ndarray is written as its `tolist()` would be:
-    from _INT_ARRAY_MIN_SIZE (64) elements up by `_int_array`, with no Python
-    object per element, and below that through the list itself.  The
-    crossover is that of map components (r x r entries of a few
-    coefficients), where `_int_array`'s fixed cost of tens of microseconds
-    meets the list's cost of about one microsecond per element; the `emit`
-    rows of benchmarks/bench_kernels.py measure it."""
+    selects.  An integer ndarray is written as its `tolist()` would be: by
+    `_int_array`, with no Python object per element, once `_list_work` of its
+    shape reaches _INT_ARRAY_MIN_WORK, and below that through the list
+    itself.  The list costs about a fifth of a microsecond per element and
+    about one per list, so `_int_array`'s fixed cost of tens of microseconds
+    is met at 342 elements for a 1-d array but at 75 (r = 5) for map
+    components (r x r entries of 1 x 3 coefficients); the `emit` rows of
+    benchmarks/bench_kernels.py measure it."""
     out: list[str] = []
     _write_json(obj, "\n", out)
     out.append("\n")
@@ -120,7 +122,7 @@ def _write_json(o, nl: str, out: list[str]) -> None:
     elif isinstance(o, str):
         out.append(_escape(o))
     elif isinstance(o, np.ndarray):
-        if o.dtype.kind in "iu" and o.size >= _INT_ARRAY_MIN_SIZE:
+        if o.dtype.kind in "iu" and o.size and _list_work(o.shape) >= _INT_ARRAY_MIN_WORK:
             out.append(_int_array(o, nl))
         else:
             _write_json(o.tolist(), nl, out)
@@ -128,8 +130,17 @@ def _write_json(o, nl: str, out: list[str]) -> None:
         out.append(json.dumps(o))
 
 
-# the size from which _int_array writes an integer array faster than its list
-_INT_ARRAY_MIN_SIZE = 64
+def _list_work(shape: tuple[int, ...]) -> int:
+    """The cost of writing an array of this shape through its list, in
+    elements: one per element and _LIST_WEIGHT per list that `tolist()` makes."""
+    return math.prod(shape) + _LIST_WEIGHT * sum(math.prod(shape[:k])
+                                                 for k in range(len(shape)))
+
+
+# one list costs about as much to write as this many elements
+_LIST_WEIGHT = 8
+# the list work from which _int_array writes an integer array faster than its list
+_INT_ARRAY_MIN_WORK = 350
 _DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
                              dtype=np.uint16)          # "00" .. "99"
 _POWERS_OF_TEN = 10 ** np.arange(19, -1, -1, dtype=np.uint64)

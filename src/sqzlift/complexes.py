@@ -378,9 +378,9 @@ def delta_generators(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap,
 def delta_solutions(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap, n: int,
                     target: GradedMap, cap: int) -> np.ndarray:
     """Every degree-n map P: C -> D over alg with delta(P) = target, found by
-    testing each one with gf.scan_affine_zero: the ascending indices whose
-    base-p digits are P's coordinates over delta_generators.  CapExceeded if
-    there are more than cap maps."""
+    gf.scan_affine_zero, which joins the affine equation's two digit tables:
+    the ascending indices whose base-p digits are P's coordinates over
+    delta_generators.  CapExceeded if there are more than cap maps."""
     gens = delta_generators(alg, dC, dD, n)
     total = gf.count_candidates(alg.ring.p, len(gens), cap, "graded maps")
     moduli = coefficient_orders(alg, dC.src, dD.src, n + 1)

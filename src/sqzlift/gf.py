@@ -8,13 +8,15 @@ reduced form has its i-th pivot in row i and unit vectors in the pivot
 columns; `solve`, `nullspace` and `reduce_mod_rowspace` read their answers
 straight from that invariant.
 
-The scan uses two tables.  A candidate index splits as
-idx = hi * p^a + lo, with a about half the k digits and p^a at most `chunk`,
-so its residual is Lo[lo] + B[hi] mod the moduli, where
+The scan is a meet-in-the-middle join on two tables (Horowitz and Sahni,
+JACM 1974).  A candidate index splits as idx = hi * p^a + lo with
+a = ceil(k/2), so its residual is Lo[lo] + B[hi] mod the moduli, where
 Lo = digits(lo) @ gens[:a] and B = base + digits(hi) @ gens[a:] are built
-once per call.  Each candidate then costs one comparison of its Lo row with
--B[hi] (O(L)) in place of k multiply-adds (O(kL)); every candidate is still
-tested, and the tables cost about sqrt(p^k) rows each.
+once per call, about sqrt(p^k) rows each.  The candidate is a hit exactly
+when Lo[lo] == -B[hi].  Equal rows get equal integer labels (`_row_labels`),
+and each -B[hi] row is matched to the Lo rows with its label through one
+stable sort of the Lo labels, so no candidate is compared: the work is
+O((p^a + p^(k-a)) L) plus the number of hits.
 
 Every brute-force enumeration in the package runs over the digits of
 [0, radix^n) in one of two forms: blocks of `digits` (the deformation
@@ -163,13 +165,33 @@ def affine_combinations(base: np.ndarray, gens: np.ndarray, moduli: np.ndarray,
     return vals % moduli[None, :]
 
 
+def _row_labels(rows: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, int]:
+    """Labels in [0, n) of the rows of `rows` (entries in [0, moduli)), equal
+    exactly for equal rows, and the number n of distinct rows.
+
+    Columns are folded into int64 mixed-radix keys over `moduli`, as many at a
+    time as keep label * span + key below 2^63, and each group is re-labelled
+    by one np.unique, so labels never exceed the row count.
+    """
+    labels = np.zeros(rows.shape[0], dtype=np.int64)
+    count, j, ncols = 1, 0, rows.shape[1]
+    while j < ncols:
+        key, span = labels, count
+        while j < ncols and span * int(moduli[j]) <= 1 << 63:   # keys fit in int64
+            key = key * moduli[j] + rows[:, j]
+            span *= int(moduli[j])
+            j += 1
+        uniq, labels = np.unique(key, return_inverse=True)
+        count = len(uniq)
+    return labels, count
+
+
 def scan_affine_zero(base: np.ndarray, gens: np.ndarray, moduli: np.ndarray,
-                     p: int, start: int, stop: int,
-                     chunk: int = 1 << 15) -> np.ndarray:
+                     p: int, start: int, stop: int) -> np.ndarray:
     """Indices idx in [start, stop) whose base-p digits gamma satisfy
     (base + sum_s gamma_s * gens[s]) % moduli == 0 componentwise, ascending.
 
-    This is the two-table scan of the module docstring.
+    This is the two-table join of the module docstring.
     """
     base = np.asarray(base, dtype=np.int64)
     if base.shape[0] == 0:
@@ -179,17 +201,19 @@ def scan_affine_zero(base: np.ndarray, gens: np.ndarray, moduli: np.ndarray,
     moduli = np.asarray(moduli, dtype=np.int64)
     if stop <= start:
         return np.empty(0, dtype=np.int64)
-    a, width = 0, 1
-    while 2 * a < gens.shape[0] and width * p <= chunk:
-        a, width = a + 1, width * p
+    a = -(-gens.shape[0] // 2)
+    width = p ** a
     lo_tab = affine_combinations(np.zeros_like(base), gens[:a], moduli, p, 0, width)
     first, last = start // width, -(-stop // width)
     # idx = hi * width + lo is a hit iff Lo[lo] == -B[hi] mod moduli
     need = -affine_combinations(base, gens[a:], moduli, p, first, last) % moduli
-    rows = max(1, chunk // width)     # values of hi compared per numpy pass
-    found = [np.empty(0, dtype=np.int64)]
-    for h in range(0, last - first, rows):
-        hit = (lo_tab[None] == need[h:h + rows, None]).all(axis=2)
-        found.append(np.flatnonzero(hit) + (first + h) * width)
-    hits = np.concatenate(found)
+    labels, count = _row_labels(np.concatenate([lo_tab, need]), moduli)
+    lo_labels, need_labels = labels[:width], labels[width:]
+    by_label = np.argsort(lo_labels, kind="stable")   # each label's Lo indices, ascending
+    counts = np.bincount(lo_labels, minlength=count)
+    firsts = np.cumsum(counts) - counts      # where each label starts in by_label
+    per_hi = counts[need_labels]
+    offsets = np.cumsum(per_hi) - per_hi     # where each hi's hits start in the output
+    pos = np.arange(per_hi.sum()) + np.repeat(firsts[need_labels] - offsets, per_hi)
+    hits = np.repeat(np.arange(first, last, dtype=np.int64) * width, per_hi) + by_label[pos]
     return hits[(hits >= start) & (hits < stop)]

@@ -1,15 +1,18 @@
-"""Brute-force oracle: enumerate every candidate lift and test it directly.
+"""Brute-force oracle: find every candidate lift that satisfies the problem's
+defining equation, over the whole candidate space.
 
 A candidate lift differs from the coefficientwise minimal lift X0 by a
-matrix with coefficients in J, so the candidate space is F_p^kdim.  For each
-candidate the problem's defining equation is evaluated over the top ring and
-compared to zero coefficientwise; nothing here relies on the cohomological
-machinery except the coordinate codec for J-matrices.  The evaluation is
-batched: the residual of candidate gamma = sum_s c_s kappa_s equals
-base + sum_s c_s gens_s over the ring, with base = residual(X0) and
+matrix with coefficients in J, so the candidate space is F_p^kdim.  A
+candidate is a witness when the problem's defining equation, evaluated over
+the top ring, is zero coefficientwise; nothing here relies on the
+cohomological machinery except the coordinate codec for J-matrices.  The
+evaluation is batched: the residual of candidate gamma = sum_s c_s kappa_s
+equals base + sum_s c_s gens_s over the ring, with base = residual(X0) and
 gens_s = residual(X0 + kappa_s) - residual(X0) (the residual is affine in a
-J-valued correction because J * J = 0), which the scan kernel checks digit
-tuple by digit tuple.
+J-valued correction because J * J = 0).  The scan kernel finds every digit
+tuple with base + sum_s c_s gens_s = 0 by joining a table of the low digits'
+sums with one of the high digits' negated sums, so no tuple is tested on its
+own.
 
 The defining equation is evaluated on stacks of coefficient vectors
 (`residuals`, see obstruction.py), so each of these is one call: every

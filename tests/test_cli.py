@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import json
+import math
 import os
 import warnings
 
@@ -503,21 +504,55 @@ def test_writer_is_exact_on_long_and_wide_int_arrays(name, depth):
     _assert_writes_its_list(_EXACT_ARRAYS[name], depth)
 
 
-_CROSSOVER = cli._INT_ARRAY_MIN_SIZE
+def _shape(family, n):
+    return tuple(n if d == -1 else d for d in family)
 
 
-@pytest.mark.parametrize("size", [_CROSSOVER - 1, _CROSSOVER, _CROSSOVER + 1])
-@pytest.mark.parametrize("shape", [(-1,), (-1, 1), (1, -1, 1, 1), (-1, 0, 2), (0, -1)])
-def test_writer_is_exact_across_the_int_array_crossover(size, shape):
-    """Arrays of size just below, at and just above the size from which
-    _int_array writes them, with negative entries, and shapes with a 0 axis."""
-    arr = np.arange(size, dtype=np.int64) - size // 2
-    if 0 in shape:
-        arr = np.zeros(tuple(size if d == -1 else d for d in shape), dtype=np.int64)
-    else:
-        arr = arr.reshape(shape)
+def _crossover(family):
+    """The least n from which an array of shape _shape(family, n) is written
+    by _int_array."""
+    n = 1
+    while cli._list_work(_shape(family, n)) < cli._INT_ARRAY_MIN_WORK:
+        n += 1
+    return n
+
+
+def _count_int_array_calls(monkeypatch):
+    calls = []
+    write = cli._int_array
+    monkeypatch.setattr(cli, "_int_array", lambda a, nl: calls.append(a.shape) or write(a, nl))
+    return calls
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1])
+@pytest.mark.parametrize("family", [(-1,), (-1, 1), (1, -1, 1, 1), (-1, -1, 1, 3)])
+def test_writer_is_exact_across_the_int_array_crossover(step, family, monkeypatch):
+    """Arrays with negative entries just below, at and just above the
+    crossover of their shape, among them 1-d arrays and map components (r x r
+    entries of 1 x 3 coefficients): each is written as json.dumps writes its
+    list, by _int_array from the crossover on."""
+    shape = _shape(family, _crossover(family) + step)
+    size = math.prod(shape)
+    arr = (np.arange(size, dtype=np.int64) - size // 2).reshape(shape)
+    calls = _count_int_array_calls(monkeypatch)
     assert canonical_json(arr) == _reference_json(arr.tolist())
     assert canonical_json({"a": [arr, 1]}) == _reference_json({"a": [arr.tolist(), 1]})
+    assert calls == ([shape] * 2 if step >= 0 else [])
+
+
+def test_the_crossover_is_later_for_1d_arrays_than_for_map_components():
+    # the oracle's witness lists of 81 and 243 candidates are written as lists
+    assert _crossover((-1,)) > 243
+    assert 3 * _crossover((-1, -1, 1, 3)) ** 2 < 81
+
+
+@pytest.mark.parametrize("shape", [(400, 0, 2), (0, 400), (0,)])
+def test_writer_writes_int_arrays_with_a_zero_axis_as_their_lists(shape, monkeypatch):
+    arr = np.zeros(shape, dtype=np.int64)
+    calls = _count_int_array_calls(monkeypatch)
+    assert canonical_json(arr) == _reference_json(arr.tolist())
+    assert canonical_json({"a": [arr, 1]}) == _reference_json({"a": [arr.tolist(), 1]})
+    assert calls == []
 
 
 def _witness_with_small_and_large_components():
@@ -527,8 +562,8 @@ def _witness_with_small_and_large_components():
     src, tgt = GradedObject.of({0: 1, 1: 1}), GradedObject.of({0: 1, 1: 25})
     f = from_coefficients(defalg.bar, src, tgt, 0,
                           np.random.default_rng(7).integers(1, 27, size=3 + 75))
-    sizes = sorted(blk.size for blk in f.blocks().values())
-    assert sizes[0] < _CROSSOVER <= sizes[-1]
+    works = sorted(cli._list_work(blk.shape) for blk in f.blocks().values())
+    assert works[0] < cli._INT_ARRAY_MIN_WORK <= works[-1]
     return defalg, f
 
 

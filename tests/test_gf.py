@@ -313,15 +313,16 @@ def test_scan_zero_length_equation_accepts_everything():
     assert hits.tolist() == list(range(8))
 
 
-def test_scan_chunking_is_seamless():
+def test_scan_of_a_subrange_is_the_whole_scan_cut_to_it():
     p = 2
     rng = np.random.default_rng(5)
     base = rng.integers(0, p, size=3).astype(np.int64)
     gens = rng.integers(0, p, size=(10, 3)).astype(np.int64)
     moduli = np.full(3, p, dtype=np.int64)
     whole = gf.scan_affine_zero(base, gens, moduli, p, 0, 1 << 10)
-    small = gf.scan_affine_zero(base, gens, moduli, p, 0, 1 << 10, chunk=37)
-    assert np.array_equal(whole, small)
+    for lo, hi in ((37, 1 << 10), (0, 999), (300, 301), (31, 33)):
+        part = gf.scan_affine_zero(base, gens, moduli, p, lo, hi)
+        assert np.array_equal(part, whole[(whole >= lo) & (whole < hi)]), (lo, hi)
 
 
 def _python_scan(base, gens, moduli, p, start, stop):
@@ -334,7 +335,7 @@ def _python_scan(base, gens, moduli, p, start, stop):
 @pytest.mark.parametrize("trial", range(6))
 def test_two_table_scan_matches_the_python_kernel(p, trial):
     # random ranges whose ends are not multiples of the table width, few
-    # digits (one value of hi), chunk 1, and all-zero generators
+    # digits (one value of hi), and all-zero generators
     rng = np.random.default_rng(50 * p + trial)
     nvars = (0, 1, 2, 4, 6, 7)[trial]
     L = int(rng.integers(1, 4))
@@ -347,7 +348,80 @@ def test_two_table_scan_matches_the_python_kernel(p, trial):
     for g in (gens, np.zeros_like(gens)):
         for lo, hi in ((0, total), (start, stop), (stop, start)):
             ref = _python_scan(base, g, moduli, p, lo, hi)
-            for chunk in (1, p, 7, 1 << 15):
-                got = gf.scan_affine_zero(base, g, moduli, p, lo, hi, chunk)
-                assert got.dtype == np.int64
-                assert np.array_equal(got, ref), (lo, hi, chunk)
+            got = gf.scan_affine_zero(base, g, moduli, p, lo, hi)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref), (lo, hi)
+
+
+def _join_case(rng, p, k, moduli, rank, solvable):
+    """base and gens over the moduli, the gens spanning `rank` seeded rows, so
+    that dependent generators give equal table rows; base is in their span
+    when `solvable`, so that the equation has solutions."""
+    moduli = np.asarray(moduli, dtype=np.int64)
+    rows = rng.integers(0, 1 << 20, size=(rank, len(moduli))) % moduli
+    gens = rng.integers(0, p, size=(k, rank)) @ rows % moduli
+    if solvable:
+        base = rng.integers(0, p, size=rank) @ rows % moduli
+    else:
+        base = rng.integers(0, 1 << 20, size=len(moduli)) % moduli
+    return base.astype(np.int64), gens.astype(np.int64), moduli
+
+
+@pytest.mark.parametrize("p,k,moduli,rank", [
+    (3, 5, [3] * 60, 3),              # 3^60 > 2^63: the labels take two groups
+    (2, 7, [2] * 70, 4),              # odd k, 2^70 > 2^63
+    (3, 0, [3, 9, 27] * 14, 0),       # k = 0: one table row on each side
+    (2, 6, [2, 4, 8, 2] * 5, 3),      # mixed moduli p, p^2, p^3
+    (3, 4, [9, 3, 27] * 8, 2),
+    (5, 3, [5, 125] * 20, 2),         # 125^20 > 2^63 with mixed moduli
+])
+def test_scan_join_matches_the_python_kernel(p, k, moduli, rank):
+    rng = np.random.default_rng(p * 100 + k)
+    total = p ** k
+    ranges = [(0, total), (1, total - 1), (total // 3, 2 * total // 3 + 1), (total - 1, total)]
+    for solvable in (True, False):
+        base, gens, mod = _join_case(rng, p, k, moduli, rank, solvable)
+        for lo, hi in ranges:
+            ref = _python_scan(base, gens, mod, p, lo, hi)
+            got = gf.scan_affine_zero(base, gens, mod, p, lo, hi)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref), (solvable, lo, hi)
+
+
+def test_scan_join_tells_apart_rows_that_differ_only_in_the_first_column():
+    # 2^70 > 2^64: a single int64 key over all 70 columns would wrap and
+    # drop columns 0 to 5, and every candidate would look like a hit
+    p, L = 2, 70
+    gens = np.zeros((4, L), dtype=np.int64)
+    gens[0, 0] = gens[3, 1] = 1
+    moduli = np.full(L, p, dtype=np.int64)
+    hits = gf.scan_affine_zero(np.zeros(L, dtype=np.int64), gens, moduli, p, 0, p ** 4)
+    assert hits.tolist() == [0, 2, 4, 6]
+
+
+def test_scan_join_with_dependent_low_generators_matches_several_lo():
+    # gens[0] == gens[1] and gens[2] == 0: the low table repeats rows, and a
+    # high row matches several low rows
+    p = 3
+    gens = np.array([[1, 2, 0, 1], [1, 2, 0, 1], [0, 0, 0, 0], [2, 0, 1, 1], [0, 1, 1, 0]],
+                    dtype=np.int64)
+    moduli = np.full(4, p, dtype=np.int64)
+    base = np.array([2, 1, 0, 2], dtype=np.int64)   # -gens[0]: one solution is e_0
+    for lo, hi in ((0, p ** 5), (4, 200), (26, 28)):
+        ref = _python_scan(base, gens, moduli, p, lo, hi)
+        got = gf.scan_affine_zero(base, gens, moduli, p, lo, hi)
+        assert np.array_equal(got, ref), (lo, hi)
+    hits = gf.scan_affine_zero(base, gens, moduli, p, 0, p ** 5)
+    assert len(np.unique(hits // p ** 3)) < len(hits)
+
+
+def test_scan_where_every_candidate_is_a_hit():
+    p, k = 2, 9
+    gens = np.zeros((k, 5), dtype=np.int64)
+    gens[:, 1] = 4                      # zero mod 4
+    moduli = np.array([2, 4, 2, 8, 2], dtype=np.int64)
+    base = np.array([2, 0, 4, 8, 0], dtype=np.int64)
+    for lo, hi in ((0, p ** k), (5, 300), (17, 18)):
+        got = gf.scan_affine_zero(base, gens, moduli, p, lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == list(range(lo, hi))
