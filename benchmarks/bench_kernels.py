@@ -29,8 +29,10 @@ orbits), taken as the command hands it to the writer.  The `emit (shape)`
 rows write one seeded integer array by `cli._int_array` and through its list;
 the 4-d shapes are map components (r x r entries of 3 coefficients), the 1-d
 ones witness lists, and the crossovers of both set `cli._list_work` and
-`cli._INT_ARRAY_MIN_WORK`.  The `scan k= L=` cases are `gf.scan_affine_zero`
-over all p^k candidates on two seeded shapes, the scan of the oracle on
+`cli._INT_ARRAY_MIN_WORK` (1-d arrays cross at about 190 elements, map
+components between r = 3 and r = 4).  The `scan k= L=` cases are
+`gf.scan_affine_zero` over all p^k candidates on two seeded shapes whose base
+is a combination of the generators (one hit each), the scan of the oracle on
 `gen --kind differential --seed 51` (p = 3, k = 12, L = 24: 6 561 hits, the
 oracle's largest scan in liftbench), and a seeded shape at the enumeration
 cap (p = 2, k = 20, L = 16).  The `tower` case
@@ -85,8 +87,9 @@ def _workloads():
     for p, n in ((2, 300), (3, 250)):
         loads.append(("rref", p, rng.integers(0, p, size=(n, n)).astype(np.int64)))
     for p, neq, k in ((2, 64, 14), (3, 48, 9)):
-        base = rng.integers(0, p, size=neq).astype(np.int64)
+        coeffs = rng.integers(0, p, size=k)
         gens = rng.integers(0, p, size=(k, neq)).astype(np.int64)
+        base = coeffs @ gens % p   # a combination of the generators, so the scan has hits
         loads.append(("scan", p, (base, gens, np.full(neq, p, dtype=np.int64))))
     loads.append(("scan", 3, _oracle_generators("differential", 51)[1]()))
     wide = np.random.default_rng(20)
@@ -104,7 +107,7 @@ def _workloads():
             loads.append(("core", 3, (shape, path)))
     loads.append(("emit", 3, None))
     for shape in ([(r, r, 1, 3) for r in (2, 3, 4, 5, 6, 8)]
-                  + [(n,) for n in (32, 64, 81, 243, 256, 384, 512)]):
+                  + [(n,) for n in (32, 64, 81, 128, 160, 192, 224, 243, 256, 384, 512)]):
         for path in ("list", "int_array"):
             loads.append(("emit_array", None, (shape, path)))
     loads.append(("tower", None, None))

@@ -6,7 +6,7 @@ s in {tower, algebra, complex, map, problem}.  Serialization is canonical
 byte-identically and repeated runs produce identical reports.
 `canonical_json` writes the bytes of `json.dumps(obj, sort_keys=True,
 indent=2)` itself: a list of ints is joined with `str` in one call, and an
-integer ndarray of 64 elements or more (reports hold map components as
+integer ndarray past a size crossover (reports hold map components as
 arrays) is written as bytes in a few numpy passes.  Reports carry
 "verdict" in {lifts, obstructed, classified, verified, failed}; obstructed is
 exit status 2 (a mathematical outcome), errors (usage errors too) are exit
@@ -72,9 +72,9 @@ def canonical_json(obj) -> str:
     selects.  An integer ndarray is written as its `tolist()` would be: by
     `_int_array`, with no Python object per element, once `_list_work` of its
     shape reaches _INT_ARRAY_MIN_WORK, and below that through the list
-    itself.  The list costs about a fifth of a microsecond per element and
-    about one per list, so `_int_array`'s fixed cost of tens of microseconds
-    is met at 342 elements for a 1-d array but at 75 (r = 5) for map
+    itself.  The list costs about a sixth of a microsecond per element and
+    about one per list, so `_int_array`'s fixed cost of about 26 microseconds
+    is met at 189 elements for a 1-d array but at 48 (r = 4) for map
     components (r x r entries of 1 x 3 coefficients); the `emit` rows of
     benchmarks/bench_kernels.py measure it."""
     out: list[str] = []
@@ -138,54 +138,54 @@ def _list_work(shape: tuple[int, ...]) -> int:
 
 
 # one list costs about as much to write as this many elements
-_LIST_WEIGHT = 8
+_LIST_WEIGHT = 6
 # the list work from which _int_array writes an integer array faster than its list
-_INT_ARRAY_MIN_WORK = 350
-_DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
-                             dtype=np.uint16)          # "00" .. "99"
-_POWERS_OF_TEN = 10 ** np.arange(19, -1, -1, dtype=np.uint64)
+_INT_ARRAY_MIN_WORK = 195
+# a digit pair's text by value and place: inside the number, leading (no leading 0) or before it
+_PAIR_TEXT = np.frombuffer("".join([f"{v:02d}" for v in range(100)]
+                                   + [f"{v:2d}" for v in range(100)]).replace(" ", "\0").encode()
+                           + bytes(200), dtype=np.uint16)
 
 
 def _int_array(a: np.ndarray, nl: str) -> str:
     """The indented JSON of a nonempty integer array, as `tolist()` would be
-    written, built as one byte row per element and joined in a few passes.
-
-    A row is the text before the element, a sign byte and the element's
-    decimal digits, all padded with 0 bytes, which are dropped at the end.
-    The text before an element depends only on j, the number of trailing
-    index positions that are 0: it closes and reopens j lists (j = ndim for
-    the first element, which only opens them)."""
+    written, built in one buffer of byte rows, one per element: the text
+    before the element, a sign byte if some element is negative and its
+    digits, padded with 0 bytes, which are dropped at the end.  The text
+    before an element closes and reopens j lists, j the number of its trailing
+    indices that are 0 (the first element, j = ndim, only opens them), and is
+    written through one strided view of the rows for each j.  The digits come
+    two at a time, each pair's text looked up by its value and place."""
     d = a.ndim
     ind = [nl + "  " * k for k in range(d + 1)]   # indentation at depth k
-
-    def closes(j):
-        return "".join(ind[k] + "]" for k in range(d - 1, d - 1 - j, -1))
-
-    def opens(j):
-        return "".join("[" + ind[k + 1] for k in range(d - j, d))
-
-    before = [closes(j) + "," + ind[d - j] + opens(j) for j in range(d)] + [opens(d)]
-    table = np.zeros((d + 1, max(map(len, before))), dtype=np.uint8)
-    for j, text in enumerate(before):
-        table[j, :len(text)] = np.frombuffer(text.encode(), dtype=np.uint8)
-    trailing = np.zeros(a.shape, dtype=np.intp)
-    for j in range(1, d + 1):
-        trailing[(Ellipsis,) + (0,) * j] += 1
-
+    closes, opens = [""], [""]                    # [j]: the text that closes, opens j lists
+    for k in range(d - 1, -1, -1):
+        closes.append(closes[-1] + ind[k] + "]")
+        opens.append("[" + ind[k + 1] + opens[-1])
+    before = {j: closes[j] + "," + ind[d - j] + opens[j]
+              for j in range(d) if a.shape[d - 1 - j] > 1}   # the j that some element has
+    before[d] = opens[d]
     flat = a.reshape(-1)
-    neg = flat < 0
-    mag = flat.astype(np.uint64)   # negatives wrap modulo 2^64, so -mag is |x|
-    np.negative(mag, out=mag, where=neg)
-    npairs = (len(str(mag.max())) + 1) // 2
-    pairs = mag[:, None] // 100 ** np.arange(npairs - 1, -1, -1, dtype=np.uint64) % 100
-    digits = _DIGIT_PAIRS[pairs].view(np.uint8).reshape(len(flat), 2 * npairs)
-    keep = _POWERS_OF_TEN[20 - 2 * npairs:].copy()   # a digit shows iff |x| >= this
-    keep[-1] = 0                                     # 0 is written "0"
-    digits *= mag[:, None] >= keep
-    rows = np.concatenate([table[trailing.reshape(-1)],
-                           (neg * ord("-")).astype(np.uint8)[:, None], digits], axis=1)
-    text = rows.reshape(-1)
-    return text[text != 0].tobytes().decode("ascii") + closes(d)
+    lo, hi = int(flat.min()), int(flat.max())
+    npairs = (len(str(max(hi, -lo))) + 1) // 2
+    start = (max(map(len, before.values())) + (lo < 0) + 1) // 2 * 2   # pairs from an even byte
+    buf = np.zeros((flat.size, start + 2 * npairs), dtype=np.uint8)
+    rows = buf.view(f"V{buf.shape[1]}").reshape(a.shape)   # a row is 0-padded on assignment
+    for j, text in before.items():
+        rows[(Ellipsis, slice(1, None)) + (0,) * j if j < d else (0,) * d] = text.encode()
+    q = flat.astype(np.uint32 if max(hi, -lo) < 1 << 32 else np.uint64)
+    if lo < 0:
+        neg = flat < 0
+        np.negative(q, out=q, where=neg)   # the cast wrapped negatives, so -q is |x|
+        buf[neg, start - 1] = ord("-")
+    for i in range(npairs - 1, -1, -1):   # the least significant pair first
+        rest = q // 100
+        # the pair's place: 0 inside the number, 1 its leading pair, 2 before it
+        place = (rest == 0).view(np.uint8) + (q == 0) * (i < npairs - 1)
+        buf.view(np.uint16)[:, start // 2 + i] = _PAIR_TEXT[(q - rest * 100 + place * 100)
+                                                            .astype(np.intp)]
+        q = rest
+    return str(buf[buf != 0], "ascii") + closes[d]
 
 
 def _ilist(a) -> list:

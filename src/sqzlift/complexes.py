@@ -494,6 +494,7 @@ class HomComplex:
         """The core of delta_n, made once per degree."""
         if n not in self._cores:
             mat = self.delta_matrix(n)
-            rows, cols = np.flatnonzero(mat.any(axis=1)), np.flatnonzero(mat.any(axis=0))
+            rows = np.flatnonzero(mat.any(axis=1))
+            cols = np.flatnonzero(mat[rows].any(axis=0))   # a zero row has no nonzero column
             self._cores[n] = DeltaCore(rows, cols, mat[np.ix_(rows, cols)])
         return self._cores[n]

@@ -206,7 +206,7 @@ def scan_affine_zero(base: np.ndarray, gens: np.ndarray, moduli: np.ndarray,
     lo_tab = affine_combinations(np.zeros_like(base), gens[:a], moduli, p, 0, width)
     first, last = start // width, -(-stop // width)
     # idx = hi * width + lo is a hit iff Lo[lo] == -B[hi] mod moduli
-    need = -affine_combinations(base, gens[a:], moduli, p, first, last) % moduli
+    need = affine_combinations(-base % moduli, -gens[a:] % moduli, moduli, p, first, last)
     labels, count = _row_labels(np.concatenate([lo_tab, need]), moduli)
     lo_labels, need_labels = labels[:width], labels[width:]
     by_label = np.argsort(lo_labels, kind="stable")   # each label's Lo indices, ascending
