@@ -29,7 +29,7 @@ orbits), taken as the command hands it to the writer.  The `emit (shape)`
 rows write one seeded integer array by `cli._int_array` and through its list;
 the 4-d shapes are map components (r x r entries of 3 coefficients), the 1-d
 ones witness lists, and the crossovers of both set `cli._list_work` and
-`cli._INT_ARRAY_MIN_WORK` (1-d arrays cross at about 190 elements, map
+`cli._INT_ARRAY_MIN_WORK` (1-d arrays cross at about 250 elements, map
 components between r = 3 and r = 4).  The `scan k= L=` cases are
 `gf.scan_affine_zero` over all p^k candidates on two seeded shapes whose base
 is a combination of the generators (one hit each), the scan of the oracle on

@@ -73,10 +73,10 @@ def canonical_json(obj) -> str:
     `_int_array`, with no Python object per element, once `_list_work` of its
     shape reaches _INT_ARRAY_MIN_WORK, and below that through the list
     itself.  The list costs about a sixth of a microsecond per element and
-    about one per list, so `_int_array`'s fixed cost of about 26 microseconds
-    is met at 189 elements for a 1-d array but at 48 (r = 4) for map
-    components (r x r entries of 1 x 3 coefficients); the `emit` rows of
-    benchmarks/bench_kernels.py measure it."""
+    about one per list, so `_int_array`'s fixed cost of a few tens of
+    microseconds is met at about 244 elements for a 1-d array but at 48
+    (r = 4) for map components (r x r entries of 1 x 3 coefficients); the
+    `emit` rows of benchmarks/bench_kernels.py measure it."""
     out: list[str] = []
     _write_json(obj, "\n", out)
     out.append("\n")
@@ -140,7 +140,7 @@ def _list_work(shape: tuple[int, ...]) -> int:
 # one list costs about as much to write as this many elements
 _LIST_WEIGHT = 6
 # the list work from which _int_array writes an integer array faster than its list
-_INT_ARRAY_MIN_WORK = 195
+_INT_ARRAY_MIN_WORK = 250
 # a digit pair's text by value and place: inside the number, leading (no leading 0) or before it
 _PAIR_TEXT = np.frombuffer("".join([f"{v:02d}" for v in range(100)]
                                    + [f"{v:2d}" for v in range(100)]).replace(" ", "\0").encode()

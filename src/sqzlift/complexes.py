@@ -495,6 +495,7 @@ class HomComplex:
         if n not in self._cores:
             mat = self.delta_matrix(n)
             rows = np.flatnonzero(mat.any(axis=1))
-            cols = np.flatnonzero(mat[rows].any(axis=0))   # a zero row has no nonzero column
-            self._cores[n] = DeltaCore(rows, cols, mat[np.ix_(rows, cols)])
+            sub = mat[rows]   # a zero row has no nonzero column
+            cols = np.flatnonzero(sub.any(axis=0))
+            self._cores[n] = DeltaCore(rows, cols, sub[:, cols])
         return self._cores[n]

@@ -543,9 +543,8 @@ def test_writer_is_exact_across_the_int_array_crossover(step, family, monkeypatc
 
 
 def test_the_crossover_is_later_for_1d_arrays_than_for_map_components():
-    # the oracle's witness lists of 81 candidates are written as lists, map
-    # components of fewer elements (r = 4: 48) by _int_array
-    assert _crossover((-1,)) > 81
+    # the oracle's witness lists of 81 and 243 candidates are written as lists
+    assert _crossover((-1,)) > 243
     assert 3 * _crossover((-1, -1, 1, 3)) ** 2 < 81
 
 
