@@ -39,7 +39,13 @@ cap (p = 2, k = 20, L = 16).  The `tower` case
 builds every tower of `oracle._TOWER_MENU` with `mk_tower` and round-trips
 the J elements of each through the kernel codec (`kernel_coords`, then
 `kernel_matrix`); its digest covers the minimal section sigma, the
-J-coordinate table and the codec's coordinates.  The `fiber` case is
+J-coordinate table and the codec's coordinates.  The `builtins` case builds
+the towers of the liftbench documents, trunc_poly(3; 3, 2), zmod(2; 2, 1) and
+square_zero(3; r=2), through `cli.tower_from_payload`, with the trivial and
+dual-numbers algebras through `cli.algebra_from_payload`: the fixed cost of
+loading a document.  Its digest covers every ring's orders and table, every
+map's images, the J basis, sigma, the J-coordinate table and the structure
+constants and unit of each level.  The `fiber` case is
 `finring.ring_fiber_product` on F_3[t]/t^3 x_{F_3[t]/t^2} F_3[t]/t^3, and its
 digest covers the basis orders, the multiplication table and both
 projections.  The `nilpotent` case is
@@ -111,6 +117,7 @@ def _workloads():
         for path in ("list", "int_array"):
             loads.append(("emit_array", None, (shape, path)))
     loads.append(("tower", None, None))
+    loads.append(("builtins", None, None))
     loads.append(("fiber", 3, None))
     loads.append(("nilpotent", 2, 14))
     loads.append(("oracle_setup", 3, ("differential", 51)))
@@ -274,6 +281,26 @@ def _tower_job():
     return job
 
 
+def _builtins_job():
+    towers = [{"kind": "trunc_poly", "p": 3, "params": {"a": 3, "b": 2}},
+              {"kind": "zmod", "p": 2, "params": {"a": 2, "b": 1}},
+              {"kind": "square_zero", "p": 3, "params": {"r": 2}}]
+
+    def job():
+        out = []
+        for pay in towers:
+            t = cli.tower_from_payload(pay)
+            out += [a for ring in (t.Rbar, t.R, t.R0) for a in (ring.orders, ring.mult)]
+            out += [t.pibar.images, t.pi.images, t.pibar0.images,
+                    t.jbasis, t.sigma, t.jcoords]
+            for kind in ("trivial", "dual_numbers"):
+                defalg = cli.algebra_from_payload(t, {"kind": kind})
+                out += [a for level in ("bar", "mid", "base")
+                        for a in (defalg.level(level).struct, defalg.level(level).unit)]
+        return b"".join(np.ascontiguousarray(a, dtype=np.int64).tobytes() for a in out)
+    return job
+
+
 def _fiber_job():
     pibar = mk_tower("trunc_poly", 3, a=3, b=2).pibar
 
@@ -378,6 +405,8 @@ def main() -> int:
             job = _emit_job()
         elif name == "tower":
             job = _tower_job()
+        elif name == "builtins":
+            job = _builtins_job()
         elif name == "fiber":
             job = _fiber_job()
         elif name == "nilpotent":

@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .finring import FiniteRing, RingSurjection, Tower
+from .finring import FiniteRing, RingSurjection, Tower, _trusted
 
 # matmul takes the two-step path from this many terms of the einsum on
 # (batch of matrices) * r*c*s * (k*m)^3; below it the one einsum is faster
@@ -224,32 +224,37 @@ class DeformedAlgebra:
 
 
 
+def _integer_algebra(tower: Tower, c: np.ndarray, u: np.ndarray) -> DeformedAlgebra:
+    """The algebra whose structure constants and unit are the integers c
+    (k, k, k) and u (k,) times 1, at every level.  c and u are associative
+    and unital over Z, so over every ring, and the unital tower maps send them
+    to themselves: nothing is checked again."""
+    def level(ring: FiniteRing) -> LevelAlgebra:
+        one = ring.one_vec()
+        return _trusted(LevelAlgebra, ring=ring, struct=np.multiply.outer(c, one),
+                        unit=np.multiply.outer(u, one))
+    return _trusted(DeformedAlgebra, tower=tower, bar=level(tower.Rbar),
+                    mid=level(tower.pibar.target), base=level(tower.pibar0.target))
+
+
 def mk_algebra(tower: Tower, kind: str = "trivial", **params) -> DeformedAlgebra:
     """Build a DeformedAlgebra over a tower.
 
     kinds: trivial: Lambda = Rbar itself (rank 1);
-           custom(struct, unit): explicit structure constants over Rbar.
+           custom(struct, unit): explicit structure constants over Rbar,
+           checked.
     """
-    R = tower.Rbar
     if kind == "trivial":
-        struct = np.zeros((1, 1, 1, R.m), dtype=np.int64)
-        struct[0, 0, 0] = R.one_vec()
-        unit = R.one_vec().reshape(1, R.m)
-        return DeformedAlgebra(tower, LevelAlgebra(R, struct, unit))
+        return _integer_algebra(tower, np.ones((1, 1, 1), dtype=np.int64),
+                                np.ones(1, dtype=np.int64))
     if kind == "custom":
-        return DeformedAlgebra(tower, LevelAlgebra(R, params["struct"], params["unit"]))
+        return DeformedAlgebra(tower, LevelAlgebra(tower.Rbar, params["struct"], params["unit"]))
     raise ValidationError(f"unknown algebra kind {kind!r}")
 
 
 def dual_numbers_algebra(tower: Tower) -> DeformedAlgebra:
     """Lambda-bar = Rbar[x]/(x^2 - c) style rank-2 algebras are built via
     mk_algebra(..., kind="custom"); this helper gives x^2 = 0."""
-    R = tower.Rbar
-    struct = np.zeros((2, 2, 2, R.m), dtype=np.int64)
-    struct[0, 0, 0] = R.one_vec()
-    struct[0, 1, 1] = R.one_vec()
-    struct[1, 0, 1] = R.one_vec()
-    # struct[1,1,*] = 0: x^2 = 0
-    unit = np.zeros((2, R.m), dtype=np.int64)
-    unit[0] = R.one_vec()
-    return mk_algebra(tower, "custom", struct=struct, unit=unit)
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1
+    return _integer_algebra(tower, c, np.array([1, 0], dtype=np.int64))

@@ -34,7 +34,7 @@ from .crude import (
     classify_homotopy_map_lifts,
     crude_lift,
 )
-from .errors import ParseError, SchemaMismatch, SqzliftError
+from .errors import CapExceeded, ParseError, SchemaMismatch, SqzliftError
 from .finring import FiniteRing, RingSurjection, Tower, mk_tower
 from .gf import DEFAULT_CAP
 from .obstruction import (
@@ -759,6 +759,10 @@ def main(argv=None) -> int:
         return COMMANDS[args.command].run(args)
     except SqzliftError as e:
         return _fail(args, e)
+    except MemoryError as e:
+        detail = f" ({e})" if str(e) else ""
+        return _fail(args, CapExceeded(f"memory ran out{detail}; this is a resource "
+                                       "limit, not an obstruction"))
 
 
 if __name__ == "__main__":

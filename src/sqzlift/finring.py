@@ -316,9 +316,7 @@ class Tower:
                     f"I*J != 0: {list(map(int, i_bad))} * {list(map(int, j))} != 0")
 
         self.sigma = minimal_section(self.pibar)
-        lams = gf.digit_matrix(0, self.p ** self.dimJ, self.dimJ, self.p)
-        self.jcoords = np.full((self.Rbar.cardinality, self.dimJ), -1, dtype=np.int64)
-        self.jcoords[self.Rbar.code(lams @ self.jbasis % self.Rbar.orders)] = lams
+        self.jcoords = _jcoords(self.Rbar, self.jbasis)
 
     @property
     def p(self) -> int:
@@ -342,42 +340,90 @@ class Tower:
 # built-in tower constructors
 # ---------------------------------------------------------------------------
 
+def _trusted(cls, **fields):
+    """An instance of the dataclass cls holding the given fields, made without
+    __init__ and so without the checks of __post_init__: only for the rings,
+    maps, towers and algebras derived here in closed form, whose tables
+    tests/test_closed_forms.py feeds back through the checking constructors."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _jcoords(Rbar: FiniteRing, jbasis: np.ndarray) -> np.ndarray:
+    """(|Rbar|, dimJ): the coordinates in jbasis of each element of J, -1 off J."""
+    p, dimJ = Rbar.p, len(jbasis)
+    lams = gf.digit_matrix(0, p ** dimJ, dimJ, p)
+    jcoords = np.full((Rbar.cardinality, dimJ), -1, dtype=np.int64)
+    jcoords[Rbar.code(lams @ jbasis % Rbar.orders)] = lams
+    return jcoords
+
+
 def _check_order(p: int, e: int) -> None:
     """Reject a ring of order p^e above the cap before building its tables."""
     if e > MAX_RING_SIZE.bit_length() or p ** e > MAX_RING_SIZE:
         raise ValidationError(f"ring of order {p}^{e} exceeds cap {MAX_RING_SIZE}")
 
 
+def _builtin_ring(p: int, e: int, orders, mult: np.ndarray, names) -> FiniteRing:
+    """The ring of order p^e with the table of one of the closed forms below,
+    which the caller built after _check_order(p, e).  For a prime p and e >= 1
+    the table is a commutative ring with unit b_0, so it is not checked again;
+    any other (p, e) fails as FiniteRing says."""
+    orders = np.asarray(orders, dtype=np.int64)
+    if not (is_prime(p) and e >= 1):
+        return FiniteRing(p, orders, mult, names)
+    return _trusted(FiniteRing, p=p, orders=orders, mult=mult, names=names)
+
+
 def zmod_ring(p: int, a: int) -> FiniteRing:
     _check_order(p, a)
-    return FiniteRing(p, np.array([p ** a]), np.array([[[1 % p ** a]]]), ("1",))
+    return _builtin_ring(p, a, [p ** a], np.ones((1, 1, 1), dtype=np.int64), ("1",))
 
 
 def trunc_poly_ring(p: int, a: int) -> FiniteRing:
+    """F_p[t]/(t^a): t^i t^j = t^(i+j) below a."""
     _check_order(p, a)
-    mult = np.zeros((a, a, a), dtype=np.int64)
-    for i in range(a):
-        for j in range(a):
-            if i + j < a:
-                mult[i, j, i + j] = 1
+    k = np.arange(a)
+    mult = (k[:, None, None] + k[None, :, None] == k).astype(np.int64)
     names = tuple("1" if i == 0 else f"t^{i}" if i > 1 else "t" for i in range(a))
-    return FiniteRing(p, np.full(a, p), mult, names)
+    return _builtin_ring(p, a, np.full(a, p), mult, names)
 
 
 def square_zero_ring(p: int, r: int) -> FiniteRing:
+    """F_p[x_1..x_r]/(x)^2: b_0 = 1 is the only basis element with nonzero products."""
     _check_order(p, r + 1)
-    m = r + 1
-    mult = np.zeros((m, m, m), dtype=np.int64)
-    for j in range(m):
-        mult[0, j, j] = 1
-        mult[j, 0, j] = 1
-    names = ("1",) + tuple(f"x{i}" for i in range(1, m))
-    return FiniteRing(p, np.full(m, p), mult, names)
+    mult = np.zeros((r + 1, r + 1, r + 1), dtype=np.int64)
+    mult[0] = mult[:, 0] = np.eye(r + 1, dtype=np.int64)
+    names = ("1",) + tuple(f"x{i}" for i in range(1, r + 1))
+    return _builtin_ring(p, r + 1, np.full(r + 1, p), mult, names)
 
 
 def _proj(src: FiniteRing, tgt: FiniteRing) -> RingSurjection:
-    """The surjection b_i -> b_i of the built-in zmod and trunc_poly towers."""
-    return RingSurjection(src, tgt, np.eye(src.m, tgt.m, dtype=np.int64))
+    """The surjection b_i -> b_i (b_i -> 0 past the target's basis) of the
+    built-in towers."""
+    return _trusted(RingSurjection, source=src, target=tgt,
+                    images=np.eye(src.m, tgt.m, dtype=np.int64))
+
+
+def _projection_tower(Rbar: FiniteRing, R: FiniteRing, R0: FiniteRing) -> Tower:
+    """The built-in tower Rbar -> R -> R0 = F_p in closed form, where J is an
+    F_p-space with I*J = 0 (zmod and trunc_poly with a <= b + 1, square_zero).
+
+    J is spanned by the o_i b_i that are nonzero in Rbar, o_i the order of
+    b_i in R (1 past R's basis); the greedy basis in lexicographic order takes
+    them from the last coordinate down.  The least preimage of an element of
+    R is its coordinates padded with zeros.
+    """
+    mb, m = Rbar.m, R.m
+    scale = np.ones(mb, dtype=np.int64)
+    scale[:m] = R.orders
+    jbasis = np.eye(mb, dtype=np.int64)[np.flatnonzero(scale < Rbar.orders)[::-1]] * scale
+    sigma = np.zeros((R.cardinality, mb), dtype=np.int64)
+    sigma[:, :m] = R.elements()
+    return _trusted(Tower, Rbar=Rbar, R=R, R0=R0, pibar=_proj(Rbar, R), pi=_proj(R, R0),
+                    pibar0=_proj(Rbar, R0), jbasis=jbasis, jcoords=_jcoords(Rbar, jbasis),
+                    sigma=sigma, _phi_scale=Rbar.orders // Rbar.p)
 
 
 def mk_tower(kind: str, p: int, **params) -> Tower:
@@ -387,6 +433,9 @@ def mk_tower(kind: str, p: int, **params) -> Tower:
            trunc_poly(a, b): F_p[t]/(t^a) -> F_p[t]/(t^b) -> F_p;
            square_zero(r): F_p[x_1..x_r]/(x)^2 -> F_p -> F_p;
            custom(Rbar, R, R0, pibar, pi).
+    Only the parameters and custom data are checked.  zmod and trunc_poly
+    with a > b + 1, where J is not killed by p or I*J != 0, fail in Tower's
+    checks.
     """
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
@@ -398,16 +447,13 @@ def mk_tower(kind: str, p: int, **params) -> Tower:
             raise ValidationError(f"{kind} requires a >= b >= 1")
         ring = zmod_ring if kind == "zmod" else trunc_poly_ring
         rings = ring(p, a), ring(p, b), ring(p, 1)
-        return Tower(*rings, _proj(*rings[:2]), _proj(*rings[1:]))
+        if a > b + 1:
+            return Tower(*rings, _proj(*rings[:2]), _proj(*rings[1:]))
+        return _projection_tower(*rings)
     if kind == "square_zero":
         r = int(params["r"])
-        ring = square_zero_ring(p, r)
-        fp = zmod_ring(p, 1)
-        images = np.zeros((r + 1, 1), dtype=np.int64)
-        images[0, 0] = 1
-        proj = RingSurjection(ring, fp, images)
-        ident = RingSurjection(fp, fp, np.array([[1]]))
-        return Tower(ring, fp, fp, proj, ident)
+        ring, fp = square_zero_ring(p, r), zmod_ring(p, 1)
+        return _projection_tower(ring, fp, fp)
     if kind == "custom":
         return Tower(params["Rbar"], params["R"], params["R0"],
                      params["pibar"], params["pi"])

@@ -609,3 +609,84 @@ def test_every_problem_command_writes_the_reference_bytes(tmp_path, z4, capsys, 
         report = written.pop()
         assert out == _reference_json(json.loads(json.dumps(report, default=np.ndarray.tolist)))
         assert json.loads(out)["verdict"] != "failed"
+
+
+# -- built-in and custom towers ---------------------------------------------
+
+T332_DESC = ("trunc_poly", 3, (("a", 3), ("b", 2)))
+
+
+def _t332_docs():
+    """A liftable differential (d_0 = t on ranks 1, 1, 1) over
+    F_3[t]/t^3 -> F_3[t]/t^2 -> F_3, and the same problem whose tower is
+    the custom payload of the built-in one."""
+    defalg = mk_algebra(mk_tower("trunc_poly", 3, a=3, b=2), "trivial")
+    t = np.zeros((1, 1, 1, 2), dtype=np.int64)
+    t[..., 1] = 1
+    d = GradedMap.from_arrays(defalg.mid, OB3, OB3, 1, {0: t, 1: np.zeros_like(t)})
+    doc = problem_to_doc("differential", defalg, T332_DESC,
+                         DifferentialProblem(defalg, OB3, d))
+    custom = json.loads(json.dumps(doc))
+    custom["payload"]["tower"] = tower_to_payload(defalg.tower)
+    assert custom["payload"]["tower"]["kind"] == "custom"
+    return doc, custom
+
+
+@pytest.mark.parametrize("command", ["obstruct-diff", "classify", "functor-eval"])
+def test_builtin_and_custom_towers_give_one_report(tmp_path, capsys, command):
+    """The closed-form tower and the checked custom copy of it answer alike."""
+    outs = []
+    for name, doc in zip(("builtin", "custom"), _t332_docs()):
+        code = main([command, "--complex", _write(tmp_path, f"{name}.json", doc)])
+        outs.append((code, capsys.readouterr().out))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and json.loads(outs[0][1])["verdict"] != "failed"
+
+
+def _corrupt_mult(tower):
+    """t^2 * t^2 = t in Rbar, which keeps the table commutative and unital:
+    (t t) t^2 = t but t (t t^2) = 0."""
+    tower["rbar"]["mult"][2][2] = [0, 1, 0]
+
+
+def _corrupt_pi(tower):
+    tower["pi"] = [[2], [0]]
+
+
+def _ij_nonzero(tower):
+    """F_3[t]/t^3 -> F_3 -> F_3, where I = J = (t) and I*J = (t^2)."""
+    tower["r"] = tower["r0"]
+    tower["pibar"] = [[1], [0], [0]]
+    tower["pi"] = [[1]]
+
+
+@pytest.mark.parametrize("corrupt, error, message", [
+    (_corrupt_mult, "ValidationError", "multiplication table is not associative"),
+    (_corrupt_pi, "ValidationError", "map is not unital"),
+    (_ij_nonzero, "IJNonzero", "I*J != 0: [0, 1, 0] * [0, 1, 0] != 0"),
+])
+def test_a_corrupted_custom_tower_still_fails_its_checks(tmp_path, capsys, corrupt,
+                                                         error, message):
+    _, doc = _t332_docs()
+    corrupt(doc["payload"]["tower"])
+    code = main(["obstruct-diff", "--complex", _write(tmp_path, "bad.json", doc)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1 and rep["verdict"] == "failed"
+    assert rep["error"] == {"type": error, "message": message}
+
+
+def test_running_out_of_memory_ends_in_a_failed_report(tmp_path, z4, capsys, monkeypatch):
+    """A MemoryError (numpy raises one for an allocation it cannot make) is
+    a resource limit: a CapExceeded report in --out, exit 1, never a
+    traceback or a verdict."""
+    def run(args):
+        raise MemoryError("Unable to allocate 381. GiB for an array")
+    monkeypatch.setitem(cli.COMMANDS, "obstruct-diff",
+                        cli.COMMANDS["obstruct-diff"]._replace(run=run))
+    rep = _failed_report_in_out(tmp_path, capsys, [
+        "obstruct-diff", "--complex", _write(tmp_path, "p.json", _z4_doc(z4))])
+    assert rep["command"] == "obstruct-diff"
+    assert rep["error"] == {
+        "type": "CapExceeded",
+        "message": "memory ran out (Unable to allocate 381. GiB for an array); "
+                   "this is a resource limit, not an obstruction"}
