@@ -23,6 +23,11 @@ delta ("core") and on the dense matrix with `gf.row_space` and `gf.solve`
 ("dense"), for the seeded complex above ("random", whose core is nearly all
 of delta) and for the ladder24 base differential, a rank-2 split block
 ("ladder": 48 nonzero entries); both paths give one digest.  The
+`core build` cases are `HomComplex.delta_core(n)` of a fresh Hom complex,
+which assembles the core from delta's nonzero blocks, on the ladder24 base
+differential (n = 1) and on the functor workload's ranks (1, 2) over F_2
+with a rank-1 differential (n = 1, no rows, and n = 0), so that the fixed
+cost of the assembly on tiny complexes shows.  The
 `emit` case is `cli.canonical_json` on the report that `sqzlift oracle` writes
 for `gen --kind differential --seed 74` (59 049 witnesses, 59 049 singleton
 orbits), taken as the command hands it to the writer.  The `emit (shape)`
@@ -111,6 +116,9 @@ def _workloads():
     for shape in ("random", "ladder"):
         for path in ("dense", "core"):
             loads.append(("core", 3, (shape, path)))
+    loads.append(("core_build", 3, ("ladder", 1)))
+    loads.append(("core_build", 2, ("1x2", 1)))
+    loads.append(("core_build", 2, ("1x2", 0)))
     loads.append(("emit", 3, None))
     for shape in ([(r, r, 1, 3) for r in (2, 3, 4, 5, 6, 8)]
                   + [(n,) for n in (32, 64, 81, 128, 160, 192, 224, 243, 256, 384, 512)]):
@@ -216,6 +224,24 @@ def _core_job(shape, path):
             K = cohomology.kernel_complex(defalg, ob, ob, d, d)
             (red, pivots), x = K.coboundary_space(2), K.solve_coboundary(v, 2)
         return red.tobytes() + np.asarray(pivots, dtype=np.int64).tobytes() + x.tobytes()
+    return job
+
+
+def _core_build_job(shape, n):
+    """HomComplex.delta_core(n) of a fresh Hom complex: the ladder24 base
+    differential over F_3, or the functor workload's ranks (1, 2) over F_2
+    with a rank-1 differential (Hom^2 is empty, so delta_1 has no rows)."""
+    if shape == "ladder":
+        alg = defun.trivial_base_algebra(3)
+        ob, d = _ladder_complex(alg, "ladder")
+    else:
+        alg = defun.trivial_base_algebra(2)
+        ob = GradedObject.of({0: 1, 1: 2})
+        d = GradedMap.from_arrays(alg, ob, ob, 1, {0: np.array([[1], [0]])[..., None, None]})
+
+    def job():
+        core = HomComplex(alg, ob, ob, d, d).delta_core(n)
+        return b"".join(a.tobytes() for a in core)
     return job
 
 
@@ -398,6 +424,9 @@ def main() -> int:
         elif name == "core":
             job = _core_job(*payload)
             name = f"core {payload[0]} {payload[1]}"
+        elif name == "core_build":
+            job = _core_build_job(*payload)
+            name = f"core build {payload[0]} n={payload[1]}"
         elif name == "emit_array":
             job = _emit_array_job(*payload)
             name = f"emit {payload[0]} {payload[1]}"

@@ -10,12 +10,13 @@ keeps reports deterministic.
 
 For nilpotent deformations delta_0 is almost all zero, so the linear algebra
 runs on its core (`HomComplex.delta_core`): the nonzero rows, the nonzero
-columns and the small matrix they cut out; the kernel complex's core is
-dimJ diagonal copies of it.  Each answer is scattered back to full
+columns and the small matrix they cut out, assembled from the nonzero blocks
+of the differentials without a dense matrix of delta; the kernel complex's
+core is dimJ diagonal copies of it.  Each answer is scattered back to full
 coordinates and is the one that the dense matrix gives: a zero row never
 pivots, a zero column is free (its variable is 0 in a solution, and its unit
 vector is a cocycle), and a right-hand side that is nonzero on a zero row
-has no solution.  `delta_matrix` stays as the dense reference.
+has no solution.  `delta_matrix` stays as the tests' dense reference.
 """
 
 from __future__ import annotations
@@ -206,12 +207,12 @@ class KernelComplex:
 
     def all_classes(self, n: int, cap: int = DEFAULT_CAP) -> list[CohClass]:
         """All of H^n, canonical representatives, lexicographic digit order;
-        CapExceeded if H^n has more than cap classes."""
+        CapExceeded if H^n has more than cap classes, before any basis
+        vector is made."""
+        total = gf.count_candidates(self.p, self.h_dim(n), cap, "cohomology classes")
         basis = self.h_basis(n)
         red, pivots = self.coboundary_space(n)
-        h = len(basis)
-        total = gf.count_candidates(self.p, h, cap, "cohomology classes")
-        vecs = gf.digit_matrix(0, total, h, self.p) @ basis
+        vecs = gf.digit_matrix(0, total, len(basis), self.p) @ basis
         reps = gf.reduce_mod_rowspace(vecs, red, pivots, self.p)
         return [CohClass(n, tuple(rep)) for rep in reps.tolist()]
 

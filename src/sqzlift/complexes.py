@@ -6,8 +6,11 @@ g_{i+|f|} f_i and the differential on graded maps is
 
     delta(f)_i = d_{D, i+n} f_i - (-1)^n f_{i+1} d_{C, i}.
 
-delta on Hom^n is built in closed form, from blocks of left multiplication by
-d_D and right multiplication by d_C.
+delta on Hom^n is laid out once in closed form (`delta_layout`), as blocks of
+left multiplication by d_D and right multiplication by d_C, one per nonzero
+component.  The layout is written out as a dense matrix for the scans that
+need every generator (`delta_generators`), and as its nonzero core, from
+(row, column, value) triplets, for the cohomology (`HomComplex.delta_core`).
 """
 
 from __future__ import annotations
@@ -322,6 +325,100 @@ def coefficient_orders(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
     return np.tile(alg.ring.orders, coefficient_count(alg, src, tgt, n) // alg.ring.m)
 
 
+class DeltaCore(NamedTuple):
+    """A matrix of delta cut down to its nonzero rows and columns: every other
+    entry of the matrix is zero, and mat is its [rows][:, cols] block."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    mat: np.ndarray
+
+
+class DeltaLayout(NamedTuple):
+    """The integer matrix M of delta on Hom^n (one row per coefficient of
+    Hom^{n+1}, one column per coefficient of Hom^n) by its nonzero blocks.
+
+    Each block is (row, col, op, c): op is an (A, L, R, Y) operator reduced
+    mod the coefficient orders, repeated along an identity of size c, so that
+    M[row + (a*c + j)*L + l, col + (r*c + j)*Y + y] = op[a, l, r, y] for
+    every j < c.  Every other entry of M is zero, and no two blocks share an
+    entry.
+    """
+
+    shape: tuple[int, int]
+    blocks: list[tuple[int, int, np.ndarray, int]]
+
+    def dense(self) -> np.ndarray:
+        """M as one int64 array."""
+        mat = np.zeros(self.shape, dtype=np.int64)
+        # einsum with a repeated index is a writeable view of a block's
+        # diagonal, so only the operator's entries are written
+        for row, col, op, c in self.blocks:
+            a, l, r, y = op.shape
+            blk = mat[row:row + a * c * l, col:col + r * c * y].reshape(a, c, l, r, c, y)
+            np.einsum("ajlrjy->jalry", blk)[...] = op
+        return mat
+
+    def core(self) -> DeltaCore:
+        """M's nonzero rows and columns and the block they cut out, scattered
+        from the (row, column, value) triplets of the blocks' nonzero
+        entries; no array of M's shape is made."""
+        if not self.blocks:
+            return DeltaCore(_EMPTY, _EMPTY, np.zeros((0, 0), dtype=np.int64))
+        rs, cs, vs = [], [], []
+        for row, col, op, c in self.blocks:
+            nz = a, l, r, y = op.nonzero()
+            _, L, _, Y = op.shape
+            rs.append(np.add.outer(a * (c * L) + l + row, np.arange(0, c * L, L)).ravel())
+            cs.append(np.add.outer(r * (c * Y) + y + col, np.arange(0, c * Y, Y)).ravel())
+            vs.append(np.repeat(op[nz], c))
+        rs, cs = np.concatenate(rs), np.concatenate(cs)
+        rows, cols = _hits(rs, self.shape[0]), _hits(cs, self.shape[1])
+        mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        mat[np.searchsorted(rows, rs), np.searchsorted(cols, cs)] = np.concatenate(vs)
+        return DeltaCore(rows, cols, mat)
+
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def _hits(idx: np.ndarray, size: int) -> np.ndarray:
+    """The sorted distinct entries of idx, all in [0, size): a mask, not a sort."""
+    mask = np.zeros(size, dtype=bool)
+    mask[idx] = True
+    return np.flatnonzero(mask)
+
+
+def delta_layout(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap, n: int) -> DeltaLayout:
+    """delta on Hom^n(C, D) over alg, from the nonzero components of dC and
+    dD: block row i of M (the maps C_i -> D_{i+n+1}) holds left
+    multiplication by dD_{i+n} on f_i, the identity on columns, and right
+    multiplication by -(-1)^n dC_i on f_{i+1}, the identity on rows."""
+    src, tgt = dC.src, dD.src
+    km = alg.k * alg.ring.m
+
+    def offsets(deg):
+        """Offset of each block of Hom^deg in coefficient order, and the total size."""
+        sizes = {i: math.prod(shape) for i, shape in _block_shapes(alg, src, tgt, deg)}
+        return dict(zip(sizes, accumulate(sizes.values(), initial=0))), sum(sizes.values())
+
+    cols, ncols = offsets(n)
+    rows, nrows = offsets(n + 1)
+    dCb, dDb = dC.blocks(), dD.blocks()
+    sign = 1 if n % 2 else -1
+    korders = np.tile(alg.ring.orders, alg.k)   # the order of each coefficient of an entry
+    blocks = []
+    for i, row in rows.items():
+        c0, r1 = src.rank(i), tgt.rank(i + n + 1)
+        if i in cols and i + n in dDb:   # dD_{i+n} f_i: the identity on columns
+            op = alg.left_op(dDb[i + n][0]).reshape(r1, km, -1, km)
+            blocks.append((row, cols[i], op % korders[:, None, None], c0))
+        if i + 1 in cols and i in dCb:   # f_{i+1} dC_i: the identity on rows
+            op = (sign * alg.right_op(dCb[i][0])).reshape(c0, km, -1) % korders[:, None]
+            blocks.append((row, cols[i + 1], op.reshape(1, c0 * km, 1, -1), r1))
+    return DeltaLayout((nrows, ncols), blocks)
+
+
 def delta_generators(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap,
                      n: int) -> np.ndarray:
     """delta on Hom^n(C, D) over alg, one row of coefficients per generator.
@@ -330,38 +427,11 @@ def delta_generators(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap,
     in coefficient order, so the base-p digits of [0, p^rows) run over every
     degree-n map exactly once; over a field the generators are the unit
     vectors and the rows are the columns of the matrix of delta.  delta is
-    Z-linear, so its integer matrix M is filled block by block in closed
-    form, and the row of p^t e_q is t * M[:, q], reduced.
+    Z-linear, so its integer matrix M is filled from delta_layout, and the
+    row of p^t e_q is t * M[:, q], reduced.
     """
     src, tgt = dC.src, dD.src
-    km = alg.k * alg.ring.m
-
-    def blocks(deg):
-        """Offset of each block of Hom^deg in coefficient order, and the total size."""
-        sizes = {i: math.prod(shape) for i, shape in _block_shapes(alg, src, tgt, deg)}
-        return dict(zip(sizes, accumulate(sizes.values(), initial=0))), sum(sizes.values())
-
-    cols, ncols = blocks(n)
-    rows, nrows = blocks(n + 1)
-    dCb, dDb = dC.blocks(), dD.blocks()
-    sign = 1 if n % 2 else -1
-    korders = np.tile(alg.ring.orders, alg.k)   # the order of each coefficient of an entry
-    mat = np.zeros((nrows, ncols), dtype=np.int64)
-    # Each block repeats one reduced operator along a diagonal; einsum with a
-    # repeated index is a writeable view of that diagonal, so only the
-    # operator's entries are written.
-    for i, row in rows.items():
-        c0, r1 = src.rank(i), tgt.rank(i + n + 1)
-        out = slice(row, row + r1 * c0 * km)
-        if i in cols and i + n in dDb:   # dD_{i+n} f_i: the identity on columns
-            op = alg.left_op(dDb[i + n][0]).reshape(r1, km, -1, km)
-            blk = mat[out, cols[i]:cols[i] + op.shape[2] * c0 * km]
-            diag = np.einsum("aclrcy->calry", blk.reshape(r1, c0, km, -1, c0, km))
-            diag[...] = op % korders[:, None, None]
-        if i + 1 in cols and i in dCb:   # f_{i+1} dC_i: the identity on rows
-            op = sign * alg.right_op(dCb[i][0]) % np.tile(korders, c0)[:, None]
-            blk = mat[out, cols[i + 1]:cols[i + 1] + r1 * op.shape[1]]
-            np.einsum("asat->ast", blk.reshape(r1, len(op), r1, -1))[...] = op
+    mat = delta_layout(alg, dC, dD, n).dense()
     qs, ts = [], []
     for q, order in enumerate(coefficient_orders(alg, src, tgt, n).tolist()):
         t = 1
@@ -369,7 +439,7 @@ def delta_generators(alg: LevelAlgebra, dC: GradedMap, dD: GradedMap,
             qs.append(q)
             ts.append(t)
             t *= alg.ring.p
-    if len(qs) == ncols:   # one generator per coefficient (t = 1, as over a field): M itself
+    if len(qs) == mat.shape[1]:   # one generator per coefficient (t = 1, as over a field)
         return mat.T
     orders = coefficient_orders(alg, src, tgt, n + 1)[:, None]
     return (mat[:, qs] * np.array(ts, dtype=np.int64) % orders).T
@@ -454,15 +524,6 @@ def map_lift(defalg: DeformedAlgebra, f: GradedMap) -> GradedMap:
 # the Hom complex over the base field
 # ---------------------------------------------------------------------------
 
-class DeltaCore(NamedTuple):
-    """A matrix of delta cut down to its nonzero rows and columns: every other
-    entry of the matrix is zero, and mat is its [rows][:, cols] block."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    mat: np.ndarray
-
-
 @dataclass(eq=False)
 class HomComplex:
     """Hom(C, D) as a complex of F_p-vector spaces at the base level.
@@ -491,11 +552,8 @@ class HomComplex:
         return delta_generators(self.alg, self.dC, self.dD, n).T
 
     def delta_core(self, n: int) -> DeltaCore:
-        """The core of delta_n, made once per degree."""
+        """The core of delta_n, made once per degree from delta's nonzero
+        blocks (DeltaLayout.core)."""
         if n not in self._cores:
-            mat = self.delta_matrix(n)
-            rows = np.flatnonzero(mat.any(axis=1))
-            sub = mat[rows]   # a zero row has no nonzero column
-            cols = np.flatnonzero(sub.any(axis=0))
-            self._cores[n] = DeltaCore(rows, cols, sub[:, cols])
+            self._cores[n] = delta_layout(self.alg, self.dC, self.dD, n).core()
         return self._cores[n]

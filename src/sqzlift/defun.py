@@ -414,10 +414,8 @@ def functor_eval(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
 
 def tangent_dim(alg0: LevelAlgebra, ob: GradedObject, d0: GradedMap) -> int:
     """dim_{F_p} H^1 Hom(C0, C0): the tangent space of the functor F."""
-    hc = HomComplex(alg0, ob, ob, d0, d0)
-    z = hc.dim(1) - gf.rank(hc.delta_matrix(1), alg0.ring.p)
-    b = gf.rank(hc.delta_matrix(0), alg0.ring.p)
-    return z - b
+    hc, p = HomComplex(alg0, ob, ob, d0, d0), alg0.ring.p
+    return hc.dim(1) - gf.rank(hc.delta_core(1).mat, p) - gf.rank(hc.delta_core(0).mat, p)
 
 
 # ---------------------------------------------------------------------------

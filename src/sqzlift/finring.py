@@ -452,6 +452,8 @@ def mk_tower(kind: str, p: int, **params) -> Tower:
         return _projection_tower(*rings)
     if kind == "square_zero":
         r = int(params["r"])
+        if r < 0:
+            raise ValidationError("square_zero requires r >= 0")
         ring, fp = square_zero_ring(p, r), zmod_ring(p, 1)
         return _projection_tower(ring, fp, fp)
     if kind == "custom":

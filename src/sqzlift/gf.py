@@ -135,10 +135,15 @@ DEFAULT_CAP = 1 << 20
 
 def count_candidates(radix: int, ndigits: int, cap: int, what: str) -> int:
     """radix ** ndigits, the number of digit tuples to enumerate; CapExceeded
-    if that exceeds the cap."""
+    if that exceeds the cap.  The message names a count too long to print in
+    decimal (Python refuses ints of more than 4300 digits) as radix^ndigits."""
     total = radix ** ndigits
     if total > cap:
-        raise CapExceeded(f"{total} {what} exceed the cap {cap}")
+        try:
+            count = str(total)
+        except ValueError:
+            count = f"{radix}^{ndigits}"
+        raise CapExceeded(f"{count} {what} exceed the cap {cap}")
     return total
 
 

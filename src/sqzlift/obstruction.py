@@ -97,7 +97,9 @@ class AffineLift:
         degree-m maps, as an (N, ncoef) stack of degree m+1 maps."""
         K, m = self.kernel, self.degree
         bar, obC, obD = K.defalg.bar, K.hom.obC, K.hom.obD
-        res = self.residual_blocks(block_view(bar, obC, obD, m, stack))
+        # a block that is zero in every row composes to zero: leave it out
+        blocks = block_view(bar, obC, obD, m, stack)
+        res = self.residual_blocks({i: blk for i, blk in blocks.items() if blk.any()})
         return stack_of(bar, obC, obD, m + 1, res, len(stack))
 
     def residual(self, X: GradedMap) -> GradedMap:

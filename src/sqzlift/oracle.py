@@ -20,9 +20,9 @@ generator, from the stack X0 + kappa_s over the kernel basis; the re-check
 of the first VERIFY_WITNESSES scan hits, from the stack of those candidate
 lifts; and every orbit move, delta of the stack of degree m-1 basis maps
 taken with the bar-level differentials (`KernelComplex.delta_via_bar`).
-None of them reads the closed-form delta matrix (`delta_generators`).  They
+None of them reads the closed-form delta matrix (`delta_layout`).  They
 share one primitive with it: `LevelAlgebra.matmul` multiplies large stacks
-as left_op(a) times the columns of b, and `delta_generators` builds its
+as left_op(a) times the columns of b, and `delta_layout` builds its
 blocks from left_op; the tests that compare both matmul paths with the plain
 einsum over the structure constants guard it.
 

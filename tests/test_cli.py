@@ -5,6 +5,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -690,3 +692,80 @@ def test_running_out_of_memory_ends_in_a_failed_report(tmp_path, z4, capsys, mon
         "type": "CapExceeded",
         "message": "memory ran out (Unable to allocate 381. GiB for an array); "
                    "this is a resource limit, not an obstruction"}
+
+
+@pytest.mark.parametrize("r", [-1, -2])
+def test_square_zero_with_negative_r_is_a_validation_error(tmp_path, capsys, r):
+    """The tower's parameters are checked before any table is built, so the
+    report names r (it was a ParseError about an IndexError or a negative
+    dimension)."""
+    defalg = mk_algebra(mk_tower("square_zero", 3, r=2), "trivial")
+    doc = problem_to_doc("differential", defalg, ("square_zero", 3, (("r", 2),)),
+                         DifferentialProblem(defalg, OB3, zero_map(defalg.mid, OB3, OB3, 1)))
+    doc["payload"]["tower"]["params"]["r"] = r
+    code = main(["obstruct-diff", "--complex", _write(tmp_path, "p.json", doc)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1 and rep["verdict"] == "failed"
+    assert rep["error"] == {"type": "ValidationError", "message": "square_zero requires r >= 0"}
+
+
+def _zero_complex_doc(rank):
+    """The zero differential on ranks (rank, rank, rank) over
+    F_3[t]/t^3 -> F_3[t]/t^2 -> F_3: K^1 has dimension 2 rank^2."""
+    defalg = mk_algebra(mk_tower("trunc_poly", 3, a=3, b=2), "trivial")
+    ob = GradedObject.of({0: rank, 1: rank, 2: rank})
+    return problem_to_doc("differential", defalg, T332_DESC,
+                          DifferentialProblem(defalg, ob, zero_map(defalg.mid, ob, ob, 1)))
+
+
+def test_a_count_too_long_to_print_ends_in_a_cap_report(tmp_path, capsys):
+    """3^9800 candidates has 4676 decimal digits, more than Python prints:
+    the report names the count as a power instead of ending in a ValueError."""
+    rep = _failed_report_in_out(tmp_path, capsys, [
+        "oracle", "--complex", _write(tmp_path, "p.json", _zero_complex_doc(70))])
+    assert rep["error"] == {"type": "CapExceeded",
+                            "message": "3^9800 candidates exceed the cap 1048576"}
+
+
+_LIMITED_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from sqzlift.cli import main
+path, out = sys.argv[1], sys.argv[2]
+codes = {}
+for cmd in sys.argv[3:]:
+    codes[cmd] = main([cmd, "--complex", path, "--out", f"{out}/{cmd}.json"])
+print(json.dumps(codes))
+"""
+
+_LARGE_RANK_COMMANDS = ("obstruct-diff", "lift-diff", "extend-order", "tangent", "classify",
+                        "classify-homotopy", "oracle")
+
+
+def test_a_large_zero_complex_gets_its_verdicts_under_a_memory_limit(tmp_path):
+    """Ranks (400, 400, 400), d = 0: K^1 has dimension 320 000, and a dense
+    delta_1 would take 381 GiB.  One child process with a 3 GB address-space
+    limit runs every command on it: each ends in a JSON report, the lifting
+    commands lift, tangent counts every coordinate, and the enumerations end
+    at the cap."""
+    path = _write(tmp_path, "big.json", _zero_complex_doc(400))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", _LIMITED_CHILD, path, str(tmp_path),
+                          *_LARGE_RANK_COMMANDS],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr[-2000:]
+    codes = json.loads(run.stdout.splitlines()[-1])
+    reports = {cmd: json.loads((tmp_path / f"{cmd}.json").read_text())
+               for cmd in _LARGE_RANK_COMMANDS}
+    for cmd in ("obstruct-diff", "lift-diff", "extend-order"):
+        assert codes[cmd] == 0 and reports[cmd]["verdict"] == "lifts"
+    assert reports["obstruct-diff"]["h2_dim"] == 160000
+    assert len(reports["lift-diff"]["obstruction"]["coords"]) == 160000
+    assert codes["tangent"] == 0 and reports["tangent"]["verdict"] == "verified"
+    assert reports["tangent"]["tangent_dim"] == 320000
+    for cmd, what in (("classify", "cohomology classes"),
+                      ("classify-homotopy", "cohomology classes"), ("oracle", "candidates")):
+        assert codes[cmd] == 1 and reports[cmd]["verdict"] == "failed"
+        assert reports[cmd]["error"] == {
+            "type": "CapExceeded", "message": f"3^320000 {what} exceed the cap 1048576"}

@@ -141,6 +141,8 @@ def test_builtin_towers_and_algebras_equal_their_checked_builds(p):
     ("trunc_poly", 3, {"a": 11, "b": 10}, ValidationError,
      "ring of order 3^11 exceeds cap 65536"),
     ("square_zero", 7, {"r": 5}, ValidationError, "ring of order 7^6 exceeds cap 65536"),
+    ("square_zero", 3, {"r": -1}, ValidationError, "square_zero requires r >= 0"),
+    ("square_zero", 3, {"r": -2}, ValidationError, "square_zero requires r >= 0"),
     ("cyclic", 2, {}, ValidationError, "unknown tower kind 'cyclic'"),
 ])
 def test_cap_and_parameters(kind, p, params, error, message):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sqzlift import gf
-from sqzlift.algebra import AlgMatrix, mk_algebra
+from sqzlift.algebra import AlgMatrix, dual_numbers_algebra, mk_algebra
 from sqzlift.cohomology import CohClass, kernel_complex
 from sqzlift.complexes import GradedMap, GradedObject, identity_map, map_lift, zero_map
 from sqzlift.errors import CapExceeded, LevelMismatch, NotACocycle, ShapeMismatch
@@ -288,7 +288,7 @@ def test_core_answers_are_the_dense_answers(name, request):
         assert np.array_equal(red, want_red) and pivots == want_pivots
         assert K.h_dim(n) == K.dim(n) - gf.rank(dense, K.p) - gf.rank(prev, K.p)
         basis = K.h_basis(n)
-        assert basis.dtype == np.int64
+        assert basis.dtype == np.int64 and K.h_dim(n) == len(basis)
         assert np.array_equal(basis, _dense_h_basis(K, n).reshape(-1, K.dim(n)))
         # coboundaries, cocycles and random vectors, through solve and is_cocycle
         null = gf.nullspace(dense, K.p)
@@ -302,6 +302,82 @@ def test_core_answers_are_the_dense_answers(name, request):
             assert K.is_cocycle(v, n) == (not (dense @ v % K.p).any())
             solved, unsolved = solved + (got is not None), unsolved + (got is None)
     assert solved and unsolved
+
+
+def _battery_algebra(name):
+    """A deformed algebra whose base level is one of the battery's: F_2 and
+    F_3 with the trivial algebra, the dual numbers over F_3, the
+    noncommutative T_2(F_2) and T_2(F_3), and square_zero(3; r=2) (dimJ = 2)
+    with the trivial algebra and T_2."""
+    tower = {2: mk_tower("trunc_poly", 2, a=2, b=1), 3: mk_tower("trunc_poly", 3, a=3, b=2),
+             "sq": mk_tower("square_zero", 3, r=2)}[name[1]]
+    if name[0] == "trivial":
+        return mk_algebra(tower, "trivial")
+    if name[0] == "dual":
+        return dual_numbers_algebra(tower)
+    one = tower.Rbar.one_vec()   # upper-triangular T_2 with basis e11, e12, e22
+    struct = np.zeros((3, 3, 3, tower.Rbar.m), dtype=np.int64)
+    struct[0, 0, 0] = struct[0, 1, 1] = struct[1, 2, 1] = struct[2, 2, 2] = one
+    return mk_algebra(tower, "custom", struct=struct, unit=np.stack([one, 0 * one, one]))
+
+
+def _battery_differential(rng, alg, ob, density):
+    """A degree-1 endomorphism of ob over alg with about this share of
+    nonzero coefficients; it need not square to zero."""
+    comps = {}
+    for i, c in ob.ranks:
+        if ob.rank(i + 1):
+            shape = (ob.rank(i + 1), c, alg.k, alg.ring.m)
+            keep = rng.random(shape) < density
+            comps[i] = rng.integers(0, alg.ring.orders, size=shape) * keep
+    return GradedMap.from_arrays(alg, ob, ob, 1, comps)
+
+
+@pytest.mark.parametrize("name", [("trivial", 2), ("trivial", 3), ("dual", 3), ("T2", 2),
+                                  ("T2", 3), ("trivial", "sq"), ("T2", "sq")])
+def test_core_is_the_nonzero_part_of_the_dense_matrix(name):
+    """The core built from delta's nonzero blocks against a cut of the dense
+    matrix, for HomComplex and KernelComplex: rows and cols are exactly the
+    nonzero rows and columns, mat is the block they cut out, and the dense
+    matrix is zero outside it.  Zero, sparse and dense differentials (none
+    need square to zero), n from -3 to 2, unequal C and D, empty blocks."""
+    defalg = _battery_algebra(name)
+    base = defalg.base
+    rng = np.random.default_rng(sum(map(ord, str(name))))
+    pairs = [(GradedObject.of({0: 1, 1: 2, 2: 1}),) * 2,
+             (GradedObject.of({-1: 2, 0: 1, 2: 1}), GradedObject.of({0: 1, 1: 1, 3: 2})),
+             (GradedObject.of({0: 2, 1: 3}), GradedObject.of({1: 2, 2: 1}))]
+    seen = {"empty": 0, "partial": 0, "zero": 0}
+    for obC, obD in pairs:
+        for density in (0.0, 0.3, 1.0):
+            dC = _battery_differential(rng, base, obC, density)
+            dD = _battery_differential(rng, base, obD, density)
+            K = kernel_complex(defalg, obC, obD, dC, dD)
+            for X in (K.hom, K):
+                for n in range(-3, 3):
+                    dense, core = X.delta_matrix(n), X.delta_core(n)
+                    assert core.rows.dtype == core.cols.dtype == core.mat.dtype == np.int64
+                    assert np.array_equal(core.rows, np.flatnonzero(dense.any(axis=1)))
+                    assert np.array_equal(core.cols, np.flatnonzero(dense.any(axis=0)))
+                    assert np.array_equal(core.mat, dense[np.ix_(core.rows, core.cols)])
+                    outside = dense.copy()
+                    outside[np.ix_(core.rows, core.cols)] = 0
+                    assert not outside.any()
+                    seen["empty"] += 0 in dense.shape
+                    seen["zero"] += 0 not in dense.shape and not dense.any()
+                    seen["partial"] += 0 < len(core.rows) < len(dense)
+    assert all(seen.values()), seen
+
+
+def test_all_classes_counts_before_it_builds_a_basis(K_ladder, monkeypatch):
+    """The cap is checked on p^h_dim before h_basis writes a row."""
+    K, n = K_ladder, 1
+
+    def refuse(n):
+        raise AssertionError("h_basis called over the cap")
+    monkeypatch.setattr(K, "h_basis", refuse)
+    with pytest.raises(CapExceeded, match=f"^{3 ** K.h_dim(n)} cohomology classes"):
+        K.all_classes(n, cap=3 ** K.h_dim(n) - 1)
 
 
 def test_zero_delta_has_an_empty_core(K_z4):

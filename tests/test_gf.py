@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqzlift import gf
+from sqzlift.errors import CapExceeded
 
 # ---------------------------------------------------------------------------
 # reference kernels: plain loops, compared against the numpy routines
@@ -425,3 +426,18 @@ def test_scan_where_every_candidate_is_a_hit():
         got = gf.scan_affine_zero(base, gens, moduli, p, lo, hi)
         assert got.dtype == np.int64
         assert got.tolist() == list(range(lo, hi))
+
+
+def test_count_candidates_names_a_count_too_long_to_print_as_a_power():
+    """A count with more decimal digits than Python will print (4300) is
+    named p^n; shorter counts keep their decimal message."""
+    assert gf.count_candidates(3, 5, 243, "candidates") == 243
+    with pytest.raises(CapExceeded) as short:
+        gf.count_candidates(2, 21, gf.DEFAULT_CAP, "graded maps")
+    assert str(short.value) == "2097152 graded maps exceed the cap 1048576"
+    with pytest.raises(CapExceeded) as at_limit:
+        gf.count_candidates(10, 4299, 1, "candidates")   # 4300 digits: printed
+    assert str(at_limit.value) == f"1{'0' * 4299} candidates exceed the cap 1"
+    with pytest.raises(CapExceeded) as huge:
+        gf.count_candidates(3, 320000, gf.DEFAULT_CAP, "cohomology classes")
+    assert str(huge.value) == "3^320000 cohomology classes exceed the cap 1048576"

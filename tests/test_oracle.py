@@ -196,7 +196,8 @@ def test_oracle_recheck_catches_a_false_witness(kind, seed, monkeypatch):
 
 def test_oracle_does_not_use_the_closed_form_delta(monkeypatch):
     """The oracle evaluates the defining equations itself: with
-    delta_generators raising, it still re-derives every result."""
+    delta_layout (behind delta_generators and delta_core) raising, it still
+    re-derives every result."""
     kinds = [("differential", s) for s in (1, 21, 51)] + [("map", 24), ("homotopy", 12)]
     want = [oracle(gen_instance(k, s, max_kdim=20).problem) for k, s in kinds]
     fresh = [gen_instance(k, s, max_kdim=20).problem for k, s in kinds]
@@ -204,13 +205,14 @@ def test_oracle_does_not_use_the_closed_form_delta(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle used the closed-form delta")
 
-    monkeypatch.setattr(complexes, "delta_generators", refuse)
+    monkeypatch.setattr(complexes, "delta_layout", refuse)
     for prob, ref in zip(fresh, want):
         res = oracle(prob)
         assert np.array_equal(res.witness_indices, ref.witness_indices)
         assert np.array_equal(res.orbits, ref.orbits)
-    with pytest.raises(AssertionError, match="closed-form"):
-        fresh[0].kernel.delta_matrix(1)
+    for build in (fresh[0].kernel.delta_matrix, fresh[0].kernel.delta_core):
+        with pytest.raises(AssertionError, match="closed-form"):
+            build(1)
 
 
 def test_gen_instance_is_deterministic():
