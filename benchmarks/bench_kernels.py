@@ -4,11 +4,12 @@ The cases are row reduction and the affine candidate scan in `gf`, the
 oracle's orbit partition `oracle._partition` on the shape of
 `sqzlift gen --kind differential --seed 74` (p = 3, kdim 10: all 59 049
 candidates are witnesses and its 13 moves are zero, so every orbit is a
-singleton), and the unipotent orbit partition `defun.iso_orbits` on the
-shape of `sqzlift gen --kind differential --seed 7` (F_3[x]/x^2, ranks 2 and
-2, zero base differential: 81 strict lifts, each conjugated by the 8
-generators of the 6561-element unipotent group, 1 plus x at one of the 8
-coefficient positions).  The
+singleton; `rank=0`) and on the same witnesses with the two moves e_0 and
+e_5 (`rank=2`: 6561 orbits of 9), and the unipotent orbit partition
+`defun.iso_orbits` on the shape of `sqzlift gen --kind differential --seed 7`
+(F_3[x]/x^2, ranks 2 and 2, zero base differential: 81 strict lifts, each
+conjugated by the 8 generators of the 6561-element unipotent group, 1 plus x
+at one of the 8 coefficient positions).  The
 `strict` case is `defun.strict_lifts` on `gen --kind differential --seed 23`
 (F_3[t]/t^3 over F_3, ranks 1, 2, 2: 531 441 candidates, 111 537 lifts), and
 the `guard` case is `crude.h_minus1_guard` on `gen --kind map --seed 47`
@@ -35,7 +36,13 @@ rows write one seeded integer array by `cli._int_array` and through its list;
 the 4-d shapes are map components (r x r entries of 3 coefficients), the 1-d
 ones witness lists, and the crossovers of both set `cli._list_work` and
 `cli._INT_ARRAY_MIN_WORK` (1-d arrays cross at about 250 elements, map
-components between r = 3 and r = 4).  The `scan k= L=` cases are
+components between r = 3 and r = 4); these arrays are not ascending, so
+`_int_array` writes them in padded rows.  The `emit asc (shape)` rows write
+0, 1, 2, ... in flat order by `_int_array`'s own choice: the witness lists
+and the singleton and single orbits of the oracle's largest reports.  The
+`emit runs m=` rows write m copies each of 5, 50, 500 and 5000 (five runs of
+one text width, the first element one) forced onto each layout, `rows` and
+`runs`; their crossover sets `cli._RUN_MIN_LENGTH`.  The `scan k= L=` cases are
 `gf.scan_affine_zero` over all p^k candidates on two seeded shapes whose base
 is a combination of the generators (one hit each), the scan of the oracle on
 `gen --kind differential --seed 51` (p = 3, k = 12, L = 24: 6 561 hits, the
@@ -67,14 +74,16 @@ integer matmul), over F_3 (k*m = 1), F_3[t]/t^3 (k*m = 3) and the dual
 numbers over F_3[t]/t^3 (k*m = 6); the crossover of the two paths sets
 `algebra._TWO_STEP_MIN_TERMS`, and both paths give one digest.  Each case prints its
 best time of several runs and a digest of its result, so that a change of
-result shows up next to a change of speed.
+result shows up next to a change of speed.  Case names given on the command
+line select the cases whose names start with one of them.
 
-Usage:  python benchmarks/bench_kernels.py
+Usage:  python benchmarks/bench_kernels.py [case prefix ...]
 """
 
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -106,7 +115,8 @@ def _workloads():
     wide = np.random.default_rng(20)
     loads.append(("scan", 2, (wide.integers(0, 2, size=16), wide.integers(0, 2, size=(20, 16)),
                               np.full(16, 2, dtype=np.int64))))
-    loads.append(("partition", 3, (10, 13)))
+    loads.append(("partition", 3, (10, 0)))
+    loads.append(("partition", 3, (10, 2)))
     loads.append(("orbits", 3, None))
     loads.append(("strict", 3, None))
     loads.append(("guard", 3, None))
@@ -124,6 +134,11 @@ def _workloads():
                   + [(n,) for n in (32, 64, 81, 128, 160, 192, 224, 243, 256, 384, 512)]):
         for path in ("list", "int_array"):
             loads.append(("emit_array", None, (shape, path)))
+    for shape in ((6561,), (59049,), (59049, 1), (1, 6561)):
+        loads.append(("emit_array", None, (shape, "int_array", 0)))
+    for m in (32, 64, 128, 256, 512, 1024):
+        for path in ("rows", "runs"):
+            loads.append(("emit_array", None, ((4 * m,), path, m)))
     loads.append(("tower", None, None))
     loads.append(("builtins", None, None))
     loads.append(("fiber", 3, None))
@@ -138,9 +153,12 @@ def _workloads():
     return loads
 
 
-def _partition_job(p, kdim, nmoves):
+def _partition_job(p, kdim, rank):
+    """Every candidate a witness, with 13 zero moves (rank 0) or the moves
+    e_0 and e_5 (rank 2)."""
     witnesses = np.arange(p ** kdim, dtype=np.int64)
-    moves = [np.zeros(kdim, dtype=np.int64)] * nmoves
+    eye = np.eye(kdim, dtype=np.int64)
+    moves = [eye[0], eye[5]] if rank else [np.zeros(kdim, dtype=np.int64)] * 13
 
     def job():
         return np.asarray(oracle._partition(witnesses, kdim, p, moves),
@@ -245,17 +263,30 @@ def _core_build_job(shape, n):
     return job
 
 
-def _emit_array_job(shape, path):
-    """One seeded integer array of the given shape written by `_int_array`, or
-    through its list: the two sides of `cli._INT_ARRAY_MIN_WORK`."""
-    a = np.random.default_rng(4).integers(-40, 40, size=shape)
+def _emit_array_job(shape, path, runs=None):
+    """One integer array of the given shape written by `_int_array`, or
+    through its list: seeded entries in [-40, 40) (runs None), 0, 1, 2, ...
+    (runs 0), or m = runs copies each of 5, 50, 500 and 5000, forced onto the
+    padded rows or the runs of `_int_array` by `cli._RUN_MIN_LENGTH`."""
+    if runs is None:
+        a = np.random.default_rng(4).integers(-40, 40, size=shape)
+    else:
+        a = np.arange(math.prod(shape)) if runs == 0 else np.repeat([5, 50, 500, 5000], runs)
+        a = a.reshape(shape)
+    bound = {"rows": 1 << 62, "runs": 0}.get(path)
 
     def job():
-        if path == "int_array":
+        if path == "list":
+            out = []
+            cli._write_json(a.tolist(), "\n  ", out)
+            return "".join(out).encode()
+        if bound is None:
             return cli._int_array(a, "\n  ").encode()
-        out = []
-        cli._write_json(a.tolist(), "\n  ", out)
-        return "".join(out).encode()
+        default, cli._RUN_MIN_LENGTH = cli._RUN_MIN_LENGTH, bound
+        try:
+            return cli._int_array(a, "\n  ").encode()
+        finally:
+            cli._RUN_MIN_LENGTH = default
     return job
 
 
@@ -399,7 +430,7 @@ def _matmul_job(level, k, r, path):
     return job
 
 
-def main() -> int:
+def main(prefixes: list[str]) -> int:
     print(f"{'case':<36} {'seconds':>10} {'digest':>18}")
     for name, p, payload in _workloads():
         if name == "rref":
@@ -410,6 +441,7 @@ def main() -> int:
                 return r.tobytes() + bytes([rk % 251])
         elif name == "partition":
             job = _partition_job(p, *payload)
+            name = f"partition rank={payload[1]}"
         elif name == "orbits":
             job = _orbits_job()
         elif name == "strict":
@@ -429,7 +461,9 @@ def main() -> int:
             name = f"core build {payload[0]} n={payload[1]}"
         elif name == "emit_array":
             job = _emit_array_job(*payload)
-            name = f"emit {payload[0]} {payload[1]}"
+            shape, path, runs = (payload + (None,))[:3]
+            name = (f"emit {shape} {path}" if runs is None else f"emit asc {shape} {path}"
+                    if runs == 0 else f"emit runs m={runs} {path}")
         elif name == "emit":
             job = _emit_job()
         elif name == "tower":
@@ -456,6 +490,9 @@ def main() -> int:
                                            0, p ** gens.shape[0])
                 return np.asarray(hits, dtype=np.int64).tobytes()
 
+        label = name if p is None else f"{name} p={p}"
+        if prefixes and not label.startswith(tuple(prefixes)):
+            continue
         job()   # warm up
         best = float("inf")
         for _ in range(REPEATS):
@@ -465,10 +502,9 @@ def main() -> int:
         if not isinstance(out, bytes):
             out = repr(out).encode()
         digest = hashlib.sha256(out).hexdigest()[:16]
-        label = name if p is None else f"{name} p={p}"
         print(f"{label:<36} {best:>10.6f} {digest:>18}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -6,11 +6,12 @@ s in {tower, algebra, complex, map, problem}.  Serialization is canonical
 byte-identically and repeated runs produce identical reports.
 `canonical_json` writes the bytes of `json.dumps(obj, sort_keys=True,
 indent=2)` itself: a list of ints is joined with `str` in one call, and an
-integer ndarray past a size crossover (reports hold map components as
-arrays) is written as bytes in a few numpy passes.  Reports carry
-"verdict" in {lifts, obstructed, classified, verified, failed}; obstructed is
-exit status 2 (a mathematical outcome), errors (usage errors too) are exit
-status 1.  Each command takes only the flags it reads (`COMMANDS`).
+integer ndarray past a size crossover (reports hold map components, witness
+lists and orbits as arrays) is written as bytes in a few numpy passes: run
+by run if it is ascending along one axis, in padded rows otherwise.  Reports
+carry "verdict" in {lifts, obstructed, classified, verified, failed};
+obstructed is exit status 2 (a mathematical outcome), errors (usage errors
+too) are exit status 1.  Each command takes only the flags it reads (`COMMANDS`).
 """
 
 from __future__ import annotations
@@ -75,8 +76,13 @@ def canonical_json(obj) -> str:
     itself.  The list costs about a sixth of a microsecond per element and
     about one per list, so `_int_array`'s fixed cost of a few tens of
     microseconds is met at about 244 elements for a 1-d array but at 48
-    (r = 4) for map components (r x r entries of 1 x 3 coefficients); the
-    `emit` rows of benchmarks/bench_kernels.py measure it."""
+    (r = 4) for map components (r x r entries of 1 x 3 coefficients).
+    `_int_array` has two layouts: an array with at most one axis longer than
+    1 that is ascending, and whose runs of one text width average
+    _RUN_MIN_LENGTH elements, is written run by run (`_int_runs`: the
+    oracle's witness lists and singleton or single orbits); any other array
+    in padded rows (`_int_rows`: map components among them).  The `emit`
+    rows of benchmarks/bench_kernels.py measure both crossovers."""
     out: list[str] = []
     _write_json(obj, "\n", out)
     out.append("\n")
@@ -149,13 +155,17 @@ _PAIR_TEXT = np.frombuffer("".join([f"{v:02d}" for v in range(100)]
 
 def _int_array(a: np.ndarray, nl: str) -> str:
     """The indented JSON of a nonempty integer array, as `tolist()` would be
-    written, built in one buffer of byte rows, one per element: the text
-    before the element, a sign byte if some element is negative and its
-    digits, padded with 0 bytes, which are dropped at the end.  The text
-    before an element closes and reopens j lists, j the number of its trailing
-    indices that are 0 (the first element, j = ndim, only opens them), and is
-    written through one strided view of the rows for each j.  The digits come
-    two at a time, each pair's text looked up by its value and place."""
+    written, in one of two layouts.  An element's text is the text before it
+    (the closing and opening of lists, a comma and the indentation), its sign
+    and its digits.  When at most one axis is longer than 1 and the array is
+    ascending, that text changes width only where the sign or the digit count
+    changes (`_width_runs`), and once the runs average _RUN_MIN_LENGTH
+    elements the array is written run by run (`_int_runs`); the oracle's
+    witness lists and its singleton or single orbits are such arrays.  Any
+    other array, map components among them, takes the padded rows of
+    `_int_rows`.  The choice costs one comparison pass and a searchsorted of
+    at most 39 cuts, and nothing beyond the shape for an array with two axes
+    longer than 1."""
     d = a.ndim
     ind = [nl + "  " * k for k in range(d + 1)]   # indentation at depth k
     closes, opens = [""], [""]                    # [j]: the text that closes, opens j lists
@@ -165,6 +175,93 @@ def _int_array(a: np.ndarray, nl: str) -> str:
     before = {j: closes[j] + "," + ind[d - j] + opens[j]
               for j in range(d) if a.shape[d - 1 - j] > 1}   # the j that some element has
     before[d] = opens[d]
+    flat = a.reshape(-1)
+    if len(before) == 2 and (flat[1:] >= flat[:-1]).all():
+        starts = _width_runs(flat)
+        if flat.size >= _RUN_MIN_LENGTH * (len(starts) - 1):
+            return _int_runs(flat, starts, before[d], before[min(before)], closes[d])
+    return _int_rows(a, before, closes[d])
+
+
+# the mean run length from which _int_runs writes an ascending array as fast
+# as _int_rows (bench_kernels `emit runs` rows: slower at a mean run of 205
+# elements, even at 410, faster at 819)
+_RUN_MIN_LENGTH = 400
+# where the text of ascending integers changes width: 0 and, for each k, 1 - 10^k and 10^k
+_WIDTH_CUTS = [0] + [v for k in range(1, 20) for v in (1 - 10 ** k, 10 ** k)]
+
+
+@functools.cache
+def _quad_text() -> np.ndarray:
+    """"0000" to "9999" as uint32 words, each two digit pairs side by side;
+    made on first use, so that a command that writes no ascending array
+    does not hold it."""
+    return np.stack(np.broadcast_arrays(_PAIR_TEXT[:100, None], _PAIR_TEXT[None, :100]),
+                    axis=2).view(np.uint32).reshape(-1)
+
+
+def _width_runs(flat: np.ndarray) -> list[int]:
+    """The starts of the runs of an ascending 1-d array over which its text
+    width is constant (the first element apart, whose text opens the lists),
+    and its size: the searchsorted positions of _WIDTH_CUTS between its ends."""
+    lo, hi = int(flat[0]), int(flat[-1])
+    cuts = np.array([v for v in _WIDTH_CUTS if lo < v <= hi], dtype=flat.dtype)
+    return sorted({0, 1, flat.size, *np.searchsorted(flat, cuts).tolist()})
+
+
+def _int_runs(flat: np.ndarray, starts: list[int], first: str, text: str, end: str) -> str:
+    """The JSON of an ascending 1-d array whose runs between `starts` have one
+    text width each: the first element after `first`, every other after
+    `text`, then `end`.  Each run is a dense (n, w) block of one output
+    buffer of the exact size: the text before the element (and a sign) is
+    copied into every row by doubling, and the digits are written through
+    strided columns, four at a time from a table of 10 000 words, then a pair
+    and a last digit.  A run's digit count is exact, so no byte is padding."""
+    runs, size = [], 0
+    for s, e in zip(starts, starts[1:]):
+        x = int(flat[s])
+        head, k = ((first if s == 0 else text) + "-" * (x < 0)).encode(), len(str(abs(x)))
+        runs.append((s, e, head, k, x < 0))
+        size += (e - s) * (len(head) + k)
+    buf = np.empty(size + len(end), dtype=np.uint8)
+    buf[size:] = np.frombuffer(end.encode(), dtype=np.uint8)
+    udt = np.uint32 if max(int(flat[-1]), -int(flat[0])) < 1 << 32 else np.uint64
+    off = 0
+    for s, e, head, k, neg in runs:
+        n, w = e - s, len(head) + k
+        buf[off:off + len(head)] = np.frombuffer(head, dtype=np.uint8)
+        done = w
+        while done < n * w:   # the head of every row, by doubling the rows written
+            step = min(done, n * w - done)
+            buf[off + done:off + done + step] = buf[off:off + step]
+            done += step
+        q = flat[s:e].astype(udt)
+        if neg:
+            np.negative(q, out=q)   # the cast wrapped negatives, so -q is |x|
+        col = off + w   # the end of the digits not yet written
+        for width, dt, table in ((4, np.uint32, _quad_text()), (2, np.uint16, _PAIR_TEXT)):
+            while k >= width:
+                rest = q // 10 ** width
+                np.take(table, q - rest * 10 ** width, mode="clip",
+                        out=np.ndarray((n,), dt, buf, col - width, (w,)))
+                q, col, k = rest, col - width, k - width
+        if k:
+            np.add(q, ord("0"), out=np.ndarray((n,), np.uint8, buf, col - 1, (w,)),
+                   casting="unsafe")
+        off += n * w
+    return str(buf, "ascii")
+
+
+def _int_rows(a: np.ndarray, before: dict[int, str], end: str) -> str:
+    """The JSON of an integer array, then `end`, built in one buffer of byte
+    rows, one per element: the text before the element (`before[j]`), a sign
+    byte if some element is negative and its digits, padded with 0 bytes,
+    which are dropped at the end.  The text before an element closes and
+    reopens j lists, j the number of its trailing indices that are 0 (the
+    first element, j = ndim, only opens them), and is written through one
+    strided view of the rows for each j.  The digits come two at a time, each
+    pair's text looked up by its value and place."""
+    d = a.ndim
     flat = a.reshape(-1)
     lo, hi = int(flat.min()), int(flat.max())
     npairs = (len(str(max(hi, -lo))) + 1) // 2
@@ -185,7 +282,7 @@ def _int_array(a: np.ndarray, nl: str) -> str:
         buf.view(np.uint16)[:, start // 2 + i] = _PAIR_TEXT[(q - rest * 100 + place * 100)
                                                             .astype(np.intp)]
         q = rest
-    return str(buf[buf != 0], "ascii") + closes[d]
+    return str(buf[buf != 0], "ascii") + end
 
 
 def _ilist(a) -> list:

@@ -12,7 +12,8 @@ The scan is a meet-in-the-middle join on two tables (Horowitz and Sahni,
 JACM 1974).  A candidate index splits as idx = hi * p^a + lo with
 a = ceil(k/2), so its residual is Lo[lo] + B[hi] mod the moduli, where
 Lo = digits(lo) @ gens[:a] and B = base + digits(hi) @ gens[a:] are built
-once per call, about sqrt(p^k) rows each.  The candidate is a hit exactly
+once per call, one generator at a time by p-fold broadcasting, about
+sqrt(p^k) rows each.  The candidate is a hit exactly
 when Lo[lo] == -B[hi].  Equal rows get equal integer labels (`_row_labels`),
 and each -B[hi] row is matched to the Lo rows with its label through one
 stable sort of the Lo labels, so no candidate is compared: the work is
@@ -161,13 +162,18 @@ def digit_matrix(start: int, stop: int, nvars: int, p: int) -> np.ndarray:
 
 def affine_combinations(base: np.ndarray, gens: np.ndarray, moduli: np.ndarray,
                         p: int, start: int, stop: int) -> np.ndarray:
-    """(stop-start, L) array of (base + digits @ gens) % moduli, in index order."""
-    digits = digit_matrix(start, stop, gens.shape[0], p)
-    if gens.shape[0] == 0:
-        vals = np.tile(base, (stop - start, 1))
-    else:
-        vals = base[None, :] + digits @ gens
-    return vals % moduli[None, :]
+    """(stop-start, L) array of (base + digits @ gens) % moduli, in index order.
+
+    The table of the first s generators becomes that of s + 1 by p-fold
+    broadcasting, T_{s+1}[c p^s + i] = T_s[i] + c gens[s], so no digit is
+    decoded, and is reduced mod the moduli once at the end.  The whole table
+    of p^n rows is built and [start, stop) cut from it: the scan asks for
+    whole tables, and a part of one costs no more than the scan's other table.
+    """
+    table = base[None, :]
+    for g in np.asarray(gens) % moduli:
+        table = (table + np.arange(p)[:, None, None] * g).reshape(p * len(table), len(moduli))
+    return table[start:stop] % moduli
 
 
 def _row_labels(rows: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, int]:

@@ -104,7 +104,10 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
     the key is w plus the change they make.  A key's group lies in its
     coset, which has p^rank elements; the coset is inside the witness set
     exactly when the group has that many members, so all rows have that
-    length.
+    length.  One stable sort of the keys lists the groups one after another,
+    each ascending, so the sorted witnesses are the orbit rows once every
+    group is seen to have p^rank members; the rows are then put in order by
+    their first entries.
     """
     w = np.asarray(witness_indices, dtype=np.int64)
     G = np.asarray(move_gens, dtype=np.int64).reshape(len(move_gens), kdim)
@@ -116,14 +119,15 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
     for lo in range(0, len(w), _PARTITION_ROWS):
         D = w[lo:lo + _PARTITION_ROWS, None] // powers % p
         keys[lo:lo + len(D)] += (gf.reduce_mod_rowspace(D, G, pivots, p) - D) @ powers
-    _, first, group, counts = np.unique(keys, return_index=True,
-                                        return_inverse=True, return_counts=True)
     size = p ** len(pivots)
-    if np.any(counts != size):
+    order = np.argsort(keys, kind="stable")
+    groups = keys[order].reshape(-1, size) if len(w) % size == 0 else None
+    # every row holds one key, and the next row another
+    if groups is None or (groups != groups[:, :1]).any() or \
+            (groups[1:, 0] == groups[:-1, 0]).any():
         raise CheckFailed("orbit left the witness set; internal inconsistency")
-    # first[group] is the position of each witness's least orbit member; a
-    # stable sort by it lists the orbits in order, each ascending
-    return w[np.argsort(first[group], kind="stable")].reshape(-1, size)
+    rows = w[order].reshape(-1, size)
+    return np.take(rows, np.argsort(rows[:, 0], kind="stable"), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -484,6 +484,10 @@ def _assert_writes_its_list(arr, depth):
 
 _I64, _I32 = np.iinfo(np.int64), np.iinfo(np.int32)
 _WIDTHS = [10 ** (w - 1) for w in range(1, 20)] + [10 ** w - 1 for w in range(1, 19)]
+# up to 1000 values of each digit count 1-19, the largest of each, ascending
+_EVERY_COUNT = [0] + [v for w in range(1, 20)
+                      for v in range(max(10 ** (w - 1), min(10 ** w, 2 ** 63) - 1000),
+                                     min(10 ** w, 2 ** 63))]
 _EXACT_ARRAYS = {
     "long": np.arange(59049),
     "long column": np.arange(59049).reshape(-1, 1),
@@ -499,6 +503,32 @@ _EXACT_ARRAYS = {
     "int32": np.array([_I32.min, _I32.max, -10], dtype=np.int32),
     "zeros": np.zeros((3, 4), dtype=np.int64),
     "zeros 3d": np.zeros((2, 1, 3), dtype=np.uint8),
+    "ascending, every digit count": np.array(_EVERY_COUNT, dtype=np.int64),
+    "ascending from -2^63 through 0": np.array(
+        [-2 ** 63] + [-v for v in reversed(_EVERY_COUNT[1:])] + list(range(500)), dtype=np.int64),
+    "ascending across 2^32": np.array(
+        [v for c in (-2 ** 32, 2 ** 32) for v in range(c - 500, c + 500)], dtype=np.int64),
+    "ascending across 2^63": np.array(
+        [v for c in (2 ** 63, 2 ** 64 - 500) for v in range(c - 500, min(c + 500, 2 ** 64))],
+        dtype=np.uint64),
+    "ascending with repeats": np.repeat(np.arange(-20, 20), 80).astype(np.int16),
+    "column through 0": np.arange(-3000, 3000).reshape(-1, 1),
+    "row through 0": np.arange(-3000, 3000).reshape(1, -1),
+    "short runs": np.arange(250) - 125,
+    "descending": np.arange(6561)[::-1],
+    "interleaved orbits": np.arange(6561).reshape(3, -1).T,
+}
+# how canonical_json writes each: through its list, or by one of _int_array's layouts
+_LAYOUTS = {
+    "long": "_int_runs", "long column": "_int_runs", "long row": "_int_runs",
+    "block": "_int_rows", "widths 1-19": "list", "uint32 edge": "list", "width 20": "list",
+    "int64 ends": "list", "int8": "list", "uint16": "list", "int32": "list", "zeros": "list",
+    "zeros 3d": "list",
+    "ascending, every digit count": "_int_runs", "ascending from -2^63 through 0": "_int_runs",
+    "ascending across 2^32": "_int_runs", "ascending across 2^63": "_int_runs",
+    "ascending with repeats": "_int_runs", "column through 0": "_int_runs",
+    "row through 0": "_int_runs",
+    "short runs": "_int_rows", "descending": "_int_rows", "interleaved orbits": "_int_rows",
 }
 
 
@@ -506,6 +536,38 @@ _EXACT_ARRAYS = {
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_writer_is_exact_on_long_and_wide_int_arrays(name, depth):
     _assert_writes_its_list(_EXACT_ARRAYS[name], depth)
+
+
+def _count_layout_calls(monkeypatch):
+    calls = []
+    for layout in ("_int_runs", "_int_rows"):
+        write = getattr(cli, layout)
+        monkeypatch.setattr(cli, layout,
+                            lambda *args, _w=write, _l=layout: calls.append(_l) or _w(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", _EXACT_ARRAYS)
+def test_each_exact_array_takes_its_layout(name, monkeypatch):
+    """Ascending arrays with at most one axis longer than 1 are written run
+    by run, other arrays past the crossover in padded rows, and both layouts
+    are among the families."""
+    assert _LAYOUTS.keys() == _EXACT_ARRAYS.keys()
+    assert {"_int_runs", "_int_rows"} <= set(_LAYOUTS.values())
+    calls = _count_layout_calls(monkeypatch)
+    canonical_json(_EXACT_ARRAYS[name])
+    assert calls == ([] if _LAYOUTS[name] == "list" else [_LAYOUTS[name]])
+
+
+@pytest.mark.parametrize("step", [-1, 0])
+def test_writer_is_exact_across_the_run_length_crossover(step, monkeypatch):
+    """m copies each of 5, 50 and 500 make four runs (the first element is
+    one): written run by run once 3m reaches 4 * _RUN_MIN_LENGTH."""
+    m = -(-4 * cli._RUN_MIN_LENGTH // 3) + step
+    arr = np.repeat([5, 50, 500], m)
+    calls = _count_layout_calls(monkeypatch)
+    assert canonical_json({"a": [arr, 1]}) == _reference_json({"a": [arr.tolist(), 1]})
+    assert calls == ["_int_runs" if step == 0 else "_int_rows"]
 
 
 def _shape(family, n):

@@ -313,6 +313,34 @@ def test_partition_matches_per_witness_reference_over_several_chunks():
     assert [tuple(o) for o in got.tolist()] == _reference_partition(witnesses, kdim, p, moves)
 
 
+def test_partition_of_every_candidate_at_rank_0_matches_the_reference():
+    # the shape of the oracle's largest reports: every one of 3^10 candidates
+    # is a witness and no move is nonzero, so 59 049 singleton orbits, more
+    # witnesses than _PARTITION_ROWS
+    p, kdim = 3, 10
+    witnesses = list(range(p ** kdim))
+    assert len(witnesses) > _PARTITION_ROWS
+    got = _partition(np.asarray(witnesses, dtype=np.int64), kdim, p, [])
+    assert got.shape == (p ** kdim, 1) and got.dtype == np.int64
+    assert [tuple(o) for o in got.tolist()] == _reference_partition(witnesses, kdim, p, [])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_partition_orders_interleaved_orbits_by_least_member(p):
+    """The move e_0 + e_2 pairs digit 0 with digit 2, so orbits interleave:
+    the order of their canonical keys (pivot digit 0 cleared) is not the
+    order of their least members, and the rows come in the latter."""
+    kdim = 3
+    moves = [np.array([1, 0, 1], dtype=np.int64)]
+    witnesses = list(range(p ** kdim))
+    got = _partition(np.asarray(witnesses, dtype=np.int64), kdim, p, moves)
+    assert [tuple(o) for o in got.tolist()] == _reference_partition(witnesses, kdim, p, moves)
+    red, pivots = gf.row_space(np.asarray(moves), p)
+    powers = p ** np.arange(kdim)
+    keys = gf.reduce_mod_rowspace(gf.digits(got[:, 0], kdim, p), red, pivots, p) @ powers
+    assert list(np.argsort(keys)) != list(range(len(got)))
+
+
 def test_partition_of_no_witnesses_is_empty():
     got = _partition(np.zeros(0, dtype=np.int64), 3, 2, [np.ones(3, dtype=np.int64)])
     assert len(got) == 0
