@@ -5,6 +5,12 @@ the report bytes.  The sources are
 
 - `gen` documents of seeds 0-49 (`SEEDS`) of each kind: the document itself
   (command `gen`), then every command that reads a document of that kind;
+- crude bundles built from the `gen` differential documents whose
+  `lift-diff` lifts: C is the document's complex and D is C plus a
+  contractible two-term summand, built by `build_equiv` of tests/conftest.py,
+  once with the summand just below C's lowest degree and once from C's
+  highest degree up (sources `crude:<seed>:<degree>`, command
+  `crude-lift --trace`);
 - the liftbench documents of seed 1 of every workload, each with the command
   liftbench runs on it.
 
@@ -40,8 +46,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "liftbench"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import workloads  # noqa: E402
+from conftest import build_equiv  # noqa: E402
 from sqzlift import cli  # noqa: E402
 
 FUNCTOR_CAP = 4096
@@ -70,6 +78,24 @@ def command_argv(cmd: str, doc: str, capped: bool = True) -> list[str]:
     return [cmd, flag, doc] + extra
 
 
+def crude_docs(doc: str, seed: int, tmp: str) -> list[tuple[str, str]]:
+    """(source, path) of the crude bundles over the differential gen
+    document doc, whose complex must lift."""
+    _, defalg, prob, pay = cli.problem_from_doc(cli.load_doc(doc))
+    docs = []
+    for deg in (min(prob.ob.support) - 1, max(prob.ob.support)):
+        E, dbar_D = build_equiv(defalg, prob.ob, prob.d_mid, deg)
+        bundle = {"kind": "crude", "tower": pay["tower"], "algebra": pay["algebra"],
+                  "C": cli.complex_to_payload(E.C, "mid"),
+                  "D": cli.complex_to_payload(E.D, "mid"),
+                  "d_bar_D": cli.gmap_to_payload(dbar_D, "bar"),
+                  **{key: cli.gmap_to_payload(getattr(E, key), "mid") for key in "fgHK"}}
+        path = os.path.join(tmp, f"crude-{seed}-{deg}.json")
+        cli.save_doc(path, cli.wrap("problem", bundle))
+        docs.append((f"crude:{seed}:{deg}", path))
+    return docs
+
+
 def run(argv: list[str], out: str) -> tuple[str, str]:
     """(exit code or exception type, sha256 of the --out bytes)."""
     if os.path.exists(out):
@@ -92,12 +118,17 @@ def main() -> int:
                 doc = os.path.join(tmp, f"{kind}-{seed}.json")
                 code, digest = run(gen_argv(kind, seed), doc)
                 print(src, "gen", code, digest, flush=True)
+                codes = {}
                 for cmd in COMMANDS[kind]:
-                    code, digest = run(command_argv(cmd, doc), out)
-                    print(src, cmd, code, digest, flush=True)
+                    codes[cmd], digest = run(command_argv(cmd, doc), out)
+                    print(src, cmd, codes[cmd], digest, flush=True)
                 if kind == "differential" and seed in DEFAULT_CAP_SEEDS:
                     code, digest = run(command_argv("schlessinger", doc, capped=False), out)
                     print(src, "schlessinger@default-cap", code, digest, flush=True)
+                if kind == "differential" and codes["lift-diff"] == "0":
+                    for crude_src, bundle in crude_docs(doc, seed, tmp):
+                        code, digest = run(["crude-lift", "--complex", bundle, "--trace"], out)
+                        print(crude_src, "crude-lift", code, digest, flush=True)
         sq = workloads.import_program()
         for workload in sorted(workloads.WORKLOADS):
             docs = os.path.join(tmp, workload)

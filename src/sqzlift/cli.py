@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__, defun
 from .algebra import DeformedAlgebra, dual_numbers_algebra, mk_algebra
+from .cohomology import CohClass
 from .complexes import Complex, GradedMap, GradedObject, PreComplex
 from .crude import (
     HomotopyEquivData,
@@ -42,7 +43,6 @@ from .obstruction import (
     Classification,
     DifferentialProblem,
     HomotopyProblem,
-    LiftReport,
     MapProblem,
     classify_lifts,
     lift_differential,
@@ -603,26 +603,15 @@ def _fail(args, e: SqzliftError) -> int:
                        "error": {"type": type(e).__name__, "message": str(e)}}, 1)
 
 
-def _lift_report(cmd: str, rep: LiftReport) -> tuple[dict, int]:
-    body = {"command": cmd, "obstruction": _coh_payload(rep.obstruction)}
-    if rep.obstructed:
-        body["verdict"] = "obstructed"
-        return body, 2
-    body["verdict"] = "lifts"
-    body["witness"] = gmap_to_payload(rep.lifted, "bar")
-    return body, 0
-
-
-def _classified(args, rep: LiftReport, cl: Classification | None) -> int:
-    """The report of the strict classification of differential lifts, which
-    classify-homotopy shares with classify."""
-    body = {"command": args.command, "obstruction": _coh_payload(rep.obstruction)}
-    if rep.obstructed:
-        body["verdict"] = "obstructed"
-        return emit(args, body, 2)
-    body["verdict"] = "classified"
-    body["classification"] = _classification_payload(cl)
-    return emit(args, body, 0)
+def _decided(args, obstruction: CohClass, verdict: str,
+             found: Callable[[], dict] = dict, **fields) -> int:
+    """Emit the report of a command that decides an obstruction class: verdict
+    obstructed with exit status 2 if the class is nonzero, else `verdict`
+    with the fields of found() and exit status 0; `fields` go in both."""
+    body = {"command": args.command, "obstruction": _coh_payload(obstruction), **fields}
+    if not obstruction.is_zero:
+        return emit(args, {**body, "verdict": "obstructed"}, 2)
+    return emit(args, {**body, "verdict": verdict, **found()}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -636,11 +625,7 @@ def _classified(args, rep: LiftReport, cl: Classification | None) -> int:
 def cmd_obstruct_diff(args) -> int:
     _, _, prob = _load_problem(args)
     cls, _ = obstruct_differential(prob)
-    verdict = "obstructed" if not cls.is_zero else "lifts"
-    return emit(args, {"command": "obstruct-diff", "verdict": verdict,
-                       "obstruction": _coh_payload(cls),
-                       "h2_dim": int(prob.kernel.h_dim(2))},
-                2 if not cls.is_zero else 0)
+    return _decided(args, cls, "lifts", h2_dim=int(prob.kernel.h_dim(2)))
 
 
 def cmd_lift(args) -> int:
@@ -648,15 +633,16 @@ def cmd_lift(args) -> int:
     kind, _, prob = _load_problem(args)
     lift = {"differential": lift_differential, "map": lift_map,
             "homotopy": lift_homotopy}[kind]
-    body, code = _lift_report(args.command, lift(prob))
-    return emit(args, body, code)
+    rep = lift(prob)
+    return _decided(args, rep.obstruction, "lifts",
+                    lambda: {"witness": gmap_to_payload(rep.lifted, "bar")})
 
 
 def cmd_classify(args) -> int:
     _, _, prob = _load_problem(args)
     rep = lift_differential(prob)
-    cl = None if rep.obstructed else classify_lifts(prob, rep.lifted, args.cap)
-    return _classified(args, rep, cl)
+    return _decided(args, rep.obstruction, "classified", lambda: {
+        "classification": _classification_payload(classify_lifts(prob, rep.lifted, args.cap))})
 
 
 def cmd_crude_lift(args) -> int:
@@ -672,19 +658,16 @@ def cmd_crude_lift(args) -> int:
 def cmd_classify_homotopy(args) -> int:
     kind, _, prob = _load_problem(args)
     if kind == "differential":
-        return _classified(args, *classify_homotopy_lifts(prob, args.cap))
+        rep, cl = classify_homotopy_lifts(prob, args.cap)
+        return _decided(args, rep.obstruction, "classified",
+                        lambda: {"classification": _classification_payload(cl)})
     if kind != "map":
         raise SchemaMismatch("classify-homotopy needs a differential or map problem")
     hm = classify_homotopy_map_lifts(prob, cap=args.cap)
-    body = {"command": "classify-homotopy", "obstruction": _coh_payload(hm.obstruction),
-            "guard": hm.guard, "torsor_guaranteed": bool(hm.torsor_guaranteed)}
-    if hm.obstructed:
-        body["verdict"] = "obstructed"
-        return emit(args, body, 2)
-    body["verdict"] = "classified"
-    body["witness"] = gmap_to_payload(hm.lifted, "bar")
-    body["classification"] = _classification_payload(hm.classification)
-    return emit(args, body, 0)
+    return _decided(args, hm.obstruction, "classified", lambda: {
+        "witness": gmap_to_payload(hm.lifted, "bar"),
+        "classification": _classification_payload(hm.classification)},
+        guard=hm.guard, torsor_guaranteed=bool(hm.torsor_guaranteed))
 
 
 def cmd_tangent(args) -> int:
@@ -728,10 +711,11 @@ def cmd_schlessinger(args) -> int:
 
 def cmd_extend_order(args) -> int:
     _, defalg, prob = _load_problem(args)
-    body, code = _lift_report("extend-order", defun.extend_order(prob))
+    rep = defun.extend_order(prob)
     b = defalg.tower.R.m
-    body["from_order"], body["to_order"] = int(b), int(b + 1)
-    return emit(args, body, code)
+    return _decided(args, rep.obstruction, "lifts",
+                    lambda: {"witness": gmap_to_payload(rep.lifted, "bar")},
+                    from_order=int(b), to_order=int(b + 1))
 
 
 def cmd_oracle(args) -> int:
@@ -745,19 +729,18 @@ def cmd_oracle(args) -> int:
     res = oracle(prob, cap=args.cap)
     cls, _ = obstruct(prob)
     agree = (res.num_witnesses > 0) == cls.is_zero
-    body = {"command": "oracle", "kind": kind,
+    body = {"kind": kind,
             "candidates": int(res.candidates),
             "kdim": int(res.kdim),
             "num_witnesses": int(res.num_witnesses),
             "num_classes": int(res.num_classes),
             "witness_indices": res.witness_indices,
             "orbits": res.orbits,
-            "obstruction": _coh_payload(cls),
             "agrees_with_obstruction": bool(agree)}
-    body["verdict"], code = (("failed", 1) if not agree
-                             else ("obstructed", 2) if res.num_witnesses == 0
-                             else ("verified", 0))
-    return emit(args, body, code)
+    if agree:   # then the scan found no witness iff the class is nonzero
+        return _decided(args, cls, "verified", **body)
+    return emit(args, {**body, "command": args.command, "verdict": "failed",
+                       "obstruction": _coh_payload(cls)}, 1)
 
 
 def cmd_gen(args) -> int:

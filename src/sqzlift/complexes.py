@@ -8,9 +8,9 @@ g_{i+|f|} f_i and the differential on graded maps is
 
 delta on Hom^n is laid out once in closed form (`delta_layout`), as blocks of
 left multiplication by d_D and right multiplication by d_C, one per nonzero
-component.  The layout is written out as a dense matrix for the scans that
-need every generator (`delta_generators`), and as its nonzero core, from
-(row, column, value) triplets, for the cohomology (`HomComplex.delta_core`).
+component.  Its (row, column, value) triplets are scattered into a dense
+matrix for the scans that need every generator (`delta_generators`), and
+into its nonzero core for the cohomology (`HomComplex.delta_core`).
 """
 
 from __future__ import annotations
@@ -348,34 +348,32 @@ class DeltaLayout(NamedTuple):
     shape: tuple[int, int]
     blocks: list[tuple[int, int, np.ndarray, int]]
 
-    def dense(self) -> np.ndarray:
-        """M as one int64 array."""
-        mat = np.zeros(self.shape, dtype=np.int64)
-        # einsum with a repeated index is a writeable view of a block's
-        # diagonal, so only the operator's entries are written
-        for row, col, op, c in self.blocks:
-            a, l, r, y = op.shape
-            blk = mat[row:row + a * c * l, col:col + r * c * y].reshape(a, c, l, r, c, y)
-            np.einsum("ajlrjy->jalry", blk)[...] = op
-        return mat
-
-    def core(self) -> DeltaCore:
-        """M's nonzero rows and columns and the block they cut out, scattered
-        from the (row, column, value) triplets of the blocks' nonzero
-        entries; no array of M's shape is made."""
-        if not self.blocks:
-            return DeltaCore(_EMPTY, _EMPTY, np.zeros((0, 0), dtype=np.int64))
-        rs, cs, vs = [], [], []
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, column, value) of every nonzero entry of M, from the blocks'
+        nonzero operator entries, each repeated along its identity."""
+        rs, cs, vs = [_EMPTY], [_EMPTY], [_EMPTY]
         for row, col, op, c in self.blocks:
             nz = a, l, r, y = op.nonzero()
             _, L, _, Y = op.shape
             rs.append(np.add.outer(a * (c * L) + l + row, np.arange(0, c * L, L)).ravel())
             cs.append(np.add.outer(r * (c * Y) + y + col, np.arange(0, c * Y, Y)).ravel())
             vs.append(np.repeat(op[nz], c))
-        rs, cs = np.concatenate(rs), np.concatenate(cs)
+        return np.concatenate(rs), np.concatenate(cs), np.concatenate(vs)
+
+    def dense(self) -> np.ndarray:
+        """M as one int64 array."""
+        mat = np.zeros(self.shape, dtype=np.int64)
+        rs, cs, vs = self.triplets()
+        mat[rs, cs] = vs
+        return mat
+
+    def core(self) -> DeltaCore:
+        """M's nonzero rows and columns and the block they cut out, scattered
+        from the triplets; no array of M's shape is made."""
+        rs, cs, vs = self.triplets()
         rows, cols = _hits(rs, self.shape[0]), _hits(cs, self.shape[1])
         mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        mat[np.searchsorted(rows, rs), np.searchsorted(cols, cs)] = np.concatenate(vs)
+        mat[np.searchsorted(rows, rs), np.searchsorted(cols, cs)] = vs
         return DeltaCore(rows, cols, mat)
 
 

@@ -9,10 +9,11 @@ d_C, f, g, H, K satisfying all five equations exactly:
     d_C^2 = 0,  delta(f) = 0,  delta(g) = 0,
     delta(H) = 1 - g f,  delta(K) = 1 - f g.
 
-Every correction is either an explicit exact witness or an echelon-minimal
-solve in the kernel complex; solvability is guaranteed, so a failed solve is
-reported as InternalObstruction (always a bug, never a property of the
-input).
+Every correction is either an explicit exact witness or a lift through the
+affine-lift core of obstruction.py (f in stage (ii), H and K in stage (v)),
+from the pipeline's own minimal lift X0; each class vanishes by construction,
+so an obstructed lift is reported as InternalObstruction (always a bug, never
+a property of the input).
 
 The homotopy-category layer adds no lifting code of its own: lifts of a
 complex up to homotopy are the strict lifts, and a map lift is realigned to
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DeformedAlgebra
-from .cohomology import CohClass, kernel_complex
+from .cohomology import CohClass
 from .complexes import (
     Complex,
     GradedMap,
@@ -61,6 +62,7 @@ from .obstruction import (
     MapProblem,
     classify_lifts,
     classify_map_lifts,
+    lift,
     lift_differential,
     lift_homotopy,
     lift_map,
@@ -127,16 +129,18 @@ def crude_lift(E: HomotopyEquivData, dbar_D: GradedMap,
 
     trace: list[dict] = []
 
-    def record(stage: str, **checks):
+    def record(stage: str, checks):
+        """Trace a stage; checks() is evaluated only when tracing."""
         if collect_trace:
-            trace.append({"stage": stage, **checks})
+            trace.append({"stage": stage, **checks()})
 
-    # kernel complexes for the solves
-    dC0 = map_reduce(da, E.C.d, "mid", "base")
-    dD0 = map_reduce(da, E.D.d, "mid", "base")
-    K_CD = kernel_complex(da, E.C.ob, E.D.ob, dC0, dD0)
-    K_CC = kernel_complex(da, E.C.ob, E.C.ob, dC0, dC0)
-    K_DD = kernel_complex(da, E.D.ob, E.D.ob, dD0, dD0)
+    def corrected(prob) -> GradedMap:
+        """X0 + gamma from the lifting core; an obstructed lift is a bug."""
+        rep = lift(prob)
+        if rep.obstructed:
+            raise InternalObstruction(
+                f"{type(prob).__name__} of the pipeline is obstructed: {rep.obstruction}")
+        return rep.lifted
 
     # stage (iv) first at the mid level: repair K so that [Hg - gK'] = 0,
     # with the explicit primitive z = H(Hg - gK)
@@ -148,7 +152,7 @@ def crude_lift(E: HomotopyEquivData, dbar_D: GradedMap,
         raise InternalObstruction("repaired K is not a homotopy fg -> 1")
     if delta(z_mid, E.D.d, E.C.d) != compose(E.H, E.g) - compose(E.g, K_mid):
         raise InternalObstruction("explicit primitive for Hg - gK' failed")
-    record("mid-repair", K_nonzero=_nonzero_count(K_mid))
+    record("mid-repair", lambda: {"K_nonzero": _nonzero_count(K_mid)})
 
     # coefficientwise minimal lifts of everything
     dC = map_lift(da, E.C.d)
@@ -165,22 +169,17 @@ def crude_lift(E: HomotopyEquivData, dbar_D: GradedMap,
     dC = dC - eta
     if not compose(dC, dC).is_zero():
         raise InternalObstruction("stage (i): d_C^2 != 0 after correction")
-    record("i", dC_sq_nonzero=_nonzero_count(compose(dC, dC)))
+    record("i", lambda: {"dC_sq_nonzero": _nonzero_count(compose(dC, dC))})
 
-    # stage (ii): shift d_C by g delta(f), then absorb the remaining defect
-    # of f by an echelon-minimal solve in the kernel complex
+    # stage (ii): shift d_C by g delta(f), then lift f between the
+    # top-level complexes; its X0 is the minimal lift f above
     xif = delta(f, dC, dD)
     dC = dC + compose(g, xif)
     if not compose(dC, dC).is_zero():
         raise InternalObstruction("stage (ii): d_C^2 broken by the shift")
-    vec = K_CD.into_kernel(delta(f, dC, dD))
-    corr = K_CD.solve_coboundary((-vec) % K_CD.p, 1)
-    if corr is None:
-        raise InternalObstruction("stage (ii): defect of f is not a coboundary")
-    f = f + K_CD.out_of_kernel(corr, 0)
-    if not delta(f, dC, dD).is_zero():
-        raise InternalObstruction("stage (ii): delta(f) != 0 after correction")
-    record("ii", delta_f_nonzero=_nonzero_count(delta(f, dC, dD)))
+    Cbar, Dbar = Complex(bar, E.C.ob, dC), Complex(bar, E.D.ob, dD)
+    f = corrected(MapProblem(da, Cbar, Dbar, E.f))
+    record("ii", lambda: {"delta_f_nonzero": _nonzero_count(delta(f, dC, dD))})
 
     # stage (iii): g <- g - eta_g with eta_g = -g mu_K + H delta(g)
     oneD = identity_map(bar, E.D.ob)
@@ -191,26 +190,20 @@ def crude_lift(E: HomotopyEquivData, dbar_D: GradedMap,
     g = g - eta_g
     if not delta(g, dD, dC).is_zero():
         raise InternalObstruction("stage (iii): delta(g) != 0 after correction")
-    record("iii", delta_g_nonzero=_nonzero_count(delta(g, dD, dC)))
+    record("iii", lambda: {"delta_g_nonzero": _nonzero_count(delta(g, dD, dC))})
 
-    # stage (v): g <- g + mu_H g, then solve for the homotopy corrections
+    # stage (v): g <- g + mu_H g, then lift H: gf -> 1_C and K': fg -> 1_D;
+    # their X0 are the minimal lifts of H and K'
     mu_H = oneC - compose(g, f) - delta(H, dC, dC)
     gamma = compose(mu_H, g)
     if not delta(gamma, dD, dC).is_zero():
         raise InternalObstruction("stage (v): gamma is not a cocycle")
     g = g + gamma
-    mu_H = oneC - compose(g, f) - delta(H, dC, dC)
-    mu_K = oneD - compose(f, g) - delta(Kb, dD, dD)
-    vH = K_CC.solve_coboundary(K_CC.into_kernel(mu_H), 0)
-    if vH is None:
-        raise InternalObstruction("stage (v): mu_H is not a coboundary")
-    H = H + K_CC.out_of_kernel(vH, -1)
-    vK = K_DD.solve_coboundary(K_DD.into_kernel(mu_K), 0)
-    if vK is None:
-        raise InternalObstruction("stage (v): mu_K is not a coboundary")
-    Kb = Kb + K_DD.out_of_kernel(vK, -1)
-    record("v", mu_H_nonzero=_nonzero_count(oneC - compose(g, f) - delta(H, dC, dC)),
-           mu_K_nonzero=_nonzero_count(oneD - compose(f, g) - delta(Kb, dD, dD)))
+    H = corrected(HomotopyProblem(da, Cbar, Cbar, compose(g, f), oneC, E.H))
+    Kb = corrected(HomotopyProblem(da, Dbar, Dbar, compose(f, g), oneD, K_mid))
+    record("v", lambda: {
+        "mu_H_nonzero": _nonzero_count(oneC - compose(g, f) - delta(H, dC, dC)),
+        "mu_K_nonzero": _nonzero_count(oneD - compose(f, g) - delta(Kb, dD, dD))})
 
     # final postconditions, all exact
     checks = {
@@ -228,7 +221,7 @@ def crude_lift(E: HomotopyEquivData, dbar_D: GradedMap,
     for name, ok in checks.items():
         if not ok:
             raise InternalObstruction(f"postcondition failed: {name}")
-    record("post", **{k: bool(v) for k, v in checks.items()})
+    record("post", lambda: {k: bool(v) for k, v in checks.items()})
     return CrudeResult(dC, f, g, H, Kb, K_mid, trace)
 
 

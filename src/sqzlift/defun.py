@@ -375,11 +375,8 @@ def homotopy_classes(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
 
 @dataclass
 class FunctorValue:
-    tag: str                      # "F0" | "F" | "F1"
-    ring: FiniteRing
     elements: list[tuple[int, ...]]       # canonical coordinates of the lifts
     classes: list[tuple[int, ...]]        # partition (singletons for F0)
-    reps: list[int]                       # index of the minimal element per class
 
 
 def functor_eval(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
@@ -395,7 +392,7 @@ def functor_eval(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
     _check_base(d0)
     lifts = strict_lifts(A, alg0, ob, d0, cap)
     coords = list(map(tuple, lifts.tolist()))
-    orbits = sorted(iso_orbits(A, alg0, ob, lifts, cap))
+    orbits = iso_orbits(A, alg0, ob, lifts, cap)
     if cross_check:
         hcls = homotopy_classes(A, alg0, ob, d0, lifts, cap)
         if hcls != orbits:
@@ -407,8 +404,7 @@ def functor_eval(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
                          ("F", orbits), ("F1", orbits)):
         if A.is_field() and len(classes) != 1:
             raise CheckFailed("value over the residue field is not a singleton")
-        reps = [min(cl, key=lambda i: coords[i]) for cl in classes]
-        values[tag] = FunctorValue(tag, A.ring, coords, classes, reps)
+        values[tag] = FunctorValue(coords, classes)
     return values
 
 

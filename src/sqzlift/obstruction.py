@@ -254,7 +254,6 @@ class HomotopyProblem(_BetweenComplexes):
 class LiftReport:
     obstruction: CohClass
     obstructed: bool
-    sigma_lift: GradedMap
     lifted: GradedMap | None
 
 
@@ -265,7 +264,6 @@ class Classification:
     torsor_degree: int
     h_dim: int
     count: int
-    base: GradedMap
     class_reps: list[CohClass]
     reps: list[GradedMap]
 
@@ -292,7 +290,7 @@ def lift(prob: AffineLift) -> LiftReport:
     K, m, X0 = prob.kernel, prob.degree, prob.sigma_lift
     vec, obstruction = _defect(prob)
     if not obstruction.is_zero:
-        return LiftReport(obstruction, True, X0, None)
+        return LiftReport(obstruction, True, None)
     corr = K.solve_coboundary(-prob.sign * vec, m + 1)
     if corr is None:
         raise InternalObstruction("the defect of a zero class is not a coboundary")
@@ -301,7 +299,7 @@ def lift(prob: AffineLift) -> LiftReport:
         raise InternalObstruction("the corrected lift has a nonzero residual")
     if map_reduce(prob.defalg, X, "bar", "mid") != prob.mid_datum:
         raise InternalObstruction("the corrected lift does not reduce to the datum")
-    return LiftReport(obstruction, False, X0, X)
+    return LiftReport(obstruction, False, X)
 
 
 def classify(prob: AffineLift, base: GradedMap | None = None,
@@ -317,7 +315,7 @@ def classify(prob: AffineLift, base: GradedMap | None = None,
         base = rep.lifted
     classes = K.all_classes(m, cap)
     reps = [base + K.out_of_kernel(c.vec(), m) for c in classes]
-    return Classification(m, K.h_dim(m), len(classes), base, classes, reps)
+    return Classification(m, K.h_dim(m), len(classes), classes, reps)
 
 
 # One entry point per problem kind, under the public names that callers (and
@@ -394,11 +392,10 @@ def classify_connecting_isos(prob: DifferentialProblem, d1: GradedMap,
     red, pivots = K.coboundary_space(0)
     part = gf.reduce_mod_rowspace(part, red, pivots, K.p)
     classes = K.all_classes(0)
-    base = K.out_of_kernel(part, 0)
     reps = []
     for c in classes:
         reps.append(K.out_of_kernel((part + c.vec()) % K.p, 0))
-    return Classification(0, K.h_dim(0), len(classes), base, classes, reps)
+    return Classification(0, K.h_dim(0), len(classes), classes, reps)
 
 
 def apply_connecting_iso(prob: DifferentialProblem, d: GradedMap,

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from sqzlift import crude, obstruction
 from sqzlift.algebra import AlgMatrix, mk_algebra
+from sqzlift.cohomology import CohClass
 from sqzlift.complexes import (
     Complex,
     GradedMap,
@@ -21,9 +23,16 @@ from sqzlift.crude import (
     crude_lift,
     h_minus1_guard,
 )
-from sqzlift.errors import CapExceeded
+from sqzlift.errors import CapExceeded, InternalObstruction, Obstructed, ValidationError
 from sqzlift.finring import mk_tower
-from sqzlift.obstruction import DifferentialProblem, MapProblem, classify_lifts, lift_differential
+from sqzlift.obstruction import (
+    DifferentialProblem,
+    HomotopyProblem,
+    LiftReport,
+    MapProblem,
+    classify_lifts,
+    lift_differential,
+)
 from sqzlift.oracle import oracle_differential, witness_differential
 
 from conftest import build_equiv, enumerate_graded_maps
@@ -79,6 +88,31 @@ def test_pipeline_odd_characteristic(t3):
     assert compose(dC, dC).is_zero()
     E, dbar_D = build_equiv(t3, obC, dC, 0)
     _run_and_verify(E, dbar_D)
+
+
+@pytest.mark.parametrize("call, kind", [(0, MapProblem), (1, HomotopyProblem),
+                                        (2, HomotopyProblem)])
+def test_an_obstructed_correction_is_an_internal_obstruction(z4, monkeypatch, call, kind):
+    """The pipeline lifts f (stage (ii)), then H and K (stage (v)); if the
+    core reports a nonzero class for one of them, an invariant of the
+    pipeline is broken, which must not look like an obstruction."""
+    obC = GradedObject.of({0: 1, 1: 1})
+    E, dbar_D = build_equiv(z4, obC, zero_map(z4.mid, obC, obC, 1), 0)
+    calls = []
+
+    def lift(prob):
+        rep = obstruction.lift(prob)
+        calls.append(type(prob))
+        if len(calls) - 1 != call:
+            return rep
+        return LiftReport(CohClass(rep.obstruction.n, (1,) * len(rep.obstruction.rep)),
+                          True, None)
+
+    monkeypatch.setattr(crude, "lift", lift)
+    with pytest.raises(InternalObstruction) as err:
+        crude_lift(E, dbar_D)
+    assert not isinstance(err.value, (Obstructed, ValidationError))
+    assert calls[call] is kind and len(calls) == call + 1
 
 
 def test_strictified_differential_is_an_oracle_witness(z4):
