@@ -4,8 +4,12 @@ The cases are row reduction and the affine candidate scan in `gf`, the
 oracle's orbit partition `oracle._partition` on the shape of
 `sqzlift gen --kind differential --seed 74` (p = 3, kdim 10: all 59 049
 candidates are witnesses and its 13 moves are zero, so every orbit is a
-singleton; `rank=0`) and on the same witnesses with the two moves e_0 and
-e_5 (`rank=2`: 6561 orbits of 9), and the unipotent orbit partition
+singleton; `rank=0`), on the same witnesses with the two moves e_0 and
+e_5 (`rank=2`: 6561 orbits of 9) or e_0 + e_9 and e_5 + 2 e_9
+(`rank=free`: 6561 orbits of 9, whose keys change at the free touched
+column 9), and on the shape of `gen --kind differential --seed 51` (p = 3,
+kdim 12: 6561 witnesses in one orbit, the unit moves at digits 0-3 and 8-11,
+two runs of pivots; `rank=8`), and the unipotent orbit partition
 `defun.iso_orbits` on the shape of `sqzlift gen --kind differential --seed 7`
 (F_3[x]/x^2, ranks 2 and 2, zero base differential: 81 strict lifts, each
 conjugated by the 8 generators of the 6561-element unipotent group, 1 plus x
@@ -31,8 +35,10 @@ with a rank-1 differential (n = 1, no rows, and n = 0), so that the fixed
 cost of the assembly on tiny complexes shows.  The
 `emit` case is `cli.canonical_json` on the report that `sqzlift oracle` writes
 for `gen --kind differential --seed 74` (59 049 witnesses, 59 049 singleton
-orbits), taken as the command hands it to the writer.  The `emit (shape)`
-rows write one seeded integer array by `cli._int_array` and through its list;
+orbits), taken as the command hands it to the writer, up to the report's
+bytes.  The `emit (shape)`
+rows write one seeded integer array by `cli._int_array` (its byte buffer)
+and through its list;
 the 4-d shapes are map components (r x r entries of 3 coefficients), the 1-d
 ones witness lists, and the crossovers of both set `cli._list_work` and
 `cli._INT_ARRAY_MIN_WORK` (1-d arrays cross at about 250 elements, map
@@ -117,6 +123,8 @@ def _workloads():
                               np.full(16, 2, dtype=np.int64))))
     loads.append(("partition", 3, (10, 0)))
     loads.append(("partition", 3, (10, 2)))
+    loads.append(("partition", 3, (12, 8)))
+    loads.append(("partition", 3, (10, "free")))
     loads.append(("orbits", 3, None))
     loads.append(("strict", 3, None))
     loads.append(("guard", 3, None))
@@ -154,11 +162,21 @@ def _workloads():
 
 
 def _partition_job(p, kdim, rank):
-    """Every candidate a witness, with 13 zero moves (rank 0) or the moves
-    e_0 and e_5 (rank 2)."""
+    """Every candidate a witness, with 13 zero moves (rank 0), the moves e_0
+    and e_5 (rank 2) or e_0 + e_9 and e_5 + 2 e_9 (rank "free": pivots 0 and
+    5, free touched column 9); or (rank 8) one coset of the unit moves at
+    digits 0-3 and 8-11 and 8 zero moves, the witnesses of gen differential
+    seed 51."""
     witnesses = np.arange(p ** kdim, dtype=np.int64)
     eye = np.eye(kdim, dtype=np.int64)
-    moves = [eye[0], eye[5]] if rank else [np.zeros(kdim, dtype=np.int64)] * 13
+    if rank == 8:
+        zero = np.zeros(kdim, dtype=np.int64)
+        moves = [eye[j] for j in (0, 1, 2, 3, 8, 9, 10, 11)] + [zero] * 8
+        witnesses = witnesses[(witnesses // p ** 4 % p ** 4) == 2 + p]
+    elif rank == "free":
+        moves = [eye[0] + eye[9], eye[5] + 2 * eye[9]]
+    else:
+        moves = [eye[0], eye[5]] if rank else [np.zeros(kdim, dtype=np.int64)] * 13
 
     def job():
         return np.asarray(oracle._partition(witnesses, kdim, p, moves),
@@ -281,10 +299,10 @@ def _emit_array_job(shape, path, runs=None):
             cli._write_json(a.tolist(), "\n  ", out)
             return "".join(out).encode()
         if bound is None:
-            return cli._int_array(a, "\n  ").encode()
+            return cli._int_array(a, "\n  ")
         default, cli._RUN_MIN_LENGTH = cli._RUN_MIN_LENGTH, bound
         try:
-            return cli._int_array(a, "\n  ").encode()
+            return cli._int_array(a, "\n  ")
         finally:
             cli._RUN_MIN_LENGTH = default
     return job
@@ -319,7 +337,7 @@ def _emit_job():
     report = captured[-1]
 
     def job():
-        return cli.canonical_json(report).encode()
+        return cli.canonical_json(report)
     return job
 
 
@@ -499,6 +517,8 @@ def main(prefixes: list[str]) -> int:
             t0 = perf_counter()
             out = job()
             best = min(best, perf_counter() - t0)
+        if isinstance(out, np.ndarray):   # the byte buffer of _int_array
+            out = out.tobytes()
         if not isinstance(out, bytes):
             out = repr(out).encode()
         digest = hashlib.sha256(out).hexdigest()[:16]

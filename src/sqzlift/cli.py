@@ -4,11 +4,13 @@ Documents are JSON objects {"schema": s, "version": 1, "payload": ...} with
 s in {tower, algebra, complex, map, problem}.  Serialization is canonical
 (sorted keys, plain decimal integers), so parse -> serialize round-trips
 byte-identically and repeated runs produce identical reports.
-`canonical_json` writes the bytes of `json.dumps(obj, sort_keys=True,
-indent=2)` itself: a list of ints is joined with `str` in one call, and an
-integer ndarray past a size crossover (reports hold map components, witness
-lists and orbits as arrays) is written as bytes in a few numpy passes: run
-by run if it is ascending along one axis, in padded rows otherwise.  Reports
+`canonical_json` returns the ASCII bytes of `json.dumps(obj, sort_keys=True,
+indent=2)`, written by itself: a list of ints is joined with `str` in one
+call, and an integer ndarray past a size crossover (reports hold map
+components, witness lists and orbits as arrays) is written into a byte
+buffer in a few numpy passes: run by run if it is ascending along one axis,
+in padded rows otherwise.  The buffers go into the report as they are, and
+the report goes to --out in binary mode (to stdout as text).  Reports
 carry "verdict" in {lifts, obstructed, classified, verified, failed};
 obstructed is exit status 2 (a mathematical outcome), errors (usage errors
 too) are exit status 1.  Each command takes only the flags it reads (`COMMANDS`).
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -67,9 +70,9 @@ SCHEMAS = ("tower", "algebra", "complex", "map", "problem")
 # canonical JSON
 # ---------------------------------------------------------------------------
 
-def canonical_json(obj) -> str:
+def canonical_json(obj) -> bytes:
     """`json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)` and a
-    newline, byte for byte, without the pure-Python encoder that `indent`
+    newline, as ASCII bytes, without the pure-Python encoder that `indent`
     selects.  An integer ndarray is written as its `tolist()` would be: by
     `_int_array`, with no Python object per element, once `_list_work` of its
     shape reaches _INT_ARRAY_MIN_WORK, and below that through the list
@@ -81,20 +84,29 @@ def canonical_json(obj) -> str:
     1 that is ascending, and whose runs of one text width average
     _RUN_MIN_LENGTH elements, is written run by run (`_int_runs`: the
     oracle's witness lists and singleton or single orbits); any other array
-    in padded rows (`_int_rows`: map components among them).  The `emit`
-    rows of benchmarks/bench_kernels.py measure both crossovers."""
-    out: list[str] = []
+    in padded rows (`_int_rows`: map components among them).  Both hand
+    over their byte buffers, so an array's text is copied once, into the
+    report; the text around them is joined and encoded once per stretch (once
+    in all for a report with no such array).
+    The `emit` rows of benchmarks/bench_kernels.py measure both crossovers."""
+    out: list[str | np.ndarray] = []
     _write_json(obj, "\n", out)
     out.append("\n")
-    return "".join(out)
+    try:
+        return "".join(out).encode()
+    except TypeError:   # some pieces are byte buffers
+        return b"".join(itertools.chain.from_iterable(
+            ["".join(run).encode()] if kind is str else run
+            for kind, run in itertools.groupby(out, type)))
 
 
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _write_json(o, nl: str, out: list[str]) -> None:
-    """Append the indented JSON of o to out; nl is a newline followed by the
-    indentation of the line that o starts on."""
+def _write_json(o, nl: str, out: list[str | np.ndarray]) -> None:
+    """Append the indented JSON of o to out, as str pieces and, for integer
+    arrays past the crossover, ASCII byte buffers; nl is a newline followed
+    by the indentation of the line that o starts on."""
     if isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -153,19 +165,19 @@ _PAIR_TEXT = np.frombuffer("".join([f"{v:02d}" for v in range(100)]
                            + bytes(200), dtype=np.uint16)
 
 
-def _int_array(a: np.ndarray, nl: str) -> str:
+def _int_array(a: np.ndarray, nl: str) -> np.ndarray:
     """The indented JSON of a nonempty integer array, as `tolist()` would be
-    written, in one of two layouts.  An element's text is the text before it
-    (the closing and opening of lists, a comma and the indentation), its sign
-    and its digits.  When at most one axis is longer than 1 and the array is
-    ascending, that text changes width only where the sign or the digit count
-    changes (`_width_runs`), and once the runs average _RUN_MIN_LENGTH
-    elements the array is written run by run (`_int_runs`); the oracle's
-    witness lists and its singleton or single orbits are such arrays.  Any
-    other array, map components among them, takes the padded rows of
-    `_int_rows`.  The choice costs one comparison pass and a searchsorted of
-    at most 39 cuts, and nothing beyond the shape for an array with two axes
-    longer than 1."""
+    written, as a uint8 buffer of its ASCII bytes, in one of two layouts.  An
+    element's text is the text before it (the closing and opening of lists,
+    a comma and the indentation), its sign and its digits.  When at most one
+    axis is longer than 1 and the array is ascending, that text changes width
+    only where the sign or the digit count changes (`_width_runs`), and once
+    the runs average _RUN_MIN_LENGTH elements the array is written run by
+    run (`_int_runs`); the oracle's witness lists and its singleton or
+    single orbits are such arrays.  Any other array, map components among
+    them, takes the padded rows of `_int_rows`.  The choice costs one
+    comparison pass and a searchsorted of at most 39 cuts, and nothing
+    beyond the shape for an array with two axes longer than 1."""
     d = a.ndim
     ind = [nl + "  " * k for k in range(d + 1)]   # indentation at depth k
     closes, opens = [""], [""]                    # [j]: the text that closes, opens j lists
@@ -209,10 +221,11 @@ def _width_runs(flat: np.ndarray) -> list[int]:
     return sorted({0, 1, flat.size, *np.searchsorted(flat, cuts).tolist()})
 
 
-def _int_runs(flat: np.ndarray, starts: list[int], first: str, text: str, end: str) -> str:
-    """The JSON of an ascending 1-d array whose runs between `starts` have one
-    text width each: the first element after `first`, every other after
-    `text`, then `end`.  Each run is a dense (n, w) block of one output
+def _int_runs(flat: np.ndarray, starts: list[int], first: str, text: str,
+             end: str) -> np.ndarray:
+    """The JSON bytes of an ascending 1-d array whose runs between `starts`
+    have one text width each: the first element after `first`, every other
+    after `text`, then `end`.  Each run is a dense (n, w) block of one output
     buffer of the exact size: the text before the element (and a sign) is
     copied into every row by doubling, and the digits are written through
     strided columns, four at a time from a table of 10 000 words, then a pair
@@ -249,25 +262,29 @@ def _int_runs(flat: np.ndarray, starts: list[int], first: str, text: str, end: s
             np.add(q, ord("0"), out=np.ndarray((n,), np.uint8, buf, col - 1, (w,)),
                    casting="unsafe")
         off += n * w
-    return str(buf, "ascii")
+    return buf
 
 
-def _int_rows(a: np.ndarray, before: dict[int, str], end: str) -> str:
-    """The JSON of an integer array, then `end`, built in one buffer of byte
-    rows, one per element: the text before the element (`before[j]`), a sign
-    byte if some element is negative and its digits, padded with 0 bytes,
-    which are dropped at the end.  The text before an element closes and
-    reopens j lists, j the number of its trailing indices that are 0 (the
-    first element, j = ndim, only opens them), and is written through one
-    strided view of the rows for each j.  The digits come two at a time, each
-    pair's text looked up by its value and place."""
+def _int_rows(a: np.ndarray, before: dict[int, str], end: str) -> np.ndarray:
+    """The JSON bytes of an integer array, then `end`, built in one buffer of
+    byte rows, one per element, with `end` after them: the text before the
+    element (`before[j]`), a sign byte if some element is negative and its
+    digits, padded with 0 bytes, which are dropped at the end.  The text
+    before an element closes and reopens j lists, j the number of its
+    trailing indices that are 0 (the first element, j = ndim, only opens
+    them), and is written through one strided view of the rows for each j.
+    The digits come two at a time, each pair's text looked up by its value
+    and place."""
     d = a.ndim
     flat = a.reshape(-1)
     lo, hi = int(flat.min()), int(flat.max())
     npairs = (len(str(max(hi, -lo))) + 1) // 2
     start = (max(map(len, before.values())) + (lo < 0) + 1) // 2 * 2   # pairs from an even byte
-    buf = np.zeros((flat.size, start + 2 * npairs), dtype=np.uint8)
-    rows = buf.view(f"V{buf.shape[1]}").reshape(a.shape)   # a row is 0-padded on assignment
+    width = start + 2 * npairs
+    out = np.zeros(flat.size * width + len(end), dtype=np.uint8)
+    out[flat.size * width:] = np.frombuffer(end.encode(), dtype=np.uint8)
+    buf = out[:flat.size * width].reshape(flat.size, width)
+    rows = buf.view(f"V{width}").reshape(a.shape)   # a row is 0-padded on assignment
     for j, text in before.items():
         rows[(Ellipsis, slice(1, None)) + (0,) * j if j < d else (0,) * d] = text.encode()
     q = flat.astype(np.uint32 if max(hi, -lo) < 1 << 32 else np.uint64)
@@ -282,7 +299,7 @@ def _int_rows(a: np.ndarray, before: dict[int, str], end: str) -> str:
         buf.view(np.uint16)[:, start // 2 + i] = _PAIR_TEXT[(q - rest * 100 + place * 100)
                                                             .astype(np.intp)]
         q = rest
-    return str(buf[buf != 0], "ascii") + end
+    return out[out != 0]
 
 
 def _ilist(a) -> list:
@@ -318,7 +335,7 @@ def load_doc(path: str) -> dict:
 
 
 def save_doc(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.write(canonical_json(doc))
 
 
@@ -568,14 +585,15 @@ def _classification_payload(cl: Classification) -> dict:
             "witnesses": [gmap_to_payload(r, "bar") for r in cl.reps]}
 
 
-def _deliver(args, text: str) -> bool:
-    """Write text to --out, or to stdout without --out.  If --out cannot be
-    written, a failed report that names it goes to stdout and this is False."""
+def _deliver(args, text: bytes) -> bool:
+    """Write the report's bytes to --out, or its text to stdout without
+    --out.  If --out cannot be written, a failed report that names it goes
+    to stdout and this is False."""
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.write(text.decode("ascii"))
         return True
     try:
-        with open(args.out, "w") as fh:
+        with open(args.out, "wb") as fh:
             fh.write(text)
     except OSError as e:
         _fail(argparse.Namespace(**{**vars(args), "out": None}),

@@ -204,23 +204,20 @@ def _unipotent_inverse_many(alg: LevelAlgebra, ob: GradedObject, u: Blocks,
 
 
 class _LiftIndex:
-    """Vectorised lookup of coefficient rows among the strict lifts."""
+    """Vectorised lookup of coefficient rows among the strict lifts, by the
+    exact int64 keys of `gf._row_keys` (every coefficient is a digit below
+    the largest one plus 1)."""
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
-        keys = self._keys(rows)
+        moduli = np.full(rows.shape[1], int(rows.max(initial=0)) + 1)
+        keys, self.folds = gf._row_keys(rows, moduli)
         self.order = np.argsort(keys)
         self.sorted = keys[self.order]
 
-    @staticmethod
-    def _keys(rows: np.ndarray) -> np.ndarray:
-        # one zero column, because rows of width 0 have no void view
-        rows = np.concatenate([rows, np.zeros((len(rows), 1), np.int64)], axis=1)
-        return rows.view(np.dtype((np.void, rows.shape[1] * 8))).reshape(-1)
-
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Lift index of each row; CheckFailed if some row is no lift."""
-        pos = np.searchsorted(self.sorted, self._keys(rows))
+        pos = np.searchsorted(self.sorted, gf._keys_like(rows, self.folds))
         hits = self.order[np.minimum(pos, len(self.order) - 1)]
         if not np.array_equal(self.rows[hits], rows):
             raise CheckFailed("image left the strict-lift set")
@@ -389,8 +386,7 @@ def functor_eval(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
     The cap bounds the strict-lift candidates before any is tested, then
     the conjugations of iso_orbits before any is made.
     """
-    _check_base(d0)
-    lifts = strict_lifts(A, alg0, ob, d0, cap)
+    lifts = strict_lifts(A, alg0, ob, d0, cap)   # checks d0 first
     coords = list(map(tuple, lifts.tolist()))
     orbits = iso_orbits(A, alg0, ob, lifts, cap)
     if cross_check:

@@ -176,25 +176,67 @@ def affine_combinations(base: np.ndarray, gens: np.ndarray, moduli: np.ndarray,
     return table[start:stop] % moduli
 
 
-def _row_labels(rows: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, int]:
-    """Labels in [0, n) of the rows of `rows` (entries in [0, moduli)), equal
-    exactly for equal rows, and the number n of distinct rows.
+def _row_keys(rows: np.ndarray, moduli: np.ndarray
+              ) -> tuple[np.ndarray, list[tuple[int, np.ndarray, np.ndarray | None]]]:
+    """Exact int64 keys of the rows of `rows` (entries in [0, moduli)), equal
+    exactly for equal rows, and the folds that `_keys_like` keys other rows
+    by.
 
     Columns are folded into int64 mixed-radix keys over `moduli`, as many at a
-    time as keep label * span + key below 2^63, and each group is re-labelled
-    by one np.unique, so labels never exceed the row count.
+    time as keep label * span + key below 2^63, each fold's value by one
+    matmul.  The keys of every fold but the last are re-labelled in [0, n)
+    by one np.unique before the next fold, so labels never exceed the row
+    count.  A fold is kept as its first column, its place values and its
+    sorted distinct keys (None for the last fold).
     """
-    labels = np.zeros(rows.shape[0], dtype=np.int64)
-    count, j, ncols = 1, 0, rows.shape[1]
-    while j < ncols:
-        key, span = labels, count
+    keys, folds, count, j, ncols = None, [], 1, 0, rows.shape[1]
+    while True:
+        j0, span = j, count
         while j < ncols and span * int(moduli[j]) <= 1 << 63:   # keys fit in int64
-            key = key * moduli[j] + rows[:, j]
             span *= int(moduli[j])
             j += 1
-        uniq, labels = np.unique(key, return_inverse=True)
+        # prod(moduli[k:j]) for k = j0, ..., j: what a label, then each column,
+        # is worth; the first wraps at 2^63 only when it goes unused (count 1)
+        place = np.append(np.cumprod(moduli[j0:j][::-1])[::-1], 1)
+        keys = _fold_keys(rows, keys, count, j0, place)
+        if j == ncols:
+            folds.append((j0, place, None))
+            return keys, folds
+        uniq, keys = np.unique(keys, return_inverse=True)
+        folds.append((j0, place, uniq))
         count = len(uniq)
-    return labels, count
+
+
+def _fold_keys(rows: np.ndarray, labels: np.ndarray | None, count: int, j0: int,
+               place: np.ndarray) -> np.ndarray:
+    """label * place[0] plus the mixed-radix value of the fold's columns,
+    for labels in [0, count)."""
+    keys = rows[:, j0:j0 + len(place) - 1] @ place[1:]
+    if count > 1:   # labels are all 0 otherwise
+        keys += labels * place[0]
+    return keys
+
+
+def _keys_like(rows: np.ndarray,
+               folds: list[tuple[int, np.ndarray, np.ndarray | None]]) -> np.ndarray:
+    """The keys that `_row_keys` gave, with these folds, to the rows equal to
+    these; a row equal to none may share a key with another row, so a caller
+    that needs to know compares the rows themselves.  One matmul per fold and
+    one searchsorted per fold but the last."""
+    keys, count = None, 1
+    for j0, place, uniq in folds:
+        keys = _fold_keys(rows, keys, count, j0, place)
+        if uniq is not None:
+            keys, count = np.minimum(np.searchsorted(uniq, keys), len(uniq) - 1), len(uniq)
+    return keys
+
+
+def _row_labels(rows: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, int]:
+    """Labels in [0, n) of the rows of `rows` (entries in [0, moduli)), equal
+    exactly for equal rows, and the number n of distinct rows: the keys of
+    `_row_keys`, re-labelled by one np.unique."""
+    uniq, labels = np.unique(_row_keys(rows, moduli)[0], return_inverse=True)
+    return labels, len(uniq)
 
 
 def scan_affine_zero(base: np.ndarray, gens: np.ndarray, moduli: np.ndarray,

@@ -92,6 +92,12 @@ class AffineLift:
         """The coefficientwise minimal lift X0 of the mid-level datum."""
         return map_lift(self.defalg, self.mid_datum)
 
+    @cached_property
+    def base_residual(self) -> np.ndarray:
+        """residual(X0) as a coefficient vector of degree m+1: the defect
+        that the obstruction class reads and the base of the oracle's scan."""
+        return self.residuals(self.sigma_lift.coef[None])[0]
+
     def residuals(self, stack: np.ndarray) -> np.ndarray:
         """residual(X) for each row X of an (N, ncoef) stack of top-level
         degree-m maps, as an (N, ncoef) stack of degree m+1 maps."""
@@ -275,7 +281,7 @@ class Classification:
 def _defect(prob: AffineLift):
     """Kernel coordinates of residual(X0), and their class in H^{m+1}."""
     K = prob.kernel
-    vec = K.into_kernel(prob.residual(prob.sigma_lift))
+    vec = K.into_kernel_stack(prob.base_residual[None])[0]
     return vec, K.coh_class(vec, prob.degree + 1)
 
 

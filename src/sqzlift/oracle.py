@@ -7,7 +7,8 @@ candidate is a witness when the problem's defining equation, evaluated over
 the top ring, is zero coefficientwise; nothing here relies on the
 cohomological machinery except the coordinate codec for J-matrices.  The
 evaluation is batched: the residual of candidate gamma = sum_s c_s kappa_s
-equals base + sum_s c_s gens_s over the ring, with base = residual(X0) and
+equals base + sum_s c_s gens_s over the ring, with base = residual(X0) (the
+problem's `base_residual`, which its obstruction class reads too) and
 gens_s = residual(X0 + kappa_s) - residual(X0) (the residual is affine in a
 J-valued correction because J * J = 0).  The scan kernel finds every digit
 tuple with base + sum_s c_s gens_s = 0 by joining a table of the low digits'
@@ -97,37 +98,57 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
     int64 array with one orbit per row, each row ascending, rows ordered by
     least member.
 
-    An orbit is a coset of the row space of the moves, so every witness is
-    keyed by the index of its canonical representative modulo that space.
-    Reduction changes only the digits in the columns where the row-reduced
-    moves are nonzero (the pivots among them), so only those are decoded and
-    the key is w plus the change they make.  A key's group lies in its
-    coset, which has p^rank elements; the coset is inside the witness set
-    exactly when the group has that many members, so all rows have that
-    length.  One stable sort of the keys lists the groups one after another,
-    each ascending, so the sorted witnesses are the orbit rows once every
-    group is seen to have p^rank members; the rows are then put in order by
-    their first entries.
+    An orbit is a coset of the row space of the moves.  Row-reduced, the
+    moves have `rank` pivot columns: a coset's members take every
+    combination of pivot digits, and its canonical representative has them
+    cleared and its free touched columns (nonzero in some move, not a pivot)
+    changed by them.  A witness's key holds the representative's other
+    digits rank places up and the witness's own pivot digits below them.
+    Each run of pivot or of other columns moves by one division pair; the
+    digits of the pivots and of the free touched columns are decoded only
+    when such columns exist.  Keys are distinct and below p^kdim, so they
+    fit in int64 whatever the cap, and one sort of them (none if they
+    already ascend) lists the cosets one after another.  A coset is inside
+    the witness set exactly when all p^rank of its keys, q p^rank to
+    q p^rank + p^rank - 1, are there: so each row of p^rank sorted keys must
+    share its quotient q.  Within a coset the keys ascend with the pivot
+    digits, and so do the witnesses unless free touched columns exist; then
+    each row is sorted.  The rows are put in order by their first entries.
     """
     w = np.asarray(witness_indices, dtype=np.int64)
     G = np.asarray(move_gens, dtype=np.int64).reshape(len(move_gens), kdim)
     G, pivots = gf.row_space(G, p)
-    cols = np.flatnonzero(G.any(axis=0))
-    G, pivots = G[:, cols], np.searchsorted(cols, pivots)
-    powers = p ** cols
-    keys = w.copy()
-    for lo in range(0, len(w), _PARTITION_ROWS):
-        D = w[lo:lo + _PARTITION_ROWS, None] // powers % p
-        keys[lo:lo + len(D)] += (gf.reduce_mod_rowspace(D, G, pivots, p) - D) @ powers
-    size = p ** len(pivots)
-    order = np.argsort(keys, kind="stable")
-    groups = keys[order].reshape(-1, size) if len(w) % size == 0 else None
-    # every row holds one key, and the next row another
-    if groups is None or (groups != groups[:, :1]).any() or \
-            (groups[1:, 0] == groups[:-1, 0]).any():
+    rank = len(pivots)
+    if not rank:   # no move: every witness is an orbit of its own
+        return w.reshape(-1, 1)
+    is_pivot = np.zeros(kdim, dtype=bool)
+    is_pivot[pivots] = True
+    place = np.empty(kdim, dtype=np.int64)   # a column's place in the key
+    place[is_pivot], place[~is_pivot] = np.arange(rank), np.arange(rank, kdim)
+    cuts = [0, *(np.flatnonzero(is_pivot[1:] != is_pivot[:-1]) + 1).tolist(), kdim]
+    keys, rest = 0, w
+    for a, b in zip(cuts, cuts[1:]):
+        run = rest
+        if b < kdim:   # numpy's int64 % is several times slower than this
+            rest = rest // p ** (b - a)
+            run = run - rest * p ** (b - a)
+        keys += run * p ** int(place[a])
+    free = np.flatnonzero(G.any(axis=0) & ~is_pivot)
+    if len(free):
+        change = G[:, free]
+        for lo in range(0, len(w), _PARTITION_ROWS):
+            chunk = w[lo:lo + _PARTITION_ROWS, None]
+            C, D = chunk // p ** np.asarray(pivots) % p, chunk // p ** free % p
+            keys[lo:lo + len(D)] += ((D - C @ change) % p - D) @ p ** place[free]
+    size = p ** rank
+    order = np.argsort(keys) if (keys[1:] < keys[:-1]).any() else slice(None)
+    keys = keys[order]
+    if len(w) % size or (keys[::size] // size != keys[size - 1::size] // size).any():
         raise CheckFailed("orbit left the witness set; internal inconsistency")
     rows = w[order].reshape(-1, size)
-    return np.take(rows, np.argsort(rows[:, 0], kind="stable"), axis=0)
+    if len(free):
+        rows = np.sort(rows, axis=1)
+    return np.take(rows, np.argsort(rows[:, 0]), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +162,7 @@ def oracle(prob: AffineLift, cap: int = DEFAULT_CAP) -> OracleResult:
     kdim = K.dim(m)
     total = gf.count_candidates(p, kdim, cap, "candidates")
     X0 = prob.sigma_lift.coef
-    base = prob.residuals(X0[None])[0]
+    base = prob.base_residual
     moduli = coefficient_orders(K.defalg.bar, K.hom.obC, K.hom.obD, m + 1)
     eye = np.eye(kdim, dtype=np.int64)
     gens = (prob.residuals(X0 + K.out_of_kernel_stack(eye, m)) - base) % moduli

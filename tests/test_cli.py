@@ -84,7 +84,7 @@ def _write(tmp_path, name, doc):
 
 def test_saved_documents_round_trip_byte_identically(tmp_path, z4):
     path = _write(tmp_path, "p.json", _z4_doc(z4))
-    raw = open(path).read()
+    raw = open(path, "rb").read()
     assert canonical_json(load_doc(path)) == raw
     # and the parsed problem re-serializes to the same document
     kind, defalg, prob, _ = problem_from_doc(load_doc(path))
@@ -425,6 +425,7 @@ def test_non_integer_entry_is_a_parse_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["gen", "--kind", "differential", "--seed", "3"],
     ["obstruct-diff", "--complex", None],
+    ["oracle", "--complex", None],
 ])
 def test_unwritable_out_ends_in_a_failed_report_on_stdout(tmp_path, z4, capsys, argv):
     argv = [_write(tmp_path, "p.json", _z4_doc(z4)) if a is None else a for a in argv]
@@ -436,6 +437,25 @@ def test_unwritable_out_ends_in_a_failed_report_on_stdout(tmp_path, z4, capsys, 
     assert rep["error"]["type"] == "ParseError"
     assert out in rep["error"]["message"]
     assert rep["schema"] == "report" and rep["timings"] is None
+
+
+@pytest.mark.parametrize("kind, seed, layout", [
+    ("differential", 74, "_int_runs"),   # 59 049 witnesses, 59 049 singleton orbits
+    ("map", 29, "_int_rows"),            # 32 orbits of 2
+])
+def test_out_and_stdout_deliver_the_same_report(tmp_path, capsys, monkeypatch, kind, seed,
+                                                layout):
+    """The report's bytes go to --out and its text to stdout: the same
+    characters, among them those of an array that _int_array writes."""
+    doc = _write(tmp_path, "p.json", _gen_doc(tmp_path, kind, seed))
+    out = tmp_path / "report.json"
+    calls = _count_layout_calls(monkeypatch)
+    assert main(["oracle", "--complex", doc, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["oracle", "--complex", doc]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode()
+    assert layout in calls
+    assert json.loads(out.read_bytes())["verdict"] == "verified"
 
 
 # -- the canonical writer against the reference encoder -----------------------
@@ -463,7 +483,7 @@ _TREES = st.recursive(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_TREES)
 def test_writer_equals_the_reference_encoder(obj):
-    assert canonical_json(obj) == _reference_json(obj)
+    assert canonical_json(obj) == _reference_json(obj).encode()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -479,7 +499,7 @@ def _assert_writes_its_list(arr, depth):
     obj, ref = arr, arr.tolist()
     for _ in range(depth):   # at deeper indentation, beside a scalar
         obj, ref = {"a": [obj, 1]}, {"a": [ref, 1]}
-    assert canonical_json(obj) == _reference_json(ref)
+    assert canonical_json(obj) == _reference_json(ref).encode()
 
 
 _I64, _I32 = np.iinfo(np.int64), np.iinfo(np.int32)
@@ -566,7 +586,7 @@ def test_writer_is_exact_across_the_run_length_crossover(step, monkeypatch):
     m = -(-4 * cli._RUN_MIN_LENGTH // 3) + step
     arr = np.repeat([5, 50, 500], m)
     calls = _count_layout_calls(monkeypatch)
-    assert canonical_json({"a": [arr, 1]}) == _reference_json({"a": [arr.tolist(), 1]})
+    assert canonical_json({"a": [arr, 1]}) == _reference_json({"a": [arr.tolist(), 1]}).encode()
     assert calls == ["_int_runs" if step == 0 else "_int_rows"]
 
 
@@ -601,8 +621,8 @@ def test_writer_is_exact_across_the_int_array_crossover(step, family, monkeypatc
     size = math.prod(shape)
     arr = (np.arange(size, dtype=np.int64) - size // 2).reshape(shape)
     calls = _count_int_array_calls(monkeypatch)
-    assert canonical_json(arr) == _reference_json(arr.tolist())
-    assert canonical_json({"a": [arr, 1]}) == _reference_json({"a": [arr.tolist(), 1]})
+    assert canonical_json(arr) == _reference_json(arr.tolist()).encode()
+    assert canonical_json({"a": [arr, 1]}) == _reference_json({"a": [arr.tolist(), 1]}).encode()
     assert calls == ([shape] * 2 if step >= 0 else [])
 
 
@@ -616,8 +636,8 @@ def test_the_crossover_is_later_for_1d_arrays_than_for_map_components():
 def test_writer_writes_int_arrays_with_a_zero_axis_as_their_lists(shape, monkeypatch):
     arr = np.zeros(shape, dtype=np.int64)
     calls = _count_int_array_calls(monkeypatch)
-    assert canonical_json(arr) == _reference_json(arr.tolist())
-    assert canonical_json({"a": [arr, 1]}) == _reference_json({"a": [arr.tolist(), 1]})
+    assert canonical_json(arr) == _reference_json(arr.tolist()).encode()
+    assert canonical_json({"a": [arr, 1]}) == _reference_json({"a": [arr.tolist(), 1]}).encode()
     assert calls == []
 
 
@@ -636,7 +656,7 @@ def _witness_with_small_and_large_components():
 def test_witness_components_on_both_sides_of_the_crossover_write_their_lists(tmp_path):
     defalg, f = _witness_with_small_and_large_components()
     want = _reference_json(wrap("map", gmap_to_payload(f, "bar", lists=True)))
-    assert canonical_json(wrap("map", gmap_to_payload(f, "bar"))) == want
+    assert canonical_json(wrap("map", gmap_to_payload(f, "bar"))) == want.encode()
     path = _write(tmp_path, "f.json", wrap("map", gmap_to_payload(f, "bar")))
     assert open(path).read() == want
     assert gmap_from_payload(defalg, unwrap(load_doc(path), "map")) == f

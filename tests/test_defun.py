@@ -482,6 +482,42 @@ def test_closure_matches_whole_group_scan_on_every_shape():
     assert merged >= 10
 
 
+def _assert_index_finds_like_a_dict(rows, rng):
+    """_LiftIndex.find gives the position of every row, in any order and
+    repeated, as a dict of the rows does, and refuses a row that is none."""
+    index = defun._LiftIndex(rows)
+    where = {tuple(r): i for i, r in enumerate(rows.tolist())}
+    pick = rng.integers(0, len(rows), size=2 * len(rows))
+    assert index.find(rows[pick]).tolist() == [where[tuple(r)] for r in rows[pick].tolist()]
+    assert index.find(rows[:0]).tolist() == []
+    for col in range(rows.shape[1]):
+        other = rows[:1].copy()
+        other[0, col] += 1
+        if tuple(other[0].tolist()) not in where:
+            with pytest.raises(CheckFailed, match="image left the strict-lift set"):
+                index.find(np.concatenate([rows, other]))
+
+
+def test_lift_index_finds_rows_like_a_dict_on_every_shape():
+    rng = np.random.default_rng(5)
+    for ring, alg0, ob, d0 in _shapes():
+        _assert_index_finds_like_a_dict(strict_lifts(ArtinLocalRing(ring), alg0, ob, d0), rng)
+    for p in (2, 3):
+        pi = mk_tower("trunc_poly", p, a=2, b=1).pibar
+        A = ArtinLocalRing(ring_fiber_product(pi, pi).ring)
+        ob = GradedObject.of({0: 1, 1: 2})
+        for alg0, d0 in _base_diffs(p, ob)[:2]:
+            _assert_index_finds_like_a_dict(strict_lifts(A, alg0, ob, d0), rng)
+
+
+@pytest.mark.parametrize("ncols", [0, 1, 63, 64, 130])
+def test_lift_index_on_rows_wider_than_one_int64_key(ncols):
+    """Rows of bits: from 64 columns the labels take more than one fold."""
+    rng = np.random.default_rng(ncols)
+    rows = np.unique(rng.integers(0, 2, size=(300, ncols)), axis=0)
+    _assert_index_finds_like_a_dict(rows, rng)
+
+
 def test_closure_matches_whole_group_scan_on_fiber_products():
     """The check_triple rings F_p[t]/t^2 x_{F_p} F_p[t]/t^2, where m^2 = 0."""
     merged = 0

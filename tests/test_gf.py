@@ -389,6 +389,27 @@ def test_scan_join_matches_the_python_kernel(p, k, moduli, rank):
             assert np.array_equal(got, ref), (solvable, lo, hi)
 
 
+@pytest.mark.parametrize("moduli", [[3] * 60, [5, 125] * 20, [2, 4, 8, 2] * 5, [7]])
+def test_row_keys_are_exact_and_keys_like_repeats_them(moduli):
+    """Equal keys exactly for equal rows, over one fold or several, and the
+    same keys for the same rows in another order through the folds; the
+    scan's labels are those keys re-labelled."""
+    rng = np.random.default_rng(len(moduli))
+    moduli = np.asarray(moduli, dtype=np.int64)
+    rows = rng.integers(0, moduli, size=(150, len(moduli)))
+    rows = np.concatenate([rows, rows[::3]])
+    keys, folds = gf._row_keys(rows, moduli)
+    _, inv = np.unique(rows, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    assert np.array_equal(keys[:, None] == keys, inv[:, None] == inv)
+    assert (len(folds) > 1) == (len(moduli) > 30)   # 3^60 and 625^20 exceed 2^63
+    perm = rng.permutation(len(rows))
+    assert np.array_equal(gf._keys_like(rows[perm], folds), keys[perm])
+    labels, count = gf._row_labels(rows, moduli)
+    assert count == inv.max() + 1
+    assert np.array_equal(labels[:, None] == labels, inv[:, None] == inv)
+
+
 def test_scan_join_tells_apart_rows_that_differ_only_in_the_first_column():
     # 2^70 > 2^64: a single int64 key over all 70 columns would wrap and
     # drop columns 0 to 5, and every candidate would look like a hit

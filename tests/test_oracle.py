@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sqzlift import complexes, gf
+from sqzlift import oracle as oracle_module
 from sqzlift.cli import canonical_json
 from sqzlift.algebra import AlgMatrix, LevelAlgebra, mk_algebra
 from sqzlift.complexes import (
@@ -341,10 +342,99 @@ def test_partition_orders_interleaved_orbits_by_least_member(p):
     assert list(np.argsort(keys)) != list(range(len(got)))
 
 
+def _whole_orbits(rng, kdim, p, moves, share=0.5):
+    """A random union of whole orbits of the candidates, ascending."""
+    move_rows = np.asarray(moves, dtype=np.int64).reshape(-1, kdim)
+    seen, chosen = set(), set()
+    for w in range(p ** kdim):
+        if w not in seen:
+            orbit = _orbit_of(w, kdim, p, move_rows)
+            seen |= orbit
+            if rng.random() < share:
+                chosen |= orbit
+    return sorted(chosen)
+
+
+def _unit_rows(kdim, *supports):
+    """Moves with the given (column, coefficient) entries, one row each."""
+    rows = np.zeros((len(supports), kdim), dtype=np.int64)
+    for row, support in zip(rows, supports):
+        for col, c in support:
+            row[col] = c
+    return list(rows)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_partition_with_pivot_runs_apart_and_free_touched_columns(p):
+    # row-reduced, the moves have pivots 0, 3 and 5 (runs [0,1), [3,4) and
+    # [5,6)) and touch the free columns 1, 4 and 6 as well
+    kdim = 7
+    a, b, c = _unit_rows(kdim, [(0, 1), (1, p - 1), (6, 1)], [(3, 1), (4, 1), (6, p - 1)],
+                         [(5, 1), (6, 1)])
+    moves = [(a + b) % p, b, (c + 2 * a) % p, (a + c) % p, np.zeros(kdim, dtype=np.int64)]
+    red, pivots = gf.row_space(np.asarray(moves), p)
+    assert pivots == [0, 3, 5]
+    assert np.flatnonzero(red.any(axis=0)).tolist() == [0, 1, 3, 4, 5, 6]
+    witnesses = _whole_orbits(np.random.default_rng(p), kdim, p, moves)
+    got = _partition(np.asarray(witnesses, dtype=np.int64), kdim, p, moves)
+    assert [tuple(o) for o in got.tolist()] == _reference_partition(witnesses, kdim, p, moves)
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_partition_of_many_orbits_out_of_key_order_over_several_chunks(monkeypatch, free):
+    # pivots 0 and 4 go below the other digits in the keys, so the keys of
+    # ascending witnesses are out of order; with a free touched column 5 the
+    # keys also move by the pivot digits.  _PARTITION_ROWS is lowered so that
+    # the digits of the free columns are decoded in several chunks.
+    monkeypatch.setattr(oracle_module, "_PARTITION_ROWS", 7)
+    p, kdim = 3, 6
+    moves = _unit_rows(kdim, [(0, 1)] + [(5, 2)] * free, [(4, 1), (5, 1)] if free else [(4, 1)])
+    witnesses = _whole_orbits(np.random.default_rng(7), kdim, p, moves, share=0.8)
+    assert len(witnesses) > 7 * 9
+    w = np.asarray(witnesses, dtype=np.int64)
+    got = _partition(w, kdim, p, moves)
+    want = _reference_partition(witnesses, kdim, p, moves)
+    assert len(want) > 40 and [tuple(o) for o in got.tolist()] == want
+    keys = (w // 3 % 27) * 9 + w % 3 + (w // 81 % 3) * 3 + (w // 243) * 243   # without the change
+    assert (np.diff(keys) < 0).any()
+
+
+def test_partition_of_one_orbit_of_3_to_the_8_in_two_pivot_runs():
+    # the shape of gen differential seed 51: kdim 12 over F_3, every move a
+    # unit vector in the runs [0,4) and [8,12), and the witnesses one coset
+    p, kdim = 3, 12
+    eye = np.eye(kdim, dtype=np.int64)
+    units = [eye[j] for j in (0, 1, 2, 3, 8, 9, 10, 11)]
+    moves = units + [np.zeros(kdim, dtype=np.int64)] * 8
+    middle = 2 * 3 ** 4 + 1 * 3 ** 6
+    witnesses = sorted(_orbit_of(middle, kdim, p, np.asarray(units)))
+    assert len(witnesses) == 3 ** 8
+    got = _partition(np.asarray(witnesses, dtype=np.int64), kdim, p, moves)
+    assert got.shape == (1, 3 ** 8) and got.dtype == np.int64
+    assert got[0].tolist() == witnesses
+    with pytest.raises(CheckFailed, match="orbit left the witness set"):
+        _partition(np.asarray(witnesses[1:], dtype=np.int64), kdim, p, moves)
+
+
+@pytest.mark.parametrize("p, kdim", [(2, 62), (3, 39)])
+def test_partition_with_kdim_near_the_int64_limit(p, kdim):
+    # p^kdim is near 2^62 (2^62, and 3^39 = 4.05e18): keys stay below p^kdim,
+    # with a pivot at the top digit's neighbour and the top digit a free
+    # touched column
+    moves = _unit_rows(kdim, [(0, 1), (kdim - 1, 1)], [(kdim // 2, 1)],
+                       [(kdim - 2, 1), (kdim - 1, p - 1)])
+    top = p ** kdim - 1
+    witnesses = sorted(set().union(*(_orbit_of(w, kdim, p, np.asarray(moves))
+                                     for w in (top, top - p ** 5, 7, p ** (kdim - 1)))))
+    got = _partition(np.asarray(witnesses, dtype=np.int64), kdim, p, moves)
+    assert [tuple(o) for o in got.tolist()] == _reference_partition(witnesses, kdim, p, moves)
+    assert got.max() == top
+
+
 def test_partition_of_no_witnesses_is_empty():
     got = _partition(np.zeros(0, dtype=np.int64), 3, 2, [np.ones(3, dtype=np.int64)])
     assert len(got) == 0
-    assert canonical_json(got) == "[]\n"
+    assert canonical_json(got) == b"[]\n"
 
 
 @pytest.mark.parametrize("p", [2, 3])
