@@ -92,12 +92,9 @@ def canonical_json(obj) -> bytes:
     out: list[str | np.ndarray] = []
     _write_json(obj, "\n", out)
     out.append("\n")
-    try:
-        return "".join(out).encode()
-    except TypeError:   # some pieces are byte buffers
-        return b"".join(itertools.chain.from_iterable(
-            ["".join(run).encode()] if kind is str else run
-            for kind, run in itertools.groupby(out, type)))
+    return b"".join(itertools.chain.from_iterable(
+        ["".join(run).encode()] if kind is str else run
+        for kind, run in itertools.groupby(out, type)))
 
 
 _escape = json.encoder.encode_basestring_ascii

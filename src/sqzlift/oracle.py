@@ -93,10 +93,10 @@ class OracleResult:
 
 def _partition(witness_indices: np.ndarray, kdim: int, p: int,
                move_gens: np.ndarray) -> np.ndarray:
-    """Partition the witnesses (ascending, distinct) into orbits of
-    w -> w + sum c_s move_gens[s] (the moves as rows, kdim long each): an
-    int64 array with one orbit per row, each row ascending, rows ordered by
-    least member.
+    """Partition the witnesses (ascending, distinct: CheckFailed otherwise)
+    into orbits of w -> w + sum c_s move_gens[s] (the moves as rows, kdim
+    long each): an int64 array with one orbit per row, each row ascending,
+    rows ordered by least member.
 
     An orbit is a coset of the row space of the moves.  Row-reduced, the
     moves have `rank` pivot columns: a coset's members take every
@@ -106,9 +106,10 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
     digits rank places up and the witness's own pivot digits below them.
     Each run of pivot or of other columns moves by one division pair; the
     digits of the pivots and of the free touched columns are decoded only
-    when such columns exist.  Keys are distinct and below p^kdim, so they
-    fit in int64 whatever the cap, and one sort of them (none if they
-    already ascend) lists the cosets one after another.  A coset is inside
+    when such columns exist.  A key and the coset's moves give back the
+    witness, so distinct witnesses have distinct keys, all below p^kdim:
+    they fit in int64 whatever the cap, and one sort of them, which need
+    not be stable, lists the cosets one after another.  A coset is inside
     the witness set exactly when all p^rank of its keys, q p^rank to
     q p^rank + p^rank - 1, are there: so each row of p^rank sorted keys must
     share its quotient q.  Within a coset the keys ascend with the pivot
@@ -116,6 +117,8 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
     each row is sorted.  The rows are put in order by their first entries.
     """
     w = np.asarray(witness_indices, dtype=np.int64)
+    if (w[1:] <= w[:-1]).any():
+        raise CheckFailed("orbit left the witness set; internal inconsistency")
     G = np.asarray(move_gens, dtype=np.int64).reshape(len(move_gens), kdim)
     G, pivots = gf.row_space(G, p)
     rank = len(pivots)
@@ -141,7 +144,7 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
             C, D = chunk // p ** np.asarray(pivots) % p, chunk // p ** free % p
             keys[lo:lo + len(D)] += ((D - C @ change) % p - D) @ p ** place[free]
     size = p ** rank
-    order = np.argsort(keys) if (keys[1:] < keys[:-1]).any() else slice(None)
+    order = np.argsort(keys)
     keys = keys[order]
     if len(w) % size or (keys[::size] // size != keys[size - 1::size] // size).any():
         raise CheckFailed("orbit left the witness set; internal inconsistency")

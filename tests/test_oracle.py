@@ -450,3 +450,8 @@ def test_partition_rejects_an_orbit_that_leaves_the_witness_set(p):
         partial = [w for w in full if w != dropped]
         with pytest.raises(CheckFailed, match="orbit left the witness set"):
             _partition(np.asarray(partial), kdim, p, moves)
+    # a repeated or out-of-order witness, with moves and without
+    for bad in ([*full[:1], *full], full[::-1], [1, 1], [2, 1]):
+        for gens in (moves, []):
+            with pytest.raises(CheckFailed, match="orbit left the witness set"):
+                _partition(np.asarray(bad, dtype=np.int64), kdim, p, gens)
