@@ -13,7 +13,11 @@ two runs of pivots; `rank=8`), and the unipotent orbit partition
 `defun.iso_orbits` on the shape of `sqzlift gen --kind differential --seed 7`
 (F_3[x]/x^2, ranks 2 and 2, zero base differential: 81 strict lifts, each
 conjugated by the 8 generators of the 6561-element unipotent group, 1 plus x
-at one of the 8 coefficient positions).  The
+at one of the 8 coefficient positions), on the functor workload's largest
+shape (`orbits functor`: F_2[t]/t^3, ranks 1 and 2, nonzero base
+differential; 16 lifts, 10 generators) and on `gen --kind differential
+--seed 2` with the cap raised (`orbits gen 2`: F_3[t]/t^3, 76 545 lifts,
+20 generators).  The
 `strict` case is `defun.strict_lifts` on `gen --kind differential --seed 23`
 (F_3[t]/t^3 over F_3, ranks 1, 2, 2: 531 441 candidates, 111 537 lifts), and
 the `guard` case is `crude.h_minus1_guard` on `gen --kind map --seed 47`
@@ -126,6 +130,8 @@ def _workloads():
     loads.append(("partition", 3, (12, 8)))
     loads.append(("partition", 3, (10, "free")))
     loads.append(("orbits", 3, None))
+    loads.append(("orbits", 2, "functor"))
+    loads.append(("orbits", 3, "gen 2"))
     loads.append(("strict", 3, None))
     loads.append(("guard", 3, None))
     loads.append(("delta", 3, -1))
@@ -184,14 +190,30 @@ def _partition_job(p, kdim, rank):
     return job
 
 
-def _orbits_job():
-    A = defun.ArtinLocalRing(square_zero_ring(3, 1))
-    alg0 = defun.trivial_base_algebra(3)
-    ob = GradedObject.of({0: 2, 1: 2})
-    lifts = defun.strict_lifts(A, alg0, ob, GradedMap(alg0, ob, ob, 1, {}))
+def _orbits_job(shape):
+    """iso_orbits on the gen seed 7 shape (shape None), on the functor
+    workload's largest shape, or on gen differential seed 2 with the caps
+    raised; the digest is the partition."""
+    cap = 1 << 20
+    if shape == "functor":
+        A = defun.ArtinLocalRing(trunc_poly_ring(2, 3))
+        alg0 = defun.trivial_base_algebra(2)
+        ob = GradedObject.of({0: 1, 1: 2})
+        d0 = GradedMap.from_arrays(alg0, ob, ob, 1, {0: np.array([[1], [0]])[..., None, None]})
+    elif shape == "gen 2":
+        inst = oracle.gen_instance("differential", 2)
+        A = defun.ArtinLocalRing(inst.defalg.tower.Rbar)
+        alg0, ob, d0 = inst.defalg.base, inst.problem.ob, inst.problem.d_base
+        cap = 1 << 22   # 76 545 lifts times 20 generators
+    else:
+        A = defun.ArtinLocalRing(square_zero_ring(3, 1))
+        alg0 = defun.trivial_base_algebra(3)
+        ob = GradedObject.of({0: 2, 1: 2})
+        d0 = GradedMap(alg0, ob, ob, 1, {})
+    lifts = defun.strict_lifts(A, alg0, ob, d0, cap)
 
     def job():
-        return repr(defun.iso_orbits(A, alg0, ob, lifts)).encode()
+        return repr(defun.iso_orbits(A, alg0, ob, lifts, cap)).encode()
     return job
 
 
@@ -461,7 +483,8 @@ def main(prefixes: list[str]) -> int:
             job = _partition_job(p, *payload)
             name = f"partition rank={payload[1]}"
         elif name == "orbits":
-            job = _orbits_job()
+            job = _orbits_job(payload)
+            name = "orbits" if payload is None else f"orbits {payload}"
         elif name == "strict":
             job = _strict_job()
         elif name == "guard":

@@ -14,7 +14,8 @@ stacked as coefficient vectors (the digits of the candidate index pick the
 coefficients) and read through the block view of complexes.py.  The lifts
 are one (N, ncoef) stack, row n the coefficient vector of lift n.  F is the
 orbit partition of that stack: the closure of each lift under generators of
-the unipotent group, in blocks of conjugates.  F1 coincides with F's
+the unipotent group, elementary transvections whose conjugation changes one
+column and one row of a lift, in blocks of conjugates.  F1 coincides with F's
 classification and can be cross-checked by an exhaustive homotopy-equivalence
 search, whose affine questions (is a map a delta?) go through the scan
 kernel gf.scan_affine_zero.
@@ -40,6 +41,7 @@ from .complexes import (
     HomComplex,
     add_blocks,
     block_view,
+    coefficient_count,
     compose,
     compose_blocks,
     delta_solutions,
@@ -121,7 +123,8 @@ def tensor_algebra(ring: FiniteRing, alg0: LevelAlgebra) -> LevelAlgebra:
 # bounded however many there are.  Row n of a block is candidate start + n;
 # its digits in base |m|, least significant first, pick nu's coefficients in
 # coefficient order (degree, row, column, algebra basis).  iso_orbits makes
-# its conjugates _BLOCK at a time too.
+# its conjugates _BLOCK at a time too, as a copy of up to _BLOCK lift rows
+# with one column and one row changed per generator.
 _BLOCK = 4096
 
 
@@ -250,42 +253,107 @@ def _components(src: np.ndarray, dst: np.ndarray, n: int) -> list[tuple[int, ...
     return [tuple(c.tolist()) for c in np.split(order, np.flatnonzero(np.diff(label[order])) + 1)]
 
 
+def _multipliers(algR: LevelAlgebra, basis: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For x = b e, b a row of basis and e an algebra basis element: the
+    left multiplication by x, the right multiplication by -x, and the right
+    multiplication by y = (1 + x)^-1 - 1, which is the sum over j >= 1 of
+    (-x)^j (a finite sum: x is nilpotent).  Each is a (len(basis), k, k*m,
+    k*m) stack of operators on the flat (k, m) coefficients of one entry,
+    built from algR._T, so a noncommutative algebra is multiplied on the
+    correct side."""
+    k, km, p, T = algR.k, algR.k * algR.ring.m, algR.ring.p, algR._T
+    left = np.einsum("bs,esjvlw->belwjv", basis, T).reshape(len(basis), k, km, km) % p
+    neg = -np.einsum("bs,iueslw->belwiu", basis, T).reshape(len(basis), k, km, km) % p
+    inv, power = np.zeros_like(neg), neg   # right multiplication by (-x)^j is neg^j
+    while power.any():
+        inv, power = inv + power, power @ neg % p
+    return left, neg, inv % p
+
+
+def _transvections(algR: LevelAlgebra, ob: GradedObject, basis: np.ndarray
+                   ) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The generators u = 1 + x E_rc of iso_orbits, as the change each makes
+    to a degree-1 map d: one (i0, src, dst, ops) per degree i0 of ob where d
+    has a block to change, and u d u^-1 sets d[dst[g]] += ops[g] @ d[src[g]],
+    entry by entry of k*m coefficients.
+
+    Generator g = ((b * n0 + r) * n0 + c) * k + e of degree i0 (rank n0)
+    has x = b e (see _multipliers) at row r and column c.  u is the identity
+    outside degree i0, and u^-1 = 1 + y E_rc, with y = -x off the diagonal
+    and y = (1 + x)^-1 - 1 on it.  So column c of d_{i0} gains (column r) y
+    and row r of d_{i0-1} gains x (row c).  src and dst hold flat
+    coefficient indices of shape (G, S * k*m), S entries per generator (the
+    column, then the row), and ops is (G, S, k*m, k*m).
+    """
+    if not len(basis):   # m = 0: the group is trivial
+        return []
+    k, km = algR.k, algR.k * algR.ring.m
+    left, neg, inv = _multipliers(algR, basis)
+    # the flat coefficient index of every entry of a degree-1 map, by block
+    at = block_view(algR, ob, ob, 1, np.arange(coefficient_count(algR, ob, ob, 1))[None])
+    out = []
+    for i0, n0 in ob.ranks:
+        # the entries of column j of d_{i0} and of row j of d_{i0-1}, by j < n0
+        empty = np.empty((n0, 0), dtype=np.int64)
+        cols = at[i0][0].swapaxes(0, 1).reshape(n0, -1) if i0 in at else empty
+        rows = at[i0 - 1][0].reshape(n0, -1) if i0 - 1 in at else empty
+        if not (cols.size or rows.size):
+            continue
+        b, r, c, e = np.indices((len(basis), n0, n0, k)).reshape(4, -1)
+        right = np.where((r == c)[:, None, None], inv[b, e], neg[b, e])
+        ops = np.concatenate([np.repeat(right[:, None], cols.shape[1] // km, 1),
+                              np.repeat(left[b, e][:, None], rows.shape[1] // km, 1)], 1)
+        src = np.concatenate([cols[r], rows[c]], 1)
+        dst = np.concatenate([cols[c], rows[r]], 1)
+        out.append((i0, src, dst, ops))
+    return out
+
+
 def iso_orbits(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
                lifts: np.ndarray, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
     """Partition of a stack of strict lifts under d -> u d u^{-1}, u = 1 + nu.
 
     The u form a group filtered by the 1 + m^k, whose layers are spanned by
     the generators 1 + b, b one row of _m_basis(A) at one coefficient
-    position; so an orbit is the closure of a lift under them.  Every lift
-    is conjugated by every generator, _BLOCK conjugates at a time, each
-    image is found among the lifts (CheckFailed if it is none), and the
-    orbits are the components of the graph lift -> image.  The cap bounds
-    the conjugations and is checked before the first.
+    position; so an orbit is the closure of a lift under them.  Such a
+    generator is an elementary transvection 1 + x E_rc, which changes one
+    column and one row of a lift (_transvections), so every lift is
+    conjugated by every generator in that closed form, with no product of
+    whole blocks and no Newton inverse: per degree of the generators,
+    _BLOCK conjugates at a time, the moved column and row of each lift go
+    through the generators' multiplication operators into a copy of the
+    lift stack.  Each image is found among the lifts (CheckFailed if it is
+    none), and the orbits are the components of the graph lift -> image.
+    The cap bounds the conjugations, lifts times generators, and is checked
+    before the generators are built.
     """
     if not len(lifts):
         return []
-    algR, m = A.algebra(alg0), A.ring.m
-    one = identity_map(algR, ob).coef
-    npos = len(one) // m
-    b = np.einsum("xj,qr->xqrj", _m_basis(A), np.eye(npos, dtype=np.int64))
-    gens = reduce_coefficients(algR, one + b.reshape(-1, npos * m))
-    total = len(lifts) * len(gens)
+    algR, basis, n = A.algebra(alg0), _m_basis(A), len(lifts)
+    total = n * len(basis) * algR.k * sum(r * r for _, r in ob.ranks)
     if total > cap:
         raise CapExceeded(f"{total} conjugations exceed the cap {cap}")
-    u = block_view(algR, ob, ob, 0, gens)
-    uinv = _unipotent_inverse_many(algR, ob, u, {i: algR.left_op(c) for i, c in u.items()})
-    d, index = block_view(algR, ob, ob, 1, lifts), _LiftIndex(lifts)
-    image = np.empty((len(gens), len(lifts)), dtype=np.int64)
-    gstep = min(len(gens), _BLOCK) or 1
-    lstep = max(1, _BLOCK // gstep)
-    for g in range(0, len(gens), gstep):
-        for n in range(0, len(lifts), lstep):
-            G, L = slice(g, g + gstep), slice(n, n + lstep)
-            out = image[G, L]   # conjugates (G, L): every generator by every lift
-            conj = {i: algR.matmul(u[i + 1][G, None], algR.matmul(c[None, L], uinv[i][G, None]))
-                    .reshape((out.size,) + c.shape[1:]) for i, c in d.items()}
-            out[...] = index.find(stack_of(algR, ob, ob, 1, conj, out.size)).reshape(out.shape)
-    return _components(np.tile(np.arange(len(lifts)), len(gens)), image.ravel(), len(lifts))
+    index, p = _LiftIndex(lifts), A.p
+    images = [np.empty((0, n), dtype=np.int64)]
+    for _, src, dst, ops in _transvections(algR, ob, basis):
+        S, km = ops.shape[1:3]
+        image = np.empty((len(src), n), dtype=np.int64)
+        gstep = min(len(src), _BLOCK)
+        lstep = max(1, _BLOCK // gstep)
+        for g in range(0, len(src), gstep):
+            for l in range(0, n, lstep):
+                rows, at = lifts[l:l + lstep], dst[g:g + gstep]
+                G, L = len(at), len(rows)
+                moved = np.einsum("gsyz,lgsz->lgsy", ops[g:g + gstep],
+                                  rows[:, src[g:g + gstep]].reshape(L, G, S, km))
+                conj = np.tile(rows, (G, 1))   # row j * L + i: generator g + j on lift l + i
+                where = (np.arange(G)[:, None] * L + np.arange(L)[:, None, None]) * rows.shape[1]
+                np.put(conj, where + at, (rows[:, at] + moved.reshape(L, G, -1)) % p)
+                image[g:g + G, l:l + L] = index.find(conj).reshape(G, L)
+        images.append(image)
+    image = np.concatenate(images)
+    return _components(np.tile(np.arange(n), len(image)), image.ravel(), n)
 
 
 def _intertwiners(A: ArtinLocalRing, ob: GradedObject, d1: GradedMap,

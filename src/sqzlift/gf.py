@@ -44,6 +44,7 @@ __all__ = [
     "affine_combinations",
     "DEFAULT_CAP",
     "count_candidates",
+    "floor_mod",
     "digits",
     "digit_matrix",
 ]
@@ -148,11 +149,22 @@ def count_candidates(radix: int, ndigits: int, cap: int, what: str) -> int:
     return total
 
 
+def floor_mod(q: np.ndarray, m) -> np.ndarray:
+    """q % m for an int64 array q and an int m, as q - (q // m) * m: equal
+    for every sign, since // floors.  numpy divides by a scalar much faster
+    than it takes int64 % of one (about 3x); the product and the difference
+    are made in place, so one temporary is allocated."""
+    r = q // m
+    r *= m
+    return np.subtract(q, r, out=r)
+
+
 def digits(idx: np.ndarray, nvars: int, p: int) -> np.ndarray:
-    """(N, nvars) base-p digits of the indices, least significant first."""
+    """(N, nvars) base-p digits of the indices, least significant first.
+    Each power divides all the indices at once, so every division is by a
+    scalar (the result is the transpose of a C-ordered array)."""
     idx = np.asarray(idx, dtype=np.int64)
-    powers = p ** np.arange(nvars, dtype=np.int64)
-    return (idx[:, None] // powers[None, :]) % p
+    return floor_mod(idx // (p ** np.arange(nvars, dtype=np.int64))[:, None], p).T
 
 
 def digit_matrix(start: int, stop: int, nvars: int, p: int) -> np.ndarray:
@@ -173,7 +185,10 @@ def affine_combinations(base: np.ndarray, gens: np.ndarray, moduli: np.ndarray,
     table = base[None, :]
     for g in np.asarray(gens) % moduli:
         table = (table + np.arange(p)[:, None, None] * g).reshape(p * len(table), len(moduli))
-    return table[start:stop] % moduli
+    table = table[start:stop]
+    if len(moduli) and (moduli == moduli[0]).all():   # one modulus: the scalar floor_mod
+        return floor_mod(table, int(moduli[0]))
+    return table % moduli   # by an array, numpy's % is no slower than its //
 
 
 def _row_keys(rows: np.ndarray, moduli: np.ndarray

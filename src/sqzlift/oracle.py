@@ -140,9 +140,10 @@ def _partition(witness_indices: np.ndarray, kdim: int, p: int,
     if len(free):
         change = G[:, free]
         for lo in range(0, len(w), _PARTITION_ROWS):
-            chunk = w[lo:lo + _PARTITION_ROWS, None]
-            C, D = chunk // p ** np.asarray(pivots) % p, chunk // p ** free % p
-            keys[lo:lo + len(D)] += ((D - C @ change) % p - D) @ p ** place[free]
+            chunk = w[lo:lo + _PARTITION_ROWS]   # each power divides the whole chunk
+            C, D = (gf.floor_mod(chunk // p ** np.asarray(cols)[:, None], p).T
+                    for cols in (pivots, free))
+            keys[lo:lo + len(D)] += (gf.floor_mod(D - C @ change, p) - D) @ p ** place[free]
     size = p ** rank
     order = np.argsort(keys)
     keys = keys[order]

@@ -422,7 +422,7 @@ def test_functor_eval_fails_on_the_conjugation_cap_before_conjugating(monkeypatc
     ob = GradedObject.of({0: 2, 1: 2})
     d0 = GradedMap(alg0, ob, ob, 1, {})
     assert len(strict_lifts(A, alg0, ob, d0, cap=100)) == 81
-    calls = {"strict_lifts": 0, "inverses": 0, "lookups": 0}
+    calls = {"strict_lifts": 0, "generators": 0, "lookups": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -431,17 +431,80 @@ def test_functor_eval_fails_on_the_conjugation_cap_before_conjugating(monkeypatc
         return wrapped
 
     monkeypatch.setattr(defun, "strict_lifts", counting("strict_lifts", strict_lifts))
-    monkeypatch.setattr(defun, "_unipotent_inverse_many",
-                        counting("inverses", defun._unipotent_inverse_many))
+    monkeypatch.setattr(defun, "_transvections",
+                        counting("generators", defun._transvections))
     monkeypatch.setattr(defun._LiftIndex, "find", counting("lookups", defun._LiftIndex.find))
     with pytest.raises(CapExceeded, match="648 conjugations exceed the cap 100"):
         functor_eval(A, alg0, ob, d0, cap=100)
-    assert calls == {"strict_lifts": 1, "inverses": 0, "lookups": 0}
+    assert calls == {"strict_lifts": 1, "generators": 0, "lookups": 0}
     classes = functor_eval(A, alg0, ob, d0, cap=648)["F"].classes
+    assert calls["generators"] == 1 and calls["lookups"] > 0   # the counters see the kernel
     assert len(classes) == 3 ** tangent_dim(alg0, ob, d0)
     # the strict-lift cap is still checked first
     with pytest.raises(CapExceeded, match="81 strict-lift candidates exceed the cap 80"):
         functor_eval(A, alg0, ob, d0, cap=80)
+
+
+# -- the transvections' closed form against GradedMap arithmetic --
+
+def _transvection(algR, ob, basis, i0, g):
+    """Generator g of degree i0 in the order of defun._transvections, as a
+    GradedMap u = 1 + x E_rc, with its (b, r, c, e)."""
+    n0, k = ob.rank(i0), algR.k
+    b, r, c, e = np.unravel_index(g, (len(basis), n0, n0, k))
+    nu = np.zeros((n0, n0, k, algR.ring.m), dtype=np.int64)
+    nu[r, c, e] = basis[b]
+    return identity_map(algR, ob) + GradedMap.from_arrays(algR, ob, ob, 0, {i0: nu}), (b, r, c, e)
+
+
+def test_transvections_conjugate_like_graded_map_products():
+    """On every shape, every generator's column and row update of random
+    degree-1 maps (not only strict lifts) is u d u^-1 by compose and the
+    Newton unipotent_inverse; the degrees left out move nothing; and the
+    closed-form inverse 1 + y E_rc, y read from the right multiplication
+    operator, is a two-sided inverse of u at diagonal and off-diagonal
+    positions.  The shapes include a = 2 and a = 3 (two terms of the series)
+    and k = 1, 2 and 3 (T_2, noncommutative)."""
+    rng = np.random.default_rng(26)
+    seen = set()
+    for ring, alg0, ob, _ in _shapes():
+        A = ArtinLocalRing(ring)
+        algR, basis = A.algebra(alg0), defun._m_basis(A)
+        if not len(basis):
+            assert defun._transvections(algR, ob, basis) == []
+            continue
+        groups = {i0: rest for i0, *rest in defun._transvections(algR, ob, basis)}
+        left, neg, inv = defun._multipliers(algR, basis)
+        one = algR.unit.reshape(-1)
+        ncoef = coefficient_count(algR, ob, ob, 1)
+        maps = [from_coefficients(algR, ob, ob, 1, rng.integers(0, A.p, size=ncoef))
+                for _ in range(2)]
+        for i0, n0 in ob.ranks:
+            for g in range(len(basis) * n0 * n0 * algR.k):
+                u, (b, r, c, e) = _transvection(algR, ob, basis, i0, g)
+                uinv = unipotent_inverse(algR, u)
+                for d in maps:
+                    want = compose(compose(u, d), uinv).coef
+                    got = d.coef.copy()
+                    if i0 in groups:
+                        src, dst, ops = (a[g] for a in groups[i0])
+                        moved = np.einsum("syz,sz->sy", ops, d.coef[src].reshape(len(ops), -1))
+                        got[dst] = (got[dst] + moved.ravel()) % A.p
+                    assert got.tolist() == want.tolist()
+                # 1 + y E_rc from the closed form, y = 1 * y
+                y = ((inv if r == c else neg)[b, e] @ one % A.p).reshape(algR.k, -1)
+                nu = np.zeros((n0, n0) + y.shape, dtype=np.int64)
+                nu[r, c] = y
+                closed = identity_map(algR, ob) + GradedMap.from_arrays(algR, ob, ob, 0, {i0: nu})
+                assert closed == uinv
+                assert compose(u, closed) == compose(closed, u) == identity_map(algR, ob)
+                x = np.zeros_like(y)
+                x[e] = basis[b]
+                assert (left[b, e] @ one % A.p).tolist() == x.ravel().tolist()   # x 1 = x
+                assert (neg[b, e] @ one % A.p).tolist() == (-x.ravel() % A.p).tolist()
+                seen.add((ring.m, algR.k, r == c, i0 in groups))
+    assert {(a, k) for a, k, _, _ in seen} >= {(2, 1), (3, 1), (2, 2), (2, 3)}
+    assert {diagonal for _, _, diagonal, _ in seen} == {True, False}
 
 
 # -- the closure under generators against the whole-group scan --
