@@ -185,10 +185,7 @@ def affine_combinations(base: np.ndarray, gens: np.ndarray, moduli: np.ndarray,
     table = base[None, :]
     for g in np.asarray(gens) % moduli:
         table = (table + np.arange(p)[:, None, None] * g).reshape(p * len(table), len(moduli))
-    table = table[start:stop]
-    if len(moduli) and (moduli == moduli[0]).all():   # one modulus: the scalar floor_mod
-        return floor_mod(table, int(moduli[0]))
-    return table % moduli   # by an array, numpy's % is no slower than its //
+    return table[start:stop] % moduli
 
 
 def _row_keys(rows: np.ndarray, moduli: np.ndarray
