@@ -59,10 +59,6 @@ class GradedObject:
     def support(self) -> list[int]:
         return [d for d, _ in self.ranks]
 
-    def direct_sum(self, other: "GradedObject") -> "GradedObject":
-        degs = set(self.support) | set(other.support)
-        return GradedObject.of({d: self.rank(d) + other.rank(d) for d in degs})
-
 
 class GradedMap:
     """Degree-n map between graded objects, components f_i : src_i -> tgt_{i+n}.

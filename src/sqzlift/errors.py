@@ -77,10 +77,6 @@ class NotAHomotopy(SqzliftError):
     pass
 
 
-class NotInverse(SqzliftError):
-    pass
-
-
 class Obstructed(SqzliftError):
     pass
 

@@ -140,9 +140,6 @@ class FiniteRing:
         v[0] = 1 % int(self.orders[0])
         return v
 
-    def add_vec(self, a, b) -> np.ndarray:
-        return (np.asarray(a) + np.asarray(b)) % self.orders
-
     def mul_vec(self, a, b) -> np.ndarray:
         return np.einsum("i,j,ijk->k", np.asarray(a, dtype=np.int64),
                          np.asarray(b, dtype=np.int64), self.mult) % self.orders

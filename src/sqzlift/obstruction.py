@@ -51,8 +51,6 @@ from .complexes import (
     compose_blocks,
     delta,
     delta_blocks,
-    from_coefficients,
-    identity_map,
     map_lift,
     map_reduce,
     stack_of,
@@ -63,7 +61,6 @@ from .errors import (
     NotAHomotopy,
     NotCochainMap,
     NotADifferential,
-    NotInverse,
     Obstructed,
     ShapeMismatch,
     ValidationError,
@@ -402,78 +399,3 @@ def classify_connecting_isos(prob: DifferentialProblem, d1: GradedMap,
     for c in classes:
         reps.append(K.out_of_kernel((part + c.vec()) % K.p, 0))
     return Classification(0, K.h_dim(0), len(classes), classes, reps)
-
-
-def apply_connecting_iso(prob: DifferentialProblem, d: GradedMap,
-                         kappa: GradedMap) -> GradedMap:
-    """Conjugate d by 1 + kappa (kappa with J coefficients): exact, since
-    (1+kappa)^{-1} = 1 - kappa."""
-    one = identity_map(prob.defalg.bar, prob.ob)
-    u = one + kappa
-    uinv = one - kappa
-    return compose(compose(u, d), uinv)
-
-
-# ---------------------------------------------------------------------------
-# inverses and iterated lifting
-# ---------------------------------------------------------------------------
-
-def invert_lift(defalg: DeformedAlgebra, f_bar: GradedMap,
-                g_mid: GradedMap) -> GradedMap:
-    """Exact two-sided inverse of a lifted isomorphism.
-
-    g_mid must be the inverse of the mid reduction of f_bar.  With g' any
-    coefficientwise lift of g_mid, eps = f_bar g' - 1 has J coefficients and
-    squares to zero, so g = g' (1 - eps) satisfies f_bar g = 1; the analogous
-    defect on the other side then also vanishes.
-    """
-    fm = map_reduce(defalg, f_bar, "bar", "mid")
-    one_mid_D = identity_map(defalg.mid, f_bar.tgt)
-    one_mid_C = identity_map(defalg.mid, f_bar.src)
-    if compose(fm, g_mid) != one_mid_D or compose(g_mid, fm) != one_mid_C:
-        raise NotInverse("g_mid is not a two-sided inverse of the reduction")
-    gp = map_lift(defalg, g_mid)
-    one = identity_map(defalg.bar, f_bar.tgt)
-    eps = compose(f_bar, gp) - one
-    g = gp - compose(gp, eps)
-    one_C = identity_map(defalg.bar, f_bar.src)
-    if compose(f_bar, g) != one or compose(g, f_bar) != one_C:
-        raise NotInverse("exact inverse construction failed; internal inconsistency")
-    return g
-
-
-@dataclass
-class ChainStep:
-    level: int
-    report: LiftReport
-
-
-@dataclass
-class ChainReport:
-    steps: list[ChainStep]
-    obstructed_at: int | None
-    lifted: GradedMap | None
-
-
-def lift_along_chain(defalgs: list[DeformedAlgebra], ob: GradedObject,
-                     d_first: GradedMap) -> ChainReport:
-    """Iteratively lift a differential along a chain of towers.
-
-    defalgs[i].mid must equal defalgs[i-1].bar (same ring and structure
-    constants); d_first lives over defalgs[0].mid.
-    """
-    for i in range(1, len(defalgs)):
-        if defalgs[i].mid != defalgs[i - 1].bar:
-            raise LevelMismatch(f"chain mismatch between steps {i-1} and {i}")
-    steps: list[ChainStep] = []
-    d = d_first
-    for i, da in enumerate(defalgs):
-        # each step's mid level is the last step's top level: hand the vector over
-        d = from_coefficients(da.mid, d.src, d.tgt, d.degree, d.coef)
-        prob = DifferentialProblem(da, ob, d)
-        rep = lift_differential(prob)
-        steps.append(ChainStep(i, rep))
-        if rep.obstructed:
-            return ChainReport(steps, i, None)
-        d = rep.lifted
-    return ChainReport(steps, None, d)

@@ -108,7 +108,8 @@ def build_equiv(defalg, obC, dC_mid, contr_deg):
     mid = defalg.mid
     k = defalg.k
     extra = GradedObject.of({contr_deg: 1, contr_deg + 1: 1})
-    obD = obC.direct_sum(extra)
+    obD = GradedObject.of({d: obC.rank(d) + extra.rank(d)
+                           for d in {*obC.support, *extra.support}})
 
     def unit():
         return mid.unit.copy()

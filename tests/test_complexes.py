@@ -49,13 +49,6 @@ def _rand_precomplex(rng, alg, ob):
     return _rand_map(rng, alg, ob, ob, 1)
 
 
-def test_graded_object_direct_sum():
-    a = GradedObject.of({0: 1, 1: 2})
-    b = GradedObject.of({1: 1, 3: 1})
-    s = a.direct_sum(b)
-    assert s.rank(1) == 3 and s.rank(3) == 1
-
-
 def test_compose_degrees_add(A3):
     rng = np.random.default_rng(0)
     ob = GradedObject.of({0: 2, 1: 1, 2: 2})

@@ -575,7 +575,7 @@ def test_lift_index_finds_rows_like_a_dict_on_every_shape():
 
 @pytest.mark.parametrize("ncols", [0, 1, 63, 64, 130])
 def test_lift_index_on_rows_wider_than_one_int64_key(ncols):
-    """Rows of bits: from 64 columns the labels take more than one fold."""
+    """Rows of bits, from no column at all to wider than one int64 key."""
     rng = np.random.default_rng(ncols)
     rows = np.unique(rng.integers(0, 2, size=(300, ncols)), axis=0)
     _assert_index_finds_like_a_dict(rows, rng)

@@ -143,7 +143,7 @@ def _reference_is_local(ring):
         if span[ring.code(v)]:
             continue
         shells = [v]
-        while not span[ring.code(acc := ring.add_vec(shells[-1], v))]:
+        while not span[ring.code(acc := (shells[-1] + v) % ring.orders)]:
             shells.append(acc)
         new = (members[None, :, :] + np.stack(shells)[:, None, :]) % ring.orders
         members = np.concatenate([members, new.reshape(-1, ring.m)])

@@ -390,21 +390,18 @@ def test_scan_join_matches_the_python_kernel(p, k, moduli, rank):
 
 
 @pytest.mark.parametrize("moduli", [[3] * 60, [5, 125] * 20, [2, 4, 8, 2] * 5, [7]])
-def test_row_keys_are_exact_and_keys_like_repeats_them(moduli):
-    """Equal keys exactly for equal rows, over one fold or several, and the
-    same keys for the same rows in another order through the folds; the
-    scan's labels are those keys re-labelled."""
+def test_row_labels_are_exact(moduli):
+    """Equal labels exactly for equal rows, over one fold or several (3^60
+    and 625^20 exceed 2^63), and as many labels as distinct rows."""
     rng = np.random.default_rng(len(moduli))
     moduli = np.asarray(moduli, dtype=np.int64)
     rows = rng.integers(0, moduli, size=(150, len(moduli)))
-    rows = np.concatenate([rows, rows[::3]])
-    keys, folds = gf._row_keys(rows, moduli)
+    first, last = rows[::5].copy(), rows[::7].copy()
+    first[:, 0] = (first[:, 0] + 1) % moduli[0]      # differ in the first column only
+    last[:, -1] = (last[:, -1] + 1) % moduli[-1]     # or in the last
+    rows = np.concatenate([rows, rows[::3], first, last])
     _, inv = np.unique(rows, axis=0, return_inverse=True)
     inv = inv.reshape(-1)
-    assert np.array_equal(keys[:, None] == keys, inv[:, None] == inv)
-    assert (len(folds) > 1) == (len(moduli) > 30)   # 3^60 and 625^20 exceed 2^63
-    perm = rng.permutation(len(rows))
-    assert np.array_equal(gf._keys_like(rows[perm], folds), keys[perm])
     labels, count = gf._row_labels(rows, moduli)
     assert count == inv.max() + 1
     assert np.array_equal(labels[:, None] == labels, inv[:, None] == inv)

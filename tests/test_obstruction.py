@@ -1,4 +1,4 @@
-"""Obstruction classes, torsor classifications, and exact inverses."""
+"""Obstruction classes and torsor classifications."""
 
 import numpy as np
 import pytest
@@ -22,12 +22,9 @@ from sqzlift.obstruction import (
     DifferentialProblem,
     HomotopyProblem,
     MapProblem,
-    apply_connecting_iso,
     classify_connecting_isos,
     classify_lifts,
     classify_map_lifts,
-    invert_lift,
-    lift_along_chain,
     lift_differential,
     lift_homotopy,
     lift_map,
@@ -94,9 +91,36 @@ def test_connecting_isos_are_a_torsor_over_h0(z4_prob):
     d1 = cl.reps[0]
     isos = classify_connecting_isos(z4_prob, d1, d1)
     assert isos.count == 2 ** z4_prob.kernel.h_dim(0) == 8
-    # each iso actually carries d1 to d1
+    # each iso actually carries d1 to d1; (1 + kappa)^-1 = 1 - kappa as J^2 = 0
+    one = identity_map(z4_prob.defalg.bar, OB3)
     for kappa in isos.reps:
-        assert apply_connecting_iso(z4_prob, d1, kappa) == d1
+        assert compose(compose(one + kappa, d1), one - kappa) == d1
+
+
+@pytest.mark.parametrize("tower", ["z4", "t3"])
+def test_connecting_isos_between_two_distinct_lifts(tower, request):
+    """d2 = d1 - delta(kappa) is another lift of d_mid: the isos carrying d1
+    to d2 are a torsor over H^0, and each one conjugates d1 to d2."""
+    defalg = request.getfixturevalue(tower)
+    p, mid = defalg.mid.ring.p, defalg.mid
+    unit = np.zeros((1, 1, 1, mid.ring.m), dtype=np.int64)
+    unit[..., :2] = 1   # d_0 is 1 over Z/2 and 1 + t over F_3[t]/t^2
+    d_mid = GradedMap(mid, OB3, OB3, 1, {0: AlgMatrix(mid, unit)})
+    prob = DifferentialProblem(defalg, OB3, d_mid)
+    K, d1 = prob.kernel, lift_differential(prob).lifted
+    one = identity_map(defalg.bar, OB3)
+    moved = 0
+    for vec in np.eye(K.dim(0), dtype=np.int64):
+        move = delta(K.out_of_kernel(vec, 0), d1, d1)
+        if move.is_zero():
+            continue
+        d2 = d1 - move
+        isos = classify_connecting_isos(prob, d1, d2)
+        assert isos.count == p ** K.h_dim(0) > 1
+        for rep in isos.reps:
+            assert compose(compose(one + rep, d1), one - rep) == d2
+        moved += 1
+    assert moved
 
 
 def test_distinct_classes_are_not_connected(z4_prob):
@@ -225,28 +249,3 @@ def test_homotopy_lifting_with_known_primitive(z4_prob):
     assert cls.is_zero
     rep = lift_homotopy(prob)
     assert delta(rep.lifted, C.d, C.d) == g - f
-
-
-def test_invert_lift_two_sided(z4_prob):
-    defalg = z4_prob.defalg
-    one_mid = identity_map(defalg.mid, OB3)
-    # a bar-level automorphism lifting the identity: 1 + kappa
-    K = z4_prob.kernel
-    kappa = K.out_of_kernel(np.array([1, 0, 0], dtype=np.int64), 0)
-    u = identity_map(defalg.bar, OB3) + kappa
-    g = invert_lift(defalg, u, one_mid)
-    one = identity_map(defalg.bar, OB3)
-    assert compose(u, g) == one and compose(g, u) == one
-
-
-# -- chains -----------------------------------------------------------------
-
-def test_lift_along_truncated_polynomial_chain():
-    das = [mk_algebra(mk_tower("trunc_poly", 3, a=2, b=1), "trivial"),
-           mk_algebra(mk_tower("trunc_poly", 3, a=3, b=2), "trivial")]
-    ob = GradedObject.of({0: 1, 1: 1})
-    d0 = zero_map(das[0].mid, ob, ob, 1)
-    rep = lift_along_chain(das, ob, d0)
-    assert rep.obstructed_at is None
-    assert rep.lifted.alg == das[1].bar
-    assert compose(rep.lifted, rep.lifted).is_zero()
