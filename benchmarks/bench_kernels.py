@@ -41,8 +41,8 @@ cost of the assembly on tiny complexes shows.  The
 for `gen --kind differential --seed 74` (59 049 witnesses, 59 049 singleton
 orbits), taken as the command hands it to the writer, up to the report's
 bytes.  The `emit (shape)`
-rows write one seeded integer array by `cli._int_array` (its byte buffer)
-and through its list;
+rows write one seeded integer array by `cli._int_array` (into a buffer of
+the size it gives) and through its list;
 the 4-d shapes are map components (r x r entries of 3 coefficients), the 1-d
 ones witness lists, and the crossovers of both set `cli._list_work` and
 `cli._INT_ARRAY_MIN_WORK` (1-d arrays cross at about 250 elements, map
@@ -321,13 +321,21 @@ def _emit_array_job(shape, path, runs=None):
             cli._write_json(a.tolist(), "\n  ", out)
             return "".join(out).encode()
         if bound is None:
-            return cli._int_array(a, "\n  ")
+            return _written(cli._int_array(a, "\n  "))
         default, cli._RUN_MIN_LENGTH = cli._RUN_MIN_LENGTH, bound
         try:
-            return cli._int_array(a, "\n  ")
+            return _written(cli._int_array(a, "\n  "))
         finally:
             cli._RUN_MIN_LENGTH = default
     return job
+
+
+def _written(array_fill) -> np.ndarray:
+    """The uint8 buffer that an array's size and fill from `cli._int_array` write."""
+    size, fill = array_fill
+    buf = np.empty(size, dtype=np.uint8)
+    fill(buf)
+    return buf
 
 
 def _delta_z4_job():
@@ -540,9 +548,9 @@ def main(prefixes: list[str]) -> int:
             t0 = perf_counter()
             out = job()
             best = min(best, perf_counter() - t0)
-        if isinstance(out, np.ndarray):   # the byte buffer of _int_array
+        if isinstance(out, np.ndarray):   # the buffer that _int_array's fill wrote
             out = out.tobytes()
-        if not isinstance(out, bytes):
+        if not isinstance(out, (bytes, bytearray)):
             out = repr(out).encode()
         digest = hashlib.sha256(out).hexdigest()[:16]
         print(f"{label:<36} {best:>10.6f} {digest:>18}")

@@ -3,13 +3,16 @@
 Builds the documents of one liftbench workload through liftbench's
 `workloads` (into a temporary directory; the repository is only read), runs
 every op of the workload through `sqzlift.cli.main` once to warm up, then
-`--passes` times, and prints the milliseconds per pass that each phase took:
-argparse, the document read, the tower, the algebra, the rest of the problem
-parse, each compute entry point the commands call, `canonical_json` and the
-file write, with "other" for the rest of `cli.main`.  A phase's time is its
-self time: a phase that runs inside another (the tower inside the parse,
-`iso_orbits` inside `functor_eval`) is counted only under its own name.
-The timers are plain `perf_counter` pairs around the functions, with no
+`--passes` times, and prints the milliseconds and minor page faults per pass
+that each phase took: argparse, the document read, the tower, the algebra,
+the rest of the problem parse, each compute entry point the commands call,
+`canonical_json` and the file write, with "other" for the rest of
+`cli.main`.  As liftbench's runner does, the report is removed before each
+op, so the file write creates the file (rewriting one truncates it, which
+costs more).  A phase's time and faults are its own: a phase that runs
+inside another (the tower inside the parse, `iso_orbits` inside
+`functor_eval`) is counted only under its own name.  The timers are plain
+`perf_counter` and `getrusage` pairs around the functions, with no
 profiler, so the split adds a few microseconds per call.
 
 Usage:  python3 benchmarks/phase_split.py --workload functor [--seed 1] [--passes 20]
@@ -21,6 +24,7 @@ import argparse
 import contextlib
 import io
 import os
+import resource
 import sys
 import tempfile
 from time import perf_counter
@@ -44,26 +48,34 @@ DEFUN = ["functor_eval", "tangent_dim", "schlessinger_check", "extend_order",
 COMPUTE_MODULES = ("sqzlift.obstruction", "sqzlift.crude", "sqzlift.oracle")
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class Timers:
-    """Self time and calls per phase; nested phases are subtracted."""
+    """Self time, minor page faults and calls per phase; nested phases are
+    subtracted."""
 
     def __init__(self):
         self.time: dict[str, float] = {}
+        self.faults: dict[str, int] = {}
         self.calls: dict[str, int] = {}
-        self.stack: list[float] = []   # time of the children of each open phase
+        self.stack: list[list] = []   # [time, faults] of the children of each open phase
 
     def wrap(self, phase: str, fn):
         def timed(*args, **kwargs):
-            self.stack.append(0.0)
-            t0 = perf_counter()
+            self.stack.append([0.0, 0])
+            f0, t0 = _minflt(), perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                spent = perf_counter() - t0
+                spent, faults = perf_counter() - t0, _minflt() - f0
                 children = self.stack.pop()
                 if self.stack:
-                    self.stack[-1] += spent
-                self.time[phase] = self.time.get(phase, 0.0) + spent - children
+                    self.stack[-1][0] += spent
+                    self.stack[-1][1] += faults
+                self.time[phase] = self.time.get(phase, 0.0) + spent - children[0]
+                self.faults[phase] = self.faults.get(phase, 0) + faults - children[1]
                 self.calls[phase] = self.calls.get(phase, 0) + 1
         return timed
 
@@ -83,6 +95,8 @@ def instrument(sq, timers: Timers) -> None:
 
 def run_pass(cli, instances, out: str) -> None:
     for inst in instances:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(out)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli.main(inst.argv(out))
 
@@ -102,20 +116,24 @@ def main(argv=None) -> int:
         instrument(sq, timers)
         run_pass(sq.cli, instances, out)   # warm-up, not counted
         timers.time.clear()
+        timers.faults.clear()
         timers.calls.clear()
-        total = 0.0
+        total, faults = 0.0, 0
         for _ in range(args.passes):
-            t0 = perf_counter()
+            f0, t0 = _minflt(), perf_counter()
             run_pass(sq.cli, instances, out)
             total += perf_counter() - t0
+            faults += _minflt() - f0
     per_pass = {phase: t / args.passes for phase, t in timers.time.items()}
     per_pass["other"] = total / args.passes - sum(per_pass.values())
+    timers.faults["other"] = faults - sum(timers.faults.values())
     print(f"{args.workload} seed {args.seed}: {len(instances)} ops, {args.passes} passes, "
-          f"{1e3 * total / args.passes:.2f} ms per pass")
-    print(f"{'phase':<36} {'ms/pass':>9} {'share':>7} {'calls/pass':>11}")
+          f"{1e3 * total / args.passes:.2f} ms and {faults / args.passes:g} minor faults per pass")
+    print(f"{'phase':<36} {'ms/pass':>9} {'share':>7} {'faults/pass':>12} {'calls/pass':>11}")
     for phase, t in sorted(per_pass.items(), key=lambda kv: -kv[1]):
         calls = timers.calls.get(phase, 0) / args.passes
-        print(f"{phase:<36} {1e3 * t:>9.3f} {t / (total / args.passes):>7.1%} {calls:>11g}")
+        print(f"{phase:<36} {1e3 * t:>9.3f} {t / (total / args.passes):>7.1%} "
+              f"{timers.faults[phase] / args.passes:>12g} {calls:>11g}")
     return 0
 
 

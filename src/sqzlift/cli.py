@@ -7,10 +7,11 @@ byte-identically and repeated runs produce identical reports.
 `canonical_json` returns the ASCII bytes of `json.dumps(obj, sort_keys=True,
 indent=2)`, written by itself: a list of ints is joined with `str` in one
 call, and an integer ndarray past a size crossover (reports hold map
-components, witness lists and orbits as arrays) is written into a byte
-buffer in a few numpy passes: run by run if it is ascending along one axis,
-in padded rows otherwise.  The buffers go into the report as they are, and
-the report goes to --out in binary mode (to stdout as text).  Reports
+components, witness lists and orbits as arrays) is written in a few numpy
+passes: run by run if it is ascending along one axis, in padded rows
+otherwise.  A report with such an array is one bytearray of its exact size,
+which each array fills its own slice of; the report goes to --out in binary
+mode (to stdout as text).  Reports
 carry "verdict" in {lifts, obstructed, classified, verified, failed};
 obstructed is exit status 2 (a mathematical outcome), errors (usage errors
 too) are exit status 1.  Each command takes only the flags it reads (`COMMANDS`).
@@ -70,7 +71,11 @@ SCHEMAS = ("tower", "algebra", "complex", "map", "problem")
 # canonical JSON
 # ---------------------------------------------------------------------------
 
-def canonical_json(obj) -> bytes:
+# an array's exact byte count and the step that writes its text into a uint8 slice of that size
+_Fill = tuple[int, Callable[[np.ndarray], None]]
+
+
+def canonical_json(obj) -> bytes | bytearray:
     """`json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)` and a
     newline, as ASCII bytes, without the pure-Python encoder that `indent`
     selects.  An integer ndarray is written as its `tolist()` would be: by
@@ -84,26 +89,47 @@ def canonical_json(obj) -> bytes:
     1 that is ascending, and whose runs of one text width average
     _RUN_MIN_LENGTH elements, is written run by run (`_int_runs`: the
     oracle's witness lists and singleton or single orbits); any other array
-    in padded rows (`_int_rows`: map components among them).  Both hand
-    over their byte buffers, so an array's text is copied once, into the
-    report; the text around them is joined and encoded once per stretch (once
-    in all for a report with no such array).
+    in padded rows (`_int_rows`: map components among them).  Both give the
+    array's exact byte count and a step that writes its text into a slice of
+    that size.  A report with such an array is written into one bytearray of
+    its exact size, which is returned: each stretch of text around the arrays
+    is encoded once and copied in, `_int_runs` writes its runs into its slice
+    and `_int_rows` copies its compacted bytes into its slice once.  A report
+    with no such array is joined and encoded once, as bytes.
     The `emit` rows of benchmarks/bench_kernels.py measure both crossovers."""
-    out: list[str | np.ndarray] = []
+    out: list[str | _Fill] = []
     _write_json(obj, "\n", out)
     out.append("\n")
-    return b"".join(itertools.chain.from_iterable(
-        ["".join(run).encode()] if kind is str else run
-        for kind, run in itertools.groupby(out, type)))
+    pieces: list[bytes | _Fill] = []
+    for kind, run in itertools.groupby(out, type):
+        if kind is str:
+            pieces.append("".join(run).encode())
+        else:
+            pieces += run
+    if len(pieces) == 1:
+        return pieces[0]
+    sizes = [len(p) if type(p) is bytes else p[0] for p in pieces]
+    buf = bytearray(sum(sizes))
+    # text goes in through a memoryview (its slice assignment copies faster
+    # than the bytearray's), arrays through a uint8 view
+    mem, view = memoryview(buf), np.frombuffer(buf, dtype=np.uint8)
+    off = 0
+    for p, n in zip(pieces, sizes):
+        if type(p) is bytes:
+            mem[off:off + n] = p
+        else:
+            p[1](view[off:off + n])
+        off += n
+    return buf
 
 
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _write_json(o, nl: str, out: list[str | np.ndarray]) -> None:
+def _write_json(o, nl: str, out: list[str | _Fill]) -> None:
     """Append the indented JSON of o to out, as str pieces and, for integer
-    arrays past the crossover, ASCII byte buffers; nl is a newline followed
-    by the indentation of the line that o starts on."""
+    arrays past the crossover, their byte counts and fills; nl is a newline
+    followed by the indentation of the line that o starts on."""
     if isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -162,9 +188,10 @@ _PAIR_TEXT = np.frombuffer("".join([f"{v:02d}" for v in range(100)]
                            + bytes(200), dtype=np.uint16)
 
 
-def _int_array(a: np.ndarray, nl: str) -> np.ndarray:
+def _int_array(a: np.ndarray, nl: str) -> _Fill:
     """The indented JSON of a nonempty integer array, as `tolist()` would be
-    written, as a uint8 buffer of its ASCII bytes, in one of two layouts.  An
+    written, as the byte count of its ASCII text and the step that writes it
+    into a uint8 slice of that size, in one of two layouts.  An
     element's text is the text before it (the closing and opening of lists,
     a comma and the indentation), its sign and its digits.  When at most one
     axis is longer than 1 and the array is ascending, that text changes width
@@ -219,54 +246,57 @@ def _width_runs(flat: np.ndarray) -> list[int]:
 
 
 def _int_runs(flat: np.ndarray, starts: list[int], first: str, text: str,
-             end: str) -> np.ndarray:
+             end: str) -> _Fill:
     """The JSON bytes of an ascending 1-d array whose runs between `starts`
     have one text width each: the first element after `first`, every other
-    after `text`, then `end`.  Each run is a dense (n, w) block of one output
-    buffer of the exact size: the text before the element (and a sign) is
-    copied into every row by doubling, and the digits are written through
-    strided columns, four at a time from a table of 10 000 words, then a pair
-    and a last digit.  A run's digit count is exact, so no byte is padding."""
+    after `text`, then `end`; as their exact count and the step that writes
+    them into a slice of that size.  Each run is a dense (n, w) block of the
+    slice: the text before the element (and a sign) is copied into every row
+    by doubling, and the digits are written through strided columns, four at
+    a time from a table of 10 000 words, then a pair and a last digit.  A
+    run's digit count is exact, so no byte is padding."""
     runs, size = [], 0
     for s, e in zip(starts, starts[1:]):
         x = int(flat[s])
         head, k = ((first if s == 0 else text) + "-" * (x < 0)).encode(), len(str(abs(x)))
         runs.append((s, e, head, k, x < 0))
         size += (e - s) * (len(head) + k)
-    buf = np.empty(size + len(end), dtype=np.uint8)
-    buf[size:] = np.frombuffer(end.encode(), dtype=np.uint8)
-    udt = np.uint32 if max(int(flat[-1]), -int(flat[0])) < 1 << 32 else np.uint64
-    off = 0
-    for s, e, head, k, neg in runs:
-        n, w = e - s, len(head) + k
-        buf[off:off + len(head)] = np.frombuffer(head, dtype=np.uint8)
-        done = w
-        while done < n * w:   # the head of every row, by doubling the rows written
-            step = min(done, n * w - done)
-            buf[off + done:off + done + step] = buf[off:off + step]
-            done += step
-        q = flat[s:e].astype(udt)
-        if neg:
-            np.negative(q, out=q)   # the cast wrapped negatives, so -q is |x|
-        col = off + w   # the end of the digits not yet written
-        for width, dt, table in ((4, np.uint32, _quad_text()), (2, np.uint16, _PAIR_TEXT)):
-            while k >= width:
-                rest = q // 10 ** width
-                np.take(table, q - rest * 10 ** width, mode="clip",
-                        out=np.ndarray((n,), dt, buf, col - width, (w,)))
-                q, col, k = rest, col - width, k - width
-        if k:
-            np.add(q, ord("0"), out=np.ndarray((n,), np.uint8, buf, col - 1, (w,)),
-                   casting="unsafe")
-        off += n * w
-    return buf
+
+    def fill(buf: np.ndarray) -> None:
+        buf[size:] = np.frombuffer(end.encode(), dtype=np.uint8)
+        udt = np.uint32 if max(int(flat[-1]), -int(flat[0])) < 1 << 32 else np.uint64
+        off = 0
+        for s, e, head, k, neg in runs:
+            n, w = e - s, len(head) + k
+            buf[off:off + len(head)] = np.frombuffer(head, dtype=np.uint8)
+            done = w
+            while done < n * w:   # the head of every row, by doubling the rows written
+                step = min(done, n * w - done)
+                buf[off + done:off + done + step] = buf[off:off + step]
+                done += step
+            q = flat[s:e].astype(udt)
+            if neg:
+                np.negative(q, out=q)   # the cast wrapped negatives, so -q is |x|
+            col = off + w   # the end of the digits not yet written
+            for width, dt, table in ((4, np.uint32, _quad_text()), (2, np.uint16, _PAIR_TEXT)):
+                while k >= width:
+                    rest = q // 10 ** width
+                    np.take(table, q - rest * 10 ** width, mode="clip",
+                            out=np.ndarray((n,), dt, buf, col - width, (w,)))
+                    q, col, k = rest, col - width, k - width
+            if k:
+                np.add(q, ord("0"), out=np.ndarray((n,), np.uint8, buf, col - 1, (w,)),
+                       casting="unsafe")
+            off += n * w
+    return size + len(end), fill
 
 
-def _int_rows(a: np.ndarray, before: dict[int, str], end: str) -> np.ndarray:
+def _int_rows(a: np.ndarray, before: dict[int, str], end: str) -> _Fill:
     """The JSON bytes of an integer array, then `end`, built in one buffer of
     byte rows, one per element, with `end` after them: the text before the
     element (`before[j]`), a sign byte if some element is negative and its
-    digits, padded with 0 bytes, which are dropped at the end.  The text
+    digits, padded with 0 bytes, which are dropped at the end; as their count
+    and the step that copies them into a slice of that size.  The text
     before an element closes and reopens j lists, j the number of its
     trailing indices that are 0 (the first element, j = ndim, only opens
     them), and is written through one strided view of the rows for each j.
@@ -296,7 +326,8 @@ def _int_rows(a: np.ndarray, before: dict[int, str], end: str) -> np.ndarray:
         buf.view(np.uint16)[:, start // 2 + i] = _PAIR_TEXT[(q - rest * 100 + place * 100)
                                                             .astype(np.intp)]
         q = rest
-    return out[out != 0]
+    text = out[out != 0]
+    return text.size, functools.partial(np.copyto, src=text)
 
 
 def _ilist(a) -> list:
@@ -582,7 +613,7 @@ def _classification_payload(cl: Classification) -> dict:
             "witnesses": [gmap_to_payload(r, "bar") for r in cl.reps]}
 
 
-def _deliver(args, text: bytes) -> bool:
+def _deliver(args, text: bytes | bytearray) -> bool:
     """Write the report's bytes to --out, or its text to stdout without
     --out.  If --out cannot be written, a failed report that names it goes
     to stdout and this is False."""

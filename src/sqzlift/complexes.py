@@ -304,17 +304,6 @@ def delta_blocks(alg: LevelAlgebra, f: Blocks, n: int, dC: Blocks, dD: Blocks) -
                       1 if n % 2 else -1)
 
 
-def from_coefficients(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
-                      n: int, vec: np.ndarray) -> GradedMap:
-    """The degree-n map src -> tgt over alg with coefficient vector vec,
-    reduced; ShapeMismatch unless vec has one coefficient per position."""
-    vec = np.asarray(vec, dtype=np.int64)
-    ncoef = coefficient_count(alg, src, tgt, n)
-    if vec.shape != (ncoef,):
-        raise ShapeMismatch(f"expected {ncoef} coefficients, got shape {vec.shape}")
-    return GradedMap.wrap(alg, src, tgt, n, reduce_coefficients(alg, vec))
-
-
 def coefficient_orders(alg: LevelAlgebra, src: GradedObject, tgt: GradedObject,
                        n: int) -> np.ndarray:
     """The additive order of each coefficient of a degree-n map src -> tgt."""

@@ -8,13 +8,14 @@ from sqzlift.complexes import (
     Complex,
     GradedMap,
     GradedObject,
+    coefficient_count,
     coefficient_orders,
     compose,
     delta,
-    from_coefficients,
     map_lift,
+    reduce_coefficients,
 )
-from sqzlift.errors import CapExceeded
+from sqzlift.errors import CapExceeded, ShapeMismatch
 from sqzlift.finring import mk_tower
 
 
@@ -27,6 +28,16 @@ def scalar_mid(defalg, rows):
     """Rank-1 algebra convenience: matrix from a list of lists of ring vectors."""
     arr = np.asarray(rows, dtype=np.int64)
     return AlgMatrix(defalg.mid, arr[:, :, None, :])
+
+
+def from_coefficients(alg, src, tgt, n, vec):
+    """The degree-n map src -> tgt over alg with coefficient vector vec,
+    reduced; ShapeMismatch unless vec has one coefficient per position."""
+    vec = np.asarray(vec, dtype=np.int64)
+    ncoef = coefficient_count(alg, src, tgt, n)
+    if vec.shape != (ncoef,):
+        raise ShapeMismatch(f"expected {ncoef} coefficients, got shape {vec.shape}")
+    return GradedMap.wrap(alg, src, tgt, n, reduce_coefficients(alg, vec))
 
 
 def enumerate_graded_maps(alg, obC, obD, n, cap):

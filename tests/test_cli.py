@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,14 +35,14 @@ from sqzlift.cli import (
     unwrap,
     wrap,
 )
-from sqzlift.complexes import GradedMap, GradedObject, from_coefficients, zero_map
+from sqzlift.complexes import GradedMap, GradedObject, zero_map
 from sqzlift.errors import NotADifferential
 from sqzlift.finring import mk_tower
 from sqzlift.obstruction import DifferentialProblem
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import build_equiv
+from conftest import build_equiv, from_coefficients
 
 OB3 = GradedObject.of({0: 1, 1: 1, 2: 1})
 Z4_DESC = ("zmod", 2, (("a", 2), ("b", 1)))
@@ -639,6 +640,26 @@ def test_writer_writes_int_arrays_with_a_zero_axis_as_their_lists(shape, monkeyp
     assert canonical_json(arr) == _reference_json(arr.tolist()).encode()
     assert canonical_json({"a": [arr, 1]}) == _reference_json({"a": [arr.tolist(), 1]}).encode()
     assert calls == []
+
+
+def test_writer_peaks_at_one_and_a_half_reports():
+    """An oracle-sized report (59 049 witnesses and as many singleton orbits)
+    is written into one buffer of its size, with no array buffer or join
+    beside it: canonical_json's traced peak (numpy reports its buffers to
+    tracemalloc) stays within 1.5 times the report's length."""
+    witnesses = np.arange(0, 3 * 59049, 3)
+    obj = {"command": "oracle", "verdict": "verified",
+           "witness_indices": witnesses, "orbits": witnesses.reshape(-1, 1)}
+    tracemalloc.start()
+    try:
+        text = canonical_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref = {**obj, "witness_indices": witnesses.tolist(),
+           "orbits": witnesses.reshape(-1, 1).tolist()}
+    assert text == _reference_json(ref).encode()
+    assert peak <= 1.5 * len(text)
 
 
 def _witness_with_small_and_large_components():

@@ -14,7 +14,6 @@ from sqzlift.complexes import (
     delta,
     delta_generators,
     delta_solutions,
-    from_coefficients,
     identity_map,
     map_lift,
     map_reduce,
@@ -24,7 +23,7 @@ from sqzlift.errors import CapExceeded, NotADifferential
 from sqzlift.algebra import AlgMatrix, LevelAlgebra, mk_algebra
 from sqzlift.finring import mk_tower, trunc_poly_ring, zmod_ring
 
-from conftest import delta_generators_reference, enumerate_graded_maps
+from conftest import delta_generators_reference, enumerate_graded_maps, from_coefficients
 from test_defun import _base_algebra
 
 

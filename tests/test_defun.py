@@ -8,7 +8,7 @@ import pytest
 from sqzlift import defun
 from sqzlift.algebra import AlgMatrix, LevelAlgebra, mk_algebra
 from sqzlift.complexes import (GradedMap, GradedObject, block_view, coefficient_count,
-                               compose, delta, from_coefficients, identity_map, map_push,
+                               compose, delta, identity_map, map_push,
                                stack_of)
 from sqzlift.defun import (
     ArtinLocalRing,
@@ -31,7 +31,7 @@ from sqzlift.finring import (FiniteRing, mk_tower, ring_fiber_product, trunc_pol
 from sqzlift.obstruction import DifferentialProblem
 from sqzlift.oracle import gen_instance
 
-from conftest import enumerate_graded_maps
+from conftest import enumerate_graded_maps, from_coefficients
 from test_acceptance import _base_diffs
 
 OB2 = GradedObject.of({0: 1, 1: 1})

@@ -12,7 +12,6 @@ from sqzlift.complexes import (
     block_view,
     coefficient_count,
     compose,
-    from_coefficients,
     identity_map,
     map_lift,
     map_reduce,
@@ -22,6 +21,7 @@ from sqzlift.defun import ArtinLocalRing, functor_eval, strict_lifts, trivial_ba
 from sqzlift.errors import LevelMismatch, ShapeMismatch
 from sqzlift.finring import trunc_poly_ring
 
+from conftest import from_coefficients
 from test_stacked_residuals import _defalg, _rand_map
 
 OB = GradedObject.of({-1: 1, 0: 2, 1: 1, 3: 2})

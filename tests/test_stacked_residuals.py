@@ -12,7 +12,6 @@ from sqzlift.complexes import (
     coefficient_orders,
     compose,
     delta,
-    from_coefficients,
     map_reduce,
     zero_map,
 )
@@ -20,6 +19,8 @@ from sqzlift.errors import NotInKernel, ShapeMismatch
 from sqzlift.finring import mk_tower
 from sqzlift.obstruction import DifferentialProblem, HomotopyProblem, MapProblem, obstruct
 from sqzlift.oracle import _square_zero_scalars
+
+from conftest import from_coefficients
 
 TOWERS = {"zmod(2;2,1)": ("zmod", 2, {"a": 2, "b": 1}),
           "trunc_poly(3;3,2)": ("trunc_poly", 3, {"a": 3, "b": 2}),
