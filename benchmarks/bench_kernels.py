@@ -67,7 +67,11 @@ square_zero(3; r=2), through `cli.tower_from_payload`, with the trivial and
 dual-numbers algebras through `cli.algebra_from_payload`: the fixed cost of
 loading a document.  Its digest covers every ring's orders and table, every
 map's images, the J basis, sigma, the J-coordinate table and the structure
-constants and unit of each level.  The `fiber` case is
+constants and unit of each level.  A process keeps the built-in towers and
+algebras it builds (`finring.mk_tower`), so these two cases empty that store
+(`finring.clear_shared`) at the start of each run and time construction;
+`builtins (shared)` times the same loads with the store full, which is what
+every command after the first in a process pays.  The `fiber` case is
 `finring.ring_fiber_product` on F_3[t]/t^3 x_{F_3[t]/t^2} F_3[t]/t^3, and its
 digest covers the basis orders, the multiplication table and both
 projections.  The `nilpotent` case is
@@ -155,6 +159,7 @@ def _workloads():
             loads.append(("emit_array", None, ((4 * m,), path, m)))
     loads.append(("tower", None, None))
     loads.append(("builtins", None, None))
+    loads.append(("builtins", None, "shared"))
     loads.append(("fiber", 3, None))
     loads.append(("nilpotent", 2, 14))
     loads.append(("oracle_setup", 3, ("differential", 51)))
@@ -373,6 +378,7 @@ def _emit_job():
 
 def _tower_job():
     def job():
+        finring.clear_shared()
         out = []
         for kind, p, params in oracle._TOWER_MENU:
             t = mk_tower(kind, p, **params)
@@ -386,12 +392,14 @@ def _tower_job():
     return job
 
 
-def _builtins_job():
+def _builtins_job(shared: bool):
     towers = [{"kind": "trunc_poly", "p": 3, "params": {"a": 3, "b": 2}},
               {"kind": "zmod", "p": 2, "params": {"a": 2, "b": 1}},
               {"kind": "square_zero", "p": 3, "params": {"r": 2}}]
 
     def job():
+        if not shared:
+            finring.clear_shared()
         out = []
         for pay in towers:
             t = cli.tower_from_payload(pay)
@@ -518,7 +526,8 @@ def main(prefixes: list[str]) -> int:
         elif name == "tower":
             job = _tower_job()
         elif name == "builtins":
-            job = _builtins_job()
+            job = _builtins_job(payload == "shared")
+            name = "builtins" if payload is None else "builtins (shared)"
         elif name == "fiber":
             job = _fiber_job()
         elif name == "nilpotent":

@@ -7,11 +7,16 @@ every op of the workload through `sqzlift.cli.main` once to warm up, then
 that each phase took: argparse, the document read, the tower, the algebra,
 the rest of the problem parse, each compute entry point the commands call,
 `canonical_json` and the file write, with "other" for the rest of
-`cli.main`.  As liftbench's runner does, the report is removed before each
-op, so the file write creates the file (rewriting one truncates it, which
-costs more).  A phase's time and faults are its own: a phase that runs
-inside another (the tower inside the parse, `iso_orbits` inside
-`functor_eval`) is counted only under its own name.  The timers are plain
+`cli.main`.  The warm-up pass also fills what the process keeps between
+commands (the shared built-in towers, their algebras and the orbit data of
+their rings, see `finring.mk_tower`), so the passes measured find them
+built: the `tower` and `algebra` phases are lookups, and `iso_orbits` does
+not rebuild its m-adapted basis or multipliers.  As liftbench's runner
+does, the report is removed before each op, so the file write creates the
+file (rewriting one truncates it, which costs more).  A phase's time and
+faults are its own: a phase that runs inside another (the tower inside the
+parse, `iso_orbits` inside `functor_eval`) is counted only under its own
+name.  The timers are plain
 `perf_counter` and `getrusage` pairs around the functions, with no
 profiler, so the split adds a few microseconds per call.
 

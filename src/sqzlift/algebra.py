@@ -12,7 +12,6 @@ complexes.map_reduce and map_lift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +23,17 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .finring import FiniteRing, RingSurjection, Tower, _trusted
+from .finring import (
+    SHARED_TOWERS,
+    FiniteRing,
+    RingSurjection,
+    Tower,
+    _read_only,
+    _trusted,
+    identity_memo,
+    is_shared,
+    shared_cache,
+)
 
 # matmul takes the two-step path from this many terms of the einsum on
 # (batch of matrices) * r*c*s * (k*m)^3; below it the one einsum is faster
@@ -79,13 +88,10 @@ class LevelAlgebra:
 
     __hash__ = object.__hash__
 
-    @cached_property
+    @property
     def _T(self) -> np.ndarray:
         """Combined tensor: (b_u e_i)(b_v e_j) = sum_{l,w} T[i,u,j,v,l,w] b_w e_l."""
-        mult = self.ring.mult
-        T = np.einsum("uvx,ijly,xyw->iujvlw", mult, self.struct,
-                      mult) % self.ring.orders
-        return T
+        return _combined_tensor(self)
 
     # -- matrices ----------------------------------------------------------
 
@@ -130,6 +136,14 @@ class LevelAlgebra:
         c, s, km = *b.shape[-4:-2], self.k * self.ring.m
         op = np.einsum("...cbjt,isjtlw->...blwcis", b, self._T)
         return op.reshape(b.shape[:-4] + (s * km, c * km))
+
+
+@identity_memo
+def _combined_tensor(alg: LevelAlgebra) -> np.ndarray:
+    """LevelAlgebra._T, built once per algebra and kept outside it, read-only."""
+    mult = alg.ring.mult
+    return _read_only(np.einsum("uvx,ijly,xyw->iujvlw", mult, alg.struct,
+                                mult) % alg.ring.orders)
 
 
 @dataclass(eq=False)
@@ -226,27 +240,50 @@ class DeformedAlgebra:
 
 def _integer_algebra(tower: Tower, c: np.ndarray, u: np.ndarray) -> DeformedAlgebra:
     """The algebra whose structure constants and unit are the integers c
-    (k, k, k) and u (k,) times 1, at every level.  c and u are associative
-    and unital over Z, so over every ring, and the unital tower maps send them
-    to themselves: nothing is checked again."""
+    (k, k, k) and u (k,) times 1, at every level, with read-only arrays.  c
+    and u are associative and unital over Z, so over every ring, and the
+    unital tower maps send them to themselves: nothing is checked again."""
     def level(ring: FiniteRing) -> LevelAlgebra:
         one = ring.one_vec()
-        return _trusted(LevelAlgebra, ring=ring, struct=np.multiply.outer(c, one),
-                        unit=np.multiply.outer(u, one))
+        return _trusted(LevelAlgebra, ring=ring,
+                        struct=_read_only(np.multiply.outer(c, one)),
+                        unit=_read_only(np.multiply.outer(u, one)))
     return _trusted(DeformedAlgebra, tower=tower, bar=level(tower.Rbar),
                     mid=level(tower.pibar.target), base=level(tower.pibar0.target))
+
+
+def _tables(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The integer structure constants and unit of a built-in algebra kind:
+    trivial is Rbar itself (rank 1), dual_numbers is Rbar[x]/(x^2) (rank 2)."""
+    if kind == "trivial":
+        return np.ones((1, 1, 1), dtype=np.int64), np.ones(1, dtype=np.int64)
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1
+    return c, np.array([1, 0], dtype=np.int64)
+
+
+@shared_cache(2 * SHARED_TOWERS)
+def _shared_algebra(tower: Tower, kind: str) -> DeformedAlgebra:
+    return _integer_algebra(tower, *_tables(kind))
+
+
+def _builtin_algebra(tower: Tower, kind: str) -> DeformedAlgebra:
+    """The built-in algebra of a kind over tower: built once per shared
+    tower (finring.is_shared) and kept with it, built anew over any other."""
+    if is_shared(tower):
+        return _shared_algebra(tower, kind)
+    return _integer_algebra(tower, *_tables(kind))
 
 
 def mk_algebra(tower: Tower, kind: str = "trivial", **params) -> DeformedAlgebra:
     """Build a DeformedAlgebra over a tower.
 
-    kinds: trivial: Lambda = Rbar itself (rank 1);
+    kinds: trivial: Lambda = Rbar itself (rank 1), shared over a shared tower;
            custom(struct, unit): explicit structure constants over Rbar,
-           checked.
+           checked, and built anew on every call.
     """
     if kind == "trivial":
-        return _integer_algebra(tower, np.ones((1, 1, 1), dtype=np.int64),
-                                np.ones(1, dtype=np.int64))
+        return _builtin_algebra(tower, "trivial")
     if kind == "custom":
         return DeformedAlgebra(tower, LevelAlgebra(tower.Rbar, params["struct"], params["unit"]))
     raise ValidationError(f"unknown algebra kind {kind!r}")
@@ -254,7 +291,6 @@ def mk_algebra(tower: Tower, kind: str = "trivial", **params) -> DeformedAlgebra
 
 def dual_numbers_algebra(tower: Tower) -> DeformedAlgebra:
     """Lambda-bar = Rbar[x]/(x^2 - c) style rank-2 algebras are built via
-    mk_algebra(..., kind="custom"); this helper gives x^2 = 0."""
-    c = np.zeros((2, 2, 2), dtype=np.int64)
-    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1
-    return _integer_algebra(tower, c, np.array([1, 0], dtype=np.int64))
+    mk_algebra(..., kind="custom"); this helper gives x^2 = 0, shared over a
+    shared tower."""
+    return _builtin_algebra(tower, "dual_numbers")

@@ -371,13 +371,21 @@ def save_doc(path: str, doc: dict) -> None:
 # rings and towers
 # ---------------------------------------------------------------------------
 
+def _integer(value, name: str) -> int:
+    """A JSON integer, exactly: TypeError naming it for a bool, float,
+    string or anything else, which _field reports as a ParseError."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def ring_to_payload(ring: FiniteRing) -> dict:
     return {"p": int(ring.p), "orders": _ilist(ring.orders),
             "mult": _ilist(ring.mult), "names": list(ring.names)}
 
 
 def ring_from_payload(pay: dict) -> FiniteRing:
-    return FiniteRing(int(pay["p"]), np.asarray(pay["orders"], dtype=np.int64),
+    return FiniteRing(_integer(pay["p"], "p"), np.asarray(pay["orders"], dtype=np.int64),
                       np.asarray(pay["mult"], dtype=np.int64),
                       tuple(pay["names"]))
 
@@ -395,8 +403,11 @@ def tower_to_payload(tower: Tower, desc: tuple | None = None) -> dict:
 
 
 def tower_from_payload(pay: dict) -> Tower:
+    """The tower of a payload.  p and a built-in kind's parameters are JSON
+    integers, and mk_tower takes exactly the kind's own parameters (TypeError
+    otherwise), so each built-in tower has one spelling."""
     kind = pay["kind"]
-    p = int(pay["p"])
+    p = _integer(pay["p"], "p")
     if kind == "custom":
         rbar = ring_from_payload(pay["rbar"])
         r = ring_from_payload(pay["r"])
@@ -404,7 +415,7 @@ def tower_from_payload(pay: dict) -> Tower:
         pibar = RingSurjection(rbar, r, np.asarray(pay["pibar"], dtype=np.int64))
         pi = RingSurjection(r, r0, np.asarray(pay["pi"], dtype=np.int64))
         return mk_tower("custom", p, Rbar=rbar, R=r, R0=r0, pibar=pibar, pi=pi)
-    params = {k: int(v) for k, v in pay.get("params", {}).items()}
+    params = {k: _integer(v, f"params.{k}") for k, v in pay.get("params", {}).items()}
     return mk_tower(kind, p, **params)
 
 
@@ -437,7 +448,7 @@ def ranks_to_payload(ob: GradedObject) -> dict:
 
 
 def ranks_from_payload(pay: dict) -> GradedObject:
-    return GradedObject.of({int(k): int(v) for k, v in pay.items()})
+    return GradedObject.of({int(k): _integer(v, f"rank {k}") for k, v in pay.items()})
 
 
 def _comps_payload(f: GradedMap, lists: bool) -> dict:
@@ -471,7 +482,7 @@ def gmap_from_payload(defalg: DeformedAlgebra, pay: dict) -> GradedMap:
     alg = defalg.level(pay["level"])
     src = ranks_from_payload(pay["src"])
     tgt = ranks_from_payload(pay["tgt"])
-    return _gmap_from_comps(alg, src, tgt, int(pay["degree"]), pay["comps"],
+    return _gmap_from_comps(alg, src, tgt, _integer(pay["degree"], "degree"), pay["comps"],
                             "component {} has wrong coefficient shape")
 
 
@@ -725,7 +736,7 @@ def cmd_tangent(args) -> int:
 
 def cmd_functor_eval(args) -> int:
     _, defalg, prob = _load_problem(args)
-    A = defun.ArtinLocalRing(defalg.tower.Rbar)
+    A = defun.artin_ring(defalg.tower.Rbar)
     body = {"command": "functor-eval", "verdict": "verified",
             "ring_size": int(A.ring.cardinality),
             "tangent_dim": int(defun.tangent_dim(defalg.base, prob.ob,

@@ -28,6 +28,7 @@ truncated-polynomial towers.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +52,14 @@ from .complexes import (
 )
 from .errors import CapExceeded, CheckFailed, NotLocal, ShapeMismatch, ValidationError
 from .finring import (
+    SHARED_TOWERS,
     FiniteRing,
     RingSurjection,
+    _read_only,
+    identity_memo,
+    is_shared,
     ring_fiber_product,
+    shared_cache,
     trunc_poly_ring,
     zmod_ring,
 )
@@ -65,7 +71,15 @@ MAX_ARTIN_SIZE = 1 << 12
 
 @dataclass(eq=False)
 class ArtinLocalRing:
-    """Finite local F_p-algebra with residue field F_p."""
+    """Finite local F_p-algebra with residue field F_p.
+
+    It keeps what the functor computations derive from the ring alone, for
+    as long as it lives: its maximal ideal m (mvecs), the m-adapted basis
+    (_m_basis), and R (x) Lambda_0 with its transvection multipliers for the
+    last base algebra Lambda_0 asked for.  artin_ring(ring) gives the one
+    instance kept for a ring of a shared tower, so that data is built once
+    per process; for any other ring it is a new instance.
+    """
 
     ring: FiniteRing
 
@@ -76,8 +90,8 @@ class ArtinLocalRing:
             raise ValidationError("not an F_p-algebra: p does not kill the ring")
         if not self.ring.is_local():
             raise NotLocal("ring is not local with residue field F_p")
-        self.mvecs = self.ring.elements()[self.ring.nilpotent_mask]   # lex order
-        self._algebra = None
+        self.mvecs = _read_only(self.ring.elements()[self.ring.nilpotent_mask])   # lex order
+        self._algebra = None   # (weak reference to alg0, R (x) alg0)
 
     @property
     def p(self) -> int:
@@ -88,9 +102,10 @@ class ArtinLocalRing:
         return len(self.mvecs)
 
     def algebra(self, alg0: LevelAlgebra) -> LevelAlgebra:
-        """R (x) alg0, built once for the last base algebra asked for."""
-        if self._algebra is None or self._algebra[0] is not alg0:
-            self._algebra = (alg0, tensor_algebra(self.ring, alg0))
+        """R (x) alg0, built once for the last base algebra asked for, and
+        kept only while that algebra lives."""
+        if self._algebra is None or self._algebra[0]() is not alg0:
+            self._algebra = weakref.ref(alg0), tensor_algebra(self.ring, alg0)
         return self._algebra[1]
 
     def scalars(self, coef: np.ndarray) -> np.ndarray:
@@ -104,6 +119,17 @@ class ArtinLocalRing:
         return self.msize == 1
 
 
+@shared_cache(2 * SHARED_TOWERS)
+def _shared_artin_ring(ring: FiniteRing) -> ArtinLocalRing:
+    return ArtinLocalRing(ring)
+
+
+def artin_ring(ring: FiniteRing) -> ArtinLocalRing:
+    """The ArtinLocalRing of ring: the one kept for a ring of a shared tower
+    (finring.is_shared), with its orbit data; a new one for any other ring."""
+    return _shared_artin_ring(ring) if is_shared(ring) else ArtinLocalRing(ring)
+
+
 def tensor_algebra(ring: FiniteRing, alg0: LevelAlgebra) -> LevelAlgebra:
     """R (x) Lambda_0 for a base algebra over F_p."""
     if alg0.ring.m != 1 or alg0.ring.orders[0] != ring.p:
@@ -111,7 +137,9 @@ def tensor_algebra(ring: FiniteRing, alg0: LevelAlgebra) -> LevelAlgebra:
     one = ring.one_vec()
     struct = (alg0.struct[..., 0:1] * one) % ring.orders
     unit = (alg0.unit[..., 0:1] * one) % ring.orders
-    return LevelAlgebra(ring, struct, unit)
+    algR = LevelAlgebra(ring, struct, unit)
+    _read_only(algR.struct, algR.unit)
+    return algR
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +259,18 @@ class _LiftIndex:
         return hits
 
 
+@identity_memo
 def _m_basis(A: ArtinLocalRing) -> np.ndarray:
     """An F_p-basis of m adapted to m > m^2 > ...: its rows in m^k span m^k.
     The powers are row spaces, and from the deepest up each row is kept that
-    is independent of the rows before it."""
+    is independent of the rows before it.  Built once per A, read-only."""
     ring, p = A.ring, A.p
     powers = [gf.row_space(A.mvecs, p)[0]]
     while len(powers[-1]):
         prods = np.einsum("ai,bj,ijk->abk", powers[-1], powers[0], ring.mult) % p
         powers.append(gf.row_space(prods.reshape(-1, ring.m), p)[0])
     rows = np.concatenate(powers[::-1])
-    return rows[gf.rref(rows.T, p)[1]]
+    return _read_only(rows[gf.rref(rows.T, p)[1]])
 
 
 def _components(src: np.ndarray, dst: np.ndarray, n: int) -> list[tuple[int, ...]]:
@@ -257,6 +286,7 @@ def _components(src: np.ndarray, dst: np.ndarray, n: int) -> list[tuple[int, ...
     return [tuple(c.tolist()) for c in np.split(order, np.flatnonzero(np.diff(label[order])) + 1)]
 
 
+@identity_memo
 def _multipliers(algR: LevelAlgebra, basis: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For x = b e, b a row of basis and e an algebra basis element: the
@@ -265,14 +295,14 @@ def _multipliers(algR: LevelAlgebra, basis: np.ndarray
     (-x)^j (a finite sum: x is nilpotent).  Each is a (len(basis), k, k*m,
     k*m) stack of operators on the flat (k, m) coefficients of one entry,
     built from algR._T, so a noncommutative algebra is multiplied on the
-    correct side."""
+    correct side.  Built once per algR and basis, read-only."""
     k, km, p, T = algR.k, algR.k * algR.ring.m, algR.ring.p, algR._T
     left = np.einsum("bs,esjvlw->belwjv", basis, T).reshape(len(basis), k, km, km) % p
     neg = -np.einsum("bs,iueslw->belwiu", basis, T).reshape(len(basis), k, km, km) % p
     inv, power = np.zeros_like(neg), neg   # right multiplication by (-x)^j is neg^j
     while power.any():
         inv, power = inv + power, power @ neg % p
-    return left, neg, inv % p
+    return _read_only(left), _read_only(neg), _read_only(inv % p)
 
 
 def _transvections(algR: LevelAlgebra, ob: GradedObject, basis: np.ndarray
@@ -492,7 +522,7 @@ def is_small(surj: RingSurjection) -> bool:
     if len(ker) != surj.source.p:
         return False
     ring = surj.source
-    prods = np.einsum("ai,bj,ijk->abk", ker, ArtinLocalRing(ring).mvecs, ring.mult)
+    prods = np.einsum("ai,bj,ijk->abk", ker, artin_ring(ring).mvecs, ring.mult)
     return not (prods % ring.orders).any()
 
 
@@ -548,9 +578,7 @@ def check_triple(f1: RingSurjection, f2: RingSurjection, alg0: LevelAlgebra,
     """
     fp = ring_fiber_product(f1, f2)
     AP = ArtinLocalRing(fp.ring)
-    A1 = ArtinLocalRing(f1.source)
-    A2 = ArtinLocalRing(f2.source)
-    AR = ArtinLocalRing(f1.target)
+    A1, A2, AR = artin_ring(f1.source), artin_ring(f2.source), artin_ring(f1.target)
 
     LP = strict_lifts(AP, alg0, ob, d0, cap)
     L1 = strict_lifts(A1, alg0, ob, d0, cap)
@@ -594,8 +622,7 @@ def check_smoothness(pi: RingSurjection, alg0: LevelAlgebra, ob: GradedObject,
     whole class over S of the image of its least member; CheckFailed
     otherwise.  pairs_checked counts the pairs (d_R, d_S).
     """
-    AR = ArtinLocalRing(pi.source)
-    AS = ArtinLocalRing(pi.target)
+    AR, AS = artin_ring(pi.source), artin_ring(pi.target)
     LR = strict_lifts(AR, alg0, ob, d0, cap)
     LS = strict_lifts(AS, alg0, ob, d0, cap)
     O_S = iso_orbits(AS, alg0, ob, LS, cap)

@@ -19,7 +19,10 @@ the pairs of elements.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,6 +41,10 @@ from .errors import (
 
 MAX_RING_SIZE = 1 << 16
 MAX_P = 7
+# the built-in towers mk_tower keeps, the least recently asked for going first
+SHARED_TOWERS = 8
+# the parameters of each built-in tower kind, in mk_tower's order
+TOWER_PARAMS = {"zmod": ("a", "b"), "trunc_poly": ("a", "b"), "square_zero": ("r",)}
 
 
 def is_prime(n: int) -> bool:
@@ -49,6 +56,65 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _read_only(*arrays: np.ndarray) -> np.ndarray:
+    """Make the arrays read-only; returns the first."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0]
+
+
+# ---------------------------------------------------------------------------
+# what a process keeps between commands
+# ---------------------------------------------------------------------------
+
+_SHARED_CACHES = []
+# the shared towers and their rings, by identity: FiniteRing compares by value
+_SHARED = weakref.WeakValueDictionary()
+
+
+def shared_cache(maxsize: int):
+    """functools.lru_cache(maxsize) for objects kept between commands, which
+    clear_shared empties."""
+    def decorate(fn):
+        cached = functools.lru_cache(maxsize)(fn)
+        _SHARED_CACHES.append(cached)
+        return cached
+    return decorate
+
+
+def clear_shared() -> None:
+    """Empty every shared_cache: what is asked for next is built again."""
+    for cached in _SHARED_CACHES:
+        cached.cache_clear()
+
+
+def identity_memo(fn):
+    """fn(obj, *arrays), memoized for obj and the last arrays it was asked
+    with.  The memo is kept outside obj, holds obj by identity only (rings
+    and algebras compare by value), and drops obj's entry when obj is freed."""
+    memo = {}
+
+    @functools.wraps(fn)
+    def kept(obj, *arrays):
+        key = [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+        hit = memo.get(id(obj))
+        if hit is None:
+            weakref.finalize(obj, memo.pop, id(obj), None)
+        elif hit[0] == key:
+            return hit[1]
+        value = fn(obj, *arrays)
+        memo[id(obj)] = key, value
+        return value
+
+    return kept
+
+
+def is_shared(obj) -> bool:
+    """True for a tower that mk_tower shares and for its rings.  Their arrays
+    are read-only, so what is derived from them alone may be kept with them."""
+    return _SHARED.get(id(obj)) is obj
 
 
 def _mixed_radix(orders: np.ndarray) -> np.ndarray:
@@ -154,7 +220,7 @@ class FiniteRing:
     @cached_property
     def strides(self) -> np.ndarray:
         """code(v) = v @ strides, with strides[i] = prod(orders[i+1:])."""
-        return _mixed_radix(self.orders)
+        return _read_only(_mixed_radix(self.orders))
 
     def code(self, v) -> np.ndarray:
         """Index in elements() of each canonical vector on the last axis of v."""
@@ -163,9 +229,7 @@ class FiniteRing:
     @cached_property
     def _elements(self) -> np.ndarray:
         codes = np.arange(self.cardinality, dtype=np.int64)[:, None]
-        elems = (codes // self.strides) % self.orders
-        elems.setflags(write=False)
-        return elems
+        return _read_only((codes // self.strides) % self.orders)
 
     def elements(self) -> np.ndarray:
         """(cardinality, m) read-only array of all elements, lexicographic
@@ -186,7 +250,7 @@ class FiniteRing:
         sq, e = self.code((elems[:, None, :] @ half)[:, 0] % self.orders), 2
         while e < self.cardinality:
             sq, e = sq[sq], e * e
-        return sq == 0
+        return _read_only(sq == 0)
 
     def is_local(self) -> bool:
         """True iff the ring is local with residue field F_p.  The nilpotents
@@ -341,7 +405,9 @@ def _trusted(cls, **fields):
     """An instance of the dataclass cls holding the given fields, made without
     __init__ and so without the checks of __post_init__: only for the rings,
     maps, towers and algebras derived here in closed form, whose tables
-    tests/test_closed_forms.py feeds back through the checking constructors."""
+    tests/test_closed_forms.py feeds back through the checking constructors.
+    Such objects are built once per description and shared (mk_tower,
+    algebra.mk_algebra), with their arrays read-only."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -430,33 +496,61 @@ def mk_tower(kind: str, p: int, **params) -> Tower:
            trunc_poly(a, b): F_p[t]/(t^a) -> F_p[t]/(t^b) -> F_p;
            square_zero(r): F_p[x_1..x_r]/(x)^2 -> F_p -> F_p;
            custom(Rbar, R, R0, pibar, pi).
+    A built-in kind takes exactly the integer parameters TOWER_PARAMS[kind]
+    (TypeError otherwise, as for a call with wrong arguments).
     Only the parameters and custom data are checked.  zmod and trunc_poly
     with a > b + 1, where J is not killed by p or I*J != 0, fail in Tower's
     checks.
+
+    A built-in tower is shared: once its description (kind, p, params) has
+    passed the checks, the same Tower is returned for it while it is among
+    the SHARED_TOWERS last asked for, and every array of it is read-only
+    (its rings, surjections, jbasis, sigma and jcoords).  A description that
+    fails raises on every call, since nothing is kept for it.  Custom data
+    are checked and wrapped anew on every call, never shared.
     """
+    p = operator.index(p)
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
     if p > MAX_P:
         raise ValidationError(f"p={p} exceeds the performance cap {MAX_P}")
-    if kind in ("zmod", "trunc_poly"):
-        a, b = int(params["a"]), int(params["b"])
-        if not (a >= b >= 1):
-            raise ValidationError(f"{kind} requires a >= b >= 1")
-        ring = zmod_ring if kind == "zmod" else trunc_poly_ring
-        rings = ring(p, a), ring(p, b), ring(p, 1)
-        if a > b + 1:
-            return Tower(*rings, _proj(*rings[:2]), _proj(*rings[1:]))
-        return _projection_tower(*rings)
-    if kind == "square_zero":
-        r = int(params["r"])
-        if r < 0:
-            raise ValidationError("square_zero requires r >= 0")
-        ring, fp = square_zero_ring(p, r), zmod_ring(p, 1)
-        return _projection_tower(ring, fp, fp)
     if kind == "custom":
         return Tower(params["Rbar"], params["R"], params["R0"],
                      params["pibar"], params["pi"])
-    raise ValidationError(f"unknown tower kind {kind!r}")
+    if kind not in TOWER_PARAMS:
+        raise ValidationError(f"unknown tower kind {kind!r}")
+    names = TOWER_PARAMS[kind]
+    if sorted(params) != sorted(names):
+        raise TypeError(f"{kind} takes the parameters {', '.join(names)}, "
+                        f"not {', '.join(sorted(params)) or 'none'}")
+    values = tuple(operator.index(params[k]) for k in names)
+    if kind == "square_zero":
+        if values[0] < 0:
+            raise ValidationError("square_zero requires r >= 0")
+    elif not (values[0] >= values[1] >= 1):
+        raise ValidationError(f"{kind} requires a >= b >= 1")
+    return _shared_tower(kind, p, values)
+
+
+@shared_cache(SHARED_TOWERS)
+def _shared_tower(kind: str, p: int, params: tuple[int, ...]) -> Tower:
+    """The built-in tower of a checked description, with every array read-only."""
+    if kind == "square_zero":
+        ring, fp = square_zero_ring(p, *params), zmod_ring(p, 1)
+        tower = _projection_tower(ring, fp, fp)
+    else:
+        a, b = params
+        ring = zmod_ring if kind == "zmod" else trunc_poly_ring
+        rings = ring(p, a), ring(p, b), ring(p, 1)
+        tower = (Tower(*rings, _proj(*rings[:2]), _proj(*rings[1:])) if a > b + 1
+                 else _projection_tower(*rings))
+    for ring in (tower.Rbar, tower.R, tower.R0):
+        _read_only(ring.orders, ring.mult)
+        _SHARED[id(ring)] = ring
+    _read_only(tower.pibar.images, tower.pi.images, tower.pibar0.images,
+               tower.jbasis, tower.jcoords, tower.sigma, tower._phi_scale)
+    _SHARED[id(tower)] = tower
+    return tower
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sqzlift import cli
+from sqzlift import cli, finring
 from sqzlift.algebra import AlgMatrix, mk_algebra
 from sqzlift.cli import (
     build_parser,
@@ -872,3 +872,108 @@ def test_a_large_zero_complex_gets_its_verdicts_under_a_memory_limit(tmp_path):
         assert codes[cmd] == 1 and reports[cmd]["verdict"] == "failed"
         assert reports[cmd]["error"] == {
             "type": "CapExceeded", "message": f"3^320000 {what} exceed the cap 1048576"}
+
+
+# -- tower, rank and degree fields are exact integers ---------------------------
+
+@pytest.mark.parametrize("kind, seed, path, value, named", [
+    ("differential", 6, ("tower", "p"), 3.2, "p"),
+    ("differential", 6, ("tower", "p"), "3", "p"),
+    ("differential", 6, ("tower", "params", "a"), 2.7, "params.a"),
+    ("differential", 6, ("tower", "params", "a"), 2.0, "params.a"),
+    ("differential", 6, ("tower", "params", "a"), "2", "params.a"),
+    ("differential", 6, ("tower", "params", "b"), True, "params.b"),
+    ("differential", 6, ("tower", "params", "r"), 1, "not a, b, r"),
+    ("differential", 6, ("tower", "params", "b"), None, "parameters a, b, not a"),
+    ("differential", 3, ("tower", "params", "a"), 2, "not a, r"),
+    ("differential", 6, ("complex", "ranks", "0"), 1.5, "rank 0"),
+    ("map", 0, ("f", "degree"), 0.0, "degree"),
+    ("map", 0, ("C", "ranks", "0"), "1", "rank 0"),
+])
+def test_integer_fields_take_only_json_integers(tmp_path, capsys, kind, seed, path,
+                                                value, named):
+    """A float, string or bool in p, a tower parameter, a rank or a degree,
+    a parameter the kind does not take (value set) or one it needs
+    (value None: deleted) is a ParseError naming the field: nothing is
+    truncated or converted, so a tower has one spelling."""
+    doc = _gen_doc(tmp_path, kind, seed)
+    holder = doc["payload"]
+    for key in path[:-1]:
+        holder = holder[key]
+    assert path[-1] in holder or value is not None
+    if value is None:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
+    command, flag = ("lift-diff", "--complex") if kind == "differential" else ("lift-map", "--map")
+    rep = _failed_report_in_out(tmp_path, capsys,
+                                [command, flag, _write(tmp_path, "p.json", doc)])
+    assert rep["error"]["type"] == "ParseError"
+    assert f"'{path[0]}'" in rep["error"]["message"] and named in rep["error"]["message"]
+
+
+# -- reports do not depend on what ran before in the process -----------------
+
+# (kind, seed) of the gen documents, over the towers zmod(2; 2, 1),
+# square_zero(2; r=1), trunc_poly(3; 2, 1), trunc_poly(3; 3, 2) (seed 21 is
+# obstructed), trunc_poly(2; 2, 1) and square_zero(3; r=1)
+MIXED_DOCS = [("differential", 0), ("differential", 3), ("differential", 8),
+              ("differential", 21), ("map", 0), ("map", 2), ("homotopy", 0),
+              ("homotopy", 2)]
+MIXED_COMMANDS = {"differential": ["lift-diff", "classify", "tangent", "functor-eval",
+                                   "schlessinger", "oracle"],
+                  "map": ["lift-map", "oracle"],
+                  "homotopy": ["lift-homotopy", "oracle"]}
+
+
+def _mixed_runs(tmp_path):
+    """(argv without --out) of every command on every mixed document, and
+    on differential seed 8 written over a custom tower; interleaved across
+    documents."""
+    runs = []
+    for kind, seed in MIXED_DOCS:
+        doc = _gen_doc(tmp_path, kind, seed)
+        docs = [(f"{kind}-{seed}", doc)]
+        if (kind, seed) == ("differential", 8):
+            custom = json.loads(json.dumps(doc))
+            custom["payload"]["tower"] = tower_to_payload(
+                tower_from_payload(doc["payload"]["tower"]))
+            docs.append((f"{kind}-{seed}-custom", custom))
+        for name, d in docs:
+            path = _write(tmp_path, f"{name}.json", d)
+            for n, command in enumerate(MIXED_COMMANDS[kind]):
+                flags = cli.COMMANDS[command].flags.split()
+                cap = ["--cap", "4096"] if "cap" in flags else []
+                runs.append((n, [command, f"--{flags[0]}", path, *cap]))
+    runs.sort(key=lambda run: run[0])   # stable: command n of every document, then n + 1
+    return [argv for _, argv in runs]
+
+
+def test_reports_do_not_depend_on_what_ran_before(tmp_path, capsys):
+    """One process runs a mixed list of commands over documents on six
+    built-in towers and one custom tower: in order, reversed, and in order
+    again with the shared towers, algebras and orbit data emptied.  Every
+    report is the same bytes each time."""
+    runs = _mixed_runs(tmp_path)
+    out = tmp_path / "report.json"
+
+    def reports(order):
+        got = {}
+        for argv in order:
+            out.unlink(missing_ok=True)
+            code = main(argv + ["--out", str(out)])
+            got[tuple(argv)] = code, out.read_bytes()
+        capsys.readouterr()
+        return got
+
+    forward = reports(runs)
+    assert reports(runs[::-1]) == forward
+    finring.clear_shared()
+    assert reports(runs) == forward
+    codes = [code for code, _ in forward.values()]
+    assert len(runs) == 38 and {0, 1, 2} <= set(codes)
+    # the custom tower is built anew for each command and reports the same
+    custom = {argv: rep for argv, rep in forward.items() if "custom" in argv[2]}
+    assert len(custom) == 6 and all(
+        forward[(argv[0], argv[1], argv[2].replace("-custom", ""), *argv[3:])] == rep
+        for argv, rep in custom.items())

@@ -1,11 +1,15 @@
 """Finite rings, surjections, towers, and fiber products."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
-from sqzlift import gf
+from sqzlift import defun, finring, gf
+from sqzlift.algebra import dual_numbers_algebra, mk_algebra
+from sqzlift.defun import artin_ring
 from sqzlift.oracle import _TOWER_MENU
 from sqzlift.errors import (
     CharMismatch,
@@ -16,8 +20,11 @@ from sqzlift.errors import (
 )
 from sqzlift.finring import (
     MAX_RING_SIZE,
+    SHARED_TOWERS,
     FiniteRing,
     RingSurjection,
+    clear_shared,
+    is_shared,
     mk_tower,
     minimal_section,
     ring_fiber_product,
@@ -431,3 +438,108 @@ def test_fiber_product_above_the_cap_is_rejected_before_building(monkeypatch):
     with pytest.raises(ValidationError, match="fiber product exceeds the ring size cap"):
         ring_fiber_product(proj, proj)
     assert built == [] and "_elements" not in vars(R)
+
+
+# -- shared built-in towers ---------------------------------------------------
+
+def _custom_copy(t):
+    """A custom tower holding fresh, writable copies of t's tables."""
+    rings = [FiniteRing(r.p, r.orders.copy(), r.mult.copy(), r.names) for r in (t.Rbar, t.R, t.R0)]
+    return mk_tower("custom", t.p, Rbar=rings[0], R=rings[1], R0=rings[2],
+                    pibar=RingSurjection(rings[0], rings[1], t.pibar.images.copy()),
+                    pi=RingSurjection(rings[1], rings[2], t.pi.images.copy()))
+
+
+def test_one_description_gives_one_shared_tower():
+    t = mk_tower("trunc_poly", 3, a=3, b=2)
+    assert mk_tower("trunc_poly", 3, b=2, a=3) is t
+    assert is_shared(t) and all(is_shared(r) for r in (t.Rbar, t.R, t.R0))
+    others = [mk_tower("trunc_poly", 2, a=3, b=2), mk_tower("trunc_poly", 3, a=3, b=3),
+              mk_tower("trunc_poly", 3, a=2, b=2), mk_tower("zmod", 3, a=3, b=2)]
+    assert len({id(x) for x in [t, *others]}) == 5
+    # its built-in algebras and its orbit rings are shared with it
+    assert mk_algebra(t, "trivial") is mk_algebra(t)
+    assert dual_numbers_algebra(t) is dual_numbers_algebra(t) is not mk_algebra(t)
+    assert artin_ring(t.Rbar) is artin_ring(t.Rbar) is not artin_ring(t.R)
+
+
+def test_custom_towers_and_algebras_are_never_shared():
+    t = mk_tower("trunc_poly", 2, a=3, b=2)
+    c = _custom_copy(t)
+    assert _custom_copy(t) is not c and not is_shared(c)
+    assert not any(is_shared(r) for r in (c.Rbar, c.R, c.R0))
+    assert mk_algebra(c) is not mk_algebra(c)
+    assert dual_numbers_algebra(c) is not dual_numbers_algebra(c)
+    assert artin_ring(c.Rbar) is not artin_ring(c.Rbar)
+    assert c.jcoords.flags.writeable and c.Rbar.mult.flags.writeable
+    unit = np.array([[1, 0, 0]])
+    struct = unit[None, None]
+    assert mk_algebra(t, "custom", struct=struct, unit=unit) is not mk_algebra(
+        t, "custom", struct=struct, unit=unit)
+
+
+@pytest.mark.parametrize("kind, params, error", [
+    ("zmod", {"a": 3, "b": 1}, ValidationError),        # fails in Tower's checks
+    ("trunc_poly", {"a": 17, "b": 1}, ValidationError),  # above the ring cap
+    ("trunc_poly", {"a": 1, "b": 2}, ValidationError),
+    ("square_zero", {"r": 1, "a": 1}, TypeError),  # a parameter it does not take
+    ("zmod", {"a": 2}, TypeError),
+    ("zmod", {"a": 2.0, "b": 1}, TypeError),
+])
+def test_a_failing_description_raises_on_every_call(kind, params, error):
+    clear_shared()
+    for _ in range(3):
+        with pytest.raises(error):
+            mk_tower(kind, 2, **params)
+    assert finring._shared_tower.cache_info().currsize == 0
+
+
+def _arrays(tower):
+    """Every array of a tower, its rings, surjections and built-in algebras,
+    and of the orbit data kept for its rings, by name."""
+    out = {"jbasis": tower.jbasis, "jcoords": tower.jcoords, "sigma": tower.sigma,
+           "_phi_scale": tower._phi_scale}
+    for name in ("Rbar", "R", "R0"):
+        ring = getattr(tower, name)
+        out.update({f"{name}.{attr}": getattr(ring, attr)
+                    for attr in ("orders", "mult", "strides", "nilpotent_mask")})
+        out[f"{name}.elements"] = ring.elements()
+    for name in ("pibar", "pi", "pibar0"):
+        out[f"{name}.images"] = getattr(tower, name).images
+    for kind, alg in (("trivial", mk_algebra(tower)), ("dual", dual_numbers_algebra(tower))):
+        for level in ("bar", "mid", "base"):
+            lev = alg.level(level)
+            out.update({f"{kind}.{level}.struct": lev.struct, f"{kind}.{level}.unit": lev.unit,
+                        f"{kind}.{level}._T": lev._T})
+        if (tower.Rbar.orders == tower.p).all():   # an F_p-algebra: orbit data
+            A = artin_ring(tower.Rbar)
+            algR, basis = A.algebra(alg.base), defun._m_basis(A)
+            out.update({f"{kind}.mvecs": A.mvecs, f"{kind}.m_basis": basis,
+                        f"{kind}.algR.struct": algR.struct, f"{kind}.algR.unit": algR.unit})
+            out.update({f"{kind}.multipliers{i}": op
+                        for i, op in enumerate(defun._multipliers(algR, basis))})
+    return out
+
+
+@pytest.mark.parametrize("kind, p, params", _TOWER_MENU)
+def test_every_array_of_a_shared_tower_is_read_only(kind, p, params):
+    arrays = _arrays(mk_tower(kind, p, **params))
+    assert len(arrays) >= 30
+    for name, arr in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1
+        assert not arr.flags.writeable, name
+
+
+def test_the_shared_towers_are_bounded():
+    """Asking for more descriptions than the bound keeps the last ones, and
+    the towers that fall out are freed."""
+    clear_shared()
+    refs = [weakref.ref(mk_tower("square_zero", 2, r=r)) for r in range(SHARED_TOWERS + 3)]
+    info = finring._shared_tower.cache_info()
+    assert info.currsize == info.maxsize == SHARED_TOWERS
+    gc.collect()
+    assert [ref() is not None for ref in refs] == [False] * 3 + [True] * SHARED_TOWERS
+    assert mk_tower("square_zero", 2, r=SHARED_TOWERS + 2) is refs[-1]()

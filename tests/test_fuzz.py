@@ -93,9 +93,9 @@ def _mutate(doc, data):
             parent[key] = data.draw(VALUES)
 
 
-def _assert_ends_in_a_report(command, flag, doc, *extra):
+def _assert_ends_in_a_report(command, flag, doc, *extra) -> dict:
     """Run command with doc at flag: exit 0, 1 or 2, nothing on stdout, and
-    a report in --out."""
+    a report in --out, which is returned."""
     with tempfile.TemporaryDirectory() as d:
         path, out = os.path.join(d, "doc.json"), os.path.join(d, "report.json")
         save_doc(path, doc)
@@ -105,7 +105,9 @@ def _assert_ends_in_a_report(command, flag, doc, *extra):
         assert code in (0, 1, 2)
         assert stdout.getvalue() == ""
         with open(out) as fh:
-            assert "verdict" in json.load(fh)
+            report = json.load(fh)
+        assert "verdict" in report and (code == 1) == (report["verdict"] == "failed")
+        return report
 
 
 @FUZZ
@@ -134,3 +136,40 @@ def test_mutated_crude_bundles_end_in_a_report(index, data):
     doc = json.loads(_crude_docs()[index])
     _mutate(doc, data)
     _assert_ends_in_a_report("crude-lift", "--complex", doc, "--trace")
+
+
+def _integer_fields(pay):
+    """(holder, key) of every integer field of a problem payload that names a
+    tower or a shape: p, the tower parameters, every rank and every degree."""
+    fields = [(pay["tower"], "p")] + [(pay["tower"]["params"], k) for k in pay["tower"]["params"]]
+    for part in pay.values():
+        if isinstance(part, dict) and "level" in part:
+            fields += [(part, "degree")] if "degree" in part else []
+            for ranks in ("ranks", "src", "tgt"):
+                fields += [(part[ranks], k) for k in part.get(ranks, {})]
+    return fields
+
+
+# what a JSON document may hold in place of an integer
+NOT_INTEGERS = st.one_of(st.floats(-3, 3), st.sampled_from(["1", "x", True, False, None, [], {}]))
+
+
+@FUZZ
+@given(st.sampled_from(sorted(COMMANDS)), st.integers(0, 2), st.data())
+def test_a_non_integer_tower_rank_or_degree_is_a_parse_error(kind, seed, data):
+    """Any value but a JSON integer in p, a tower parameter, a rank or a
+    degree, or a tower parameter the kind does not take, ends in a failed
+    report with a ParseError: nothing is truncated or converted."""
+    doc = json.loads(_gen_doc(kind, seed))
+    pay = doc["payload"]
+    if data.draw(st.booleans()):
+        holder, key = data.draw(st.sampled_from(_integer_fields(pay)))
+        holder[key] = data.draw(NOT_INTEGERS)
+    else:
+        params = pay["tower"]["params"]
+        params[data.draw(st.sampled_from(sorted({"a", "b", "r", "c"} - set(params))))] = 1
+    command = data.draw(st.sampled_from(COMMANDS[kind]))
+    flag = "--map" if command in ("lift-map", "lift-homotopy") else "--complex"
+    cap = ["--cap", "4096"] if command in CAPPED else []
+    report = _assert_ends_in_a_report(command, flag, doc, *cap)
+    assert report["verdict"] == "failed" and report["error"]["type"] == "ParseError"
