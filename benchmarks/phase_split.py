@@ -8,10 +8,14 @@ that each phase took: argparse, the document read, the tower, the algebra,
 the rest of the problem parse, each compute entry point the commands call,
 `canonical_json` and the file write, with "other" for the rest of
 `cli.main`.  The warm-up pass also fills what the process keeps between
-commands (the shared built-in towers, their algebras and the orbit data of
-their rings, see `finring.mk_tower`), so the passes measured find them
-built: the `tower` and `algebra` phases are lookups, and `iso_orbits` does
-not rebuild its m-adapted basis or multipliers.  As liftbench's runner
+commands: the shared built-in towers, their algebras and the orbit data of
+their rings (see `finring.mk_tower`), and the orbit generators of every
+(ring algebra, graded object) pair that the workload meets
+(`defun._generators`).  So the passes measured find them built: the `tower`
+and `algebra` phases are lookups, and `iso_orbits` does not rebuild its
+m-adapted basis, multipliers or generators.  A one-shot command builds all
+of them once.  The `argparse` phase is the parse of the command's own
+parser (`cli.parse_args`).  As liftbench's runner
 does, the report is removed before each op, so the file write creates the
 file (rewriting one truncates it, which costs more).  A phase's time and
 faults are its own: a phase that runs inside another (the tower inside the

@@ -5,11 +5,11 @@ s in {tower, algebra, complex, map, problem}.  Serialization is canonical
 (sorted keys, plain decimal integers), so parse -> serialize round-trips
 byte-identically and repeated runs produce identical reports.
 `canonical_json` returns the ASCII bytes of `json.dumps(obj, sort_keys=True,
-indent=2)`, written by itself: a list of ints is joined with `str` in one
+indent=2)` (as bytes or a memoryview), written by itself: a list of ints is joined with `str` in one
 call, and an integer ndarray past a size crossover (reports hold map
 components, witness lists and orbits as arrays) is written in a few numpy
 passes: run by run if it is ascending along one axis, in padded rows
-otherwise.  A report with such an array is one bytearray of its exact size,
+otherwise.  A report with such an array is one buffer of its exact size,
 which each array fills its own slice of; the report goes to --out in binary
 mode (to stdout as text).  Reports
 carry "verdict" in {lifts, obstructed, classified, verified, failed};
@@ -75,7 +75,7 @@ SCHEMAS = ("tower", "algebra", "complex", "map", "problem")
 _Fill = tuple[int, Callable[[np.ndarray], None]]
 
 
-def canonical_json(obj) -> bytes | bytearray:
+def canonical_json(obj) -> bytes | memoryview:
     """`json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)` and a
     newline, as ASCII bytes, without the pure-Python encoder that `indent`
     selects.  An integer ndarray is written as its `tolist()` would be: by
@@ -91,9 +91,11 @@ def canonical_json(obj) -> bytes | bytearray:
     oracle's witness lists and singleton or single orbits); any other array
     in padded rows (`_int_rows`: map components among them).  Both give the
     array's exact byte count and a step that writes its text into a slice of
-    that size.  A report with such an array is written into one bytearray of
-    its exact size, which is returned: each stretch of text around the arrays
-    is encoded once and copied in, `_int_runs` writes its runs into its slice
+    that size.  A report with such an array is written into one uninitialized
+    uint8 buffer of its exact size (a bytearray would be zero-filled first),
+    returned as a memoryview, which compares equal to its bytes and whose
+    len() is its byte count: each stretch of text around the arrays is
+    encoded once and copied in, `_int_runs` writes its runs into its slice
     and `_int_rows` copies its compacted bytes into its slice once.  A report
     with no such array is joined and encoded once, as bytes.
     The `emit` rows of benchmarks/bench_kernels.py measure both crossovers."""
@@ -109,10 +111,11 @@ def canonical_json(obj) -> bytes | bytearray:
     if len(pieces) == 1:
         return pieces[0]
     sizes = [len(p) if type(p) is bytes else p[0] for p in pieces]
-    buf = bytearray(sum(sizes))
-    # text goes in through a memoryview (its slice assignment copies faster
-    # than the bytearray's), arrays through a uint8 view
-    mem, view = memoryview(buf), np.frombuffer(buf, dtype=np.uint8)
+    # uninitialized: every byte is filled below; text goes in through a
+    # memoryview (its slice assignment copies faster than numpy's), arrays
+    # through the uint8 array itself
+    view = np.empty(sum(sizes), dtype=np.uint8)
+    mem = memoryview(view)
     off = 0
     for p, n in zip(pieces, sizes):
         if type(p) is bytes:
@@ -120,7 +123,7 @@ def canonical_json(obj) -> bytes | bytearray:
         else:
             p[1](view[off:off + n])
         off += n
-    return buf
+    return mem
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -624,12 +627,12 @@ def _classification_payload(cl: Classification) -> dict:
             "witnesses": [gmap_to_payload(r, "bar") for r in cl.reps]}
 
 
-def _deliver(args, text: bytes | bytearray) -> bool:
+def _deliver(args, text: bytes | memoryview) -> bool:
     """Write the report's bytes to --out, or its text to stdout without
     --out.  If --out cannot be written, a failed report that names it goes
     to stdout and this is False."""
     if not args.out:
-        sys.stdout.write(text.decode("ascii"))
+        sys.stdout.write(str(text, "ascii"))
         return True
     try:
         with open(args.out, "wb") as fh:
@@ -874,7 +877,8 @@ class _CommandParser(_Parser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
+    """The program's parser and each command's own parser, by name."""
     ap = _Parser(prog="sqzlift",
                  description="exact lifting of complexes along square-zero deformations")
     ap.add_argument("--version", action="version", version=f"sqzlift {__version__}")
@@ -883,7 +887,21 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         for flag in command.flags.split() + ["out"]:
             sp.add_argument(f"--{flag}", **FLAGS[flag])
-    return ap
+    return ap, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv).  An argv that starts with a command
+    goes straight to that command's parser, which is all the program's
+    parser would do with it (it hands the command's parser the rest of argv
+    and sets `command`), at under half the cost."""
+    if argv and argv[0] in COMMANDS:
+        return _parsers()[1][argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -892,7 +910,7 @@ def main(argv=None) -> int:
     args = argparse.Namespace(command=argv[0] if argv and argv[0] in COMMANDS else None,
                               out=None)
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         return COMMANDS[args.command].run(args)
     except SqzliftError as e:
         return _fail(args, e)

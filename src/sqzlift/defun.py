@@ -75,8 +75,10 @@ class ArtinLocalRing:
 
     It keeps what the functor computations derive from the ring alone, for
     as long as it lives: its maximal ideal m (mvecs), the m-adapted basis
-    (_m_basis), and R (x) Lambda_0 with its transvection multipliers for the
-    last base algebra Lambda_0 asked for.  artin_ring(ring) gives the one
+    (_m_basis), and R (x) Lambda_0 for the last base algebra Lambda_0 asked
+    for, which keeps its transvection multipliers and the orbit generators
+    of the last ORBIT_TABLES graded objects (_multipliers, _generators).
+    artin_ring(ring) gives the one
     instance kept for a ring of a shared tower, so that data is built once
     per process; for any other ring it is a new instance.
     """
@@ -236,22 +238,27 @@ def _unipotent_inverse_many(alg: LevelAlgebra, ob: GradedObject, u: Blocks,
 
 class _LiftIndex:
     """Vectorised lookup of coefficient rows among the strict lifts, keyed by
-    the rows' own bytes."""
+    the rows' own bytes.  The rows are kept padded: with one zero column
+    appended, because rows of width 0 have no void view."""
 
     def __init__(self, rows: np.ndarray):
-        self.rows = rows
-        keys = self._keys(rows)
+        self.rows = self._pad(rows)
+        keys = self._keys(self.rows)
         self.order = np.argsort(keys)
         self.sorted = keys[self.order]
 
     @staticmethod
-    def _keys(rows: np.ndarray) -> np.ndarray:
-        # one zero column, because rows of width 0 have no void view
-        rows = np.concatenate([rows, np.zeros((len(rows), 1), np.int64)], axis=1)
-        return rows.view(np.dtype((np.void, rows.shape[1] * 8))).reshape(-1)
+    def _pad(rows: np.ndarray) -> np.ndarray:
+        return np.concatenate([rows, np.zeros((len(rows), 1), np.int64)], axis=1)
 
-    def find(self, rows: np.ndarray) -> np.ndarray:
-        """Lift index of each row; CheckFailed if some row is no lift."""
+    @staticmethod
+    def _keys(padded: np.ndarray) -> np.ndarray:
+        return padded.view(np.dtype((np.void, padded.shape[1] * 8))).reshape(-1)
+
+    def find(self, rows: np.ndarray, padded: bool = False) -> np.ndarray:
+        """Lift index of each row, given padded or not; CheckFailed if some
+        row is no lift."""
+        rows = rows if padded else self._pad(rows)
         pos = np.searchsorted(self.sorted, self._keys(rows))
         hits = self.order[np.minimum(pos, len(self.order) - 1)]
         if not np.array_equal(self.rows[hits], rows):
@@ -318,7 +325,8 @@ def _transvections(algR: LevelAlgebra, ob: GradedObject, basis: np.ndarray
     and y = (1 + x)^-1 - 1 on it.  So column c of d_{i0} gains (column r) y
     and row r of d_{i0-1} gains x (row c).  src and dst hold flat
     coefficient indices of shape (G, S * k*m), S entries per generator (the
-    column, then the row), and ops is (G, S, k*m, k*m).
+    column, then the row), and ops is (G, S, k*m, k*m).  iso_orbits takes
+    them merged into one group by _generators, which keeps it.
     """
     if not len(basis):   # m = 0: the group is trivial
         return []
@@ -344,6 +352,33 @@ def _transvections(algR: LevelAlgebra, ob: GradedObject, basis: np.ndarray
     return out
 
 
+# the (ob, basis) pairs whose generators are kept per ring algebra
+ORBIT_TABLES = 8
+
+
+@identity_memo(size=ORBIT_TABLES)
+def _generators(algR: LevelAlgebra, ob: GradedObject, basis: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The transvections of every degree as one group (src, dst, ops), in
+    the order of _transvections: each degree's entries padded to the most
+    that any degree has, with entries that read and write the padding
+    column, index coefficient_count(algR, ob, ob, 1), the zero column that
+    _LiftIndex appends, through zero operators.  Kept for algR, ob and
+    basis while algR lives, read-only."""
+    km = algR.k * algR.ring.m
+    groups = [g[1:] for g in _transvections(algR, ob, basis)]
+    G, S = sum(len(g[0]) for g in groups), max((g[2].shape[1] for g in groups), default=0)
+    src = np.full((G, S * km), coefficient_count(algR, ob, ob, 1), dtype=np.int64)
+    dst, ops = src.copy(), np.zeros((G, S, km, km), dtype=np.int64)
+    g = 0
+    for s, d, o in groups:
+        src[g:g + len(s), :s.shape[1]], dst[g:g + len(s), :s.shape[1]] = s, d
+        ops[g:g + len(s), :o.shape[1]] = o
+        g += len(s)
+    _read_only(src, dst, ops)
+    return src, dst, ops
+
+
 def iso_orbits(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
                lifts: np.ndarray, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
     """Partition of a stack of strict lifts under d -> u d u^{-1}, u = 1 + nu.
@@ -354,13 +389,16 @@ def iso_orbits(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
     generator is an elementary transvection 1 + x E_rc, which changes one
     column and one row of a lift (_transvections), so every lift is
     conjugated by every generator in that closed form, with no product of
-    whole blocks and no Newton inverse: per degree of the generators,
+    whole blocks and no Newton inverse.  The generators of all degrees are
+    one padded group (_generators), built once per ring algebra, graded
+    object and basis and then kept, so a call conjugates in one round:
     _BLOCK conjugates at a time, the moved column and row of each lift go
     through the generators' multiplication operators into a copy of the
-    lift stack.  Each image is found among the lifts (CheckFailed if it is
-    none), and the orbits are the components of the graph lift -> image.
-    The cap bounds the conjugations, lifts times generators, and is checked
-    before the generators are built.
+    padded lift stack, which is looked up as it is.  Each image is found
+    among the lifts (CheckFailed if it is none), and the orbits are the
+    components of the graph lift -> image.  The cap bounds the
+    conjugations, lifts times generators, and is checked before the
+    generators are built or looked up.
     """
     if not len(lifts):
         return []
@@ -368,25 +406,22 @@ def iso_orbits(A: ArtinLocalRing, alg0: LevelAlgebra, ob: GradedObject,
     total = n * len(basis) * algR.k * sum(r * r for _, r in ob.ranks)
     if total > cap:
         raise CapExceeded(f"{total} conjugations exceed the cap {cap}")
+    src, dst, ops = _generators(algR, ob, basis)
     index, p = _LiftIndex(lifts), A.p
-    images = [np.empty((0, n), dtype=np.int64)]
-    for _, src, dst, ops in _transvections(algR, ob, basis):
-        S, km = ops.shape[1:3]
-        image = np.empty((len(src), n), dtype=np.int64)
-        gstep = min(len(src), _BLOCK)
-        lstep = max(1, _BLOCK // gstep)
-        for g in range(0, len(src), gstep):
-            for l in range(0, n, lstep):
-                rows, at = lifts[l:l + lstep], dst[g:g + gstep]
-                G, L = len(at), len(rows)
-                moved = np.einsum("gsyz,lgsz->lgsy", ops[g:g + gstep],
-                                  rows[:, src[g:g + gstep]].reshape(L, G, S, km))
-                conj = np.tile(rows, (G, 1))   # row j * L + i: generator g + j on lift l + i
-                where = (np.arange(G)[:, None] * L + np.arange(L)[:, None, None]) * rows.shape[1]
-                np.put(conj, where + at, (rows[:, at] + moved.reshape(L, G, -1)) % p)
-                image[g:g + G, l:l + L] = index.find(conj).reshape(G, L)
-        images.append(image)
-    image = np.concatenate(images)
+    S, km = ops.shape[1:3]
+    image = np.empty((len(src), n), dtype=np.int64)
+    gstep = max(1, min(len(src), _BLOCK))
+    lstep = max(1, _BLOCK // gstep)
+    for g in range(0, len(src), gstep):
+        for l in range(0, n, lstep):
+            rows, at = index.rows[l:l + lstep], dst[g:g + gstep]
+            G, L = len(at), len(rows)
+            moved = np.einsum("gsyz,lgsz->lgsy", ops[g:g + gstep],
+                              rows[:, src[g:g + gstep]].reshape(L, G, S, km))
+            conj = np.tile(rows, (G, 1))   # row j * L + i: generator g + j on lift l + i
+            where = (np.arange(G)[:, None] * L + np.arange(L)[:, None, None]) * rows.shape[1]
+            np.put(conj, where + at, (rows[:, at] + moved.reshape(L, G, -1)) % p)
+            image[g:g + G, l:l + L] = index.find(conj, padded=True).reshape(G, L)
     return _components(np.tile(np.arange(n), len(image)), image.ravel(), n)
 
 

@@ -90,22 +90,31 @@ def clear_shared() -> None:
         cached.cache_clear()
 
 
-def identity_memo(fn):
-    """fn(obj, *arrays), memoized for obj and the last arrays it was asked
-    with.  The memo is kept outside obj, holds obj by identity only (rings
-    and algebras compare by value), and drops obj's entry when obj is freed."""
+def identity_memo(fn=None, *, size: int = 1):
+    """fn(obj, *args), memoized for obj and the last `size` distinct args it
+    was asked with (an array by its dtype, shape and bytes, anything else by
+    value).  The memo is kept outside obj, holds obj by identity only (rings
+    and algebras compare by value), and drops obj's entries when obj is
+    freed, so an object that later gets the same id finds none of them."""
+    if fn is None:
+        return functools.partial(identity_memo, size=size)
     memo = {}
 
     @functools.wraps(fn)
-    def kept(obj, *arrays):
-        key = [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
-        hit = memo.get(id(obj))
-        if hit is None:
+    def kept(obj, *args):
+        key = tuple((a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+                    for a in args)
+        entries = memo.get(id(obj))
+        if entries is None:
+            entries = memo[id(obj)] = {}
             weakref.finalize(obj, memo.pop, id(obj), None)
-        elif hit[0] == key:
-            return hit[1]
-        value = fn(obj, *arrays)
-        memo[id(obj)] = key, value
+        elif key in entries:
+            entries[key] = value = entries.pop(key)   # now the last asked for
+            return value
+        value = fn(obj, *args)
+        if len(entries) >= size:
+            del entries[next(iter(entries))]
+        entries[key] = value
         return value
 
     return kept
@@ -499,8 +508,8 @@ def mk_tower(kind: str, p: int, **params) -> Tower:
     A built-in kind takes exactly the integer parameters TOWER_PARAMS[kind]
     (TypeError otherwise, as for a call with wrong arguments).
     Only the parameters and custom data are checked.  zmod and trunc_poly
-    with a > b + 1, where J is not killed by p or I*J != 0, fail in Tower's
-    checks.
+    with a > b + 1, where J is not killed by p or I*J != 0, fail with
+    Tower's errors before any ring is built (_long_tower_error).
 
     A built-in tower is shared: once its description (kind, p, params) has
     passed the checks, the same Tower is returned for it while it is among
@@ -529,7 +538,23 @@ def mk_tower(kind: str, p: int, **params) -> Tower:
             raise ValidationError("square_zero requires r >= 0")
     elif not (values[0] >= values[1] >= 1):
         raise ValidationError(f"{kind} requires a >= b >= 1")
+    elif values[0] > values[1] + 1:
+        raise _long_tower_error(kind, p, values[0])
     return _shared_tower(kind, p, values)
+
+
+def _long_tower_error(kind: str, p: int, a: int) -> ValidationError | IJNonzero:
+    """The error that Tower's checks raise on zmod or trunc_poly with
+    a > b + 1, decided from the closed form before any table is built (the
+    ring's size cap first, as building it would).  Over Z/p^a, J = (p^b) is
+    not killed by p.  Over F_p[t]/t^a, J has the greedy basis t^(a-1), ...,
+    t^b, I = (t); t^(a-1) kills I, and the least element of I (lexicographic
+    in the coordinates of 1, t, ..., t^(a-1)) that t^(a-2) does not kill is t."""
+    _check_order(p, a)
+    if kind == "zmod":
+        return ValidationError("Ker(Rbar -> R) is not killed by p")
+    i, j = np.eye(a, dtype=np.int64)[[1, a - 2]].tolist()
+    return IJNonzero(f"I*J != 0: {i} * {j} != 0")
 
 
 @shared_cache(SHARED_TOWERS)
@@ -539,11 +564,8 @@ def _shared_tower(kind: str, p: int, params: tuple[int, ...]) -> Tower:
         ring, fp = square_zero_ring(p, *params), zmod_ring(p, 1)
         tower = _projection_tower(ring, fp, fp)
     else:
-        a, b = params
         ring = zmod_ring if kind == "zmod" else trunc_poly_ring
-        rings = ring(p, a), ring(p, b), ring(p, 1)
-        tower = (Tower(*rings, _proj(*rings[:2]), _proj(*rings[1:])) if a > b + 1
-                 else _projection_tower(*rings))
+        tower = _projection_tower(*(ring(p, e) for e in (*params, 1)))
     for ring in (tower.Rbar, tower.R, tower.R0):
         _read_only(ring.orders, ring.mult)
         _SHARED[id(ring)] = ring

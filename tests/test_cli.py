@@ -260,6 +260,94 @@ def test_usage_errors_end_in_one_failed_report(capsys, argv, command, message, u
     assert rep["schema"] == "report" and rep["timings"] is None
 
 
+def _flag_value(flag, first=False):
+    """A valid value of a flag, None for a switch; first gives another one."""
+    spec = cli.FLAGS[flag]
+    if spec.get("action") == "store_true":
+        return None
+    if spec.get("type") is int:
+        return "1" if first else "7"
+    if "choices" in spec:
+        return spec["choices"][0 if first else 1]
+    return f"first-{flag}.json" if first else f"{flag}.json"
+
+
+def _valid_argvs(name):
+    """Every flag of a command as --flag value, as --flag=value, by its
+    shortest unambiguous prefix, and given twice."""
+    flags = cli.COMMANDS[name].flags.split() + ["out"]
+    spelled = [[], [], [], []]
+    for flag in flags:
+        value = _flag_value(flag)
+        prefix = next(flag[:n] for n in range(1, len(flag) + 1)
+                      if sum(f.startswith(flag[:n]) for f in flags + ["help"]) == 1)
+        tail = [] if value is None else [value]
+        spelled[0] += [f"--{flag}"] + tail
+        spelled[1] += [f"--{flag}" if value is None else f"--{flag}={value}"]
+        spelled[2] += [f"--{prefix}"] + tail
+        first = [] if value is None else [_flag_value(flag, first=True)]
+        spelled[3] += [f"--{flag}"] + first + [f"--{flag}"] + tail
+    return [[name]] + [[name] + argv for argv in spelled]
+
+
+def _invalid_argvs(name):
+    """A missing value, an unknown flag, a stray word, a flag another
+    command owns, a bad int or choice, a value given to a switch and an
+    ambiguous prefix."""
+    flags = cli.COMMANDS[name].flags.split() + ["out"]
+    other = next(f for f in cli.FLAGS if f not in flags)
+    out = [[name, "--out"], [name, "--bogus"], [name, "--out", "o.json", "stray"],
+           [name, f"--{other}"] + ([] if _flag_value(other) is None else ["x"])]
+    out += [[name, f"--{f}", "x"] for f in flags if cli.FLAGS[f].get("type") is int
+            or "choices" in cli.FLAGS[f]]
+    out += [[name, f"--{f}=x"] for f in flags if _flag_value(f) is None]   # a switch's value
+    for n in (1, 2):
+        if sum(f.startswith(flags[0][:n]) for f in flags) > 1:
+            out.append([name, f"--{flags[0][:n]}", "x"])
+    return out
+
+
+def _run_both(capsys, monkeypatch, argv):
+    """main(argv) with each command's own parser, then with the program's
+    parser alone: (exit code, stdout, stderr) of each."""
+    runs = []
+    for parse in (cli.parse_args, lambda argv: build_parser().parse_args(argv)):
+        monkeypatch.setattr(cli, "parse_args", parse)
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = ("exit", e.code)
+        runs.append((code, *capsys.readouterr()))
+    return runs
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_a_command_parses_with_its_own_parser_as_with_the_program_parser(
+        name, capsys, monkeypatch):
+    valid = _valid_argvs(name)
+    for argv in valid:
+        got = cli.parse_args(argv)
+        assert got == build_parser().parse_args(argv) and got.command == name
+        assert got.out == (None if argv == [name] else "out.json")
+    invalid = _invalid_argvs(name)
+    assert len(invalid) >= 5
+    for argv in invalid + [[name, "--help"], [name, "-h"]]:
+        direct, full = _run_both(capsys, monkeypatch, argv)
+        assert direct == full
+        code, out, err = direct
+        if code == 1:
+            assert json.loads(out)["verdict"] == "failed"
+            assert err.startswith(f"usage: sqzlift {name} ")
+        else:
+            assert code == ("exit", 0) and out.startswith(f"usage: sqzlift {name} ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], [], ["nope"], ["--out", "x"]])
+def test_argv_without_a_command_goes_through_the_program_parser(argv, capsys, monkeypatch):
+    direct, full = _run_both(capsys, monkeypatch, argv)
+    assert direct == full and direct[0] in (1, ("exit", 0))
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["oracle", "--help"]])
 def test_help_and_version_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as exit_:

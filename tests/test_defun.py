@@ -1,6 +1,8 @@
 """Deformation functors over artinian local F_p-algebras."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -633,6 +635,64 @@ def test_generators_from_m_mod_m2_alone_give_a_finer_partition(monkeypatch):
     monkeypatch.setattr(defun, "_m_basis", lambda A: np.array([[0, 1, 0]]))
     finer = iso_orbits(A, alg0, ob, lifts)
     assert len(finer) == 3 and all(len(orbit) == 3 for orbit in finer)
+
+
+# -- the generators kept with their ring algebra --
+
+def test_generators_are_built_once_per_algebra_and_graded_object(monkeypatch):
+    """The second iso_orbits on one (algR, ob) builds no generator; the kept
+    group is read-only, pads the degrees with fewer entries with the zero
+    column, and does not keep algR alive."""
+    built = []
+    transvections = defun._transvections
+    monkeypatch.setattr(defun, "_transvections",
+                        lambda algR, ob, basis: built.append(ob) or transvections(algR, ob, basis))
+    alg0 = trivial_base_algebra(3)
+    A = ArtinLocalRing(trunc_poly_ring(3, 3))
+    for ob in (OB2, OB3, OB2, OB3, OB2):
+        lifts = strict_lifts(A, alg0, ob, GradedMap(alg0, ob, ob, 1, {}))
+        assert iso_orbits(A, alg0, ob, lifts) == _scan_orbits(A, alg0, ob, lifts)
+    assert built == [OB2, OB3]
+    algR = A.algebra(alg0)
+    src, dst, ops = tables = defun._generators(algR, OB3, defun._m_basis(A))
+    assert built == [OB2, OB3]
+    for arr in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    # ranks (1, 1, 1): degree 1 moves a column and a row, degrees 0 and 2 one of them
+    pad = coefficient_count(algR, OB3, OB3, 1)
+    assert ops.shape == (3 * 2, 2, 3, 3) and src.shape == dst.shape == (6, 2 * 3)
+    assert ((src == pad) == (dst == pad)).all() and (src == pad).sum() == 4 * 3
+    assert not ops[src[:, ::3] == pad].any()
+    ref = weakref.ref(algR)
+    del A, algR
+    gc.collect()
+    assert ref() is None
+
+
+ID_REUSE_SHAPES = [(p, kind, ranks) for ranks in ((1, 1), (1, 2))
+                   for p, kind in ((2, "trivial"), (3, "trivial"), (3, "dual"), (2, "upper"))]
+
+
+def test_generators_are_never_served_to_an_algebra_that_reuses_an_id():
+    """Rings and algebras built and freed in turn, as the tests and library
+    callers do.  The shapes share their ring's m-adapted basis (t, over
+    F_p[t]/t^2) and their graded objects, so only the algebra tells their
+    generators apart: an algebra that gets a freed one's id must build its
+    own, and every partition matches the whole-group scan."""
+    seen, reused = set(), 0
+    for n in range(4 * len(ID_REUSE_SHAPES)):
+        p, kind, ranks = ID_REUSE_SHAPES[n % len(ID_REUSE_SHAPES)]
+        alg0 = _base_algebra(p, kind)
+        ob = GradedObject.of(dict(enumerate(ranks)))
+        A = ArtinLocalRing(trunc_poly_ring(p, 2))
+        lifts = strict_lifts(A, alg0, ob, _scalar_diff(alg0, ob, (1,) + (0,) * (ranks[1] - 1)))
+        assert iso_orbits(A, alg0, ob, lifts) == _scan_orbits(A, alg0, ob, lifts)
+        reused += id(A.algebra(alg0)) in seen
+        seen.add(id(A.algebra(alg0)))
+        del A, alg0, lifts
+        gc.collect()
+    assert reused > 0
 
 
 def test_components_match_union_find():

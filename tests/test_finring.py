@@ -16,6 +16,7 @@ from sqzlift.errors import (
     IJNonzero,
     NonPrime,
     NotSurjective,
+    SqzliftError,
     ValidationError,
 )
 from sqzlift.finring import (
@@ -325,6 +326,40 @@ def test_tower_rejects_kernel_not_killed_by_p():
         mk_tower("zmod", 2, a=3, b=1)
 
 
+def _raised(build):
+    with pytest.raises(SqzliftError) as err:
+        build()
+    return type(err.value), str(err.value)
+
+
+def test_long_builtin_towers_fail_like_the_checked_build(monkeypatch):
+    """zmod and trunc_poly with a > b + 1 fail in mk_tower with the type and
+    message of Tower's checks on the same rings, and build no Tower."""
+    checked = {}
+    for kind, ring in (("zmod", zmod_ring), ("trunc_poly", trunc_poly_ring)):
+        for p in (2, 3, 5):
+            for a in range(3, 7):
+                for b in range(1, a - 1):
+                    rings = ring(p, a), ring(p, b), ring(p, 1)
+                    checked[kind, p, a, b] = _raised(lambda: finring.Tower(
+                        *rings, finring._proj(*rings[:2]), finring._proj(*rings[1:])))
+
+    def refuse(self):
+        raise AssertionError("a Tower was built")
+
+    monkeypatch.setattr(finring.Tower, "__post_init__", refuse)
+    for (kind, p, a, b), want in checked.items():
+        assert _raised(lambda: mk_tower(kind, p, a=a, b=b)) == want
+    assert {v for v in checked.values() if v[0] is ValidationError} == {
+        (ValidationError, "Ker(Rbar -> R) is not killed by p")}
+    assert checked["trunc_poly", 2, 4, 1] == (
+        IJNonzero, "I*J != 0: [0, 1, 0, 0] * [0, 0, 1, 0] != 0")
+    assert len(checked) == 2 * 3 * (1 + 2 + 3 + 4)
+    # the ring's size cap is still checked first
+    with pytest.raises(ValidationError, match="ring of order 2\\^17 exceeds cap"):
+        mk_tower("trunc_poly", 2, a=17, b=1)
+
+
 def _f2_ring_with_orders(orders):
     """F_2[t]/t^2 with one more basis element of the given additive order,
     which multiplies to zero; the table is canonical for order 1."""
@@ -479,7 +514,7 @@ def test_custom_towers_and_algebras_are_never_shared():
 
 
 @pytest.mark.parametrize("kind, params, error", [
-    ("zmod", {"a": 3, "b": 1}, ValidationError),        # fails in Tower's checks
+    ("zmod", {"a": 3, "b": 1}, ValidationError),        # J is not killed by p
     ("trunc_poly", {"a": 17, "b": 1}, ValidationError),  # above the ring cap
     ("trunc_poly", {"a": 1, "b": 2}, ValidationError),
     ("square_zero", {"r": 1, "a": 1}, TypeError),  # a parameter it does not take
